@@ -23,10 +23,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ParameterError, TruncationError
-from .numerics import PhaseGrid, as_complex
+from .numerics import PhaseGrid, as_complex, power_table
 from .states import State, fock_matrix
 
 _MAX_FOCK_INDEX = 400
+
+#: points per matrix product in the Fock route; bounds its working memory
+_FOCK_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +45,7 @@ def char_fn_fock_element(m: int, n: int, beta):
     if m < 0 or n < 0:
         raise ParameterError("Fock indices must be non-negative")
     if m > _MAX_FOCK_INDEX or n > _MAX_FOCK_INDEX:
-        raise OverflowError(f"Fock indices above {_MAX_FOCK_INDEX} are not supported")
+        raise ParameterError(f"Fock indices above {_MAX_FOCK_INDEX} are not supported")
     b = as_complex(beta)
     scalar = not isinstance(b, np.ndarray)
     barr = np.asarray([b] if scalar else b, dtype=complex)
@@ -73,21 +76,26 @@ def _fock_route(state: State, barr: np.ndarray, cutoff: int) -> np.ndarray:
             )
     rho = fm.matrix
     K = fm.cutoff
-    # Phi = sum_{q,r} d[q,r] (-conj b)^q b^r with d the k-resummed coefficients
+    # Phi = sum_{q,r} d[q,r] (-conj b)^q b^r with the k-resummed coefficients
+    # d[q,r] = sum_k rho[q+k, r+k] sqrt((q+k)! (r+k)!) / (k! q! r!)
     lg = gammaln(np.arange(K + 1) + 1.0)
     d = np.zeros((K + 1, K + 1), dtype=complex)
-    for q in range(K + 1):
-        for r in range(K + 1):
-            kmax = K - max(q, r)
-            if kmax < 0:
-                continue
-            ks = np.arange(kmax + 1)
-            logs = 0.5 * (lg[q + ks] + lg[r + ks]) - lg[ks] - lg[q] - lg[r]
-            d[q, r] = np.sum(rho[q + ks, r + ks] * np.exp(logs))
-    nb = -np.conj(barr)
-    powers_b = barr[..., None] ** np.arange(K + 1)
-    powers_nb = nb[..., None] ** np.arange(K + 1)
-    return np.einsum("...q,qr,...r->...", powers_nb, d, powers_b)
+    for k in range(K + 1):
+        n = K + 1 - k
+        logs = (0.5 * (lg[k:, None] + lg[None, k:]) - lg[k]
+                - lg[:n, None] - lg[None, :n])
+        d[:n, :n] += rho[k:, k:] * np.exp(logs)
+    # an exactly finite-rank matrix leaves a small polynomial
+    rows = np.flatnonzero(np.any(d != 0, axis=1))
+    cols = np.flatnonzero(np.any(d != 0, axis=0))
+    d = d[: rows[-1] + 1 if rows.size else 0, : cols[-1] + 1 if cols.size else 0]
+    flat = barr.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    for i0 in range(0, flat.size, _FOCK_CHUNK):
+        b = flat[i0:i0 + _FOCK_CHUNK]
+        out[i0:i0 + _FOCK_CHUNK] = ((power_table(-np.conj(b), d.shape[0]) @ d)
+                                    * power_table(b, d.shape[1])).sum(1)
+    return out.reshape(barr.shape)
 
 
 def char_fn(state: State, beta, *, cutoff: int | None = None):

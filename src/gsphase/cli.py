@@ -32,6 +32,9 @@ from .numerics import PhaseGrid, write_field_csv
 from .states import StateSpec, make_state
 from .witness import classify as classify_state
 
+#: largest --grid resolution; an N x N complex mesh takes 16 N^2 bytes per array
+MAX_GRID_RESOLUTION = 2001
+
 FIG1_STATES = [
     ("fig1a_vacuum", StateSpec("fock_element", {"m": 0, "n": 0})),
     ("fig1b_max_singular", StateSpec("p_max")),
@@ -53,6 +56,8 @@ def _parse_grid(text: str) -> PhaseGrid:
         raise click.UsageError(f"--grid expects L,N (got {text!r})") from exc
     if n % 2 == 0:
         raise click.UsageError("--grid resolution N must be odd so the origin is a node")
+    if n > MAX_GRID_RESOLUTION:
+        raise click.UsageError(f"--grid resolution N must be at most {MAX_GRID_RESOLUTION}")
     try:
         return PhaseGrid(extent=extent, resolution=n)
     except ParameterError as exc:
@@ -112,6 +117,8 @@ def charfn(state_json, grid_text, s_param, out_path):
     config = {"command": "charfn", "state": spec.to_json(), "grid": grid_text, "s": s_param}
     try:
         vals = char_fn_s(st, grid.mesh(), s_param) if s_param != 1.0 else char_fn(st, grid.mesh())
+    except ParameterError as exc:
+        raise click.UsageError(str(exc)) from exc
     except GsphaseError as exc:
         raise click.ClickException(str(exc)) from exc
     write_field_csv(out_path, grid, np.asarray(vals), comments=_provenance("charfn", config))

@@ -9,6 +9,13 @@ fixed here once:
 
 In real coordinates the forward kernel is exp(i*2*Im(beta)*x) * exp(-i*2*Re(beta)*p).
 Modules must import these transforms rather than re-deriving the signs.
+
+Both transforms are direct trapezoid sums over a sampled grid.  The kernel
+factors into one matrix per axis, so a full output grid (``out_grid``) and
+any 2-D target array laid out like ``PhaseGrid.mesh()`` (real part constant
+along rows, imaginary part constant along columns) cost two matrix
+products; other targets are summed point by point as one matrix product per
+chunk of targets.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special
 
 from .errors import (
     NonConvergenceError,
@@ -148,6 +156,15 @@ def delta_field() -> PhaseField:
     return PhaseField(side="alpha", fn=None, delta_at_origin=True)
 
 
+def power_table(z, n: int) -> np.ndarray:
+    """z[..., None] ** arange(n) for complex z, by cumulative product."""
+    z = np.asarray(z, dtype=complex)
+    out = np.ones(z.shape + (n,), dtype=complex)
+    if n > 1:
+        out[..., 1:] = np.cumprod(np.broadcast_to(z[..., None], z.shape + (n - 1,)), axis=-1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Legendre helpers
 # ---------------------------------------------------------------------------
@@ -161,19 +178,6 @@ def gauss_nodes_1d(a: float, b: float, n: int):
     x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return half * x + 0.5 * (a + b), half * w
-
-
-def gauss_integrate_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64):
-    x, w = gauss_nodes_1d(a, b, n)
-    return np.sum(w * f(x))
-
-
-def gauss_panels_1d(f, edges: Sequence[float], n: int = 32):
-    """Panel-wise Gauss-Legendre integral over consecutive [edges] intervals."""
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        total = total + gauss_integrate_1d(f, a, b, n)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -324,32 +328,53 @@ def _boundary_max(values: np.ndarray) -> float:
                      np.abs(values[:, 0]).max(), np.abs(values[:, -1]).max()))
 
 
+def _weighted(samples, grid: PhaseGrid) -> np.ndarray:
+    w = grid.trapezoid_weights()
+    return samples * w[:, None] * w[None, :]
+
+
+def _separable_product(wx_vals, ax, re_t, im_t) -> np.ndarray:
+    """Transform sum at the targets re_t[i] + i*im_t[j], indexed [i, j].
+
+    The kernel exp(2i Im(t) u - 2i Re(t) v) factors into one matrix per
+    target axis, so the whole mesh costs two matrix products.
+    """
+    A = np.exp(2j * np.outer(im_t, ax))    # (n_im, nu): pairs Im(target) with u
+    B = np.exp(-2j * np.outer(ax, re_t))   # (nv, n_re)
+    return (A @ wx_vals @ B).T
+
+
 def _transform_eval(samples, grid: PhaseGrid, prefactor: float):
-    """Scattered-target transform evaluator over trapezoid-weighted samples.
+    """Transform evaluator over trapezoid-weighted samples.
 
     Both transform directions share the kernel exp(2i Im(t) u - 2i Re(t) v)
     with t the target and (u, v) the sampled plane; they differ only in the
-    1/pi^2 prefactor of the inverse.
+    1/pi^2 prefactor of the inverse.  A 2-D target array whose real part is
+    constant along rows and whose imaginary part is constant along columns
+    (any ``PhaseGrid.mesh()``) takes the separable route; other targets are
+    summed point by point, in chunks.
     """
     ax = grid.axis()
-    w = grid.trapezoid_weights()
-    wx_vals = samples * w[:, None] * w[None, :]
+    wx_vals = _weighted(samples, grid)
     nyq = grid.nyquist
 
     def evaluate(targets: ComplexArray) -> ComplexArray:
         t = np.asarray(targets, dtype=complex)
-        flat = t.ravel()
-        if np.any(2.0 * np.abs(flat.real) > nyq) or np.any(2.0 * np.abs(flat.imag) > nyq):
+        if np.any(2.0 * np.abs(t.real) > nyq) or np.any(2.0 * np.abs(t.imag) > nyq):
             raise ResolutionError(
                 f"requested frequency exceeds the grid Nyquist band |2 Re/Im| <= {nyq:g}"
             )
+        if (t.ndim == 2 and t.size and np.all(t.real == t.real[:, :1])
+                and np.all(t.imag == t.imag[:1, :])):
+            return prefactor * _separable_product(wx_vals, ax, t.real[:, 0], t.imag[0, :])
+        flat = t.ravel()
         out = np.empty(flat.shape, dtype=complex)
         chunk = 2048
         for i0 in range(0, flat.size, chunk):
             b = flat[i0:i0 + chunk]
             ph_x = np.exp(2j * np.outer(b.imag, ax))      # (m, nx)
             ph_p = np.exp(-2j * np.outer(b.real, ax))     # (m, np)
-            out[i0:i0 + chunk] = np.einsum("mi,ij,mj->m", ph_x, wx_vals, ph_p)
+            out[i0:i0 + chunk] = ((ph_x @ wx_vals) * ph_p).sum(1)
         return prefactor * out.reshape(t.shape)
 
     return evaluate
@@ -357,16 +382,11 @@ def _transform_eval(samples, grid: PhaseGrid, prefactor: float):
 
 def _transform_grid(samples, grid: PhaseGrid, prefactor: float,
                     out_grid: PhaseGrid) -> np.ndarray:
-    ax = grid.axis()
-    w = grid.trapezoid_weights()
-    wx_vals = samples * w[:, None] * w[None, :]
     if 2.0 * out_grid.extent > grid.nyquist:
         raise ResolutionError("output grid exceeds the Nyquist band of the input grid")
     bt = out_grid.axis()
-    A = np.exp(2j * np.outer(bt, ax))    # (n_tp, nu): pairs Im(target) with u
-    B = np.exp(-2j * np.outer(ax, bt))   # (nv, n_tx)
-    out = A @ wx_vals @ B                              # indexed [bp, bx]
-    return prefactor * out.T                           # [bx, bp], row-major in Re(beta)
+    # indexed [bx, bp], row-major in Re(beta)
+    return prefactor * _separable_product(_weighted(samples, grid), grid.axis(), bt, bt)
 
 
 def _prepare_samples(f: PhaseField, grid: PhaseGrid | None, tol: float):
@@ -437,168 +457,37 @@ def wirtinger_from_xp(df_dx, df_dp):
 # complex error function
 # ---------------------------------------------------------------------------
 
-#: Documented stable range of erf_complex / erfcx_complex.
+#: Documented stable range of erf_complex.
 ERF_STABLE_RANGE = 25.0
-
-#: Branch boundaries (implementation-chosen, covered by cross-branch tests):
-#: Maclaurin series for |z| <= _ERF_SERIES_RADIUS, Laplace continued fraction
-#: for Re z >= _ERF_CF_MIN_RE inside the annulus, vertical-path quadrature in
-#: the remaining near-imaginary strip, asymptotic series for |z| >= _ERF_ASYMPT.
-_ERF_SERIES_RADIUS = 3.25
-_ERF_ASYMPT = 6.0
-_ERF_CF_MIN_RE = 2.0
-
-
-def _erf_series(z: complex) -> complex:
-    # (2/sqrt(pi)) sum (-1)^n z^(2n+1) / (n! (2n+1))
-    u = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    zz = z * z
-    for n in range(1, 400):
-        u *= -zz / n
-        term = u / (2 * n + 1)
-        total += term
-        if abs(term) <= 1.0e-18 * abs(total):
-            break
-    return (2.0 / SQRT_PI) * z * total
-
-
-def _erfcx_cf(z: complex, max_iter: int = 500) -> complex:
-    # Laplace continued fraction for exp(z^2) erfc(z), Re z > 0 (Lentz).
-    tiny = 1.0e-300
-    f = z if z != 0 else tiny
-    c, d = f, 0.0 + 0.0j
-    for k in range(1, max_iter):
-        a = 0.5 * k
-        d = z + a * d
-        if d == 0:
-            d = tiny
-        c = z + a / c
-        if c == 0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1.0e-16:
-            break
-    return 1.0 / (SQRT_PI * f)
-
-
-def _erfcx_asympt(z: complex) -> complex:
-    # 1/(z sqrt(pi)) * sum (-1)^k (2k-1)!! / (2 z^2)^k, truncated at the
-    # smallest term; relative error ~ exp(-|z|^2), negligible for |z| >= 6.
-    s = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    inv2zz = 1.0 / (2.0 * z * z)
-    prev = abs(term)
-    for k in range(1, 60):
-        term *= -(2 * k - 1) * inv2zz
-        if abs(term) >= prev:
-            break
-        s += term
-        prev = abs(term)
-        if prev < 1.0e-18:
-            break
-    return s / (z * SQRT_PI)
-
-
-def _erf_strip_quad(z: complex) -> complex:
-    # erf(x + iy) = erf(x) + (2i/sqrt(pi)) Int_0^y exp(-(x+is)^2) ds for the
-    # near-imaginary annulus where neither series nor CF is reliable.
-    x, y = z.real, z.imag
-    base = _erf_series(complex(x))
-    n_panels = max(1, int(math.ceil(abs(y) / 0.5)))
-    edges = np.linspace(0.0, y, n_panels + 1)
-    total = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        s, w = gauss_nodes_1d(a, b, 32)
-        total += np.sum(w * np.exp(-((x + 1j * s) ** 2)))
-    return base + (2j / SQRT_PI) * total
-
-
-def _erf_first_quadrant(z: complex) -> complex:
-    r = abs(z)
-    if r <= _ERF_SERIES_RADIUS:
-        return _erf_series(z)
-    if r >= _ERF_ASYMPT:
-        return 1.0 - np.exp(-z * z) * _erfcx_asympt(z)
-    if z.real >= _ERF_CF_MIN_RE:
-        return 1.0 - np.exp(-z * z) * _erfcx_cf(z)
-    return _erf_strip_quad(z)
-
-
-def _erf_scalar(z: complex) -> complex:
-    if abs(z) > ERF_STABLE_RANGE:
-        raise RangeError(f"erf_complex is documented for |z| <= {ERF_STABLE_RANGE}")
-    # reduce to the first quadrant via erf(-z) = -erf(z), erf(conj z) = conj erf(z)
-    neg = z.real < 0 or (z.real == 0 and z.imag < 0)
-    if neg:
-        z = -z
-    conj = z.imag < 0
-    if conj:
-        z = z.conjugate()
-    w = _erf_first_quadrant(z)
-    if conj:
-        w = w.conjugate()
-    if neg:
-        w = -w
-    return w
 
 
 def erf_complex(z):
     """Error function for complex arguments, stable for |z| <= 25.
 
-    Matches the Maclaurin series for small |z| and the asymptotic /
-    continued-fraction representations beyond; odd, and conjugate-symmetric.
+    Evaluated by ``scipy.special.erf``, which implements S. G. Johnson's
+    Faddeeva package (see Poppe & Wijers, ACM TOMS 16, 38 (1990)); odd and
+    conjugate-symmetric.  Arguments with |z| > ERF_STABLE_RANGE raise
+    RangeError.  A scalar argument gives a Python complex, an array an array.
     """
-    if np.isscalar(z) or isinstance(z, complex):
-        return _erf_scalar(complex(z))
+    scalar = np.isscalar(z) or isinstance(z, complex)
     arr = np.asarray(z, dtype=complex)
-    out = np.empty(arr.shape, dtype=complex)
-    flat = arr.ravel()
-    res = out.ravel()
-    for i, zi in enumerate(flat):
-        res[i] = _erf_scalar(complex(zi))
-    return out
-
-
-def _erfcx_scalar(z: complex) -> complex:
-    # no magnitude cap: the scaled function stays moderate for Re z >= 0 and
-    # the asymptotic branch only improves with |z|
-    if z.real < 0:
-        # reflection reintroduces exp(z^2); callers needing scaled stability
-        # should flip the argument themselves (see filters)
-        return 2.0 * np.exp(z * z) - _erfcx_scalar(-z)
-    conj = z.imag < 0
-    if conj:
-        z = z.conjugate()
-    r = abs(z)
-    if r >= _ERF_ASYMPT:
-        w = _erfcx_asympt(z)
-    elif z.real >= _ERF_CF_MIN_RE:
-        w = _erfcx_cf(z)
-    else:
-        # 1 - erf has at most ~2 digits of cancellation for Re z < 2
-        w = np.exp(z * z) * (1.0 - _erf_first_quadrant(z))
-    return w.conjugate() if conj else w
+    if np.any(np.abs(arr) > ERF_STABLE_RANGE):
+        raise RangeError(f"erf_complex is documented for |z| <= {ERF_STABLE_RANGE}")
+    out = special.erf(arr)
+    return complex(out) if scalar else out
 
 
 def erfcx_complex(z):
     """Scaled complementary error function exp(z^2) erfc(z) for complex z.
 
-    Intended for Re z >= 0, where it is uniformly of moderate size at any
-    magnitude; for Re z < 0 the reflection formula is applied and may
-    overflow.
+    Evaluated by ``scipy.special.erfcx`` (the Faddeeva package, as for
+    erf_complex), with no magnitude cap.  Intended for Re z >= 0, where it
+    is uniformly of moderate size at any magnitude; for Re z < 0 the value
+    carries exp(z^2) and may overflow.
     """
-    if np.isscalar(z) or isinstance(z, complex):
-        return _erfcx_scalar(complex(z))
-    arr = np.asarray(z, dtype=complex)
-    out = np.empty(arr.shape, dtype=complex)
-    flat = arr.ravel()
-    res = out.ravel()
-    for i, zi in enumerate(flat):
-        res[i] = _erfcx_scalar(complex(zi))
-    return out
+    scalar = np.isscalar(z) or isinstance(z, complex)
+    out = special.erfcx(np.asarray(z, dtype=complex))
+    return complex(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -36,7 +37,7 @@ from scipy.special import gammaln, kv
 
 from . import numerics
 from .errors import NoRegularFormError, ParameterError, TruncationWarning, UnsupportedError
-from .numerics import PhaseGrid, Radial, as_complex, quad2d
+from .numerics import PhaseGrid, Radial, as_complex, power_table, quad2d
 
 DEFAULT_CUTOFF = 64
 
@@ -71,12 +72,15 @@ class StateSpec:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ParameterError("state JSON must be an object with a 'kind' field")
         disp = obj.get("displacement", {"re": 0.0, "im": 0.0})
-        return cls(
-            kind=obj["kind"],
-            params={k: float(v) for k, v in obj.get("params", {}).items()},
-            displacement=complex(disp.get("re", 0.0), disp.get("im", 0.0)),
-            rotation=float(obj.get("rotation", 0.0)),
-        )
+        try:
+            return cls(
+                kind=obj["kind"],
+                params={k: float(v) for k, v in obj.get("params", {}).items()},
+                displacement=complex(disp.get("re", 0.0), disp.get("im", 0.0)),
+                rotation=float(obj.get("rotation", 0.0)),
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParameterError(f"invalid state JSON field: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -109,24 +113,43 @@ class FockMatrix:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T)).min())
 
 
-def displacement_matrix(alpha0: complex, cutoff: int) -> np.ndarray:
-    """Matrix elements <m|D(alpha0)|n> on the truncated Fock space."""
+@lru_cache(maxsize=4)
+def _creation_powers(cutoff: int) -> np.ndarray:
+    """(a^dag)^k / k! for k = 0..cutoff, by repeated matrix multiplication."""
     n = cutoff + 1
-    a = np.diag(np.sqrt(np.arange(1, n)), -1)  # creation operator
-    # exact on the truncated space: nilpotent Taylor series of both factors
-    out = _expm_taylor(alpha0 * a) @ _expm_taylor(-np.conj(alpha0) * a.T)
-    return math.exp(-0.5 * abs(alpha0) ** 2) * out
+    adag = np.diag(np.sqrt(np.arange(1.0, n)), -1)
+    powers = np.empty((n, n, n))
+    powers[0] = np.eye(n)
+    for k in range(1, n):
+        powers[k] = powers[k - 1] @ adag / k
+    powers.setflags(write=False)
+    return powers
 
 
-def _expm_taylor(m: np.ndarray) -> np.ndarray:
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for k in range(1, m.shape[0] + 1):
-        term = term @ m / k
-        if not term.any():
-            break
-        out += term
-    return out
+def creation_exponential(z, cutoff: int) -> np.ndarray:
+    """exp(z a^dag) on the Fock space truncated at ``cutoff``, for each z.
+
+    The truncated creation operator is nilpotent, so the Taylor series
+    sum_k z^k (a^dag)^k / k! ends at k = cutoff and the result is exact.
+    The matrix powers are built once per cutoff and contracted with the
+    powers of every z at once; the result has shape z.shape + (n, n).
+    exp(z a) is the transpose of exp(z a^dag).
+    """
+    zk = power_table(z, cutoff + 1)
+    powers = _creation_powers(cutoff)
+    return (np.tensordot(zk.real, powers, axes=(-1, 0))
+            + 1j * np.tensordot(zk.imag, powers, axes=(-1, 0)))
+
+
+def displacement_matrix(alpha0: complex, cutoff: int) -> np.ndarray:
+    """Matrix elements <m|D(alpha0)|n> on the truncated Fock space.
+
+    Normal-ordered form exp(-|alpha0|^2/2) exp(alpha0 a^dag) exp(-conj(alpha0) a),
+    exact on the truncated space.
+    """
+    e_plus = creation_exponential(alpha0, cutoff)
+    e_minus = creation_exponential(-np.conj(alpha0), cutoff).T
+    return math.exp(-0.5 * abs(alpha0) ** 2) * (e_plus @ e_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +356,10 @@ def make_state(spec: StateSpec) -> State:
                    _base_fock_builder=fock,
                    _tail_loss=lambda K, m=m, n=n: 0.0 if K >= max(m, n) else 1.0)
     elif kind == "fock_mixture":
-        weights = {int(k[1:]): float(v) for k, v in p.items() if k.startswith("w")}
+        keys = [k for k in p if k.startswith("w")]
+        _require(all(k[1:].isdigit() for k in keys),
+                 "fock_mixture weight keys must be w0, w1, ...")
+        weights = {int(k[1:]): float(p[k]) for k in keys}
         _require(bool(weights) and all(v >= 0 for v in weights.values()),
                  "fock_mixture requires non-negative weights w0, w1, ...")
         _require(abs(sum(weights.values()) - 1.0) < 1.0e-9, "fock_mixture weights must sum to 1")

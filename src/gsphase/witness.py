@@ -237,21 +237,6 @@ def negativity_scan(fld: PhaseField, *, residue_tol: float = 1.0e-9):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TestFunctionClass:
-    """Growth class of test functions paired safely with any GS distribution.
-
-    Membership at constant 0 <= C < 1 requires every origin derivative to
-    obey |a[n,m]| <= (sqrt(2) C)^(n+m) sqrt(n! m!); this is strictly
-    stronger than analyticity (bound M C'^(n+m) n! m!) and guarantees a
-    finite worst-case pairing bounded by 1/(1 - C^2).
-    """
-
-    C: float
-    M: float = 1.0
-    max_checked_order: int = 0
-
-
-@dataclass(frozen=True)
 class AdmissibilityResult:
     admissible: bool
     first_violation: tuple[int, int] | None

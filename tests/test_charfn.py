@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from gsphase.charfn import (
+    _FOCK_CHUNK,
     char_fn,
     char_fn_fock_element,
     char_fn_s,
     classicality_violation,
     quantum_bound_check,
 )
-from gsphase.errors import TruncationError
+from gsphase.errors import ParameterError, TruncationError
 from gsphase.numerics import Cartesian, PhaseGrid, quad2d
 from gsphase.states import StateSpec, from_fock_matrix, fock_matrix, make_state
 
@@ -69,7 +70,7 @@ class TestFockElement:
                                - truncated_operator_oracle(m, n, b)) < 1e-10
 
     def test_index_guards(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(ParameterError):
             char_fn_fock_element(500, 2, 1.0)
 
 
@@ -145,6 +146,28 @@ class TestCharFn:
             ours = np.asarray(char_fn(st, betas, cutoff=64))
         ref = np.asarray(char_fn(closed, betas))
         np.testing.assert_allclose(ours, ref, atol=1e-6)
+
+    @pytest.mark.parametrize("which", ["thermal", "finite_rank"])
+    def test_fock_route_over_chunks_equals_direct_sum(self, which):
+        # more points than one chunk of the route's matrix product
+        n_pts = 2 * (_FOCK_CHUNK // 2 + 150)
+        betas = RNG.uniform(-1.5, 1.5, n_pts) + 1j * RNG.uniform(-1.5, 1.5, n_pts)
+        if which == "thermal":
+            st = make_state(StateSpec("thermal", {"nbar": 0.5}))
+            st.phi_closed = None  # force the Fock-sum route
+            rho = fock_matrix(st, 64).matrix
+        else:
+            # exact rank: the coefficient matrix is trimmed to 5 x 5
+            rho = np.zeros((5, 5), dtype=complex)
+            rho[0, 0], rho[1, 1], rho[4, 4] = 0.5, 0.2, 0.3
+            rho[0, 4], rho[4, 0] = 0.2 + 0.1j, 0.2 - 0.1j
+            st = from_fock_matrix(rho)
+            betas = betas * 2.0  # no band limit at exact rank
+        ours = np.asarray(char_fn(st, betas.reshape(2, -1)))
+        assert ours.shape == (2, n_pts // 2)
+        direct = sum(rho[m, n] * char_fn_fock_element(m, n, betas)
+                     for m, n in zip(*np.nonzero(rho)))
+        np.testing.assert_allclose(ours.ravel(), direct, rtol=0, atol=1e-11)
 
     def test_fock_route_band_guard(self):
         st = make_state(StateSpec("thermal", {"nbar": 0.5}))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gsphase.cli import config_hash, main
+from gsphase.cli import MAX_GRID_RESOLUTION, config_hash, main
 from gsphase.numerics import read_field_csv
 
 THERMAL = '{"kind": "thermal", "params": {"nbar": 0.5}}'
@@ -165,3 +165,28 @@ class TestConfigErrors:
         res = runner.invoke(main, ["filtered", "--state", THERMAL, "--w", "-1",
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("state", [
+        '{"kind": "thermal", "params": {"nbar": "abc"}}',
+        '{"kind": "fock_mixture", "params": {"wx": 1.0}}',
+        '{"kind": "fock_element", "params": {"m": 500, "n": 2}}',
+        '{"kind": "thermal", "params": [0.5]}',
+    ], ids=["non_numeric_param", "bad_mixture_key", "fock_index_too_large",
+            "params_not_an_object"])
+    def test_bad_state_is_a_usage_error(self, runner, tmp_path, state):
+        res = runner.invoke(main, ["charfn", "--state", state, "--grid", "2,5",
+                                   "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Error:" in res.output
+        assert "Traceback" not in res.output
+
+    def test_grid_resolution_capped_before_allocation(self, runner, tmp_path):
+        # rejected while parsing --grid, before the state or the mesh is built;
+        # the smallest rejected N keeps the test cheap even if the cap breaks
+        res = runner.invoke(main, ["charfn", "--state", THERMAL,
+                                   "--grid", f"4,{MAX_GRID_RESOLUTION + 2}",
+                                   "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 2
+        assert "at most" in res.output
+        assert not (tmp_path / "x.csv").exists()

@@ -145,6 +145,18 @@ class TestTriGaussianFt:
             for y in (0.3, 2.2, 7.7):
                 assert tri_gaussian_ft(y, g) == pytest.approx(tri_gaussian_ft(-y, g), abs=1e-15)
 
+    @pytest.mark.parametrize("g", [0.0, 5e-4, -2e-3, 0.5, -2.0])
+    def test_array_matches_scalar_calls(self, g):
+        # one array call covers every branch: y = 0, |y| <= 6 and |y| > 6,
+        # both signs of Re w1 at g < 0
+        ys = np.array([[-9.0, -4.0, 0.0], [0.8, 6.5, 12.0]])
+        got = tri_gaussian_ft(ys, g)
+        assert got.shape == ys.shape
+        expected = np.array([[t_quadrature_oracle(y, g) for y in row] for row in ys])
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        for idx in np.ndindex(ys.shape):
+            assert got[idx] == tri_gaussian_ft(float(ys[idx]), g)
+
     def test_line_integral_is_one(self):
         for g in (-2.0, -0.5, 0.0, 0.5, 2.0, 123.45, -7.5158):
             assert tri_gaussian_ft_line_integral(g) == pytest.approx(1.0, abs=2e-8)

@@ -141,6 +141,41 @@ class TestFourier:
         assert abs(lhs - rhs) < 1e-6
 
 
+class TestFourierMeshRoute:
+    def _forward(self):
+        f = PhaseField("alpha", fn=lambda a: np.exp(-np.abs(a - 0.3) ** 2) * (1 + 0.2j * a))
+        out_grid = PhaseGrid(extent=2.0, resolution=9)
+        return fourier_forward(f, grid=PhaseGrid(extent=6.0, resolution=65),
+                               out_grid=out_grid), out_grid
+
+    def test_mesh_equals_scattered_and_out_grid(self):
+        fwd, out_grid = self._forward()
+        mesh = out_grid.mesh()
+        on_mesh = fwd(mesh)
+        scattered = np.array([fwd(complex(t)) for t in mesh.ravel()]).reshape(mesh.shape)
+        np.testing.assert_allclose(on_mesh, scattered, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(on_mesh, fwd.values, rtol=0, atol=1e-12)
+
+    def test_non_separable_targets_take_the_scattered_route(self, monkeypatch):
+        import gsphase.numerics as numerics
+        fwd, out_grid = self._forward()
+        calls = []
+        original = numerics._separable_product
+        monkeypatch.setattr(numerics, "_separable_product",
+                            lambda *a: calls.append(1) or original(*a))
+        mesh = out_grid.mesh()
+        fwd(mesh)
+        assert calls == [1]
+        targets = mesh.T.copy()       # real part now varies along rows
+        targets[0, 0] += 0.01
+        got = fwd(targets)
+        assert calls == [1]
+        np.testing.assert_allclose(got, fwd(targets.ravel()).reshape(targets.shape),
+                                   rtol=0, atol=0)
+        expected = np.array([fwd(complex(t)) for t in targets.ravel()])
+        np.testing.assert_allclose(got.ravel(), expected, rtol=0, atol=1e-12)
+
+
 class TestQuad2d:
     def test_gaussian_integral(self):
         res = quad2d(lambda a: np.exp(-np.abs(a) ** 2), Cartesian.square(7.0), tol=1e-12)

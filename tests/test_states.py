@@ -10,6 +10,8 @@ from gsphase.errors import NoRegularFormError, ParameterError, TruncationWarning
 from gsphase.numerics import Cartesian, PhasePoint, Radial, gauss_nodes_1d, quad2d
 from gsphase.states import (
     StateSpec,
+    creation_exponential,
+    displacement_matrix,
     fock_matrix,
     from_fock_matrix,
     make_state,
@@ -183,6 +185,26 @@ class TestModifiers:
         idx = np.arange(17)
         phase = np.exp(1j * 0.7 * (idx[:, None] - idx[None, :]))
         np.testing.assert_allclose(fm.matrix, fm0.matrix * phase, atol=1e-12)
+
+    def test_creation_exponential_matches_expm(self):
+        from scipy.linalg import expm
+        cutoff = 6
+        adag = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), -1)
+        zs = np.array([[0.0, 0.7 - 0.4j], [-1.5 + 2.0j, 3.0j]])
+        out = creation_exponential(zs, cutoff)
+        assert out.shape == (2, 2, cutoff + 1, cutoff + 1)
+        for idx in np.ndindex(zs.shape):
+            np.testing.assert_allclose(out[idx], expm(zs[idx] * adag), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(creation_exponential(0.7 - 0.4j, cutoff), out[0, 1],
+                                   rtol=0, atol=1e-15)
+
+    def test_displacement_matrix_matches_expm(self):
+        from scipy.linalg import expm
+        a0, cutoff = 0.8 + 0.3j, 6
+        adag = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), -1)
+        expected = (math.exp(-0.5 * abs(a0) ** 2)
+                    * expm(a0 * adag) @ expm(-np.conj(a0) * adag.T))
+        np.testing.assert_allclose(displacement_matrix(a0, cutoff), expected, atol=1e-13)
 
     def test_displaced_regular_density_shifts(self):
         st0 = make_state(StateSpec("thermal", {"nbar": 0.5}))
