@@ -20,6 +20,7 @@ import numpy as np
 
 from .charfn import char_fn, char_fn_fock_element, quantum_bound_check
 from .deltaseries import TaylorField, exp_laplace_series, fock_diagonal, pair
+from .errors import ParameterError
 from .filters import (
     FilterKernel,
     GaussianCharFn,
@@ -352,7 +353,13 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 def default_workers() -> int:
     env = os.environ.get("PHASESPACE_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ParameterError(f"PHASESPACE_THREADS must be a positive integer (got {env!r})")
+        return workers
     return min(4, os.cpu_count() or 1)
 
 

@@ -10,7 +10,8 @@ regularized profiles at w=2 as plot-ready cut files), and ``verify``
 All outputs are deterministic byte-for-byte for a given configuration;
 every CSV carries a header row and a provenance comment with the hash of
 the canonicalized configuration.  The environment variable
-PHASESPACE_THREADS caps worker parallelism.
+PHASESPACE_THREADS caps worker parallelism; when set it must be a positive
+integer.
 """
 
 from __future__ import annotations
@@ -185,14 +186,17 @@ def classify(state_json, width, grid_text, tolerance, out_path):
 @main.command()
 @click.option("--gamma", type=float, default=-0.5, show_default=True,
               help="Generator of the diagonal series (thermal nbar, or -1/2).")
-@click.option("--kmax", type=int, default=8, show_default=True)
+@click.option("--kmax", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def fockdiag(gamma, kmax, out_path):
     """Fock diagonal of a generator series with its cross-oracle report."""
     if abs(gamma) >= 1.0:
         raise click.UsageError("--gamma must satisfy |gamma| < 1 for the pairing route")
     config = {"command": "fockdiag", "gamma": gamma, "kmax": kmax}
-    rep = fock_diagonal(exp_laplace_series(gamma, 400), kmax)
+    try:
+        rep = fock_diagonal(exp_laplace_series(gamma, 400), kmax)
+    except GsphaseError as exc:
+        raise click.ClickException(str(exc)) from exc
     payload = {
         "config_hash": config_hash(config),
         "gamma": gamma,
@@ -250,7 +254,11 @@ def figure1(width, grid_text, out_dir):
 @click.pass_context
 def verify(ctx, out_path, threads):
     """Run the acceptance suite; exit 1 if any criterion fails."""
-    results = run_with_determinism_check(threads or default_workers())
+    try:
+        workers = threads or default_workers()
+    except ParameterError as exc:
+        raise click.UsageError(str(exc)) from exc
+    results = run_with_determinism_check(workers)
     for r in results:
         click.echo(f"{'PASS' if r.passed else 'FAIL'}  {r.number:2d}  {r.name}")
     payload = report_payload(results)

@@ -496,35 +496,41 @@ def erfcx_complex(z):
 
 def write_field_csv(path, grid: PhaseGrid, values: np.ndarray,
                     comments: Sequence[str] = ()) -> None:
+    """Write a complex field on ``grid`` as CSV.
+
+    The file holds one ``# <comment>`` line per comment, the header
+    ``x,p,re,im``, then one row per node in row-major order (x outer, p
+    inner).  Every float is written as its Python ``repr``, so
+    ``read_field_csv`` recovers each value exactly (``-0.0``, ``nan`` and
+    ``inf`` included).  The body is written one grid row at a time and is
+    never held in memory whole.
+    """
     vals = np.asarray(values, dtype=complex)
     if vals.shape != (grid.resolution, grid.resolution):
         raise ParameterError("values shape does not match the grid")
-    ax = [float(x) for x in grid.axis()]
-    lines = [f"# {c}" for c in comments]
-    lines.append("x,p,re,im")
-    for i, x in enumerate(ax):
-        for j, p in enumerate(ax):
-            v = complex(vals[i, j])
-            lines.append(f"{x!r},{p!r},{v.real!r},{v.imag!r}")
+    ax = [repr(x) for x in grid.axis().tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write("x,p,re,im\n")
+        for x, re_row, im_row in zip(ax, vals.real.tolist(), vals.imag.tolist()):
+            fh.write("".join([f"{x},{p},{re!r},{im!r}\n"
+                              for p, re, im in zip(ax, re_row, im_row)]))
 
 
 def read_field_csv(path) -> tuple[PhaseGrid, np.ndarray]:
-    xs, ps, res, ims = [], [], [], []
+    xs, vals = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("x,"):
                 continue
-            x, p, re, im = line.split(",")
+            x, _, re, im = line.split(",")
             xs.append(float(x))
-            ps.append(float(p))
-            res.append(float(re))
-            ims.append(float(im))
+            # complex(re, im), not re + 1j*im: the product turns an infinite
+            # imaginary part into a nan real part and drops the sign of -0.0
+            vals.append(complex(float(re), float(im)))
     n = int(round(math.sqrt(len(xs))))
     if n * n != len(xs):
         raise ParameterError("CSV does not contain a square grid")
     grid = PhaseGrid(extent=max(xs), resolution=n)
-    vals = (np.asarray(res) + 1j * np.asarray(ims)).reshape(n, n)
-    return grid, vals
+    return grid, np.asarray(vals, dtype=complex).reshape(n, n)

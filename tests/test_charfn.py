@@ -113,6 +113,37 @@ class TestCharFn:
             assert abs(char_fn(st, s + 0j).real - oracle) < 1e-8
         assert char_fn(st, 0j) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("spec", [
+        StateSpec("cauchy_lorentz", {"t": 3.0}),
+        StateSpec("cauchy_lorentz", {"t": 3.0}, rotation=0.7),
+        StateSpec("cauchy_lorentz", {"t": 1.5}, displacement=0.4 - 0.3j),
+        StateSpec("cauchy_lorentz_ncl", {"t": 1.0}),
+        StateSpec("cauchy_lorentz_ncl", {"t": 3.0}, displacement=-0.2j, rotation=-1.1),
+    ], ids=["centered", "rotated", "displaced", "ncl_centered", "ncl_rotated_displaced"])
+    def test_bessel_k_array_equals_scalar_bitwise(self, spec):
+        # Phi is evaluated once per distinct radius and gathered back; every
+        # node must carry exactly the value of its own scalar evaluation
+        st = make_state(spec)
+        mesh = PhaseGrid(extent=3.0, resolution=31).mesh()  # beta = 0 at [15, 15]
+        line = np.concatenate([mesh[15], mesh[:, 15], [0j, 1.25, -1.25j]])
+        for beta in (mesh, line):
+            got = char_fn(st, beta)
+            assert got.shape == beta.shape
+            scalar = np.array([char_fn(st, complex(b)) for b in beta.ravel()]).reshape(beta.shape)
+            assert np.array_equal(got, scalar)
+
+    def test_bessel_k_equals_per_point_formula_bitwise(self):
+        # deduplicating radii leaves every kv argument, hence every value, unchanged
+        from scipy.special import kv
+        t = 3.0
+        st = make_state(StateSpec("cauchy_lorentz", {"t": t}))
+        mesh = PhaseGrid(extent=3.0, resolution=31).mesh()
+        r = np.abs(mesh)
+        expected = np.ones(mesh.shape, dtype=complex)
+        nz = r > 0
+        expected[nz] = 2.0 * np.exp(t * np.log(r[nz]) - math.lgamma(t)) * kv(t, 2.0 * r[nz])
+        assert np.array_equal(char_fn(st, mesh), expected)
+
     def test_hermiticity_all_catalog(self):
         specs = [
             StateSpec("thermal", {"nbar": 0.5}),

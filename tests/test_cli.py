@@ -8,7 +8,9 @@ import pytest
 from click.testing import CliRunner
 
 from gsphase.cli import MAX_GRID_RESOLUTION, config_hash, main
-from gsphase.numerics import read_field_csv
+from gsphase.filters import FilterKernel, filtered_p_numeric
+from gsphase.numerics import PhaseGrid, read_field_csv
+from gsphase.states import StateSpec, make_state
 
 THERMAL = '{"kind": "thermal", "params": {"nbar": 0.5}}'
 
@@ -55,6 +57,22 @@ class TestFilteredCommand:
         assert res.exit_code == 0, res.output
         _, vals = read_field_csv(out)
         assert np.min(vals.real) >= -1e-9
+
+    def test_grid_bytes_equal_per_node_reference(self, runner, tmp_path,
+                                                 reference_field_csv):
+        state = '{"kind": "spats", "params": {"nbar": 1.0}}'
+        out = tmp_path / "p.csv"
+        res = runner.invoke(main, ["filtered", "--state", state,
+                                   "--grid", "3,21", "--w", "2", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        spec = StateSpec.from_json(state)
+        grid = PhaseGrid(extent=3.0, resolution=21)
+        values = np.real(filtered_p_numeric(make_state(spec), FilterKernel(2.0), grid).values)
+        config = {"command": "filtered", "state": spec.to_json(), "grid": "3,21",
+                  "w": 2.0, "cut": None}
+        comments = ["gsphase filtered", f"config {config_hash(config)}"]
+        expected = reference_field_csv(grid, values.astype(complex), comments)
+        assert out.read_bytes() == expected.encode("utf-8")
 
     def test_cut_output(self, runner, tmp_path):
         out = tmp_path / "cut.csv"
@@ -103,6 +121,22 @@ class TestFockdiagCommand:
         res = runner.invoke(main, ["fockdiag", "--gamma", "1.5",
                                    "--out", str(tmp_path / "x.json")])
         assert res.exit_code == 2
+
+    def test_divergent_series_is_a_clean_error(self, runner, tmp_path):
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["fockdiag", "--gamma", "0.9", "--kmax", "60",
+                                   "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Error:" in res.output and "ratio policy" in res.output
+        assert not out.exists()
+
+    def test_negative_kmax_rejected(self, runner, tmp_path):
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["fockdiag", "--kmax", "-3", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "--kmax" in res.output
+        assert not out.exists()
 
 
 class TestFigure1Command:
@@ -180,6 +214,16 @@ class TestConfigErrors:
         assert isinstance(res.exception, SystemExit)
         assert "Error:" in res.output
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+    def test_bad_thread_variable_is_a_usage_error(self, runner, monkeypatch, threads):
+        # rejected before the battery starts, so the test stays cheap
+        monkeypatch.setenv("PHASESPACE_THREADS", threads)
+        res = runner.invoke(main, ["verify"])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "PHASESPACE_THREADS must be a positive integer" in res.output
+        assert "PASS" not in res.output
 
     def test_grid_resolution_capped_before_allocation(self, runner, tmp_path):
         # rejected while parsing --grid, before the state or the mesh is built;

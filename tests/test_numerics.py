@@ -294,3 +294,23 @@ class TestCsv:
         text = path.read_text()
         assert text.splitlines()[0] == "# config deadbeef"
         assert text.splitlines()[1] == "x,p,re,im"
+
+    def test_bytes_equal_per_node_reference(self, tmp_path, reference_field_csv):
+        grid = PhaseGrid(extent=1.5, resolution=5)
+        specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-05, -1e-05,
+                    0.1 + 0.2, 1.0 / 3.0, -2.5e-300, 123456789.125]
+        re = np.resize(specials, 25)
+        im = np.resize(specials[::-1], 25)
+        vals = np.empty((5, 5), dtype=complex)
+        vals.real = re.reshape(5, 5)
+        vals.imag = im.reshape(5, 5)
+        path = tmp_path / "field.csv"
+        write_field_csv(path, grid, vals, comments=["gsphase test", "config 0"])
+        expected = reference_field_csv(grid, vals, ["gsphase test", "config 0"])
+        assert path.read_bytes() == expected.encode("utf-8")
+        # and every value, signed zeros and infinities included, reads back exactly
+        _, back = read_field_csv(path)
+        for part in ("real", "imag"):
+            a, b = getattr(back, part), getattr(vals, part)
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))

@@ -35,7 +35,8 @@ PHYSICAL_CATALOG = [
 class TestMakeState:
     def test_thermal_diagonal_geometric(self):
         st = make_state(StateSpec("thermal", {"nbar": 0.5}))
-        fm = fock_matrix(st, 10)
+        with pytest.warns(TruncationWarning):
+            fm = fock_matrix(st, 10)
         # 1/(nbar+1) * (nbar/(nbar+1))^m = 2/3^(m+1)
         for m in range(11):
             assert fm.matrix[m, m].real == pytest.approx(2.0 / 3.0 ** (m + 1), abs=1e-15)
@@ -55,7 +56,8 @@ class TestMakeState:
 
     def test_squeezed_odd_diagonals_vanish(self):
         st = make_state(StateSpec("squeezed", {"xi": 0.9}))
-        fm = fock_matrix(st, 21)
+        with pytest.warns(TruncationWarning):
+            fm = fock_matrix(st, 21)
         diag = np.real(np.diag(fm.matrix))
         assert np.all(diag[1::2] == 0.0)
         assert diag[0] > 0
@@ -70,7 +72,8 @@ class TestMakeState:
 
     def test_ncl_no_vacuum_component(self):
         st = make_state(StateSpec("cauchy_lorentz_ncl", {"t": 3.0}))
-        fm = fock_matrix(st, 8)
+        with pytest.warns(TruncationWarning):
+            fm = fock_matrix(st, 8)
         assert abs(fm.matrix[0, 0]) < 1e-12
 
     def test_parameter_validation(self):
