@@ -20,42 +20,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import ParameterError, TruncationError
+from .errors import TruncationError
 from .numerics import PhaseGrid, as_complex, power_table
-from .states import State, fock_matrix
-
-_MAX_FOCK_INDEX = 400
+# char_fn_fock_element lives with the catalog and stays importable from here
+from .states import State, char_fn_fock_element, fock_matrix, resummed_coefficients  # noqa: F401
 
 #: points per matrix product in the Fock route; bounds its working memory
 _FOCK_CHUNK = 4096
-
-
-# ---------------------------------------------------------------------------
-# Fock basis elements
-# ---------------------------------------------------------------------------
-
-def char_fn_fock_element(m: int, n: int, beta):
-    """<n| :D(beta): |m>, the characteristic function of |m><n|.
-
-    Finite sum over k <= min(m, n) with factorials handled through
-    log-gamma, stable for m, n up to a few hundred.
-    """
-    if m < 0 or n < 0:
-        raise ParameterError("Fock indices must be non-negative")
-    if m > _MAX_FOCK_INDEX or n > _MAX_FOCK_INDEX:
-        raise ParameterError(f"Fock indices above {_MAX_FOCK_INDEX} are not supported")
-    b = as_complex(beta)
-    scalar = not isinstance(b, np.ndarray)
-    barr = np.asarray([b] if scalar else b, dtype=complex)
-    out = np.zeros(barr.shape, dtype=complex)
-    half = 0.5 * (gammaln(m + 1) + gammaln(n + 1))
-    nb = -np.conj(barr)
-    for k in range(min(m, n) + 1):
-        logmag = half - gammaln(k + 1) - gammaln(m - k + 1) - gammaln(n - k + 1)
-        out += math.exp(logmag) * barr ** (n - k) * nb ** (m - k)
-    return complex(out[0]) if scalar else out
 
 
 def _fock_route(state: State, barr: np.ndarray, cutoff: int) -> np.ndarray:
@@ -74,17 +46,8 @@ def _fock_route(state: State, barr: np.ndarray, cutoff: int) -> np.ndarray:
             raise TruncationError(
                 f"Fock route is valid for |beta| <= sqrt(cutoff)/3 = {band:.3g}"
             )
-    rho = fm.matrix
-    K = fm.cutoff
     # Phi = sum_{q,r} d[q,r] (-conj b)^q b^r with the k-resummed coefficients
-    # d[q,r] = sum_k rho[q+k, r+k] sqrt((q+k)! (r+k)!) / (k! q! r!)
-    lg = gammaln(np.arange(K + 1) + 1.0)
-    d = np.zeros((K + 1, K + 1), dtype=complex)
-    for k in range(K + 1):
-        n = K + 1 - k
-        logs = (0.5 * (lg[k:, None] + lg[None, k:]) - lg[k]
-                - lg[:n, None] - lg[None, :n])
-        d[:n, :n] += rho[k:, k:] * np.exp(logs)
+    d, _ = resummed_coefficients(fm.matrix)
     # an exactly finite-rank matrix leaves a small polynomial
     rows = np.flatnonzero(np.any(d != 0, axis=1))
     cols = np.flatnonzero(np.any(d != 0, axis=0))
@@ -109,19 +72,6 @@ def char_fn(state: State, beta, *, cutoff: int | None = None):
     barr = np.asarray([b] if scalar else b, dtype=complex)
     if state.phi_closed is not None:
         out = np.asarray(state.phi_closed(barr), dtype=complex)
-    elif state.spec.kind in ("fock_element", "fock_mixture"):
-        base = barr * np.exp(-1j * state.spec.rotation)
-        if state.spec.kind == "fock_element":
-            m, n = int(state.spec.params["m"]), int(state.spec.params["n"])
-            out = np.asarray(char_fn_fock_element(m, n, base), dtype=complex)
-        else:
-            out = np.zeros(barr.shape, dtype=complex)
-            for key, wgt in sorted(state.spec.params.items()):
-                k = int(key[1:])
-                out += wgt * np.asarray(char_fn_fock_element(k, k, base), dtype=complex)
-        a0 = state.spec.displacement
-        if a0 != 0:
-            out = out * np.exp(barr * np.conj(a0) - np.conj(barr) * a0)
     else:
         out = _fock_route(state, barr, cutoff or 64)
     return complex(out.reshape(-1)[0]) if scalar else out

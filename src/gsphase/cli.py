@@ -92,6 +92,12 @@ def _write_cut_csv(path, ts, columns: dict, comments) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _provenance(command: str, config: dict) -> list[str]:
     return [f"gsphase {command}", f"config {config_hash(config)}"]
 
@@ -176,9 +182,7 @@ def classify(state_json, width, grid_text, tolerance, out_path):
     except GsphaseError as exc:
         raise click.ClickException(str(exc)) from exc
     payload = {"config_hash": config_hash(config), **report.to_dict()}
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_path, payload)
     click.echo(f"{report.overall}: {st.describe()}")
     click.echo(f"wrote {out_path} (config {config_hash(config)})")
 
@@ -212,9 +216,7 @@ def fockdiag(gamma, kmax, out_path):
             "KNOWN-DISCREPANCY: the published closed form for these diagonal "
             "elements disagrees with both independent routes; reported for "
             "comparison, not asserted")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_path, payload)
     click.echo(f"wrote {out_path} (config {config_hash(config)})")
 
 
@@ -249,7 +251,7 @@ def figure1(width, grid_text, out_dir):
 @main.command()
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False),
               help="Write the full JSON report here as well.")
-@click.option("--threads", type=int, default=None,
+@click.option("--threads", type=click.IntRange(min=1), default=None,
               help="Worker cap; defaults to PHASESPACE_THREADS or 4.")
 @click.pass_context
 def verify(ctx, out_path, threads):
@@ -263,9 +265,7 @@ def verify(ctx, out_path, threads):
         click.echo(f"{'PASS' if r.passed else 'FAIL'}  {r.number:2d}  {r.name}")
     payload = report_payload(results)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(out_path, payload)
         click.echo(f"wrote {out_path}")
     if not payload["all_passed"]:
         ctx.exit(1)

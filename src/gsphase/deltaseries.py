@@ -25,7 +25,7 @@ from scipy.special import eval_laguerre, gammaln
 
 from .errors import DivergenceError, ParameterError, TruncationWarning, UnsupportedError
 from .numerics import PhaseField, Radial, quad2d
-from .states import FockMatrix
+from .states import FockMatrix, resummed_coefficients
 
 #: consecutive-term ratio that the diagonal pairing must stay below,
 #: checked over the last _RATIO_WINDOW available ratios
@@ -91,22 +91,15 @@ def series_from_fock(fock: FockMatrix, order_cutoff: int) -> DeltaSeries:
         raise ParameterError("series_from_fock needs a Hermitian matrix")
     if order_cutoff > fock.cutoff:
         raise ParameterError("order_cutoff cannot exceed the Fock cutoff")
-    rho = fock.matrix
-    K = fock.cutoff
-    lg = gammaln(np.arange(K + 1) + 1.0)
-    coeffs: dict[tuple[int, int], complex] = {}
-    worst_tail = 0.0
-    for q in range(order_cutoff + 1):
-        for r in range(order_cutoff + 1):
-            kmax = K - max(q, r)
-            ks = np.arange(kmax + 1)
-            logs = 0.5 * (lg[q + ks] + lg[r + ks]) - lg[ks] - lg[q] - lg[r]
-            terms = rho[q + ks, r + ks] * np.exp(logs) * (-1.0) ** (q + r)
-            c = complex(np.sum(terms))
-            if kmax >= 1 and abs(c) > 0:
-                worst_tail = max(worst_tail, abs(terms[-1]) / max(abs(c), 1.0e-30))
-            if c != 0:
-                coeffs[(q, r)] = c
+    d, last = resummed_coefficients(fock.matrix)
+    n = order_cutoff + 1
+    idx = np.arange(n)
+    c = d[:n, :n] * (-1.0) ** np.add.outer(idx, idx)
+    # the tail test covers every non-zero coefficient summed over more than one k
+    tested = (np.maximum.outer(idx, idx) < fock.cutoff) & (c != 0)
+    ratios = np.abs(last[:n, :n][tested]) / np.maximum(np.abs(c[tested]), 1.0e-30)
+    worst_tail = float(ratios.max(initial=0.0))
+    coeffs = {(int(q), int(r)): complex(c[q, r]) for q, r in zip(*np.nonzero(c))}
     if worst_tail > 1.0e-8:
         warnings.warn(
             f"k-tail of the Fock sum still contributes {worst_tail:.2e} of a coefficient",

@@ -24,6 +24,7 @@ from .numerics import (
     PhaseField,
     PhaseGrid,
     SQRT_PI,
+    _separable_product,
     as_complex,
     erfcx_complex,
     gauss_nodes_1d,
@@ -259,18 +260,14 @@ def filtered_p_numeric(state: State, kernel: FilterKernel, grid: PhaseGrid,
     real part; the largest imaginary residue is recorded on the field.
     """
     w = kernel.w
-    bx, wx = _kernel_nodes(w, nodes_per_panel)
-    bp, wp = _kernel_nodes(w, nodes_per_panel)
-    BX, BP = np.meshgrid(bx, bp, indexing="ij")
+    b, wb = _kernel_nodes(w, nodes_per_panel)
+    BX, BP = np.meshgrid(b, b, indexing="ij")
     phi = np.asarray(char_fn(state, BX + 1j * BP), dtype=complex)
-    weight = (tri(bx / w) * wx)[:, None] * (tri(bp / w) * wp)[None, :]
-    core = phi * weight
+    tw = tri(b / w) * wb
+    core = phi * (tw[:, None] * tw[None, :])
 
-    ax = grid.axis()
-    # the kernel exp(2i (bx p - bp x)) separates into two matrix factors
-    U = np.exp(2j * np.outer(ax, bx))         # (n_p, n_bx): pairs p with Re beta
-    V = np.exp(-2j * np.outer(bp, ax))        # (n_bp, n_x)
-    raw = (U @ core @ V).T / math.pi**2       # indexed [x, p]
+    # the kernel exp(2i (bx p - bp x)) is the transform kernel on the nodes
+    raw = _separable_product(core, b, grid.axis(), grid.axis()) / math.pi**2  # [x, p]
     residue = float(np.max(np.abs(raw.imag)))
     field = PhaseField(side="alpha", grid=grid,
                        values=raw.real.astype(complex), imag_residue=residue)

@@ -113,6 +113,27 @@ class FockMatrix:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T)).min())
 
 
+def resummed_coefficients(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k-resummed coefficients of a truncated Fock matrix, with each sum's last term.
+
+    d[q,r] = sum_k rho[q+k, r+k] sqrt((q+k)! (r+k)!) / (k! q! r!) for k up to
+    the cutoff.  The characteristic function is sum_{q,r} d[q,r] (-conj b)^q b^r
+    and the delta-derivative series has c[q,r] = (-1)^(q+r) d[q,r].  ``last``
+    holds the k = cutoff - max(q, r) term of each sum.
+    """
+    K = rho.shape[0] - 1
+    lg = gammaln(np.arange(K + 1) + 1.0)
+    d = np.zeros((K + 1, K + 1), dtype=complex)
+    last = np.zeros_like(d)
+    for k in range(K + 1):
+        n = K + 1 - k
+        logs = (0.5 * (lg[k:, None] + lg[None, k:]) - lg[k]
+                - lg[:n, None] - lg[None, :n])
+        last[:n, :n] = rho[k:, k:] * np.exp(logs)
+        d[:n, :n] += last[:n, :n]
+    return d, last
+
+
 @lru_cache(maxsize=4)
 def _creation_powers(cutoff: int) -> np.ndarray:
     """(a^dag)^k / k! for k = 0..cutoff, by repeated matrix multiplication."""
@@ -152,6 +173,32 @@ def displacement_matrix(alpha0: complex, cutoff: int) -> np.ndarray:
     return math.exp(-0.5 * abs(alpha0) ** 2) * (e_plus @ e_minus)
 
 
+_MAX_FOCK_INDEX = 400
+_FOCK_INDEX_LIMIT = f"Fock indices above {_MAX_FOCK_INDEX} are not supported"
+
+
+def char_fn_fock_element(m: int, n: int, beta):
+    """<n| :D(beta): |m>, the characteristic function of |m><n|.
+
+    Finite sum over k <= min(m, n) with factorials handled through
+    log-gamma, stable for m, n up to a few hundred.
+    """
+    if m < 0 or n < 0:
+        raise ParameterError("Fock indices must be non-negative")
+    if m > _MAX_FOCK_INDEX or n > _MAX_FOCK_INDEX:
+        raise ParameterError(_FOCK_INDEX_LIMIT)
+    b = as_complex(beta)
+    scalar = not isinstance(b, np.ndarray)
+    barr = np.asarray([b] if scalar else b, dtype=complex)
+    out = np.zeros(barr.shape, dtype=complex)
+    half = 0.5 * (gammaln(m + 1) + gammaln(n + 1))
+    nb = -np.conj(barr)
+    for k in range(min(m, n) + 1):
+        logmag = half - gammaln(k + 1) - gammaln(m - k + 1) - gammaln(n - k + 1)
+        out += math.exp(logmag) * barr ** (n - k) * nb ** (m - k)
+    return complex(out[0]) if scalar else out
+
+
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------
@@ -167,23 +214,17 @@ class State:
     generator_gamma: float | None = None
     #: closed-form characteristic function (None: Fock-sum route applies)
     phi_closed: Callable | None = None
-    #: closed-form regular phase-space density (None: no regular form)
+    #: closed-form regular phase-space density (None: no regular form),
+    #: radially symmetric about spec.displacement
     regular_p_closed: Callable | None = None
-    #: weight of an explicit point mass at the origin (cauchy_lorentz_ncl)
+    #: weight of an explicit point mass at spec.displacement (cauchy_lorentz_ncl)
     atom_weight: float = 0.0
-    #: normalizer of the vacuum-free construction, when applicable
-    vacuum_overlap_norm: float | None = None
     #: exact vacuum probability when known in closed form
     exact_vacuum_probability: float | None = None
     _base_fock_builder: Callable[[int], np.ndarray] | None = None
     #: analytic truncation loss sum_{k > K} rho[k, k], when a formula exists
     _tail_loss: Callable[[int], float] | None = None
     _fock_cache: dict = field(default_factory=dict, repr=False)
-    _explicit_fock: FockMatrix | None = None
-
-    @property
-    def is_modified(self) -> bool:
-        return self.spec.displacement != 0 or self.spec.rotation != 0.0
 
     def describe(self) -> str:
         parts = [self.spec.kind]
@@ -200,12 +241,19 @@ def _require(cond: bool, msg: str) -> None:
         raise ParameterError(msg)
 
 
+def _embedded(m: np.ndarray) -> Callable[[int], np.ndarray]:
+    """Fock builder of a finite matrix, zero-padded or cut to each cutoff."""
+    def fock(K):
+        out = np.zeros((K + 1, K + 1), dtype=complex)
+        n = min(K + 1, m.shape[0])
+        out[:n, :n] = m[:n, :n]
+        return out
+    return fock
+
+
 def _geometric_diag(nbar: float, cutoff: int) -> np.ndarray:
-    k = np.arange(cutoff + 1)
     q = nbar / (nbar + 1.0)
-    d = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    np.fill_diagonal(d, (q**k) / (nbar + 1.0))
-    return d
+    return np.diag(q ** np.arange(cutoff + 1) / (nbar + 1.0)).astype(complex)
 
 
 def _squeezed_amplitudes(xi: float, cutoff: int) -> np.ndarray:
@@ -222,11 +270,7 @@ def _squeezed_amplitudes(xi: float, cutoff: int) -> np.ndarray:
 
 def _spats_diag(nbar: float, cutoff: int) -> np.ndarray:
     k = np.arange(cutoff + 1, dtype=float)
-    vals = np.zeros(cutoff + 1)
-    vals[1:] = k[1:] * nbar ** (k[1:] - 1) / (nbar + 1.0) ** (k[1:] + 1)
-    d = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    np.fill_diagonal(d, vals)
-    return d
+    return np.diag(k * nbar ** (k - 1) / (nbar + 1.0) ** (k + 1)).astype(complex)
 
 
 def _lorentz_radial_density(t: float):
@@ -332,31 +376,21 @@ def make_state(spec: StateSpec) -> State:
         def phi(beta, eta=eta):
             return 1.0 - eta * np.abs(np.asarray(beta, dtype=complex)) ** 2
 
-        def fock(K, eta=eta):
-            d = np.zeros((K + 1, K + 1), dtype=complex)
-            d[0, 0] = 1.0 - eta
-            if K >= 1:
-                d[1, 1] = eta
-            return d
-
-        st = State(spec=spec, physical=True, phi_closed=phi,
-                   exact_vacuum_probability=1.0 - eta, _base_fock_builder=fock,
+        st = State(spec=spec, physical=True, phi_closed=phi, exact_vacuum_probability=1.0 - eta,
+                   _base_fock_builder=_embedded(np.diag([1.0 - eta, eta])),
                    _tail_loss=lambda K, eta=eta: 0.0 if K >= 1 else eta)
     elif kind == "fock_element":
         m, n = int(p.get("m", -1)), int(p.get("n", -1))
         _require(m >= 0 and n >= 0, "fock_element requires m, n >= 0")
-
-        def fock(K, m=m, n=n):
-            d = np.zeros((K + 1, K + 1), dtype=complex)
-            if m <= K and n <= K:
-                d[m, n] = 1.0
-            return d
-
+        _require(max(m, n) <= _MAX_FOCK_INDEX, _FOCK_INDEX_LIMIT)
+        unit = np.zeros((max(m, n) + 1,) * 2)
+        unit[m, n] = 1.0
         st = State(spec=spec, physical=(m == n),
+                   phi_closed=lambda b, m=m, n=n: char_fn_fock_element(m, n, b),
                    gaussian_xp=(0.0, 0.0) if m == n == 0 else None,
                    generator_gamma=0.0 if m == n == 0 else None,
                    exact_vacuum_probability=(1.0 if m == n == 0 else 0.0) if m == n else None,
-                   _base_fock_builder=fock,
+                   _base_fock_builder=_embedded(unit),
                    _tail_loss=lambda K, m=m, n=n: 0.0 if K >= max(m, n) else 1.0)
     elif kind == "fock_mixture":
         keys = [k for k in p if k.startswith("w")]
@@ -366,16 +400,18 @@ def make_state(spec: StateSpec) -> State:
         _require(bool(weights) and all(v >= 0 for v in weights.values()),
                  "fock_mixture requires non-negative weights w0, w1, ...")
         _require(abs(sum(weights.values()) - 1.0) < 1.0e-9, "fock_mixture weights must sum to 1")
+        _require(max(weights) <= _MAX_FOCK_INDEX, _FOCK_INDEX_LIMIT)
 
-        def fock(K, weights=weights):
-            d = np.zeros((K + 1, K + 1), dtype=complex)
-            for k, v in weights.items():
-                if k <= K:
-                    d[k, k] = v
-            return d
+        def phi(beta, terms=[(int(k[1:]), p[k]) for k in sorted(keys)]):
+            out = np.zeros(np.shape(beta), dtype=complex)
+            for k, wgt in terms:
+                out += wgt * char_fn_fock_element(k, k, beta)
+            return out
 
-        st = State(spec=spec, physical=True,
-                   exact_vacuum_probability=weights.get(0, 0.0), _base_fock_builder=fock,
+        st = State(spec=spec, physical=True, phi_closed=phi,
+                   exact_vacuum_probability=weights.get(0, 0.0),
+                   _base_fock_builder=_embedded(np.diag([weights.get(k, 0.0)
+                                                         for k in range(max(weights) + 1)])),
                    _tail_loss=lambda K, ws=weights: sum(v for k, v in ws.items() if k > K))
     elif kind == "cauchy_lorentz":
         t = p.get("t")
@@ -402,7 +438,7 @@ def make_state(spec: StateSpec) -> State:
 
         st = State(spec=spec, physical=True, phi_closed=phi,
                    regular_p_closed=lambda a, dens=dens, scale=scale: dens(a) * scale,
-                   atom_weight=-norm * scale, vacuum_overlap_norm=norm,
+                   atom_weight=-norm * scale,
                    exact_vacuum_probability=0.0, _base_fock_builder=fock)
     elif kind == "p_max":
         st = State(
@@ -422,13 +458,18 @@ def make_state(spec: StateSpec) -> State:
 def _pmax_fock_diag(cutoff: int) -> np.ndarray:
     # diagonal gamma^k/(1+gamma)^(k+1) at gamma = -1/2; not a density operator
     k = np.arange(cutoff + 1)
-    d = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    np.fill_diagonal(d, 2.0 * (-1.0) ** k)
-    return d
+    return np.diag(2.0 * (-1.0) ** k).astype(complex)
 
 
 def _apply_modifiers(st: State) -> State:
-    """Wrap the closed forms with alpha -> exp(i phi) alpha + alpha0."""
+    """Wrap the closed forms with alpha -> exp(i phi) alpha + alpha0.
+
+    This is where the invariants are decided.  A rotation keeps whatever
+    depends only on the photon-number diagonal (the exact vacuum probability,
+    the tail loss and the generator) and keeps a Gaussian characteristic
+    function only when it is circular (lam == kap).  A displacement keeps
+    none of them; the regular density stays radially symmetric about alpha0.
+    """
     phi0 = st.spec.rotation
     a0 = st.spec.displacement
     rot = np.exp(-1j * phi0)
@@ -463,15 +504,17 @@ def _apply_modifiers(st: State) -> State:
             rho = d @ rho @ d.conj().T
         return rho[: K + 1, : K + 1]
 
+    centered = a0 == 0
+    circular = st.gaussian_xp is not None and st.gaussian_xp[0] == st.gaussian_xp[1]
     return replace(
         st,
-        gaussian_xp=None,
-        generator_gamma=None,
+        gaussian_xp=st.gaussian_xp if centered and circular else None,
+        generator_gamma=st.generator_gamma if centered else None,
         phi_closed=phi_closed,
         regular_p_closed=regular_p,
-        exact_vacuum_probability=None,
+        exact_vacuum_probability=st.exact_vacuum_probability if centered else None,
         _base_fock_builder=fock,
-        _tail_loss=None,
+        _tail_loss=st._tail_loss if centered else None,
         _fock_cache={},
     )
 
@@ -481,12 +524,9 @@ def from_fock_matrix(matrix, *, physical: bool = True) -> State:
     fm = FockMatrix(np.asarray(matrix, dtype=complex))
     if not fm.is_hermitian(1.0e-9):
         raise ParameterError("explicit Fock matrix must be Hermitian")
-    loss = max(0.0, 1.0 - fm.trace())
-    fm.truncation_loss = loss
-    st = State(spec=StateSpec(kind="explicit_fock"), physical=physical,
-               exact_vacuum_probability=float(fm.matrix[0, 0].real))
-    st._explicit_fock = fm
-    return st
+    return State(spec=StateSpec(kind="explicit_fock"), physical=physical,
+                 exact_vacuum_probability=float(fm.matrix[0, 0].real),
+                 _base_fock_builder=_embedded(fm.matrix))
 
 
 def fock_matrix(state: State, cutoff: int = DEFAULT_CUTOFF) -> FockMatrix:
@@ -498,14 +538,6 @@ def fock_matrix(state: State, cutoff: int = DEFAULT_CUTOFF) -> FockMatrix:
     """
     if cutoff < 0:
         raise ParameterError("cutoff must be >= 0")
-    if state._explicit_fock is not None:
-        m = state._explicit_fock.matrix
-        if cutoff + 1 >= m.shape[0]:
-            out = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-            out[: m.shape[0], : m.shape[0]] = m
-        else:
-            out = m[: cutoff + 1, : cutoff + 1]
-        return FockMatrix(out, truncation_loss=max(0.0, 1.0 - float(np.real(np.trace(out)))))
     if cutoff in state._fock_cache:
         return state._fock_cache[cutoff]
     if state._base_fock_builder is None:
@@ -532,7 +564,7 @@ def regular_p(state: State, alpha):
     """Closed-form regular part of the phase-space density.
 
     For ``cauchy_lorentz_ncl`` this is the continuous part only; the point
-    mass at the origin is reported separately in ``state.atom_weight``.
+    mass at the displacement is reported separately in ``state.atom_weight``.
     """
     if state.regular_p_closed is None:
         raise NoRegularFormError(

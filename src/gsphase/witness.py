@@ -110,9 +110,12 @@ def _radial_moment(density, n: int, *, n_panels: int = 22, nodes: int = 48):
 def normal_moment(state: State, n: int):
     """<: (a^dag a)^n :> = Int d^2alpha P(alpha) |alpha|^(2n), or Diverged.
 
-    States with a regular density are integrated radially with a growing
-    outer radius; the heavy-tailed family diverges exactly when the tail
-    exponent stops decaying (t <= n).  Diverged is a value, not an
+    A regular density is radially symmetric about a0 = spec.displacement, so
+    the phase average of |a0 + z|^(2n) gives
+    sum_j C(n,j)^2 |a0|^(2(n-j)) m_j with m_j the radial moments about a0,
+    each integrated with a growing outer radius; m_0 = 1 counts the point
+    mass of cauchy_lorentz_ncl.  The heavy-tailed family diverges exactly when
+    the tail exponent stops decaying (t <= n).  Diverged is a value, not an
     exception.
     """
     if n < 0:
@@ -120,10 +123,18 @@ def normal_moment(state: State, n: int):
     if n == 0:
         return 1.0
     if state.regular_p_closed is not None:
+        a0 = state.spec.displacement
+
         def density(r):
-            return np.real(state.regular_p_closed(r.astype(complex)))
-        # an origin atom contributes nothing to moments with n >= 1
-        return _radial_moment(density, n)
+            return np.real(state.regular_p_closed(r + a0))
+
+        total = 0.0
+        for j in range(n + 1) if a0 != 0 else (n,):  # centered: only j = n is non-zero
+            m = 1.0 if j == 0 else _radial_moment(density, j)
+            if m is DIVERGED:
+                return DIVERGED
+            total += math.comb(n, j) ** 2 * abs(a0) ** (2 * (n - j)) * m
+        return total
     if state.generator_gamma is not None:
         series = exp_laplace_series(state.generator_gamma, 400)
         return float(np.real(pair(series, TaylorField.from_monomial(n)).value))

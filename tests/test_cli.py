@@ -205,8 +205,9 @@ class TestConfigErrors:
         '{"kind": "fock_mixture", "params": {"wx": 1.0}}',
         '{"kind": "fock_element", "params": {"m": 500, "n": 2}}',
         '{"kind": "thermal", "params": [0.5]}',
+        '{"kind": "fock_mixture", "params": {"w0": 0.5, "w100000000": 0.5}}',
     ], ids=["non_numeric_param", "bad_mixture_key", "fock_index_too_large",
-            "params_not_an_object"])
+            "params_not_an_object", "mixture_index_too_large"])
     def test_bad_state_is_a_usage_error(self, runner, tmp_path, state):
         res = runner.invoke(main, ["charfn", "--state", state, "--grid", "2,5",
                                    "--out", str(tmp_path / "x.csv")])
@@ -223,6 +224,15 @@ class TestConfigErrors:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert "PHASESPACE_THREADS must be a positive integer" in res.output
+        assert "PASS" not in res.output
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_non_positive_threads_option_is_a_usage_error(self, runner, threads):
+        # rejected while parsing, before the battery starts
+        res = runner.invoke(main, ["verify", "--threads", threads])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
         assert "PASS" not in res.output
 
     def test_grid_resolution_capped_before_allocation(self, runner, tmp_path):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from gsphase.deltaseries import (
     DeltaSeries,
@@ -16,7 +17,7 @@ from gsphase.deltaseries import (
     s_transform,
     series_from_fock,
 )
-from gsphase.errors import DivergenceError, UnsupportedError
+from gsphase.errors import DivergenceError, TruncationWarning, UnsupportedError
 from gsphase.numerics import Cartesian, quad2d
 from gsphase.states import StateSpec, fock_matrix, make_state
 
@@ -65,6 +66,22 @@ class TestSeriesFromFock:
             for r in range(9):
                 assert ser.coefficient(q, r) == pytest.approx(
                     np.conj(ser.coefficient(r, q)), abs=1e-14)
+
+    def test_matches_per_coefficient_k_sum(self):
+        # reference: each c[q,r] summed over k on its own, as a plain loop
+        n = 10
+        raw = np.random.default_rng(11).normal(size=(n, n, 2)) @ np.array([1.0, 1.0j])
+        rho = raw + raw.conj().T
+        from gsphase.states import FockMatrix
+        with pytest.warns(TruncationWarning, match="k-tail"):
+            ser = series_from_fock(FockMatrix(rho), order_cutoff=6)
+        lg = gammaln(np.arange(n) + 1.0)
+        for q in range(7):
+            for r in range(7):
+                ks = np.arange(n - max(q, r))
+                logs = 0.5 * (lg[q + ks] + lg[r + ks]) - lg[ks] - lg[q] - lg[r]
+                ref = (-1.0) ** (q + r) * np.sum(rho[q + ks, r + ks] * np.exp(logs))
+                assert ser.coefficient(q, r) == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
     def test_normalization_is_trace(self):
         st = make_state(StateSpec("fock_mixture", {"w0": 0.25, "w1": 0.75}))

@@ -2,12 +2,13 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gsphase.errors import NoRegularFormError, ParameterError, TruncationWarning
-from gsphase.numerics import Cartesian, PhasePoint, Radial, gauss_nodes_1d, quad2d
+from gsphase.numerics import Cartesian, PhaseGrid, PhasePoint, Radial, gauss_nodes_1d, quad2d
 from gsphase.states import (
     StateSpec,
     creation_exponential,
@@ -18,6 +19,7 @@ from gsphase.states import (
     regular_p,
     vacuum_overlap_normalizer,
 )
+from gsphase.witness import classify
 
 PHYSICAL_CATALOG = [
     StateSpec("thermal", {"nbar": 0.5}),
@@ -213,6 +215,61 @@ class TestModifiers:
         st0 = make_state(StateSpec("thermal", {"nbar": 0.5}))
         st = make_state(StateSpec("thermal", {"nbar": 0.5}, displacement=1.0 + 0.5j))
         assert regular_p(st, 1.0 + 0.5j) == pytest.approx(regular_p(st0, 0j), rel=1e-12)
+
+
+CATALOG = PHYSICAL_CATALOG + [
+    StateSpec("fock_element", {"m": 0, "n": 0}),
+    StateSpec("fock_element", {"m": 0, "n": 2}),
+    StateSpec("cauchy_lorentz", {"t": 1.9}),
+    StateSpec("p_max"),
+]
+
+
+def _spec_id(spec):
+    return "-".join([spec.kind] + [f"{k}{v:g}" for k, v in sorted(spec.params.items())])
+
+
+MODIFIERS = {
+    "none": {},
+    "rotation": {"rotation": 0.9},
+    "displacement": {"displacement": 0.4 - 0.3j},
+    "both": {"rotation": 0.9, "displacement": 0.4 - 0.3j},
+}
+
+
+class TestModifierInvariants:
+    """Every invariant a modified state keeps must still hold for it."""
+
+    @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
+    @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)
+    def test_gaussian_coefficients_match_closed_form(self, spec, mod):
+        st = make_state(replace(spec, **mod))
+        if st.gaussian_xp is None:
+            return
+        lam, kap = st.gaussian_xp
+        mesh = PhaseGrid(extent=2.0, resolution=31).mesh()
+        np.testing.assert_allclose(st.phi_closed(mesh),
+                                   np.exp(-lam * mesh.real**2 - kap * mesh.imag**2),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
+    @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)
+    def test_exact_vacuum_probability_matches_fock_matrix(self, spec, mod):
+        st = make_state(replace(spec, **mod))
+        if st.exact_vacuum_probability is None:
+            return
+        with warnings.catch_warnings():
+            # entry [0, 0] does not depend on the cutoff
+            warnings.simplefilter("ignore", TruncationWarning)
+            rho00 = fock_matrix(st, 12).matrix[0, 0]
+        assert rho00 == pytest.approx(st.exact_vacuum_probability, abs=1e-12)
+
+    def test_rotated_heavy_tail_classify_builds_no_fock_matrix(self):
+        st = make_state(StateSpec("cauchy_lorentz", {"t": 1.9}, rotation=0.9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            classify(st)
+        assert st._fock_cache == {}
 
 
 class TestExplicitFock:

@@ -1,16 +1,18 @@
 """Tests for the nonclassicality criteria battery and the dual-space suite."""
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import betaln
 
 from gsphase.deltaseries import TaylorField, exp_laplace_series, pair
-from gsphase.errors import ComplexResidueError, ParameterError
+from gsphase.errors import ComplexResidueError, ParameterError, TruncationWarning
 from gsphase.filters import FilterKernel, GaussianCharFn, filtered_p_gaussian_grid, filtered_p_numeric
 from gsphase.numerics import PhaseField, PhaseGrid
-from gsphase.states import StateSpec, make_state
+from gsphase.states import StateSpec, make_state, vacuum_overlap_normalizer
 from gsphase.witness import (
     DIVERGED,
     VERDICT_CERTIFIED,
@@ -322,3 +324,55 @@ class TestClassify:
         assert {e["criterion"] for e in d["entries"]} == {
             "characteristic_function", "vacuum_probability",
             "moment_matrix", "filtered_negativity"}
+
+
+# ---------------------------------------------------------------------------
+# displaced and rotated classical states
+# ---------------------------------------------------------------------------
+
+CLASSICAL_BASES = [
+    ("fock_element", {"m": 0, "n": 0}),
+    ("thermal", {"nbar": 0.5}),
+    ("thermal", {"nbar": 2.0}),
+    ("cauchy_lorentz", {"t": 3.0}),
+    ("cauchy_lorentz", {"t": 5.5}),
+]
+DISPLACEMENTS = [0.3, 1.0, 3.0 * cmath.exp(0.4j)]
+DISPLACEMENT_IDS = ["0.3", "1", "3e^0.4i"]
+ROTATIONS = [0.0, 0.9]
+
+
+class TestDisplacedClassicalStates:
+    @pytest.mark.parametrize("rotation", ROTATIONS)
+    @pytest.mark.parametrize("a0", DISPLACEMENTS, ids=DISPLACEMENT_IDS)
+    @pytest.mark.parametrize("kind,params", CLASSICAL_BASES,
+                             ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v.values())))
+    def test_never_certified(self, kind, params, a0, rotation):
+        st = make_state(StateSpec(kind, params, displacement=a0, rotation=rotation))
+        with warnings.catch_warnings():
+            # the vacuum probability of a displaced state comes from a Fock
+            # matrix whose cutoff loss is reported; the value stays far above
+            # the certification margin
+            warnings.simplefilter("ignore", TruncationWarning)
+            rep = classify(st)
+        assert [e.verdict for e in rep.entries if e.verdict == VERDICT_CERTIFIED] == []
+        assert rep.overall == VERDICT_CONSISTENT
+
+    @pytest.mark.parametrize("rotation", ROTATIONS)
+    @pytest.mark.parametrize("a0", DISPLACEMENTS, ids=DISPLACEMENT_IDS)
+    @pytest.mark.parametrize("nbar", [0.5, 2.0])
+    def test_displaced_thermal_moments(self, nbar, a0, rotation):
+        st = make_state(StateSpec("thermal", {"nbar": nbar}, displacement=a0, rotation=rotation))
+        u = abs(a0) ** 2
+        assert normal_moment(st, 1) == pytest.approx(nbar + u, rel=1e-10)
+        assert normal_moment(st, 2) == pytest.approx(
+            2.0 * nbar**2 + 4.0 * nbar * u + u**2, rel=1e-10)
+
+    @pytest.mark.parametrize("a0", DISPLACEMENTS, ids=DISPLACEMENT_IDS)
+    def test_displaced_ncl_moments_count_the_atom(self, a0):
+        t = 3.0
+        norm = vacuum_overlap_normalizer(t)
+        st = make_state(StateSpec("cauchy_lorentz_ncl", {"t": t}, displacement=a0, rotation=0.9))
+        assert normal_moment(st, 1) == pytest.approx(
+            1.0 / ((1.0 - norm) * (t - 1.0)) + abs(a0) ** 2, rel=1e-10)
+        assert normal_moment(st, 3) is DIVERGED
