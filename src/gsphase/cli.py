@@ -16,6 +16,7 @@ integer.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import sys
@@ -81,6 +82,17 @@ def _make_state_checked(spec: StateSpec):
         raise click.UsageError(str(exc)) from exc
 
 
+@contextlib.contextmanager
+def _library_errors():
+    """A ParameterError is a usage error (exit 2); any other GsphaseError exits 1."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise click.UsageError(str(exc)) from exc
+    except GsphaseError as exc:
+        raise click.ClickException(str(exc)) from exc
+
+
 def _write_cut_csv(path, ts, columns: dict, comments) -> None:
     names = ",".join(["t"] + list(columns))
     lines = [f"# {c}" for c in comments]
@@ -122,12 +134,8 @@ def charfn(state_json, grid_text, s_param, out_path):
     grid = _parse_grid(grid_text)
     st = _make_state_checked(spec)
     config = {"command": "charfn", "state": spec.to_json(), "grid": grid_text, "s": s_param}
-    try:
+    with _library_errors():
         vals = char_fn_s(st, grid.mesh(), s_param) if s_param != 1.0 else char_fn(st, grid.mesh())
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except GsphaseError as exc:
-        raise click.ClickException(str(exc)) from exc
     write_field_csv(out_path, grid, np.asarray(vals), comments=_provenance("charfn", config))
     click.echo(f"wrote {out_path} (config {config_hash(config)})")
 
@@ -141,18 +149,14 @@ def charfn(state_json, grid_text, s_param, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def filtered(state_json, width, grid_text, cut_axis, out_path):
     """Emit a filter-regularized distribution grid or cut as CSV."""
-    if width <= 0:
-        raise click.UsageError("--w must be positive")
     spec = _parse_state(state_json)
     grid = _parse_grid(grid_text)
     st = _make_state_checked(spec)
     config = {"command": "filtered", "state": spec.to_json(), "grid": grid_text,
               "w": width, "cut": cut_axis}
     comments = _provenance("filtered", config)
-    try:
+    with _library_errors():
         fld = filtered_p_numeric(st, FilterKernel(width), grid)
-    except GsphaseError as exc:
-        raise click.ClickException(str(exc)) from exc
     values = np.real(fld.values)
     if cut_axis is None:
         write_field_csv(out_path, grid, values.astype(complex), comments=comments)
@@ -177,10 +181,8 @@ def classify(state_json, width, grid_text, tolerance, out_path):
     st = _make_state_checked(spec)
     config = {"command": "classify", "state": spec.to_json(), "grid": grid_text,
               "w": width, "tolerance": tolerance}
-    try:
+    with _library_errors():
         report = classify_state(st, w=width, grid=grid, margin=tolerance)
-    except GsphaseError as exc:
-        raise click.ClickException(str(exc)) from exc
     payload = {"config_hash": config_hash(config), **report.to_dict()}
     _write_json(out_path, payload)
     click.echo(f"{report.overall}: {st.describe()}")

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import sici
 
 from .charfn import char_fn
-from .errors import ParameterError, SupportError
+from .errors import NonConvergenceError, ParameterError, SupportError
 from .numerics import (
     PhaseField,
     PhaseGrid,
@@ -31,9 +31,14 @@ from .numerics import (
 )
 from .states import State
 
-#: quadrature nodes per axis for the numeric filtered transform (two panels
-#: per axis, split at the tri kink at zero)
-_NODES_PER_PANEL = 200
+#: absolute tolerance on max |P_2n - P_n| over the output grid that ends the
+#: node doubling of the numeric filtered transform
+QUAD_TOLERANCE = 1.0e-10
+
+#: Gauss nodes per panel of the first numeric rule, and the cap of the doubling
+#: (two panels per axis, split at the tri kink at zero)
+_FIRST_NODES_PER_PANEL = 32
+_MAX_NODES_PER_PANEL = 200
 
 #: below this |g| the closed form for the tri-Gaussian transform is replaced
 #: by its 6-term expansion in g: the closed form pairs large reciprocals of
@@ -48,13 +53,18 @@ def tri(x) -> np.ndarray | float:
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _check_width(w: float) -> None:
+    """Raise ParameterError unless the filter width w is finite and positive."""
+    if not (math.isfinite(w) and w > 0):
+        raise ParameterError(f"filter width must be finite and positive (got {w!r})")
+
+
 def box_autocorrelation(beta, w: float):
     """Normalized autocorrelation of the side-1 box window, scaled to width w.
 
     Equals tri(Re beta / w) tri(Im beta / w); support [-w, w]^2.
     """
-    if w <= 0:
-        raise ParameterError("filter width must be positive")
+    _check_width(w)
     b = np.asarray(as_complex(beta))
     out = np.asarray(tri(b.real / w)) * np.asarray(tri(b.imag / w))
     return float(out) if out.ndim == 0 else out
@@ -66,8 +76,7 @@ def sinc2_kernel(alpha, w: float):
     Non-negative, integrates to one over the plane; the removable
     singularities on the axes take the limit value sinc(0) = 1.
     """
-    if w <= 0:
-        raise ParameterError("filter width must be positive")
+    _check_width(w)
     a = np.asarray(as_complex(alpha))
     sx = np.sinc(w * a.real / math.pi)
     sp = np.sinc(w * a.imag / math.pi)
@@ -87,8 +96,7 @@ class FilterKernel:
     omega_spec: str = "box"
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise ParameterError("filter width must be positive")
+        _check_width(self.w)
         if self.omega_spec != "box":
             raise SupportError("only the box window family is built in")
 
@@ -219,8 +227,7 @@ def filtered_p_gaussian(cf: GaussianCharFn, w: float, alpha) -> float | np.ndarr
     the tri-Gaussian transform; the Im-alpha axis pairs with lam (the Re-beta
     coefficient) under the Fourier convention, with no axis swap.
     """
-    if w <= 0:
-        raise ParameterError("filter width must be positive")
+    _check_width(w)
     a = np.asarray(as_complex(alpha))
     out = (w * w) * tri_gaussian_ft(w * a.imag, w * w * cf.lam) \
         * tri_gaussian_ft(-w * a.real, w * w * cf.kap)
@@ -229,6 +236,7 @@ def filtered_p_gaussian(cf: GaussianCharFn, w: float, alpha) -> float | np.ndarr
 
 def filtered_p_gaussian_grid(cf: GaussianCharFn, w: float, grid: PhaseGrid) -> PhaseField:
     """Filtered Gaussian profile on a full grid via its separable structure."""
+    _check_width(w)
     ax = grid.axis()
     tx = tri_gaussian_ft(-w * ax, w * w * cf.kap)
     tp = tri_gaussian_ft(w * ax, w * w * cf.lam)
@@ -242,33 +250,60 @@ def filtered_p_gaussian_grid(cf: GaussianCharFn, w: float, grid: PhaseGrid) -> P
 # numeric filtered transform for arbitrary characteristic functions
 # ---------------------------------------------------------------------------
 
-def _kernel_nodes(w: float, nodes_per_panel: int):
-    """Gauss nodes on [-w, w] split at 0 where the tri factor has a kink."""
+def _filtered_raw(state: State, w: float, axis: np.ndarray, nodes_per_panel: int) -> np.ndarray:
+    """Split tensor Gauss rule for the filtered transform on the grid [x, p].
+
+    The panels of each axis meet at 0, where the tri factor has a kink; the
+    kernel exp(2i (bx p - bp x)) is the transform kernel on the nodes.
+    """
     xm, wm = gauss_nodes_1d(-w, 0.0, nodes_per_panel)
     xp, wp = gauss_nodes_1d(0.0, w, nodes_per_panel)
-    return np.concatenate([xm, xp]), np.concatenate([wm, wp])
+    b, wb = np.concatenate([xm, xp]), np.concatenate([wm, wp])
+    BX, BP = np.meshgrid(b, b, indexing="ij")
+    phi = np.asarray(char_fn(state, BX + 1j * BP), dtype=complex)
+    tw = tri(b / w) * wb / math.pi  # the 1/pi^2 prefactor, split over the axes
+    core = phi * (tw[:, None] * tw[None, :])
+    return _separable_product(core, b, axis, axis)
 
 
-def filtered_p_numeric(state: State, kernel: FilterKernel, grid: PhaseGrid,
-                       *, nodes_per_panel: int = _NODES_PER_PANEL) -> PhaseField:
+def filtered_p_numeric(state: State, kernel: FilterKernel, grid: PhaseGrid) -> PhaseField:
     """Filtered distribution by direct quadrature over the kernel support.
 
     P(alpha; w) = (1/pi^2) Int d^2beta e^{conj(beta) alpha - beta conj(alpha)}
-    Phi(beta) tri(Re beta/w) tri(Im beta/w); the integrand is smooth on each
-    quadrant of the compact support, so a fixed split tensor Gauss rule is
-    exact to machine precision for the catalog states.  The output is the
-    real part; the largest imaginary residue is recorded on the field.
+    Phi(beta) tri(Re beta/w) tri(Im beta/w).  The integrand is smooth on each
+    quadrant of the compact support, but its oscillation grows with w times
+    the grid extent and a Phi that is not smooth at the origin (the
+    |beta|^(2t) log|beta| term of cauchy_lorentz_ncl) slows convergence, so
+    no fixed rule is exact for every state and width.  A split tensor Gauss
+    rule with n = 32 nodes per panel is compared with the rule at 2n; the
+    2n field is accepted once max |P_2n - P_n| over the grid is at most
+    ``QUAD_TOLERANCE``, otherwise n doubles, up to 200 nodes per panel.
+
+    The accepted difference is stored as ``quad_error`` on the field, an
+    estimate of its absolute error at every grid node; the largest imaginary
+    residue goes to ``imag_residue``; the values are the real part.  Raises
+    NonConvergenceError when the rules at 200 nodes per panel and the one
+    before still disagree by more than the tolerance (a width too large for
+    the grid extent, for instance), so an unresolved field never reaches a
+    verdict.
     """
     w = kernel.w
-    b, wb = _kernel_nodes(w, nodes_per_panel)
-    BX, BP = np.meshgrid(b, b, indexing="ij")
-    phi = np.asarray(char_fn(state, BX + 1j * BP), dtype=complex)
-    tw = tri(b / w) * wb
-    core = phi * (tw[:, None] * tw[None, :])
-
-    # the kernel exp(2i (bx p - bp x)) is the transform kernel on the nodes
-    raw = _separable_product(core, b, grid.axis(), grid.axis()) / math.pi**2  # [x, p]
-    residue = float(np.max(np.abs(raw.imag)))
-    field = PhaseField(side="alpha", grid=grid,
-                       values=raw.real.astype(complex), imag_residue=residue)
-    return field
+    axis = grid.axis()
+    n = _FIRST_NODES_PER_PANEL
+    coarse = _filtered_raw(state, w, axis, n)
+    while True:
+        n_fine = min(2 * n, _MAX_NODES_PER_PANEL)
+        fine = _filtered_raw(state, w, axis, n_fine)
+        err = float(np.max(np.abs(fine.real - coarse.real)))
+        if err <= QUAD_TOLERANCE:
+            break
+        if n_fine == _MAX_NODES_PER_PANEL:
+            raise NonConvergenceError(
+                f"filtered transform at w={w:g} on extent {grid.extent:g} did not converge: "
+                f"{n} and {n_fine} Gauss nodes per panel differ by {err:.3e} "
+                f"> {QUAD_TOLERANCE:g}"
+            )
+        coarse, n = fine, n_fine
+    del coarse  # at most two full-grid fields are held at a time
+    return PhaseField(side="alpha", grid=grid, values=fine.real.astype(complex),
+                      imag_residue=float(np.max(np.abs(fine.imag))), quad_error=err)

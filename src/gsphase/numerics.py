@@ -118,6 +118,12 @@ class PhaseField:
 
     Either a closed-form vectorized evaluator, a sampled array over a grid,
     or both.  When both exist they agree at the nodes by construction.
+
+    ``imag_residue`` is the largest imaginary part dropped from a field
+    expected to be real.  ``quad_error`` is the estimated absolute error of
+    the sampled values from the quadrature that produced them (the last
+    refinement difference of ``filters.filtered_p_numeric``); it is 0 for
+    closed-form samples.  Neither enters any report.
     """
 
     side: str  # "alpha" | "beta"
@@ -126,6 +132,7 @@ class PhaseField:
     values: np.ndarray | None = None
     delta_at_origin: bool = False
     imag_residue: float = 0.0
+    quad_error: float = 0.0
 
     def __post_init__(self):
         if self.side not in ("alpha", "beta"):

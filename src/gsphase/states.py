@@ -29,7 +29,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -37,7 +36,7 @@ from scipy.special import gammaln, kv
 
 from . import numerics
 from .errors import NoRegularFormError, ParameterError, TruncationWarning, UnsupportedError
-from .numerics import PhaseGrid, Radial, as_complex, power_table, quad2d
+from .numerics import PhaseGrid, Radial, as_complex, quad2d
 
 DEFAULT_CUTOFF = 64
 
@@ -134,32 +133,28 @@ def resummed_coefficients(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, last
 
 
-@lru_cache(maxsize=4)
-def _creation_powers(cutoff: int) -> np.ndarray:
-    """(a^dag)^k / k! for k = 0..cutoff, by repeated matrix multiplication."""
-    n = cutoff + 1
-    adag = np.diag(np.sqrt(np.arange(1.0, n)), -1)
-    powers = np.empty((n, n, n))
-    powers[0] = np.eye(n)
-    for k in range(1, n):
-        powers[k] = powers[k - 1] @ adag / k
-    powers.setflags(write=False)
-    return powers
-
-
 def creation_exponential(z, cutoff: int) -> np.ndarray:
     """exp(z a^dag) on the Fock space truncated at ``cutoff``, for each z.
 
     The truncated creation operator is nilpotent, so the Taylor series
     sum_k z^k (a^dag)^k / k! ends at k = cutoff and the result is exact.
-    The matrix powers are built once per cutoff and contracted with the
-    powers of every z at once; the result has shape z.shape + (n, n).
-    exp(z a) is the transpose of exp(z a^dag).
+    (a^dag)^k / k! lives on the k-th subdiagonal and is built from the one
+    before by one more application of a^dag; nothing is cached, so memory
+    is z.size (cutoff + 1)^2 whatever cutoffs came before.  The result has
+    shape z.shape + (n, n); exp(z a) is the transpose of exp(z a^dag).
     """
-    zk = power_table(z, cutoff + 1)
-    powers = _creation_powers(cutoff)
-    return (np.tensordot(zk.real, powers, axes=(-1, 0))
-            + 1j * np.tensordot(zk.imag, powers, axes=(-1, 0)))
+    n = cutoff + 1
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape + (n, n), dtype=complex)
+    cols = np.arange(n)
+    sub = np.ones(n)  # entries (j + k, j) of (a^dag)^k / k!
+    zk = np.ones(z.shape, dtype=complex)
+    for k in range(n):
+        if k:
+            sub = sub[:-1] * np.sqrt(np.arange(k, n)) / k
+            zk = zk * z
+        out[..., cols[k:], cols[: n - k]] = zk[..., None] * sub
+    return out
 
 
 def displacement_matrix(alpha0: complex, cutoff: int) -> np.ndarray:

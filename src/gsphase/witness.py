@@ -50,9 +50,10 @@ DIVERGED = Diverged()
 def vacuum_probability(state: State) -> float:
     """<vac| rho |vac>, by the cheapest exact route available.
 
-    A value at or below the certification margin for a valid state
-    certifies nonclassicality (every classical state has strictly positive
-    vacuum overlap).
+    Every classical state has strictly positive vacuum overlap, but a
+    classical overlap can be arbitrarily small (exp(-|a0|^2) for a coherent
+    state), so ``classify`` certifies only a structural zero: a physical
+    state whose ``exact_vacuum_probability`` is exactly 0.0.
     """
     if state.exact_vacuum_probability is not None:
         return float(state.exact_vacuum_probability)
@@ -361,8 +362,14 @@ def classify(state: State, *, w: float = 2.0,
     Any single certification makes the state nonclassical-certified; the
     battery never claims classicality.  Criteria run in a fixed order:
     characteristic-function excess, vacuum probability, diagonal moment
-    matrix, and the negativity of the filter-regularized distribution.
+    matrix, and the negativity of the filter-regularized distribution.  The
+    filtered minimum certifies only below -(margin + quad_error), with
+    quad_error the field's quadrature error estimate (0 on the analytic
+    Gaussian route).  Raises ParameterError for a filter width w that is not
+    finite and positive, before any criterion runs, and NonConvergenceError
+    when the numeric filter cannot resolve the grid at width w.
     """
+    kernel = FilterKernel(w)
     grid = grid or PhaseGrid(extent=4.0, resolution=321)
     beta_grid = beta_grid or PhaseGrid(extent=4.0, resolution=161)
     report = NonclassicalityReport(state=state.describe())
@@ -376,7 +383,7 @@ def classify(state: State, *, w: float = 2.0,
     ))
 
     vp = vacuum_probability(state)
-    vp_certified = state.physical and vp <= margin
+    vp_certified = state.physical and state.exact_vacuum_probability == 0.0
     report.entries.append(CriterionEntry(
         "vacuum_probability",
         VERDICT_CERTIFIED if vp_certified else VERDICT_CONSISTENT,
@@ -388,11 +395,11 @@ def classify(state: State, *, w: float = 2.0,
     if state.gaussian_xp is not None:
         fld = filtered_p_gaussian_grid(GaussianCharFn.from_state(state), w, grid)
     else:
-        fld = filtered_p_numeric(state, FilterKernel(w), grid)
+        fld = filtered_p_numeric(state, kernel, grid)
     min_val, loc = negativity_scan(fld)
     report.entries.append(CriterionEntry(
         "filtered_negativity",
-        VERDICT_CERTIFIED if min_val < -margin else VERDICT_CONSISTENT,
+        VERDICT_CERTIFIED if min_val < -(margin + fld.quad_error) else VERDICT_CONSISTENT,
         min_val, loc,
         detail=f"min of the filtered distribution at w={w:g}",
     ))

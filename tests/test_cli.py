@@ -13,6 +13,8 @@ from gsphase.numerics import PhaseGrid, read_field_csv
 from gsphase.states import StateSpec, make_state
 
 THERMAL = '{"kind": "thermal", "params": {"nbar": 0.5}}'
+SPATS = '{"kind": "spats", "params": {"nbar": 1.0}}'
+COHERENT = '{"kind": "fock_element", "params": {"m": 0, "n": 0}, "displacement": {"re": 0.3, "im": 0.0}}'
 
 
 @pytest.fixture
@@ -199,6 +201,32 @@ class TestConfigErrors:
         res = runner.invoke(main, ["filtered", "--state", THERMAL, "--w", "-1",
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("width", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command,state", [("filtered", THERMAL), ("classify", THERMAL),
+                                               ("classify", SPATS)],
+                             ids=["filtered", "classify-gaussian", "classify-numeric"])
+    def test_bad_width_is_a_usage_error(self, runner, tmp_path, command, state, width):
+        out = tmp_path / "x.out"
+        res = runner.invoke(main, [command, "--state", state, "--w", width,
+                                   "--grid", "2,11", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "filter width must be finite and positive" in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["filtered", "classify"])
+    def test_unresolved_filter_is_an_error(self, runner, tmp_path, command):
+        # w = 40 on extent 10 is beyond 200 Gauss nodes per panel; the fixed
+        # rule certified this coherent state as nonclassical
+        out = tmp_path / "x.out"
+        res = runner.invoke(main, [command, "--state", COHERENT, "--w", "40",
+                                   "--grid", "10,161", "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "Error:" in res.output and "did not converge" in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("state", [
         '{"kind": "thermal", "params": {"nbar": "abc"}}',

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from gsphase.errors import ParameterError, SupportError
+from gsphase.charfn import char_fn
+from gsphase.errors import NonConvergenceError, ParameterError, SupportError
 from gsphase.filters import (
+    QUAD_TOLERANCE,
     FilterKernel,
     GaussianCharFn,
     box_autocorrelation,
@@ -282,3 +284,67 @@ class TestFilteredNumeric:
         fld = filtered_p_numeric(st, FilterKernel(2.0), GRID)
         val, loc = negativity_scan(fld)
         assert val < 0
+
+
+class TestWidthCheck:
+    @pytest.mark.parametrize("w", [math.nan, math.inf, 0.0, -1.0], ids=repr)
+    def test_every_entry_point_rejects(self, w):
+        cf = GaussianCharFn(0.5, 0.5)
+        with pytest.raises(ParameterError):
+            FilterKernel(w)
+        with pytest.raises(ParameterError):
+            filtered_p_gaussian(cf, w, 0.5 + 0.5j)
+        with pytest.raises(ParameterError):
+            filtered_p_gaussian_grid(cf, w, GRID)
+        with pytest.raises(ParameterError):
+            box_autocorrelation(0.5j, w)
+        with pytest.raises(ParameterError):
+            sinc2_kernel(0.5j, w)
+
+
+def filtered_reference_200(state, w, grid):
+    """The fixed split tensor Gauss rule, 200 nodes on each half of [-w, w].
+
+    P[x, p] = (1/pi^2) sum_{u,v} Phi(u + iv) tri(u/w) tri(v/w) w_u w_v
+    exp(2i (u p - v x)), written out with plain matrix products.
+    """
+    xm, wm = gauss_nodes_1d(-w, 0.0, 200)
+    xp, wp = gauss_nodes_1d(0.0, w, 200)
+    b, wb = np.concatenate([xm, xp]), np.concatenate([wm, wp])
+    phi = np.asarray(char_fn(state, b[:, None] + 1j * b[None, :]), dtype=complex)
+    tw = tri(b / w) * wb
+    core = phi * np.outer(tw, tw)                       # [u, v]
+    ax = grid.axis()
+    e_vx = np.exp(-2j * np.outer(ax, b))                # [x, v]
+    e_up = np.exp(2j * np.outer(b, ax))                 # [u, p]
+    return (e_vx @ (core.T @ e_up)).real / math.pi**2
+
+
+ADAPTIVE_STATES = [
+    StateSpec("spats", {"nbar": 1.0}),
+    StateSpec("spats", {"nbar": 1.0}, displacement=3.0 * complex(math.cos(0.4), math.sin(0.4))),
+    StateSpec("p_max"),
+    StateSpec("squeezed", {"xi": 1.4}, rotation=0.9),
+    StateSpec("cauchy_lorentz", {"t": 1.9}, displacement=3.0),
+    StateSpec("cauchy_lorentz_ncl", {"t": 1.0}),
+    StateSpec("cauchy_lorentz_ncl", {"t": 2.5}),
+    StateSpec("fock_element", {"m": 2, "n": 2}, displacement=0.4 - 0.3j),
+    StateSpec("fock_mixture", {"w0": 0.5, "w10": 0.5}),
+]
+
+
+class TestAdaptiveRule:
+    @pytest.mark.parametrize("w", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("spec", ADAPTIVE_STATES,
+                             ids=lambda s: s.kind + ("-displaced" if s.displacement else "")
+                             + ("-rotated" if s.rotation else "") + "-" + str(s.params))
+    def test_agrees_with_200_node_reference(self, spec, w):
+        st = make_state(spec)
+        fld = filtered_p_numeric(st, FilterKernel(w), GRID)
+        assert 0.0 <= fld.quad_error <= QUAD_TOLERANCE
+        assert np.max(np.abs(np.real(fld.values) - filtered_reference_200(st, w, GRID))) <= 1e-10
+
+    def test_width_too_large_for_the_grid_raises(self):
+        st = make_state(StateSpec("fock_element", {"m": 0, "n": 0}, displacement=0.3))
+        with pytest.raises(NonConvergenceError, match="did not converge"):
+            filtered_p_numeric(st, FilterKernel(40.0), PhaseGrid(extent=10.0, resolution=161))

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from gsphase.errors import NoRegularFormError, ParameterError, TruncationWarning
 from gsphase.numerics import Cartesian, PhaseGrid, PhasePoint, Radial, gauss_nodes_1d, quad2d
@@ -202,6 +203,17 @@ class TestModifiers:
             np.testing.assert_allclose(out[idx], expm(zs[idx] * adag), rtol=0, atol=1e-13)
         np.testing.assert_allclose(creation_exponential(0.7 - 0.4j, cutoff), out[0, 1],
                                    rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("cutoff", [1, 40, 140])
+    def test_creation_exponential_entries_at_large_cutoff(self, cutoff):
+        # <m| exp(z a^dag) |j> = z^(m-j) sqrt(m!/j!) / (m-j)! for m >= j, else 0
+        z = 1.3 - 0.6j
+        out = creation_exponential(z, cutoff)
+        m, j = np.indices(out.shape)
+        k = np.maximum(m - j, 0)
+        logmag = 0.5 * (gammaln(m + 1) - gammaln(j + 1)) - gammaln(k + 1)
+        expected = np.where(m >= j, np.exp(logmag) * z ** k, 0)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
 
     def test_displacement_matrix_matches_expm(self):
         from scipy.linalg import expm

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from scipy.special import betaln
 
+from gsphase import witness
 from gsphase.deltaseries import TaylorField, exp_laplace_series, pair
-from gsphase.errors import ComplexResidueError, ParameterError, TruncationWarning
+from gsphase.errors import ComplexResidueError, NonConvergenceError, ParameterError, TruncationWarning
 from gsphase.filters import FilterKernel, GaussianCharFn, filtered_p_gaussian_grid, filtered_p_numeric
 from gsphase.numerics import PhaseField, PhaseGrid
 from gsphase.states import StateSpec, make_state, vacuum_overlap_normalizer
 from gsphase.witness import (
+    CERTIFICATION_MARGIN,
     DIVERGED,
     VERDICT_CERTIFIED,
     VERDICT_CONSISTENT,
@@ -316,6 +318,31 @@ class TestClassify:
         assert rep.entry("vacuum_probability").verdict == VERDICT_CERTIFIED
         assert rep.entry("moment_matrix").verdict == VERDICT_INAPPLICABLE
 
+    def test_unresolved_filter_raises_instead_of_certifying(self):
+        # the fixed 200-node rule certified this coherent state with a
+        # filtered minimum of -34.8
+        st = make_state(StateSpec("fock_element", {"m": 0, "n": 0}, displacement=0.3))
+        with pytest.raises(NonConvergenceError):
+            classify(st, w=40.0, grid=PhaseGrid(extent=10.0, resolution=161))
+
+    @pytest.mark.parametrize("quad_error,verdict", [(1.0e-8, VERDICT_CONSISTENT),
+                                                    (0.0, VERDICT_CERTIFIED)])
+    def test_filtered_minimum_within_quad_error_not_certified(self, monkeypatch,
+                                                              quad_error, verdict):
+        grid = PhaseGrid(extent=4.0, resolution=21)
+        values = np.zeros((21, 21), dtype=complex)
+        values[3, 4] = -(CERTIFICATION_MARGIN + 0.5e-8)
+
+        def fake_filter(state, kernel, grid):
+            return PhaseField("alpha", grid=grid, values=values, quad_error=quad_error)
+
+        monkeypatch.setattr(witness, "filtered_p_numeric", fake_filter)
+        st = make_state(StateSpec("spats", {"nbar": 1.0}))
+        rep = classify(st, grid=grid, beta_grid=PhaseGrid(extent=4.0, resolution=21))
+        entry = rep.entry("filtered_negativity")
+        assert entry.witness_value == -(CERTIFICATION_MARGIN + 0.5e-8)
+        assert entry.verdict == verdict
+
     def test_report_dict_shape(self):
         rep = classify(make_state(StateSpec("thermal", {"nbar": 0.5})))
         d = rep.to_dict()
@@ -356,6 +383,21 @@ class TestDisplacedClassicalStates:
             warnings.simplefilter("ignore", TruncationWarning)
             rep = classify(st)
         assert [e.verdict for e in rep.entries if e.verdict == VERDICT_CERTIFIED] == []
+        assert rep.overall == VERDICT_CONSISTENT
+
+    @pytest.mark.parametrize("a0", [5.0, 6.0])
+    @pytest.mark.parametrize("kind,params", [("fock_element", {"m": 0, "n": 0}),
+                                             ("thermal", {"nbar": 0.5})],
+                             ids=["coherent", "thermal-0.5"])
+    def test_tiny_vacuum_probability_never_certified(self, kind, params, a0):
+        # p0 = exp(-|a0|^2) for the coherent state: 1.4e-11 at |a0| = 5, below
+        # the margin, yet only a structural zero certifies
+        st = make_state(StateSpec(kind, params, displacement=a0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            rep = classify(st)
+        assert 0.0 < rep.entry("vacuum_probability").witness_value < 1.0e-7
+        assert rep.entry("vacuum_probability").verdict == VERDICT_CONSISTENT
         assert rep.overall == VERDICT_CONSISTENT
 
     @pytest.mark.parametrize("rotation", ROTATIONS)
