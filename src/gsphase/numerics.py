@@ -340,15 +340,24 @@ def _weighted(samples, grid: PhaseGrid) -> np.ndarray:
     return samples * w[:, None] * w[None, :]
 
 
-def _separable_product(wx_vals, ax, re_t, im_t) -> np.ndarray:
+def _kernel_table(t, u) -> np.ndarray:
+    """exp(2i t[i] u[j]): one axis factor of the transform kernel."""
+    return np.exp(2j * np.outer(t, u))
+
+
+def _separable_product(wx_vals, im_table, re_table) -> np.ndarray:
     """Transform sum at the targets re_t[i] + i*im_t[j], indexed [i, j].
 
-    The kernel exp(2i Im(t) u - 2i Re(t) v) factors into one matrix per
-    target axis, so the whole mesh costs two matrix products.
+    The kernel exp(2i Im(t) u - 2i Re(t) v) factors into one table per
+    target axis, so the whole mesh costs two matrix products.  The caller
+    builds both: ``im_table = _kernel_table(im_t, u)`` and ``re_table``
+    = exp(-2i v (x) re_t) = ``_kernel_table(v, -re_t)``.  When both target
+    axes are the same array, ``re_table`` is the conjugate transpose of
+    ``im_table``, bit for bit, so one ``np.exp`` serves both.  Nothing is
+    cached here; the numeric filter caches its table per rule and grid
+    (``filters._filter_rule``).
     """
-    A = np.exp(2j * np.outer(im_t, ax))    # (n_im, nu): pairs Im(target) with u
-    B = np.exp(-2j * np.outer(ax, re_t))   # (nv, n_re)
-    return (A @ wx_vals @ B).T
+    return (im_table @ wx_vals @ re_table).T
 
 
 def _transform_eval(samples, grid: PhaseGrid, prefactor: float):
@@ -373,14 +382,15 @@ def _transform_eval(samples, grid: PhaseGrid, prefactor: float):
             )
         if (t.ndim == 2 and t.size and np.all(t.real == t.real[:, :1])
                 and np.all(t.imag == t.imag[:1, :])):
-            return prefactor * _separable_product(wx_vals, ax, t.real[:, 0], t.imag[0, :])
+            return prefactor * _separable_product(
+                wx_vals, _kernel_table(t.imag[0, :], ax), _kernel_table(ax, -t.real[:, 0]))
         flat = t.ravel()
         out = np.empty(flat.shape, dtype=complex)
         chunk = 2048
         for i0 in range(0, flat.size, chunk):
             b = flat[i0:i0 + chunk]
-            ph_x = np.exp(2j * np.outer(b.imag, ax))      # (m, nx)
-            ph_p = np.exp(-2j * np.outer(b.real, ax))     # (m, np)
+            ph_x = _kernel_table(b.imag, ax)              # (m, nx)
+            ph_p = _kernel_table(-b.real, ax)             # (m, np)
             out[i0:i0 + chunk] = ((ph_x @ wx_vals) * ph_p).sum(1)
         return prefactor * out.reshape(t.shape)
 
@@ -391,9 +401,9 @@ def _transform_grid(samples, grid: PhaseGrid, prefactor: float,
                     out_grid: PhaseGrid) -> np.ndarray:
     if 2.0 * out_grid.extent > grid.nyquist:
         raise ResolutionError("output grid exceeds the Nyquist band of the input grid")
-    bt = out_grid.axis()
+    table = _kernel_table(out_grid.axis(), grid.axis())
     # indexed [bx, bp], row-major in Re(beta)
-    return prefactor * _separable_product(_weighted(samples, grid), grid.axis(), bt, bt)
+    return prefactor * _separable_product(_weighted(samples, grid), table, table.conj().T)
 
 
 def _prepare_samples(f: PhaseField, grid: PhaseGrid | None, tol: float):

@@ -209,15 +209,17 @@ def moment_matrix_test(state: State, order: int,
 
     A negative minimal eigenvalue exhibits an operator polynomial in the
     photon number with negative normally ordered square expectation.  When
-    any required moment diverges the verdict is inapplicable.
+    any required moment diverges, or is not finite (a Fock route that lost
+    its precision), the verdict is inapplicable.
     """
     moments = []
     for i in range(2 * order + 1):
         m = normal_moment(state, i)
-        if m is DIVERGED:
+        if m is DIVERGED or not math.isfinite(m):
+            reason = "diverges" if m is DIVERGED else "is not finite"
             return CriterionEntry(
                 "moment_matrix", VERDICT_INAPPLICABLE, None,
-                detail=f"moment of order {i} diverges",
+                detail=f"moment of order {i} {reason}",
             )
         moments.append(m)
     h = np.array([[moments[j + k] for k in range(order + 1)] for j in range(order + 1)])
@@ -240,8 +242,9 @@ def negativity_scan(fld: PhaseField, *, residue_tol: float = 1.0e-9):
         )
     vals = np.real(fld.values)
     idx = int(np.argmin(vals))
-    loc = complex(fld.grid.mesh().ravel()[idx])
-    return float(vals.ravel()[idx]), loc
+    i, j = divmod(idx, vals.shape[1])
+    ax = fld.grid.axis()
+    return float(vals.ravel()[idx]), complex(ax[i], ax[j])
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +368,9 @@ def classify(state: State, *, w: float = 2.0,
     matrix, and the negativity of the filter-regularized distribution.  The
     filtered minimum certifies only below -(margin + quad_error), with
     quad_error the field's quadrature error estimate (0 on the analytic
-    Gaussian route).  Raises ParameterError for a filter width w that is not
+    Gaussian route).  A vacuum probability or moment that is not finite
+    (the Fock route of a far-displaced state) makes its criterion
+    inapplicable.  Raises ParameterError for a filter width w that is not
     finite and positive, before any criterion runs, and NonConvergenceError
     when the numeric filter cannot resolve the grid at width w.
     """
@@ -383,12 +388,18 @@ def classify(state: State, *, w: float = 2.0,
     ))
 
     vp = vacuum_probability(state)
-    vp_certified = state.physical and state.exact_vacuum_probability == 0.0
-    report.entries.append(CriterionEntry(
-        "vacuum_probability",
-        VERDICT_CERTIFIED if vp_certified else VERDICT_CONSISTENT,
-        vp, detail="<vac|rho|vac>; zero overlap certifies nonclassicality",
-    ))
+    if math.isfinite(vp):
+        vp_certified = state.physical and state.exact_vacuum_probability == 0.0
+        report.entries.append(CriterionEntry(
+            "vacuum_probability",
+            VERDICT_CERTIFIED if vp_certified else VERDICT_CONSISTENT,
+            vp, detail="<vac|rho|vac>; zero overlap certifies nonclassicality",
+        ))
+    else:
+        report.entries.append(CriterionEntry(
+            "vacuum_probability", VERDICT_INAPPLICABLE, None,
+            detail="<vac|rho|vac> is not finite",
+        ))
 
     report.entries.append(moment_matrix_test(state, moment_order, margin=margin))
 

@@ -76,6 +76,15 @@ class TestFilteredCommand:
         expected = reference_field_csv(grid, values.astype(complex), comments)
         assert out.read_bytes() == expected.encode("utf-8")
 
+    def test_fast_growing_phi_at_a_large_width(self, runner, tmp_path):
+        out = tmp_path / "p.csv"
+        res = runner.invoke(main, ["filtered", "--state", '{"kind": "p_max"}',
+                                   "--w", "5", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        grid, vals = read_field_csv(out)
+        assert grid == PhaseGrid(4.0, 321)
+        assert np.all(np.isfinite(vals))
+
     def test_cut_output(self, runner, tmp_path):
         out = tmp_path / "cut.csv"
         res = runner.invoke(main, ["filtered", "--state", '{"kind": "p_max"}',
@@ -97,6 +106,24 @@ class TestClassifyCommand:
         assert payload["overall"] == "consistent-with-classical"
         verdicts = {e["criterion"]: e["verdict"] for e in payload["entries"]}
         assert all(v != "nonclassical-certified" for v in verdicts.values())
+
+    @pytest.mark.filterwarnings("ignore::gsphase.errors.TruncationWarning",
+                                "ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("a0", [7.5, 10.0])
+    def test_far_coherent_state_writes_a_report(self, runner, tmp_path, a0):
+        out = tmp_path / "report.json"
+        state = json.dumps({"kind": "fock_element", "params": {"m": 0, "n": 0},
+                            "displacement": {"re": a0, "im": 0.0}})
+        res = runner.invoke(main, ["classify", "--state", state, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert "Traceback" not in res.output
+
+        def no_constant(name):
+            raise AssertionError(f"report contains {name}")
+
+        payload = json.loads(out.read_text(), parse_constant=no_constant)
+        assert payload["overall"] == "consistent-with-classical"
 
     def test_report_schema(self, runner, tmp_path):
         out = tmp_path / "report.json"
@@ -172,6 +199,15 @@ class TestDeterminism:
         for tag in ("a", "b"):
             out = tmp_path / f"rep_{tag}.json"
             runner.invoke(main, ["classify", "--state", THERMAL, "--out", str(out)])
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_verify_report_does_not_depend_on_threads(self, runner, tmp_path):
+        reports = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"verify_{threads}.json"
+            res = runner.invoke(main, ["verify", "--threads", threads, "--out", str(out)])
+            assert res.exit_code == 0, res.output
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 

@@ -141,9 +141,13 @@ class TestFourier:
         assert abs(lhs - rhs) < 1e-6
 
 
+def gaussian_bump(a):
+    return np.exp(-np.abs(a - 0.3) ** 2) * (1 + 0.2j * a)
+
+
 class TestFourierMeshRoute:
     def _forward(self):
-        f = PhaseField("alpha", fn=lambda a: np.exp(-np.abs(a - 0.3) ** 2) * (1 + 0.2j * a))
+        f = PhaseField("alpha", fn=gaussian_bump)
         out_grid = PhaseGrid(extent=2.0, resolution=9)
         return fourier_forward(f, grid=PhaseGrid(extent=6.0, resolution=65),
                                out_grid=out_grid), out_grid
@@ -174,6 +178,23 @@ class TestFourierMeshRoute:
                                    rtol=0, atol=0)
         expected = np.array([fwd(complex(t)) for t in targets.ravel()])
         np.testing.assert_allclose(got.ravel(), expected, rtol=0, atol=1e-12)
+
+    def test_one_exp_table_equals_two(self):
+        # the out_grid, the mesh and the scattered routes each build
+        # exp(-2i v t) as the conjugate of exp(2i t v): the same bits as
+        # calling np.exp with the negated exponent
+        fwd, out_grid = self._forward()
+        g = PhaseGrid(extent=6.0, resolution=65)
+        ax, t = g.axis(), out_grid.axis()
+        wt = g.trapezoid_weights()
+        samples = gaussian_bump(g.mesh()) * wt[:, None] * wt[None, :]
+        direct = (np.exp(2j * np.outer(t, ax)) @ samples @ np.exp(-2j * np.outer(ax, t))).T
+        np.testing.assert_array_equal(fwd.values, direct)
+        np.testing.assert_array_equal(fwd(out_grid.mesh()), direct)
+        b = out_grid.mesh().ravel()
+        scattered = ((np.exp(2j * np.outer(b.imag, ax)) @ samples)
+                     * np.exp(-2j * np.outer(b.real, ax))).sum(1)
+        np.testing.assert_array_equal(fwd(b), scattered)
 
 
 class TestQuad2d:

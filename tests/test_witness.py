@@ -166,6 +166,24 @@ class TestNegativityScan:
         _, loc = negativity_scan(fld)
         assert loc == complex(-4.0, -4.0)
 
+    @pytest.mark.parametrize("grid", [GRID, PhaseGrid(4.0, 321), PhaseGrid(3.0, 100)],
+                             ids=["4,161", "4,321", "3,100"])
+    def test_location_is_the_mesh_node(self, grid):
+        n = grid.resolution
+        rng = np.random.default_rng(n)
+        vals = rng.standard_normal((n, n))
+        tied = vals.copy()
+        tied[n // 3, n - 2] = tied[n - 1, 1] = tied[n // 3, n - 1] = vals.min() - 1.0
+        mesh = grid.mesh().ravel()
+        for v in (vals, tied):
+            val, loc = negativity_scan(PhaseField("alpha", grid=grid, values=v.astype(complex)))
+            idx = int(np.argmin(v))
+            assert val == v.min()
+            assert loc == mesh[idx]
+            assert (math.copysign(1, loc.real), math.copysign(1, loc.imag)) == (
+                math.copysign(1, mesh[idx].real), math.copysign(1, mesh[idx].imag))
+        assert loc == grid.mesh()[n // 3, n - 2]
+
 
 class TestAdmissibility:
     def test_gaussian_threshold(self):
@@ -399,6 +417,24 @@ class TestDisplacedClassicalStates:
         assert 0.0 < rep.entry("vacuum_probability").witness_value < 1.0e-7
         assert rep.entry("vacuum_probability").verdict == VERDICT_CONSISTENT
         assert rep.overall == VERDICT_CONSISTENT
+
+    @pytest.mark.filterwarnings("ignore::gsphase.errors.TruncationWarning",
+                                "ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("a0", [7.5, 10.0])
+    def test_far_coherent_state_is_not_a_crash(self, a0):
+        # the padded Fock matrix behind the moments and (at 10) the vacuum
+        # probability overflows to nan: inapplicable, never certified
+        rep = classify(make_state(StateSpec("fock_element", {"m": 0, "n": 0}, displacement=a0)))
+        assert rep.overall == VERDICT_CONSISTENT
+        assert rep.entry("moment_matrix").verdict == VERDICT_INAPPLICABLE
+        assert rep.entry("moment_matrix").witness_value is None
+        vacuum = rep.entry("vacuum_probability")
+        if a0 == 10.0:
+            assert (vacuum.verdict, vacuum.witness_value) == (VERDICT_INAPPLICABLE, None)
+        else:
+            assert vacuum.verdict == VERDICT_CONSISTENT
+            assert math.isfinite(vacuum.witness_value)
 
     @pytest.mark.parametrize("rotation", ROTATIONS)
     @pytest.mark.parametrize("a0", DISPLACEMENTS, ids=DISPLACEMENT_IDS)
