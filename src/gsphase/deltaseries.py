@@ -187,19 +187,6 @@ class TaylorField:
                    label=f"constant {value:g}")
 
     @classmethod
-    def from_monomial(cls, k: int, max_order: int = 200) -> "TaylorField":
-        """F(alpha) = |alpha|^(2k); only a[k,k] = (k!)^2 is non-zero."""
-        def diag(n: int) -> complex:
-            return math.factorial(k) ** 2 if n == k else 0.0
-
-        def diag_log(n: int) -> tuple[float, float]:
-            return (1.0, 2.0 * gammaln(k + 1)) if n == k else (0.0, -math.inf)
-
-        return cls(max_order=max_order, diag_fn=diag, diag_log=diag_log,
-                   evaluator=lambda a: np.abs(np.asarray(a, dtype=complex)) ** (2 * k),
-                   label=f"|a|^{2*k}")
-
-    @classmethod
     def vacuum_projector_symbol(cls, k: int, max_order: int = 400) -> "TaylorField":
         """F_k(alpha) = exp(-|alpha|^2)|alpha|^(2k)/k!, the |k><k| symbol."""
         lgk = gammaln(k + 1)

@@ -21,7 +21,7 @@ chunk of targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -211,16 +211,11 @@ class Cartesian:
 
 @dataclass(frozen=True)
 class Radial:
-    """Disk (or annulus-limit) domain for Int_0^R r dr Int_0^2pi dphi.
+    """The whole plane, integrated in doubling radial shells until stable.
 
-    ``r_max=None`` grows the outer radius in doubling panels until the
-    integral stabilizes; failure to stabilize raises NonConvergenceError,
-    the signal used elsewhere to detect divergent moments.
+    Failure to stabilize by radius 1e5 raises NonConvergenceError, the
+    signal used elsewhere to detect divergent moments.
     """
-
-    r_max: float | None = None
-    r_start: float = 1.0
-    max_radius: float = 1.0e5
 
 
 @dataclass(frozen=True)
@@ -274,7 +269,7 @@ def quad2d(f, domain, *, tol: float = 1.0e-10, max_refine: int = 7) -> QuadResul
             f"cartesian quadrature did not stabilize below {tol:g} at n={n}"
         )
     if isinstance(domain, Radial):
-        return _quad_radial(f, domain, tol=tol)
+        return _quad_radial(f, tol=tol)
     raise ParameterError(f"unknown quadrature domain {domain!r}")
 
 
@@ -292,25 +287,12 @@ def _shell_refined(f, r0, r1, tol):
     raise NonConvergenceError(f"radial shell [{r0:g},{r1:g}] did not converge")
 
 
-def _quad_radial(f, dom: Radial, *, tol: float) -> QuadResult:
-    if dom.r_max is not None:
-        edges = [0.0]
-        r = min(dom.r_start, dom.r_max)
-        while edges[-1] < dom.r_max:
-            edges.append(min(r, dom.r_max))
-            r *= 2.0
-        total, err = 0.0 + 0.0j, 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            v, e = _shell_refined(f, a, b, tol)
-            total += v
-            err += e
-        return QuadResult(total, err)
-
-    # open domain: grow dyadic shells until two consecutive tails are negligible
+def _quad_radial(f, *, tol: float) -> QuadResult:
+    # grow dyadic shells until two consecutive tails are negligible
     total, err = 0.0 + 0.0j, 0.0
-    r0, r1 = 0.0, dom.r_start
+    r0, r1 = 0.0, 1.0
     quiet = 0
-    while r1 <= dom.max_radius:
+    while r1 <= 1.0e5:
         v, e = _shell_refined(f, r0, r1, tol)
         total += v
         err += e

@@ -36,9 +36,18 @@ from scipy.special import gammaln, kv
 
 from . import numerics
 from .errors import NoRegularFormError, ParameterError, TruncationWarning, UnsupportedError
-from .numerics import PhaseGrid, Radial, as_complex, quad2d
+from .numerics import as_complex
 
 DEFAULT_CUTOFF = 64
+
+#: largest accepted |displacement|; it caps overlap_cutoff at 889
+MAX_DISPLACEMENT = 25.0
+
+
+def overlap_cutoff(alpha0: complex) -> int:
+    """Cutoff 64 + ceil(|a0|^2 + 8|a0|), past the Poisson weights of |alpha0>."""
+    r = abs(alpha0)
+    return DEFAULT_CUTOFF + math.ceil(r * r + 8.0 * r)
 
 
 # ---------------------------------------------------------------------------
@@ -112,23 +121,25 @@ class FockMatrix:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T)).min())
 
 
-def resummed_coefficients(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def resummed_coefficients(rho: np.ndarray, order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """k-resummed coefficients of a truncated Fock matrix, with each sum's last term.
 
     d[q,r] = sum_k rho[q+k, r+k] sqrt((q+k)! (r+k)!) / (k! q! r!) for k up to
-    the cutoff.  The characteristic function is sum_{q,r} d[q,r] (-conj b)^q b^r
-    and the delta-derivative series has c[q,r] = (-1)^(q+r) d[q,r].  ``last``
+    the cutoff, q, r <= ``order`` (default: the cutoff).  Phi is
+    sum_{q,r} d[q,r] (-conj b)^q b^r, the delta-derivative series has
+    c[q,r] = (-1)^(q+r) d[q,r] and <a^dag^r a^q> = q! r! d[q,r].  ``last``
     holds the k = cutoff - max(q, r) term of each sum.
     """
     K = rho.shape[0] - 1
+    o = K if order is None else min(order, K)
     lg = gammaln(np.arange(K + 1) + 1.0)
-    d = np.zeros((K + 1, K + 1), dtype=complex)
+    d = np.zeros((o + 1, o + 1), dtype=complex)
     last = np.zeros_like(d)
     for k in range(K + 1):
-        n = K + 1 - k
-        logs = (0.5 * (lg[k:, None] + lg[None, k:]) - lg[k]
+        n = min(K + 1 - k, o + 1)
+        logs = (0.5 * (lg[k:k + n, None] + lg[None, k:k + n]) - lg[k]
                 - lg[:n, None] - lg[None, :n])
-        last[:n, :n] = rho[k:, k:] * np.exp(logs)
+        last[:n, :n] = rho[k:k + n, k:k + n] * np.exp(logs)
         d[:n, :n] += last[:n, :n]
     return d, last
 
@@ -155,17 +166,6 @@ def creation_exponential(z, cutoff: int) -> np.ndarray:
             zk = zk * z
         out[..., cols[k:], cols[: n - k]] = zk[..., None] * sub
     return out
-
-
-def displacement_matrix(alpha0: complex, cutoff: int) -> np.ndarray:
-    """Matrix elements <m|D(alpha0)|n> on the truncated Fock space.
-
-    Normal-ordered form exp(-|alpha0|^2/2) exp(alpha0 a^dag) exp(-conj(alpha0) a),
-    exact on the truncated space.
-    """
-    e_plus = creation_exponential(alpha0, cutoff)
-    e_minus = creation_exponential(-np.conj(alpha0), cutoff).T
-    return math.exp(-0.5 * abs(alpha0) ** 2) * (e_plus @ e_minus)
 
 
 _MAX_FOCK_INDEX = 400
@@ -214,8 +214,11 @@ class State:
     regular_p_closed: Callable | None = None
     #: weight of an explicit point mass at spec.displacement (cauchy_lorentz_ncl)
     atom_weight: float = 0.0
-    #: exact vacuum probability when known in closed form
+    #: exact vacuum probability; known for every state that is not displaced
     exact_vacuum_probability: float | None = None
+    #: the rotated, undisplaced state rho_c of a displaced state
+    #: rho = D(a0) rho_c D(a0)^dag (None: the state is not displaced)
+    centred: State | None = None
     _base_fock_builder: Callable[[int], np.ndarray] | None = None
     #: analytic truncation loss sum_{k > K} rho[k, k], when a formula exists
     _tail_loss: Callable[[int], float] | None = None
@@ -264,8 +267,10 @@ def _squeezed_amplitudes(xi: float, cutoff: int) -> np.ndarray:
 
 
 def _spats_diag(nbar: float, cutoff: int) -> np.ndarray:
+    # k nbar^(k-1) / (nbar+1)^(k+1) through q = nbar/(nbar+1) < 1: no overflow
     k = np.arange(cutoff + 1, dtype=float)
-    return np.diag(k * nbar ** (k - 1) / (nbar + 1.0) ** (k + 1)).astype(complex)
+    q = nbar / (nbar + 1.0)
+    return np.diag(k * q ** np.maximum(k - 1, 0) / (nbar + 1.0) ** 2).astype(complex)
 
 
 def _lorentz_radial_density(t: float):
@@ -297,26 +302,42 @@ def _lorentz_phi(t: float):
 
 
 def _lorentz_fock_diag(t: float, cutoff: int) -> np.ndarray:
-    d = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for k in range(cutoff + 1):
-        def f(alpha, k=k):
-            u = np.abs(alpha) ** 2
-            return (t / math.pi) * (1.0 + u) ** (-(1.0 + t)) * np.exp(-u + k * np.log(np.maximum(u, 1e-300)) - gammaln(k + 1))
-        d[k, k] = quad2d(f, Radial(), tol=1.0e-12).real
-    return d
+    """rho[k, k] = (t/k!) Int_0^inf e^(-u) u^k (1+u)^(-1-t) du, u = |alpha|^2.
+
+    One 16-node Gauss rule in u serves every k, on the dyadic shells
+    [2^j, 2^(j+1)] down to 2^-(log2(1+t) + 2), the scale of (1+u)^(-1-t);
+    above u = 1 each shell is cut into panels about 2 sqrt(u) wide, the
+    width of the peak of e^(-u) u^k at u = k.  The rule reaches past
+    k = max(cutoff, overlap_cutoff(MAX_DISPLACEMENT)), so up to that
+    cutoff an entry does not depend on the cutoff.
+    """
+    top = max(cutoff, overlap_cutoff(MAX_DISPLACEMENT))
+    edges = [0.0] + [2.0 ** j for j in range(-math.ceil(math.log2(1.0 + t)) - 2, 1)]
+    while edges[-1] < top + 10.0 * math.sqrt(top) + 50.0:
+        a, m = edges[-1], math.ceil(math.sqrt(edges[-1]) / 2.0)
+        edges += [a + a * i / m for i in range(1, m + 1)]
+    e = np.array(edges)[:, None]
+    u, w = (v.ravel() for v in numerics.gauss_nodes_1d(e[:-1], e[1:], 16))
+    k = np.arange(cutoff + 1)[:, None]
+    logs = math.log(t) - u - (1.0 + t) * np.log1p(u) + k * np.log(u) - gammaln(k + 1)
+    return np.diag(np.exp(logs) @ w).astype(complex)
 
 
 def vacuum_overlap_normalizer(t: float) -> float:
-    """N_t = Int d^2alpha P_cl(alpha; t) exp(-|alpha|^2), by 2-D quadrature."""
-    def f(alpha):
-        u = np.abs(alpha) ** 2
-        return (t / math.pi) * (1.0 + u) ** (-(1.0 + t)) * np.exp(-u)
-    return quad2d(f, Radial(), tol=1.0e-12).real
+    """N_t = Int d^2alpha P_cl(alpha; t) exp(-|alpha|^2) = rho[0, 0] of cauchy_lorentz."""
+    return float(_lorentz_fock_diag(t, 0)[0, 0].real)
 
 
 def make_state(spec: StateSpec) -> State:
-    """Build a catalog state with every available closed form attached."""
+    """Build a catalog state with every available closed form attached.
+
+    Raises ParameterError for input that is not finite or |a0| > MAX_DISPLACEMENT.
+    """
     kind, p = spec.kind, dict(spec.params)
+    a0 = complex(spec.displacement)
+    _require(all(math.isfinite(v) for v in [*p.values(), a0.real, a0.imag, spec.rotation]),
+             "state parameters, displacement and rotation must be finite")
+    _require(abs(a0) <= MAX_DISPLACEMENT, f"|displacement| must be at most {MAX_DISPLACEMENT:g}")
     if kind == "thermal":
         nbar = p.get("nbar")
         _require(nbar is not None and nbar > 0, "thermal requires nbar > 0")
@@ -384,7 +405,7 @@ def make_state(spec: StateSpec) -> State:
                    phi_closed=lambda b, m=m, n=n: char_fn_fock_element(m, n, b),
                    gaussian_xp=(0.0, 0.0) if m == n == 0 else None,
                    generator_gamma=0.0 if m == n == 0 else None,
-                   exact_vacuum_probability=(1.0 if m == n == 0 else 0.0) if m == n else None,
+                   exact_vacuum_probability=float(m == n == 0),
                    _base_fock_builder=_embedded(unit),
                    _tail_loss=lambda K, m=m, n=n: 0.0 if K >= max(m, n) else 1.0)
     elif kind == "fock_mixture":
@@ -413,8 +434,8 @@ def make_state(spec: StateSpec) -> State:
         _require(t is not None and t > 0, "cauchy_lorentz requires t > 0")
         st = State(spec=spec, physical=True, phi_closed=_lorentz_phi(t),
                    regular_p_closed=_lorentz_radial_density(t),
+                   exact_vacuum_probability=vacuum_overlap_normalizer(t),
                    _base_fock_builder=lambda K, t=t: _lorentz_fock_diag(t, K))
-        st.exact_vacuum_probability = vacuum_overlap_normalizer(t)
     elif kind == "cauchy_lorentz_ncl":
         t = p.get("t")
         _require(t is not None and t > 0, "cauchy_lorentz_ncl requires t > 0")
@@ -440,6 +461,7 @@ def make_state(spec: StateSpec) -> State:
             spec=spec, physical=False,
             gaussian_xp=(-0.5, -0.5), generator_gamma=-0.5,
             phi_closed=lambda b: np.exp(0.5 * np.abs(np.asarray(b, dtype=complex)) ** 2),
+            exact_vacuum_probability=2.0,
             _base_fock_builder=_pmax_fock_diag,
         )
     else:
@@ -457,61 +479,43 @@ def _pmax_fock_diag(cutoff: int) -> np.ndarray:
 
 
 def _apply_modifiers(st: State) -> State:
-    """Wrap the closed forms with alpha -> exp(i phi) alpha + alpha0.
+    """Apply alpha -> exp(i phi) alpha + alpha0 to a catalog state.
 
     This is where the invariants are decided.  A rotation keeps whatever
     depends only on the photon-number diagonal (the exact vacuum probability,
     the tail loss and the generator) and keeps a Gaussian characteristic
     function only when it is circular (lam == kap).  A displacement keeps
-    none of them; the regular density stays radially symmetric about alpha0.
+    only Phi and the regular density, radially symmetric about alpha0; the
+    rotated state stays as ``centred``, and there is no displaced Fock matrix.
     """
-    phi0 = st.spec.rotation
-    a0 = st.spec.displacement
-    rot = np.exp(-1j * phi0)
-    base_phi = st.phi_closed
-    base_p = st.regular_p_closed
+    phi0, a0 = st.spec.rotation, complex(st.spec.displacement)
+    base_phi, base_p, builder = st.phi_closed, st.regular_p_closed, st._base_fock_builder
+    if phi0:
+        rot = np.exp(-1j * phi0)
 
-    phi_closed = None
-    if base_phi is not None:
-        def phi_closed(beta, base=base_phi, rot=rot, a0=a0):
-            b = np.asarray(beta, dtype=complex)
-            return np.exp(b * np.conj(a0) - np.conj(b) * a0) * base(rot * b)
+        def fock(K):
+            ph = np.exp(1j * phi0 * np.arange(K + 1))
+            return builder(K) * np.outer(ph, ph.conj())
 
-    regular_p = None
-    if base_p is not None:
-        def regular_p(alpha, base=base_p, rot=rot, a0=a0):
-            a = np.asarray(alpha, dtype=complex)
-            return base(rot * (a - a0))
+        circular = st.gaussian_xp is not None and st.gaussian_xp[0] == st.gaussian_xp[1]
+        st = replace(st, gaussian_xp=st.gaussian_xp if circular else None,
+                     phi_closed=lambda b: base_phi(rot * np.asarray(b, dtype=complex)),
+                     regular_p_closed=None if base_p is None else
+                     lambda a: base_p(rot * np.asarray(a, dtype=complex)),
+                     _base_fock_builder=fock, _fock_cache={})
+    if a0 == 0:
+        return st
+    phi_c, p_c = st.phi_closed, st.regular_p_closed
 
-    base_builder = st._base_fock_builder
+    def phi_closed(beta):
+        b = np.asarray(beta, dtype=complex)
+        return np.exp(b * np.conj(a0) - np.conj(b) * a0) * phi_c(b)
 
-    def fock(K, builder=base_builder, phi0=phi0, a0=a0):
-        if builder is None:
-            raise UnsupportedError("no Fock construction for this state")
-        pad = int(math.ceil(4.0 * abs(a0) ** 2 + 10)) if a0 != 0 else 0
-        rho = builder(K + pad)
-        if phi0:
-            idx = np.arange(rho.shape[0])
-            ph = np.exp(1j * phi0 * idx)
-            rho = rho * np.outer(ph, ph.conj())
-        if a0 != 0:
-            d = displacement_matrix(a0, K + pad)
-            rho = d @ rho @ d.conj().T
-        return rho[: K + 1, : K + 1]
-
-    centered = a0 == 0
-    circular = st.gaussian_xp is not None and st.gaussian_xp[0] == st.gaussian_xp[1]
-    return replace(
-        st,
-        gaussian_xp=st.gaussian_xp if centered and circular else None,
-        generator_gamma=st.generator_gamma if centered else None,
-        phi_closed=phi_closed,
-        regular_p_closed=regular_p,
-        exact_vacuum_probability=st.exact_vacuum_probability if centered else None,
-        _base_fock_builder=fock,
-        _tail_loss=st._tail_loss if centered else None,
-        _fock_cache={},
-    )
+    return State(spec=st.spec, physical=st.physical, phi_closed=phi_closed,
+                 regular_p_closed=None if p_c is None else
+                 lambda a: p_c(np.asarray(a, dtype=complex) - a0),
+                 atom_weight=st.atom_weight,
+                 centred=replace(st, spec=replace(st.spec, displacement=0j)))
 
 
 def from_fock_matrix(matrix, *, physical: bool = True) -> State:
@@ -536,7 +540,8 @@ def fock_matrix(state: State, cutoff: int = DEFAULT_CUTOFF) -> FockMatrix:
     if cutoff in state._fock_cache:
         return state._fock_cache[cutoff]
     if state._base_fock_builder is None:
-        raise UnsupportedError(f"no Fock construction for kind {state.spec.kind!r}")
+        what = f"kind {state.spec.kind!r}" if state.centred is None else "a displaced state"
+        raise UnsupportedError(f"no Fock construction for {what}")
     rho = state._base_fock_builder(cutoff)
     if not state.physical:
         loss = 0.0

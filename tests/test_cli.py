@@ -107,9 +107,6 @@ class TestClassifyCommand:
         verdicts = {e["criterion"]: e["verdict"] for e in payload["entries"]}
         assert all(v != "nonclassical-certified" for v in verdicts.values())
 
-    @pytest.mark.filterwarnings("ignore::gsphase.errors.TruncationWarning",
-                                "ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("a0", [7.5, 10.0])
     def test_far_coherent_state_writes_a_report(self, runner, tmp_path, a0):
         out = tmp_path / "report.json"
@@ -124,6 +121,25 @@ class TestClassifyCommand:
 
         payload = json.loads(out.read_text(), parse_constant=no_constant)
         assert payload["overall"] == "consistent-with-classical"
+        entries = {e["criterion"]: e for e in payload["entries"]}
+        assert entries["moment_matrix"]["verdict"] == "consistent-with-classical"
+        assert math.isfinite(entries["moment_matrix"]["witness_value"])
+        assert entries["vacuum_probability"]["witness_value"] == pytest.approx(math.exp(-a0**2),
+                                                                               rel=1e-12)
+
+    @pytest.mark.parametrize("state", [
+        '{"kind": "thermal", "params": {"nbar": Infinity}}',
+        '{"kind": "cauchy_lorentz", "params": {"t": Infinity}}',
+        '{"kind": "thermal", "params": {"nbar": 0.5}, "displacement": {"re": NaN, "im": 0.0}}',
+        '{"kind": "thermal", "params": {"nbar": 0.5}, "displacement": {"re": Infinity, "im": 0.0}}',
+        '{"kind": "thermal", "params": {"nbar": 0.5}, "displacement": {"re": 1e200, "im": 0.0}}',
+    ], ids=["nbar-inf", "t-inf", "displacement-nan", "displacement-inf", "displacement-1e200"])
+    def test_non_finite_or_far_state_is_a_usage_error(self, runner, tmp_path, state):
+        out = tmp_path / "report.json"
+        res = runner.invoke(main, ["classify", "--state", state, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
 
     def test_report_schema(self, runner, tmp_path):
         out = tmp_path / "report.json"

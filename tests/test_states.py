@@ -6,21 +6,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gammaln
 
-from gsphase.errors import NoRegularFormError, ParameterError, TruncationWarning
+from gsphase.errors import NoRegularFormError, ParameterError, TruncationWarning, UnsupportedError
 from gsphase.numerics import Cartesian, PhaseGrid, PhasePoint, Radial, gauss_nodes_1d, quad2d
 from gsphase.states import (
+    MAX_DISPLACEMENT,
     StateSpec,
     creation_exponential,
-    displacement_matrix,
     fock_matrix,
     from_fock_matrix,
     make_state,
+    overlap_cutoff,
     regular_p,
     vacuum_overlap_normalizer,
 )
-from gsphase.witness import classify
+from gsphase.witness import classify, vacuum_probability
 
 PHYSICAL_CATALOG = [
     StateSpec("thermal", {"nbar": 0.5}),
@@ -73,6 +75,38 @@ class TestMakeState:
         oracle = t * float(np.sum(w * np.exp(-u) * (1.0 + u) ** (-(t + 1.0))))
         assert abs(n2d - oracle) < 1e-8
 
+    @pytest.mark.parametrize("t", [1.0, 1.9, 3.0, 5.5])
+    def test_lorentz_fock_diagonal_against_1d_quadrature(self, t):
+        # rho[k, k] = (t/k!) Int_0^inf e^{-u} u^k (1+u)^{-1-t} du, by scipy quad
+        def oracle(k):
+            def f(u):
+                return math.exp(math.log(t) - u + k * math.log(u) - math.lgamma(k + 1)
+                                - (1.0 + t) * math.log1p(u))
+            edges = [p for p in (1.0, k - 5 * math.sqrt(k), k, k + 5 * math.sqrt(k)) if p > 0]
+            top = k + 30 * math.sqrt(k + 1) + 60
+            return quad(f, 0.0, top, points=sorted(set(edges)), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        st = make_state(StateSpec("cauchy_lorentz", {"t": t}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            diag = np.real(np.diag(fock_matrix(st, 128).matrix))
+        np.testing.assert_allclose(diag, [oracle(k) for k in range(129)], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("t", [0.3, 50.0, 1000.0])
+    def test_normalizer_resolves_every_tail_exponent(self, t):
+        # t (1+u)^(-1-t) falls off on the scale u ~ 1/(1+t)
+        edges = [0.0] + [2.0 ** j / (1.0 + t) for j in range(12)] + [math.inf]
+        oracle = sum(quad(lambda u: t * math.exp(-u - (1.0 + t) * math.log1p(u)), a, b,
+                          epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for a, b in zip(edges[:-1], edges[1:]))
+        assert vacuum_overlap_normalizer(t) == pytest.approx(oracle, rel=1e-12)
+
+    def test_lorentz_truncation_loss_at_the_default_cutoff(self):
+        st = make_state(StateSpec("cauchy_lorentz", {"t": 3.0}))
+        with pytest.warns(TruncationWarning):
+            fm = fock_matrix(st, 64)
+        assert fm.truncation_loss == pytest.approx(3.810e-6, rel=1e-3)
+
     def test_ncl_no_vacuum_component(self):
         st = make_state(StateSpec("cauchy_lorentz_ncl", {"t": 3.0}))
         with pytest.warns(TruncationWarning):
@@ -90,6 +124,29 @@ class TestMakeState:
             make_state(StateSpec("cauchy_lorentz", {"t": 0.0}))
         with pytest.raises(ParameterError):
             make_state(StateSpec("no_such_state"))
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec("thermal", {"nbar": math.inf}),
+        StateSpec("cauchy_lorentz", {"t": math.inf}),
+        StateSpec("squeezed", {"xi": math.nan}),
+        StateSpec("thermal", {"nbar": 0.5}, displacement=complex(math.nan, 0.0)),
+        StateSpec("thermal", {"nbar": 0.5}, displacement=complex(0.0, math.inf)),
+        StateSpec("thermal", {"nbar": 0.5}, rotation=math.nan),
+    ], ids=["nbar-inf", "t-inf", "xi-nan", "displacement-nan", "displacement-inf", "rotation-nan"])
+    def test_rejects_non_finite_input(self, spec):
+        with pytest.raises(ParameterError, match="finite"):
+            make_state(spec)
+
+    @pytest.mark.parametrize("a0", [25.5, 60.0, 1e200])
+    def test_rejects_displacement_beyond_the_overlap_cap(self, a0):
+        with pytest.raises(ParameterError, match="displacement"):
+            make_state(StateSpec("thermal", {"nbar": 0.5}, displacement=a0))
+
+    def test_largest_displacement_keeps_the_overlap_cutoff_bounded(self):
+        assert overlap_cutoff(MAX_DISPLACEMENT) == 889
+        st = make_state(StateSpec("thermal", {"nbar": 2.0}, displacement=MAX_DISPLACEMENT))
+        assert vacuum_probability(st) == pytest.approx(math.exp(-MAX_DISPLACEMENT**2 / 3.0) / 3.0,
+                                                       rel=1e-12)
 
     def test_spec_json_roundtrip(self):
         spec = StateSpec("squeezed", {"xi": 1.4}, displacement=0.5 - 0.25j, rotation=0.3)
@@ -171,16 +228,18 @@ class TestRegularP:
 
 
 class TestModifiers:
-    def test_displaced_vacuum_fock_and_vacuum_overlap(self):
+    def test_displaced_vacuum_overlap(self):
+        # <vac|rho|vac> of a coherent state is exp(-|a0|^2)
         a0 = 0.6 - 0.3j
         st = make_state(StateSpec("fock_element", {"m": 0, "n": 0}, displacement=a0))
-        fm = fock_matrix(st, 24)
-        # <vac|rho|vac> of a coherent state is exp(-|a0|^2)
-        assert fm.matrix[0, 0].real == pytest.approx(math.exp(-abs(a0) ** 2), abs=1e-12)
-        # Poissonian diagonal
-        for k in range(5):
-            expect = math.exp(-abs(a0) ** 2) * abs(a0) ** (2 * k) / math.factorial(k)
-            assert fm.matrix[k, k].real == pytest.approx(expect, abs=1e-12)
+        assert vacuum_probability(st) == pytest.approx(math.exp(-abs(a0) ** 2), rel=1e-14)
+
+    @pytest.mark.parametrize("rotation", [0.0, 0.9])
+    def test_displaced_state_has_no_fock_matrix(self, rotation):
+        st = make_state(StateSpec("squeezed", {"xi": 0.5}, displacement=0.4, rotation=rotation))
+        with pytest.raises(UnsupportedError, match="displaced state"):
+            fock_matrix(st, 8)
+        assert st.centred.spec == StateSpec("squeezed", {"xi": 0.5}, rotation=rotation)
 
     def test_rotation_phases_fock(self):
         st = make_state(StateSpec("squeezed", {"xi": 0.5}, rotation=0.7))
@@ -214,14 +273,6 @@ class TestModifiers:
         logmag = 0.5 * (gammaln(m + 1) - gammaln(j + 1)) - gammaln(k + 1)
         expected = np.where(m >= j, np.exp(logmag) * z ** k, 0)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
-
-    def test_displacement_matrix_matches_expm(self):
-        from scipy.linalg import expm
-        a0, cutoff = 0.8 + 0.3j, 6
-        adag = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), -1)
-        expected = (math.exp(-0.5 * abs(a0) ** 2)
-                    * expm(a0 * adag) @ expm(-np.conj(a0) * adag.T))
-        np.testing.assert_allclose(displacement_matrix(a0, cutoff), expected, atol=1e-13)
 
     def test_displaced_regular_density_shifts(self):
         st0 = make_state(StateSpec("thermal", {"nbar": 0.5}))

@@ -2,18 +2,19 @@
 
 import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy.special import betaln
+from scipy.integrate import quad
+from scipy.linalg import expm
+from scipy.special import betaln, ive
 
 from gsphase import witness
 from gsphase.deltaseries import TaylorField, exp_laplace_series, pair
-from gsphase.errors import ComplexResidueError, NonConvergenceError, ParameterError, TruncationWarning
+from gsphase.errors import ComplexResidueError, NonConvergenceError, ParameterError
 from gsphase.filters import FilterKernel, GaussianCharFn, filtered_p_gaussian_grid, filtered_p_numeric
 from gsphase.numerics import PhaseField, PhaseGrid
-from gsphase.states import StateSpec, make_state, vacuum_overlap_normalizer
+from gsphase.states import StateSpec, fock_matrix, make_state, vacuum_overlap_normalizer
 from gsphase.witness import (
     CERTIFICATION_MARGIN,
     DIVERGED,
@@ -59,7 +60,53 @@ class TestVacuumProbability:
 
     def test_pmax_pairing_route(self):
         st = make_state(StateSpec("p_max"))
-        assert vacuum_probability(st) == pytest.approx(2.0, rel=1e-12)
+        paired = pair(exp_laplace_series(-0.5, 400), TaylorField.vacuum_projector_symbol(0)).value
+        assert vacuum_probability(st) == 2.0
+        assert vacuum_probability(st) == pytest.approx(paired.real, rel=1e-12)
+
+
+class TestDisplacedVacuumProbability:
+    """<-a0|rho_c|-a0> of the centred state against closed forms and 1-D quadrature."""
+
+    @pytest.mark.parametrize("a0", [0.3, 5.0, 12.0, 20.0])
+    @pytest.mark.parametrize("nbar", [0.5, 2.0])
+    def test_thermal(self, nbar, a0):
+        st = make_state(StateSpec("thermal", {"nbar": nbar}, displacement=a0 * cmath.exp(0.7j)))
+        expected = math.exp(-a0**2 / (1.0 + nbar)) / (1.0 + nbar)
+        assert vacuum_probability(st) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("a0", [0.5, 20.0])
+    @pytest.mark.parametrize("nbar", [1.0, 5.0])
+    def test_spats(self, nbar, a0):
+        # Gaussian integral of the spats density: |a0|^2 exp(-|a0|^2/(1+nbar)) / (1+nbar)^2
+        st = make_state(StateSpec("spats", {"nbar": nbar}, displacement=a0 * cmath.exp(-1.1j)))
+        expected = a0**2 * math.exp(-a0**2 / (1.0 + nbar)) / (1.0 + nbar) ** 2
+        assert vacuum_probability(st) == pytest.approx(expected, rel=1e-12)
+
+    def test_off_diagonal_fock_element(self):
+        # <-a0|0><1|-a0> = exp(-|a0|^2) (-a0)
+        a0 = 0.6 - 0.3j
+        st = make_state(StateSpec("fock_element", {"m": 0, "n": 1}, displacement=a0))
+        assert vacuum_probability(st) == pytest.approx(-0.6 * math.exp(-abs(a0) ** 2), rel=1e-14)
+
+    @pytest.mark.parametrize("t,a0,expected", [
+        (3.0, 3.0 * cmath.exp(0.4j), 0.0021915676179186),
+        (5.5, 6.0, 1.43284610e-9),
+    ])
+    def test_cauchy_lorentz_against_radial_quadrature(self, t, a0, expected):
+        # p0 = Int d^2alpha P(alpha) exp(-|alpha|^2) with P radial about a0:
+        # the angular integral is 2 pi exp(-(r-|a0|)^2) ive(0, 2 r |a0|)
+        r0 = abs(a0)
+
+        def integrand(r):
+            density = (t / math.pi) * (1.0 + r * r) ** (-1.0 - t)
+            return 2.0 * math.pi * r * density * math.exp(-(r - r0) ** 2) * ive(0, 2.0 * r * r0)
+
+        oracle = quad(integrand, 0.0, r0 + 40.0, points=[r0], epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        assert oracle == pytest.approx(expected, rel=1e-8)
+        for rotation in (0.0, 0.9):
+            st = make_state(StateSpec("cauchy_lorentz", {"t": t}, displacement=a0, rotation=rotation))
+            assert vacuum_probability(st) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestNormalMoments:
@@ -393,13 +440,7 @@ class TestDisplacedClassicalStates:
     @pytest.mark.parametrize("kind,params", CLASSICAL_BASES,
                              ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v.values())))
     def test_never_certified(self, kind, params, a0, rotation):
-        st = make_state(StateSpec(kind, params, displacement=a0, rotation=rotation))
-        with warnings.catch_warnings():
-            # the vacuum probability of a displaced state comes from a Fock
-            # matrix whose cutoff loss is reported; the value stays far above
-            # the certification margin
-            warnings.simplefilter("ignore", TruncationWarning)
-            rep = classify(st)
+        rep = classify(make_state(StateSpec(kind, params, displacement=a0, rotation=rotation)))
         assert [e.verdict for e in rep.entries if e.verdict == VERDICT_CERTIFIED] == []
         assert rep.overall == VERDICT_CONSISTENT
 
@@ -410,31 +451,46 @@ class TestDisplacedClassicalStates:
     def test_tiny_vacuum_probability_never_certified(self, kind, params, a0):
         # p0 = exp(-|a0|^2) for the coherent state: 1.4e-11 at |a0| = 5, below
         # the margin, yet only a structural zero certifies
-        st = make_state(StateSpec(kind, params, displacement=a0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            rep = classify(st)
+        rep = classify(make_state(StateSpec(kind, params, displacement=a0)))
         assert 0.0 < rep.entry("vacuum_probability").witness_value < 1.0e-7
         assert rep.entry("vacuum_probability").verdict == VERDICT_CONSISTENT
         assert rep.overall == VERDICT_CONSISTENT
 
-    @pytest.mark.filterwarnings("ignore::gsphase.errors.TruncationWarning",
-                                "ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("a0", [7.5, 10.0])
     def test_far_coherent_state_is_not_a_crash(self, a0):
-        # the padded Fock matrix behind the moments and (at 10) the vacuum
-        # probability overflows to nan: inapplicable, never certified
+        # moments |a0|^(2n) from the centred vacuum, p0 = exp(-|a0|^2)
         rep = classify(make_state(StateSpec("fock_element", {"m": 0, "n": 0}, displacement=a0)))
         assert rep.overall == VERDICT_CONSISTENT
-        assert rep.entry("moment_matrix").verdict == VERDICT_INAPPLICABLE
-        assert rep.entry("moment_matrix").witness_value is None
+        moments = rep.entry("moment_matrix")
+        assert moments.verdict == VERDICT_CONSISTENT
+        assert math.isfinite(moments.witness_value)
         vacuum = rep.entry("vacuum_probability")
-        if a0 == 10.0:
-            assert (vacuum.verdict, vacuum.witness_value) == (VERDICT_INAPPLICABLE, None)
-        else:
-            assert vacuum.verdict == VERDICT_CONSISTENT
-            assert math.isfinite(vacuum.witness_value)
+        assert vacuum.verdict == VERDICT_CONSISTENT
+        assert vacuum.witness_value == pytest.approx(math.exp(-a0**2), rel=1e-12)
+
+    @pytest.mark.parametrize("rotation", ROTATIONS)
+    @pytest.mark.parametrize("angle", [0.0, 2.2])
+    @pytest.mark.parametrize("r0", [5.0, 6.0, 8.0, 12.0, 20.0])
+    @pytest.mark.parametrize("kind,params", [("fock_element", {"m": 0, "n": 0}),
+                                             ("thermal", {"nbar": 0.5}),
+                                             ("thermal", {"nbar": 2.0}),
+                                             ("cauchy_lorentz", {"t": 5.5})],
+                             ids=["coherent", "thermal-0.5", "thermal-2", "lorentz-5.5"])
+    def test_far_displacement_never_certified(self, kind, params, r0, angle, rotation):
+        a0 = r0 * cmath.exp(1j * angle)
+        rep = classify(make_state(StateSpec(kind, params, displacement=a0, rotation=rotation)))
+        assert [e.criterion for e in rep.entries if e.verdict == VERDICT_CERTIFIED] == []
+        assert all(math.isfinite(e.witness_value) for e in rep.entries)
+
+    def test_hankel_verdict_reads_the_rescaled_matrix(self):
+        # exact moments 1, |a0|^2, |a0|^4, ... of a rank-one Hankel matrix
+        # with entries up to |a0|^8 = 2.1e10 leave a roundoff eigenvalue of
+        # about -3.0e-6, far below -margin; rescaled, the matrix is all ones
+        st = make_state(StateSpec("fock_element", {"m": 0, "n": 0}, displacement=19.5))
+        entry = moment_matrix_test(st, 2)
+        assert entry.witness_value < -1.0e-6
+        assert entry.verdict == VERDICT_CONSISTENT
+        assert entry.detail == "order 2 Hankel matrix of diagonal moments"
 
     @pytest.mark.parametrize("rotation", ROTATIONS)
     @pytest.mark.parametrize("a0", DISPLACEMENTS, ids=DISPLACEMENT_IDS)
@@ -445,6 +501,29 @@ class TestDisplacedClassicalStates:
         assert normal_moment(st, 1) == pytest.approx(nbar + u, rel=1e-10)
         assert normal_moment(st, 2) == pytest.approx(
             2.0 * nbar**2 + 4.0 * nbar * u + u**2, rel=1e-10)
+
+    @pytest.mark.parametrize("rotation", ROTATIONS)
+    def test_displaced_squeezed_moments_against_displaced_fock_oracle(self, rotation):
+        # Tr(U rho U^dag a^dag^k a^k), U = expm(a0 a^dag - conj(a0) a) at cutoff 200
+        xi, a0, K = 1.0, 3.0 * cmath.exp(0.4j), 200
+        rho = fock_matrix(make_state(StateSpec("squeezed", {"xi": xi}, rotation=rotation)), K).matrix
+        a = np.diag(np.sqrt(np.arange(1.0, K + 1)), 1)
+        u = expm(a0 * a.T - np.conj(a0) * a)
+        diag = np.real(np.diag(u @ rho @ u.conj().T))
+        st = make_state(StateSpec("squeezed", {"xi": xi}, displacement=a0, rotation=rotation))
+        assert normal_moment(st, 1) == pytest.approx(math.sinh(xi) ** 2 + 9.0, rel=1e-12)
+        assert normal_moment(st, 1) == pytest.approx(10.381098, abs=1e-6)
+        for k in range(1, 5):
+            falling = np.array([float(math.perm(n, k)) for n in range(K + 1)])
+            assert normal_moment(st, k) == pytest.approx(diag @ falling, rel=1e-11)
+
+    @pytest.mark.parametrize("a0", DISPLACEMENTS, ids=DISPLACEMENT_IDS)
+    def test_displaced_pmax_moments(self, a0):
+        gamma, u = -0.5, abs(a0) ** 2
+        st = make_state(StateSpec("p_max", displacement=a0, rotation=0.9))
+        assert normal_moment(st, 1) == pytest.approx(u + gamma, rel=1e-12)
+        assert normal_moment(st, 2) == pytest.approx(
+            2.0 * gamma**2 + 4.0 * gamma * u + u**2, rel=1e-12)
 
     @pytest.mark.parametrize("a0", DISPLACEMENTS, ids=DISPLACEMENT_IDS)
     def test_displaced_ncl_moments_count_the_atom(self, a0):
