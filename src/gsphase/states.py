@@ -329,10 +329,7 @@ def vacuum_overlap_normalizer(t: float) -> float:
 
 
 def make_state(spec: StateSpec) -> State:
-    """Build a catalog state with every available closed form attached.
-
-    Raises ParameterError for input that is not finite or |a0| > MAX_DISPLACEMENT.
-    """
+    """Build a catalog state with every available closed form attached."""
     kind, p = spec.kind, dict(spec.params)
     a0 = complex(spec.displacement)
     _require(all(math.isfinite(v) for v in [*p.values(), a0.real, a0.imag, spec.rotation]),
@@ -516,6 +513,18 @@ def _apply_modifiers(st: State) -> State:
                  lambda a: p_c(np.asarray(a, dtype=complex) - a0),
                  atom_weight=st.atom_weight,
                  centred=replace(st, spec=replace(st.spec, displacement=0j)))
+
+
+def displaced_vacuum_probability(state: State) -> float:
+    """<vac|rho|vac> = <-a0|rho_c|-a0> of a displaced rho = D(a0) rho_c D(a0)^dag.
+
+    The centred Fock matrix is summed to overlap_cutoff(a0), past the Poisson
+    weights of <n|-a0> = exp(-|a0|^2/2) (-a0)^n / sqrt(n!).
+    """
+    a0 = complex(state.spec.displacement)
+    n = np.arange(overlap_cutoff(a0) + 1)
+    amp = np.exp(-0.5 * abs(a0) ** 2 + n * np.log(-a0) - 0.5 * gammaln(n + 1))
+    return float(np.real(np.conj(amp) @ state.centred._base_fock_builder(n[-1]) @ amp))
 
 
 def from_fock_matrix(matrix, *, physical: bool = True) -> State:

@@ -20,7 +20,7 @@ from .deltaseries import TaylorField
 from .errors import ComplexResidueError, ParameterError
 from .filters import FilterKernel, GaussianCharFn, filtered_p_gaussian_grid, filtered_p_numeric
 from .numerics import PhaseField, PhaseGrid, gauss_nodes_1d
-from .states import State, fock_matrix, overlap_cutoff, resummed_coefficients
+from .states import State, displaced_vacuum_probability, fock_matrix, resummed_coefficients
 
 #: default certification margin; an order below quadrature tolerances
 CERTIFICATION_MARGIN = 1.0e-9
@@ -50,22 +50,13 @@ DIVERGED = Diverged()
 def vacuum_probability(state: State) -> float:
     """<vac| rho |vac>: the exact value, or <-a0|rho_c|-a0> for rho = D(a0) rho_c D(a0)^dag.
 
-    The overlap sums the centred Fock matrix to overlap_cutoff(a0), past the
-    Poisson weights of |-a0>, so the centred truncation loss does not enter.
     Every classical state has strictly positive vacuum overlap, but a
     classical overlap can be arbitrarily small (exp(-|a0|^2) for a coherent
     state), so ``classify`` certifies only a structural zero: a physical
     state whose ``exact_vacuum_probability`` is exactly 0.0.
     """
-    if state.exact_vacuum_probability is not None:
-        return float(state.exact_vacuum_probability)
-    a0 = complex(state.spec.displacement)
-    K = overlap_cutoff(a0)
-    n = np.arange(K + 1)
-    # <n|-a0> = exp(-|a0|^2/2) (-a0)^n / sqrt(n!), in log space
-    amp = np.exp(-0.5 * abs(a0) ** 2 + n * np.log(-a0) - 0.5 * gammaln(n + 1))
-    rho = state.centred._base_fock_builder(K)
-    return float(np.real(np.conj(amp) @ rho @ amp))
+    p0 = state.exact_vacuum_probability
+    return displaced_vacuum_probability(state) if p0 is None else float(p0)
 
 
 # ---------------------------------------------------------------------------
@@ -81,31 +72,28 @@ def _radial_moment(density, n: int, *, n_panels: int = 22, nodes: int = 48):
     The panel sums of a power-law tail decay geometrically with the dyadic
     ratio; a ratio locked at or above one signals the divergent regime, and
     the convergent regime is closed with the geometric tail extrapolation.
+    Inside r = 1 the panels are dyadic down to 4-8 widths 1/sqrt(pi |P(0)|)
+    of a core narrower than 1/8 (cauchy_lorentz at t = 1e6).
     """
     def shell(r0, r1):
         r, w = gauss_nodes_1d(r0, r1, nodes)
         return float(np.sum(w * 2.0 * math.pi * r ** (2 * n + 1) * density(r)))
 
-    total = shell(0.0, 1.0)
+    core = abs(float(density(np.zeros(1))[0]))
+    depth = int(np.clip(np.ceil(0.5 * np.log2(math.pi * core)) - 3, 0, 1000)) if core > 0 else 0
+    total = sum(shell(2.0 ** -(j + 1) if j < depth else 0.0, 2.0 ** -j) for j in range(depth, -1, -1))
     contributions = []
-    r0 = 1.0
     quiet = 0
-    for _ in range(n_panels):
-        value = shell(r0, 2.0 * r0)
+    for j in range(n_panels):
+        value = shell(2.0 ** j, 2.0 ** (j + 1))
         contributions.append(value)
         total += value
-        r0 *= 2.0
-        if abs(value) < 1.0e-14 * max(abs(total), 1.0):
-            quiet += 1
-            if quiet >= 2:
-                return total
-        else:
-            quiet = 0
-        if len(contributions) >= 4:
-            last = contributions[-3:]
-            ratios = [b / a for a, b in zip(last[:-1], last[1:]) if a > 0]
-            if len(ratios) == 2 and min(ratios) >= _PANEL_RATIO_DIVERGENT:
-                return DIVERGED
+        quiet = quiet + 1 if abs(value) < 1.0e-14 * max(abs(total), 1.0) else 0
+        if quiet >= 2:
+            return total
+        ratios = [b / a for a, b in zip(contributions[-3:-1], contributions[-2:]) if a > 0]
+        if len(contributions) >= 4 and len(ratios) == 2 and min(ratios) >= _PANEL_RATIO_DIVERGENT:
+            return DIVERGED
     rho = contributions[-1] / contributions[-2] if contributions[-2] > 0 else 0.0
     if rho >= 1.0:
         return DIVERGED
@@ -115,14 +103,16 @@ def _radial_moment(density, n: int, *, n_panels: int = 22, nodes: int = 48):
 def _centred_moments(state: State, order: int) -> np.ndarray:
     """T[q, r] = <a^dag^r a^q> of the centred (rotated) state, q, r <= order.
 
-    A radially symmetric regular density gives the diagonal of radial
-    moments, cut before the first divergent one (t <= n for the heavy
-    tail); a generator state gives T[q, q] = q! gamma^q; any other state
-    q! r! d[q, r] from ``resummed_coefficients`` at cutoff 128.  T[0, 0] = 1
-    is the normalisation (with the point mass of cauchy_lorentz_ncl).
+    A generator state gives T[q, q] = q! gamma^q; a radial regular density
+    its radial moments, cut before the first divergent one, with T[0, 0] = 1
+    counting the point mass of cauchy_lorentz_ncl; any other state
+    q! r! d[q, r] from ``resummed_coefficients`` at cutoff 128, with the
+    trace T[0, 0] = 1 for a physical state whatever its truncation loss.
     """
     c = state.centred or state
     q = np.arange(order + 1)
+    if c.generator_gamma is not None:
+        return np.diag(factorial(q) * c.generator_gamma ** q).astype(complex)
     if c.regular_p_closed is not None:
         diag = [1.0]
         for j in q[1:]:
@@ -131,11 +121,10 @@ def _centred_moments(state: State, order: int) -> np.ndarray:
                 break
             diag.append(m)
         return np.diag(diag).astype(complex)
-    if c.generator_gamma is not None:
-        return np.diag(factorial(q) * c.generator_gamma ** q).astype(complex)
     d, _ = resummed_coefficients(fock_matrix(c, 128).matrix, order)
     table = d * np.outer(factorial(q), factorial(q))
-    table[0, 0] = 1.0
+    if c.physical:
+        table[0, 0] = 1.0
     return table
 
 
@@ -154,12 +143,11 @@ def normal_moment(state: State, n: int):
 
     Centred and displaced states share one route: the binomial expansion
     of <(a^dag + conj a0)^n (a + a0)^n> over the centred moment table.
-    Diverged is a value, not an exception.
+    The order-0 moment is the trace (0 for |m><n| with m != n).  Diverged is
+    a value, not an exception.
     """
     if n < 0:
         raise ParameterError("moment order must be >= 0")
-    if n == 0:
-        return 1.0
     return _displaced_moment(_centred_moments(state, n), complex(state.spec.displacement), n)
 
 
@@ -226,12 +214,13 @@ def moment_matrix_test(state: State, order: int,
 
     A negative minimal eigenvalue exhibits an operator polynomial in the
     photon number with negative normally ordered square expectation
-    (Shchukin, Richter & Vogel, PRA 71, 011802(R) (2005)).  The verdict
-    reads the matrix rescaled by alpha -> alpha / sqrt|<:n:>|, a congruence
-    that keeps the sign and makes the margin relative to the matrix scale
-    (a coherent state at |a0| = 19.5 has a roundoff eigenvalue of -3e-6);
-    the witness value is the unscaled minimal eigenvalue.  When any moment
-    diverges or is not finite, the verdict is inapplicable.
+    (Shchukin, Richter & Vogel, PRA 71, 011802(R) (2005)).  The witness
+    value is the unscaled minimal eigenvalue.  It certifies only when the
+    matrix rescaled by alpha -> alpha / sqrt|<:n:>|, a congruence that keeps
+    the sign, is also below -margin: at large moments the unscaled
+    eigenvalue carries roundoff (-3e-6 for a coherent state at |a0| = 19.5),
+    and at small moments the rescaled one magnifies quadrature error.  When
+    any moment diverges or is not finite, the verdict is inapplicable.
     """
     table = _centred_moments(state, 2 * order)
     a0 = complex(state.spec.displacement)
@@ -249,8 +238,8 @@ def moment_matrix_test(state: State, order: int,
     h = np.array(moments)[jk]
     min_eig = float(np.linalg.eigvalsh(h).min())
     scale = np.clip(abs(moments[1]) if order else 1.0, 1.0e-30, 1.0e30)
-    verdict = (VERDICT_CERTIFIED if np.linalg.eigvalsh(h / scale ** jk).min() < -margin
-               else VERDICT_CONSISTENT)
+    certified = min_eig < -margin and np.linalg.eigvalsh(h / scale ** jk).min() < -margin
+    verdict = VERDICT_CERTIFIED if certified else VERDICT_CONSISTENT
     return CriterionEntry("moment_matrix", verdict, min_eig,
                           detail=f"order {order} Hankel matrix of diagonal moments")
 

@@ -126,6 +126,36 @@ class TestNormalMoments:
                      StateSpec("p_max")]:
             assert normal_moment(make_state(spec), 0) == 1.0
 
+    @pytest.mark.parametrize("kind,params,oracle,rel", [
+        # thermal reads k! nbar^k from its generator, not from the density
+        ("thermal", {"nbar": 3.5e-7}, lambda k: math.factorial(k) * 3.5e-7 ** k, 1e-15),
+        ("spats", {"nbar": 1e-6},
+         lambda k: math.factorial(k) * 1e-6 ** (k - 1) * (k * 1e-6 + k + 1e-6), 1e-12),
+        ("cauchy_lorentz", {"t": 1e5}, lambda k: lorentz_moment_oracle(1e5, k), 1e-9),
+        ("cauchy_lorentz", {"t": 1e6}, lambda k: lorentz_moment_oracle(1e6, k), 1e-8),
+    ])
+    def test_narrow_densities_are_resolved(self, kind, params, oracle, rel):
+        # cores 6e-4 to 3e-3 wide, where one 48-node panel on [0, 1] has its
+        # first node at 6e-4
+        st = make_state(StateSpec(kind, params))
+        for k in range(1, 5):
+            assert normal_moment(st, k) == pytest.approx(oracle(k), rel=rel, abs=0.0)
+
+    def test_off_diagonal_fock_element_moments(self):
+        # Tr(U |0><1| U^dag a^dag^k a^k), U = expm(a0 a^dag - conj(a0) a) at cutoff 200
+        a0, K = 0.8 * cmath.exp(-0.6j), 200
+        rho = np.zeros((K + 1, K + 1))
+        rho[0, 1] = 1.0
+        a = np.diag(np.sqrt(np.arange(1.0, K + 1)), 1)
+        u = expm(a0 * a.T - np.conj(a0) * a)
+        diag = np.diag(u @ rho @ u.conj().T)
+        st = make_state(StateSpec("fock_element", {"m": 0, "n": 1}, displacement=a0))
+        assert normal_moment(st, 0) == 0.0
+        assert normal_moment(st, 1) == pytest.approx(a0.real, rel=1e-14)
+        for k in range(1, 4):
+            falling = np.array([float(math.perm(n, k)) for n in range(K + 1)])
+            assert normal_moment(st, k) == pytest.approx(np.real(diag @ falling), rel=1e-12)
+
     @pytest.mark.parametrize("t", [0.5, 1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_divergence_threshold_grid(self, t, n):
@@ -361,6 +391,10 @@ class TestClassify:
             StateSpec("cauchy_lorentz", {"t": 3.0}),
             StateSpec("cauchy_lorentz", {"t": 1.0}),
             StateSpec("fock_element", {"m": 0, "n": 0}, displacement=0.7 - 0.2j),
+            # moments below 1e-5, where the rescaled Hankel matrix alone is unsafe
+            StateSpec("thermal", {"nbar": 1e-7}),
+            StateSpec("thermal", {"nbar": 3.5e-7}),
+            StateSpec("thermal", {"nbar": 1e-6}),
         ]
         for spec in classical:
             rep = classify(make_state(spec))
@@ -426,6 +460,9 @@ CLASSICAL_BASES = [
     ("fock_element", {"m": 0, "n": 0}),
     ("thermal", {"nbar": 0.5}),
     ("thermal", {"nbar": 2.0}),
+    ("thermal", {"nbar": 1e-7}),
+    ("thermal", {"nbar": 3.5e-7}),
+    ("thermal", {"nbar": 1e-6}),
     ("cauchy_lorentz", {"t": 3.0}),
     ("cauchy_lorentz", {"t": 5.5}),
 ]
@@ -491,6 +528,28 @@ class TestDisplacedClassicalStates:
         assert entry.witness_value < -1.0e-6
         assert entry.verdict == VERDICT_CONSISTENT
         assert entry.detail == "order 2 Hankel matrix of diagonal moments"
+
+    @pytest.mark.parametrize("a0", [0.0, 3.0 * cmath.exp(0.4j), 20.0], ids=["0", "3e^0.4i", "20"])
+    @pytest.mark.parametrize("t", [1e5, 1e6])
+    def test_narrow_cauchy_lorentz_moments_never_certify(self, t, a0):
+        # Phi = |beta|^t K_t(2|beta|) is not finite in floating point at this
+        # t, so classify stops at the numeric filter; the moments stand alone
+        st = make_state(StateSpec("cauchy_lorentz", {"t": t}, displacement=a0))
+        assert moment_matrix_test(st, 2).verdict == VERDICT_CONSISTENT
+
+    def test_small_moment_error_does_not_certify(self, monkeypatch):
+        # a quadrature that puts weight 1.9 on the moments of thermal
+        # nbar = 3.5e-7 but keeps <:n^0:> = 1: the rescaled Hankel matrix
+        # has eigenvalue -0.066, the unscaled one only roundoff
+        nbar, weight = 3.5e-7, 1.9
+        table = np.diag([1.0] + [weight * math.factorial(k) * nbar**k for k in range(1, 5)])
+        monkeypatch.setattr(witness, "_centred_moments", lambda state, order: table.astype(complex))
+        h = np.array([[table[j + k, j + k] for k in range(3)] for j in range(3)])
+        jk = np.add.outer(np.arange(3), np.arange(3))
+        assert np.linalg.eigvalsh(h / (weight * nbar) ** jk).min() < -0.06
+        entry = moment_matrix_test(make_state(StateSpec("thermal", {"nbar": nbar})), 2)
+        assert -1.0e-12 < entry.witness_value < 0.0
+        assert entry.verdict == VERDICT_CONSISTENT
 
     @pytest.mark.parametrize("rotation", ROTATIONS)
     @pytest.mark.parametrize("a0", DISPLACEMENTS, ids=DISPLACEMENT_IDS)
