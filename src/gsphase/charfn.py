@@ -16,64 +16,27 @@ Modulus bounds implemented here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError
-from .numerics import PhaseGrid, as_complex, power_table
+from .numerics import PhaseGrid, as_complex
 # char_fn_fock_element lives with the catalog and stays importable from here
-from .states import State, char_fn_fock_element, fock_matrix, resummed_coefficients  # noqa: F401
-
-#: points per matrix product in the Fock route; bounds its working memory
-_FOCK_CHUNK = 4096
+from .states import State, char_fn_fock_element  # noqa: F401
 
 
-def _fock_route(state: State, barr: np.ndarray, cutoff: int) -> np.ndarray:
-    fm = fock_matrix(state, cutoff)
-    if state.physical and fm.truncation_loss > 1.0e-6:
-        raise TruncationError(
-            f"Fock route needs truncation loss < 1e-6; got {fm.truncation_loss:.3e}"
-        )
-    # an exactly finite-rank matrix gives the exact polynomial at any beta;
-    # only genuine truncations of infinite-rank states carry the band limit
-    tail = np.abs(fm.matrix[-2:, :]).max() + np.abs(fm.matrix[:, -2:]).max() if fm.cutoff >= 2 else 1.0
-    exact_rank = tail == 0.0 and fm.truncation_loss <= 1.0e-12
-    if not exact_rank:
-        band = math.sqrt(cutoff) / 3.0
-        if np.any(np.abs(barr) > band):
-            raise TruncationError(
-                f"Fock route is valid for |beta| <= sqrt(cutoff)/3 = {band:.3g}"
-            )
-    # Phi = sum_{q,r} d[q,r] (-conj b)^q b^r with the k-resummed coefficients
-    d, _ = resummed_coefficients(fm.matrix)
-    # an exactly finite-rank matrix leaves a small polynomial
-    rows = np.flatnonzero(np.any(d != 0, axis=1))
-    cols = np.flatnonzero(np.any(d != 0, axis=0))
-    d = d[: rows[-1] + 1 if rows.size else 0, : cols[-1] + 1 if cols.size else 0]
-    flat = barr.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    for i0 in range(0, flat.size, _FOCK_CHUNK):
-        b = flat[i0:i0 + _FOCK_CHUNK]
-        out[i0:i0 + _FOCK_CHUNK] = ((power_table(-np.conj(b), d.shape[0]) @ d)
-                                    * power_table(b, d.shape[1])).sum(1)
-    return out.reshape(barr.shape)
+def char_fn(state: State, beta):
+    """Characteristic function of a state: the Phi it carries from construction.
 
-
-def char_fn(state: State, beta, *, cutoff: int | None = None):
-    """Characteristic function of a catalog state.
-
-    Uses the closed form when one exists, otherwise the Fock expansion
-    sum_{m,n} rho[m,n] <n|:D(beta):|m> at the given cutoff (default 64).
+    A closed form for each catalog kind; for an explicit Fock matrix the
+    k-resummed Fock sum, which raises TruncationError when the matrix loses
+    more than 1e-6 of its trace, or past |beta| = sqrt(K)/3 when it is a
+    genuine truncation.
     """
     b = as_complex(beta)
     scalar = not isinstance(b, np.ndarray)
     barr = np.asarray([b] if scalar else b, dtype=complex)
-    if state.phi_closed is not None:
-        out = np.asarray(state.phi_closed(barr), dtype=complex)
-    else:
-        out = _fock_route(state, barr, cutoff or 64)
+    out = np.asarray(state.phi_closed(barr), dtype=complex)
     return complex(out.reshape(-1)[0]) if scalar else out
 
 

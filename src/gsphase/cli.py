@@ -16,7 +16,6 @@ integer.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import sys
@@ -60,37 +59,24 @@ def _parse_grid(text: str) -> PhaseGrid:
         raise click.UsageError("--grid resolution N must be odd so the origin is a node")
     if n > MAX_GRID_RESOLUTION:
         raise click.UsageError(f"--grid resolution N must be at most {MAX_GRID_RESOLUTION}")
-    try:
-        return PhaseGrid(extent=extent, resolution=n)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
+    return PhaseGrid(extent=extent, resolution=n)
 
 
 def _parse_state(text: str) -> StateSpec:
-    if text == "-":
-        text = sys.stdin.read()
-    try:
-        return StateSpec.from_json(text)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
+    return StateSpec.from_json(sys.stdin.read() if text == "-" else text)
 
 
-def _make_state_checked(spec: StateSpec):
-    try:
-        return make_state(spec)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
+class _LibraryErrors(click.Command):
+    """The CLI's one error-mapping point: in any subcommand a ParameterError
+    is a usage error (exit 2) and any other GsphaseError exits 1."""
 
-
-@contextlib.contextmanager
-def _library_errors():
-    """A ParameterError is a usage error (exit 2); any other GsphaseError exits 1."""
-    try:
-        yield
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except GsphaseError as exc:
-        raise click.ClickException(str(exc)) from exc
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ParameterError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except GsphaseError as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
 def _write_cut_csv(path, ts, columns: dict, comments) -> None:
@@ -114,7 +100,11 @@ def _provenance(command: str, config: dict) -> list[str]:
     return [f"gsphase {command}", f"config {config_hash(config)}"]
 
 
-@click.group()
+class _Group(click.Group):
+    command_class = _LibraryErrors
+
+
+@click.group(cls=_Group)
 @click.version_option(__version__)
 def main():
     """Phase-space calculus for Glauber-Sudarshan distributions."""
@@ -132,10 +122,9 @@ def charfn(state_json, grid_text, s_param, out_path):
     """Emit a characteristic-function grid as CSV (x,p are Re/Im beta)."""
     spec = _parse_state(state_json)
     grid = _parse_grid(grid_text)
-    st = _make_state_checked(spec)
+    st = make_state(spec)
     config = {"command": "charfn", "state": spec.to_json(), "grid": grid_text, "s": s_param}
-    with _library_errors():
-        vals = char_fn_s(st, grid.mesh(), s_param) if s_param != 1.0 else char_fn(st, grid.mesh())
+    vals = char_fn_s(st, grid.mesh(), s_param) if s_param != 1.0 else char_fn(st, grid.mesh())
     write_field_csv(out_path, grid, np.asarray(vals), comments=_provenance("charfn", config))
     click.echo(f"wrote {out_path} (config {config_hash(config)})")
 
@@ -151,12 +140,11 @@ def filtered(state_json, width, grid_text, cut_axis, out_path):
     """Emit a filter-regularized distribution grid or cut as CSV."""
     spec = _parse_state(state_json)
     grid = _parse_grid(grid_text)
-    st = _make_state_checked(spec)
+    st = make_state(spec)
     config = {"command": "filtered", "state": spec.to_json(), "grid": grid_text,
               "w": width, "cut": cut_axis}
     comments = _provenance("filtered", config)
-    with _library_errors():
-        fld = filtered_p_numeric(st, FilterKernel(width), grid)
+    fld = filtered_p_numeric(st, FilterKernel(width), grid)
     values = np.real(fld.values)
     if cut_axis is None:
         write_field_csv(out_path, grid, values.astype(complex), comments=comments)
@@ -178,11 +166,10 @@ def classify(state_json, width, grid_text, tolerance, out_path):
     """Run the nonclassicality battery and write the report JSON."""
     spec = _parse_state(state_json)
     grid = _parse_grid(grid_text)
-    st = _make_state_checked(spec)
+    st = make_state(spec)
     config = {"command": "classify", "state": spec.to_json(), "grid": grid_text,
               "w": width, "tolerance": tolerance}
-    with _library_errors():
-        report = classify_state(st, w=width, grid=grid, margin=tolerance)
+    report = classify_state(st, w=width, grid=grid, margin=tolerance)
     payload = {"config_hash": config_hash(config), **report.to_dict()}
     _write_json(out_path, payload)
     click.echo(f"{report.overall}: {st.describe()}")
@@ -199,10 +186,7 @@ def fockdiag(gamma, kmax, out_path):
     if abs(gamma) >= 1.0:
         raise click.UsageError("--gamma must satisfy |gamma| < 1 for the pairing route")
     config = {"command": "fockdiag", "gamma": gamma, "kmax": kmax}
-    try:
-        rep = fock_diagonal(exp_laplace_series(gamma, 400), kmax)
-    except GsphaseError as exc:
-        raise click.ClickException(str(exc)) from exc
+    rep = fock_diagonal(exp_laplace_series(gamma, 400), kmax)
     payload = {
         "config_hash": config_hash(config),
         "gamma": gamma,
@@ -258,10 +242,7 @@ def figure1(width, grid_text, out_dir):
 @click.pass_context
 def verify(ctx, out_path, threads):
     """Run the acceptance suite; exit 1 if any criterion fails."""
-    try:
-        workers = threads or default_workers()
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
+    workers = threads or default_workers()
     results = run_with_determinism_check(workers)
     for r in results:
         click.echo(f"{'PASS' if r.passed else 'FAIL'}  {r.number:2d}  {r.name}")

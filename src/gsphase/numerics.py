@@ -213,8 +213,9 @@ class Cartesian:
 class Radial:
     """The whole plane, integrated in doubling radial shells until stable.
 
-    Failure to stabilize by radius 1e5 raises NonConvergenceError, the
-    signal used elsewhere to detect divergent moments.
+    Failure to stabilize by radius 1e5 raises NonConvergenceError.  Divergent
+    moments are not detected here: ``witness`` reads the panel ratios of its
+    own radial sum.
     """
 
 

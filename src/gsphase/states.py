@@ -1,9 +1,9 @@
 """Catalog of states and pseudo-states with their closed-form representations.
 
-Each catalog entry carries whatever closed forms exist: a characteristic
-function, a regular phase-space density, Gaussian characteristic-function
-coefficients, a diagonal-generator parameter for the singular series, and a
-lazily built truncated Fock matrix.
+Every state carries its characteristic function from construction (for an
+explicit Fock matrix, the k-resummed Fock sum), plus whatever else exists: a
+regular phase-space density, the coefficients of a centred Gaussian
+characteristic function, and a truncated Fock matrix built per cutoff.
 
 Catalog kinds and parameters (JSON wire format ``{"kind": ..., "params": {...}}``):
 
@@ -27,18 +27,24 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.special import gammaln, kv
 
 from . import numerics
-from .errors import NoRegularFormError, ParameterError, TruncationWarning, UnsupportedError
-from .numerics import as_complex
+from .errors import (NoRegularFormError, ParameterError, TruncationError, TruncationWarning,
+                     UnsupportedError)
+from .numerics import as_complex, power_table
 
 DEFAULT_CUTOFF = 64
+
+#: largest accepted squeezing xi: exp(2 xi) still fits a float
+MAX_SQUEEZING = 0.5 * math.log(sys.float_info.max)
 
 #: largest accepted |displacement|; it caps overlap_cutoff at 889
 MAX_DISPLACEMENT = 25.0
@@ -121,6 +127,10 @@ class FockMatrix:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T)).min())
 
 
+#: terms per step of the k-resummation; bounds its working memory
+_RESUM_BLOCK = 4096
+
+
 def resummed_coefficients(rho: np.ndarray, order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """k-resummed coefficients of a truncated Fock matrix, with each sum's last term.
 
@@ -129,18 +139,34 @@ def resummed_coefficients(rho: np.ndarray, order: int | None = None) -> tuple[np
     sum_{q,r} d[q,r] (-conj b)^q b^r, the delta-derivative series has
     c[q,r] = (-1)^(q+r) d[q,r] and <a^dag^r a^q> = q! r! d[q,r].  ``last``
     holds the k = cutoff - max(q, r) term of each sum.
+
+    Each step takes about _RESUM_BLOCK terms, k along the first axis; each
+    sum still adds its terms in the order of k.
     """
     K = rho.shape[0] - 1
     o = K if order is None else min(order, K)
-    lg = gammaln(np.arange(K + 1) + 1.0)
+    lg = gammaln(np.arange(K + o + 1) + 1.0)
+    pad = np.zeros((K + o + 1,) * 2, dtype=complex)  # zero past the cutoff
+    pad[:K + 1, :K + 1] = rho
+    # read-only views: win[k, q, r] = rho[q+k, r+k] and lgk[k, q] = lg[q+k]
+    win = as_strided(pad, (K + 1, o + 1, o + 1), (sum(pad.strides), *pad.strides), writeable=False)
+    lgk = sliding_window_view(lg, o + 1)
     d = np.zeros((o + 1, o + 1), dtype=complex)
     last = np.zeros_like(d)
-    for k in range(K + 1):
-        n = min(K + 1 - k, o + 1)
-        logs = (0.5 * (lg[k:k + n, None] + lg[None, k:k + n]) - lg[k]
-                - lg[:n, None] - lg[None, :n])
-        last[:n, :n] = rho[k:k + n, k:k + n] * np.exp(logs)
-        d[:n, :n] += last[:n, :n]
+    k0 = 0
+    while k0 <= K:
+        n = min(K + 1 - k0, o + 1)
+        k1 = min(k0 + max(1, _RESUM_BLOCK // (n * n)), K + 1)
+        lk = lgk[k0:k1, :n]
+        t = win[k0:k1, :n, :n] * np.exp(0.5 * (lk[:, :, None] + lk[:, None, :])
+                                         - lg[k0:k1, None, None] - lg[:n, None] - lg[:n])
+        for k in range(max(k0, K + 1 - n), k1):
+            m = K - k
+            last[m, :m + 1] = t[k - k0, m, :m + 1]
+            last[:m, m] = t[k - k0, :m, m]
+        t[0] += d[:n, :n]  # the running sum goes first, so k is summed in order
+        d[:n, :n] = np.cumsum(t, axis=0)[-1] if k1 > k0 + 1 else t[0]
+        k0 = k1
     return d, last
 
 
@@ -202,13 +228,12 @@ def char_fn_fock_element(m: int, n: int, beta):
 class State:
     spec: StateSpec
     physical: bool
+    #: the characteristic function Phi(beta) of an array of beta, set when built
+    phi_closed: Callable
     #: exp(-lam x^2 - kap p^2) coefficients of the characteristic function,
-    #: when it is a centered Gaussian (x = Re beta, p = Im beta)
+    #: when it is a centered Gaussian (x = Re beta, p = Im beta); when
+    #: lam == kap, lam is the generator gamma of the singular series
     gaussian_xp: tuple[float, float] | None = None
-    #: diagonal-generator parameter of the singular series, when it exists
-    generator_gamma: float | None = None
-    #: closed-form characteristic function (None: Fock-sum route applies)
-    phi_closed: Callable | None = None
     #: closed-form regular phase-space density (None: no regular form),
     #: radially symmetric about spec.displacement
     regular_p_closed: Callable | None = None
@@ -222,7 +247,6 @@ class State:
     _base_fock_builder: Callable[[int], np.ndarray] | None = None
     #: analytic truncation loss sum_{k > K} rho[k, k], when a formula exists
     _tail_loss: Callable[[int], float] | None = None
-    _fock_cache: dict = field(default_factory=dict, repr=False)
 
     def describe(self) -> str:
         parts = [self.spec.kind]
@@ -247,6 +271,14 @@ def _embedded(m: np.ndarray) -> Callable[[int], np.ndarray]:
         out[:n, :n] = m[:n, :n]
         return out
     return fock
+
+
+def _gaussian(lam: float, kap: float) -> dict:
+    """State fields of the centred Gaussian Phi(beta) = exp(-lam x^2 - kap p^2)."""
+    def phi(beta):
+        b = np.asarray(beta, dtype=complex)
+        return np.exp(-lam * b.real ** 2 - kap * b.imag ** 2)
+    return {"gaussian_xp": (lam, kap), "phi_closed": phi}
 
 
 def _geometric_diag(nbar: float, cutoff: int) -> np.ndarray:
@@ -339,9 +371,7 @@ def make_state(spec: StateSpec) -> State:
         nbar = p.get("nbar")
         _require(nbar is not None and nbar > 0, "thermal requires nbar > 0")
         st = State(
-            spec=spec, physical=True,
-            gaussian_xp=(nbar, nbar), generator_gamma=nbar,
-            phi_closed=lambda b, nb=nbar: np.exp(-nb * np.abs(np.asarray(b, dtype=complex)) ** 2),
+            spec=spec, physical=True, **_gaussian(nbar, nbar),
             regular_p_closed=lambda a, nb=nbar: np.exp(-np.abs(np.asarray(a, dtype=complex)) ** 2 / nb) / (math.pi * nb),
             exact_vacuum_probability=1.0 / (nbar + 1.0),
             _base_fock_builder=lambda K, nb=nbar: _geometric_diag(nb, K),
@@ -350,19 +380,15 @@ def make_state(spec: StateSpec) -> State:
     elif kind == "squeezed":
         xi = p.get("xi")
         _require(xi is not None and xi > 0, "squeezed requires xi > 0")
-        lam = (math.exp(2 * xi) - 1.0) / 2.0
-        kap = -(1.0 - math.exp(-2 * xi)) / 2.0
-        sh, ch = math.sinh(xi), math.cosh(xi)
-
-        def phi(beta, sh=sh, ch=ch):
-            b = np.asarray(beta, dtype=complex)
-            return np.exp(-sh * sh * np.abs(b) ** 2 - ch * sh * (b**2 + np.conj(b) ** 2) / 2.0)
+        _require(xi <= MAX_SQUEEZING,
+                 f"squeezed requires xi <= {MAX_SQUEEZING:.6f}, above which exp(2 xi) overflows")
 
         def fock(K, xi=xi):
             c = _squeezed_amplitudes(xi, K)
             return np.outer(c, c).astype(complex)
 
-        st = State(spec=spec, physical=True, gaussian_xp=(lam, kap), phi_closed=phi,
+        st = State(spec=spec, physical=True,
+                   **_gaussian((math.exp(2 * xi) - 1.0) / 2.0, -(1.0 - math.exp(-2 * xi)) / 2.0),
                    exact_vacuum_probability=1.0 / math.cosh(xi),
                    _base_fock_builder=fock)
     elif kind == "spats":
@@ -399,9 +425,8 @@ def make_state(spec: StateSpec) -> State:
         unit = np.zeros((max(m, n) + 1,) * 2)
         unit[m, n] = 1.0
         st = State(spec=spec, physical=(m == n),
-                   phi_closed=lambda b, m=m, n=n: char_fn_fock_element(m, n, b),
-                   gaussian_xp=(0.0, 0.0) if m == n == 0 else None,
-                   generator_gamma=0.0 if m == n == 0 else None,
+                   **(_gaussian(0.0, 0.0) if m == n == 0 else
+                      {"phi_closed": lambda b, m=m, n=n: char_fn_fock_element(m, n, b)}),
                    exact_vacuum_probability=float(m == n == 0),
                    _base_fock_builder=_embedded(unit),
                    _tail_loss=lambda K, m=m, n=n: 0.0 if K >= max(m, n) else 1.0)
@@ -455,9 +480,7 @@ def make_state(spec: StateSpec) -> State:
                    exact_vacuum_probability=0.0, _base_fock_builder=fock)
     elif kind == "p_max":
         st = State(
-            spec=spec, physical=False,
-            gaussian_xp=(-0.5, -0.5), generator_gamma=-0.5,
-            phi_closed=lambda b: np.exp(0.5 * np.abs(np.asarray(b, dtype=complex)) ** 2),
+            spec=spec, physical=False, **_gaussian(-0.5, -0.5),
             exact_vacuum_probability=2.0,
             _base_fock_builder=_pmax_fock_diag,
         )
@@ -479,9 +502,9 @@ def _apply_modifiers(st: State) -> State:
     """Apply alpha -> exp(i phi) alpha + alpha0 to a catalog state.
 
     This is where the invariants are decided.  A rotation keeps whatever
-    depends only on the photon-number diagonal (the exact vacuum probability,
-    the tail loss and the generator) and keeps a Gaussian characteristic
-    function only when it is circular (lam == kap).  A displacement keeps
+    depends only on the photon-number diagonal (the exact vacuum probability
+    and the tail loss) and keeps a Gaussian characteristic function only when
+    it is circular (lam == kap, the generator).  A displacement keeps
     only Phi and the regular density, radially symmetric about alpha0; the
     rotated state stays as ``centred``, and there is no displaced Fock matrix.
     """
@@ -499,7 +522,7 @@ def _apply_modifiers(st: State) -> State:
                      phi_closed=lambda b: base_phi(rot * np.asarray(b, dtype=complex)),
                      regular_p_closed=None if base_p is None else
                      lambda a: base_p(rot * np.asarray(a, dtype=complex)),
-                     _base_fock_builder=fock, _fock_cache={})
+                     _base_fock_builder=fock)
     if a0 == 0:
         return st
     phi_c, p_c = st.phi_closed, st.regular_p_closed
@@ -527,12 +550,46 @@ def displaced_vacuum_probability(state: State) -> float:
     return float(np.real(np.conj(amp) @ state.centred._base_fock_builder(n[-1]) @ amp))
 
 
+#: points per matrix product of an explicit state's Phi; bounds its working memory
+_FOCK_CHUNK = 4096
+
+
 def from_fock_matrix(matrix, *, physical: bool = True) -> State:
-    """Escape hatch: a state defined by an explicit truncated Fock matrix."""
-    fm = FockMatrix(np.asarray(matrix, dtype=complex))
-    if not fm.is_hermitian(1.0e-9):
-        raise ParameterError("explicit Fock matrix must be Hermitian")
-    return State(spec=StateSpec(kind="explicit_fock"), physical=physical,
+    """A state defined by an explicit Hermitian Fock matrix of at most 401 rows.
+
+    Phi = sum_{q,r} d[q,r] (-conj b)^q b^r, with d k-resummed once over the
+    matrix zero-padded to K = max(64, rows - 1), is exact when the last two
+    rows and columns are zero and valid for |beta| <= sqrt(K)/3 otherwise;
+    past that band, or when a physical state loses more than 1e-6 of its
+    trace, evaluating Phi raises TruncationError.
+    """
+    fm = FockMatrix(matrix)
+    _require(fm.cutoff <= _MAX_FOCK_INDEX, _FOCK_INDEX_LIMIT)
+    _require(fm.is_hermitian(1.0e-9), "explicit Fock matrix must be Hermitian")
+    K = max(DEFAULT_CUTOFF, fm.cutoff)
+    rho = _embedded(fm.matrix)(K)
+    loss = max(0.0, 1.0 - float(np.real(np.trace(rho)))) if physical else 0.0
+    exact_rank = not rho[-2:].any() and not rho[:, -2:].any() and loss <= 1.0e-12
+    band = math.sqrt(K) / 3.0
+    d, _ = resummed_coefficients(rho)
+    rows, cols = np.nonzero(d)  # an exactly finite-rank matrix leaves a small polynomial
+    d = d[: rows.max(initial=-1) + 1, : cols.max(initial=-1) + 1]
+
+    def phi(beta):
+        barr = np.asarray(beta, dtype=complex)
+        if loss > 1.0e-6:
+            raise TruncationError(f"Fock route needs truncation loss < 1e-6; got {loss:.3e}")
+        if not exact_rank and np.any(np.abs(barr) > band):
+            raise TruncationError(f"Fock route is valid for |beta| <= sqrt(cutoff)/3 = {band:.3g}")
+        flat = barr.ravel()
+        out = np.empty(flat.shape, dtype=complex)
+        for i0 in range(0, flat.size, _FOCK_CHUNK):
+            b = flat[i0:i0 + _FOCK_CHUNK]
+            out[i0:i0 + _FOCK_CHUNK] = ((power_table(-np.conj(b), d.shape[0]) @ d)
+                                        * power_table(b, d.shape[1])).sum(1)
+        return out.reshape(barr.shape)
+
+    return State(spec=StateSpec(kind="explicit_fock"), physical=physical, phi_closed=phi,
                  exact_vacuum_probability=float(fm.matrix[0, 0].real),
                  _base_fock_builder=_embedded(fm.matrix))
 
@@ -546,8 +603,6 @@ def fock_matrix(state: State, cutoff: int = DEFAULT_CUTOFF) -> FockMatrix:
     """
     if cutoff < 0:
         raise ParameterError("cutoff must be >= 0")
-    if cutoff in state._fock_cache:
-        return state._fock_cache[cutoff]
     if state._base_fock_builder is None:
         what = f"kind {state.spec.kind!r}" if state.centred is None else "a displaced state"
         raise UnsupportedError(f"no Fock construction for {what}")
@@ -558,15 +613,12 @@ def fock_matrix(state: State, cutoff: int = DEFAULT_CUTOFF) -> FockMatrix:
         loss = float(state._tail_loss(cutoff))
     else:
         loss = max(0.0, 1.0 - float(np.real(np.trace(rho))))
-    fm = FockMatrix(rho, truncation_loss=loss)
     if state.physical and loss > 1.0e-6:
         warnings.warn(
             f"Fock truncation loss {loss:.3e} at cutoff {cutoff} for {state.describe()}",
             TruncationWarning, stacklevel=2,
         )
-    # compute-then-publish: the cache is only written once the value is complete
-    state._fock_cache[cutoff] = fm
-    return fm
+    return FockMatrix(rho, truncation_loss=loss)
 
 
 def regular_p(state: State, alpha):

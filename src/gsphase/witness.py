@@ -103,16 +103,17 @@ def _radial_moment(density, n: int, *, n_panels: int = 22, nodes: int = 48):
 def _centred_moments(state: State, order: int) -> np.ndarray:
     """T[q, r] = <a^dag^r a^q> of the centred (rotated) state, q, r <= order.
 
-    A generator state gives T[q, q] = q! gamma^q; a radial regular density
-    its radial moments, cut before the first divergent one, with T[0, 0] = 1
-    counting the point mass of cauchy_lorentz_ncl; any other state
-    q! r! d[q, r] from ``resummed_coefficients`` at cutoff 128, with the
-    trace T[0, 0] = 1 for a physical state whatever its truncation loss.
+    A generator state (a circular Gaussian Phi, gamma = lam = kap) gives
+    T[q, q] = q! gamma^q; a radial regular density its radial moments, cut
+    before the first divergent one, with T[0, 0] = 1 counting the point mass
+    of cauchy_lorentz_ncl; any other state q! r! d[q, r] from
+    ``resummed_coefficients`` at cutoff 128, with the trace T[0, 0] = 1 for a
+    physical state whatever its truncation loss.
     """
     c = state.centred or state
     q = np.arange(order + 1)
-    if c.generator_gamma is not None:
-        return np.diag(factorial(q) * c.generator_gamma ** q).astype(complex)
+    if c.gaussian_xp is not None and c.gaussian_xp[0] == c.gaussian_xp[1]:
+        return np.diag(factorial(q) * c.gaussian_xp[0] ** q).astype(complex)
     if c.regular_p_closed is not None:
         diag = [1.0]
         for j in q[1:]:

@@ -1,13 +1,11 @@
 """Tests for characteristic functions, their bounds, and grid scans."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from gsphase.charfn import (
-    _FOCK_CHUNK,
     char_fn,
     char_fn_fock_element,
     char_fn_s,
@@ -16,7 +14,7 @@ from gsphase.charfn import (
 )
 from gsphase.errors import ParameterError, TruncationError
 from gsphase.numerics import Cartesian, PhaseGrid, quad2d
-from gsphase.states import StateSpec, from_fock_matrix, fock_matrix, make_state
+from gsphase.states import _FOCK_CHUNK, StateSpec, from_fock_matrix, fock_matrix, make_state
 
 RNG = np.random.default_rng(42)
 
@@ -168,13 +166,10 @@ class TestCharFn:
         StateSpec("squeezed", {"xi": 1.0}),
     ], ids=lambda s: s.kind)
     def test_fock_route_agrees_with_closed_form(self, spec):
-        st = make_state(spec)
         closed = make_state(spec)
-        st.phi_closed = None  # force the Fock-sum route
+        st = from_fock_matrix(fock_matrix(closed, 64).matrix)
         betas = RNG.uniform(-1.4, 1.4, 40) + 1j * RNG.uniform(-1.4, 1.4, 40)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ours = np.asarray(char_fn(st, betas, cutoff=64))
+        ours = np.asarray(char_fn(st, betas))
         ref = np.asarray(char_fn(closed, betas))
         np.testing.assert_allclose(ours, ref, atol=1e-6)
 
@@ -184,9 +179,8 @@ class TestCharFn:
         n_pts = 2 * (_FOCK_CHUNK // 2 + 150)
         betas = RNG.uniform(-1.5, 1.5, n_pts) + 1j * RNG.uniform(-1.5, 1.5, n_pts)
         if which == "thermal":
-            st = make_state(StateSpec("thermal", {"nbar": 0.5}))
-            st.phi_closed = None  # force the Fock-sum route
-            rho = fock_matrix(st, 64).matrix
+            rho = fock_matrix(make_state(StateSpec("thermal", {"nbar": 0.5})), 64).matrix
+            st = from_fock_matrix(rho)
         else:
             # exact rank: the coefficient matrix is trimmed to 5 x 5
             rho = np.zeros((5, 5), dtype=complex)
@@ -201,10 +195,26 @@ class TestCharFn:
         np.testing.assert_allclose(ours.ravel(), direct, rtol=0, atol=1e-11)
 
     def test_fock_route_band_guard(self):
-        st = make_state(StateSpec("thermal", {"nbar": 0.5}))
-        st.phi_closed = None
-        with pytest.raises(TruncationError):
-            char_fn(st, 3.5 + 0j, cutoff=64)
+        st = from_fock_matrix(fock_matrix(make_state(StateSpec("thermal", {"nbar": 0.5})), 64).matrix)
+        with pytest.raises(TruncationError, match="sqrt"):
+            char_fn(st, 3.5 + 0j)
+        assert abs(char_fn(st, 2.6 + 0j) - math.exp(-0.5 * 2.6 ** 2)) < 1e-12
+
+    def test_fock_route_loss_guard(self):
+        # built without complaint; evaluating Phi raises
+        st = from_fock_matrix(np.diag([0.5, 0.3]))
+        with pytest.raises(TruncationError, match="truncation loss"):
+            char_fn(st, 0.1 + 0j)
+
+    def test_large_explicit_matrix_is_used_whole(self):
+        # rank two with weight on |80>: the matrix is not cut to 64 rows
+        rho = np.zeros((81, 81), dtype=complex)
+        rho[0, 0] = rho[80, 80] = 0.5
+        st = from_fock_matrix(rho)
+        expected = 0.5 + 0.5 * char_fn_fock_element(80, 80, 0.5 + 0j)
+        assert abs(char_fn(st, 0.5 + 0j) - expected) < 1e-12
+        with pytest.raises(TruncationError, match="sqrt"):
+            char_fn(st, 3.0 + 0j)  # sqrt(80)/3 = 2.98
 
     def test_displaced_state_phase_factor(self):
         a0 = 0.7 - 0.2j
@@ -273,6 +283,12 @@ class TestBounds:
         st = make_state(StateSpec("thermal", {"nbar": 1.5}))
         rep = classicality_violation(st, PhaseGrid(extent=4.0, resolution=121))
         assert rep.value <= 0.0
+
+    def test_strongly_squeezed_value_on_imag_axis(self):
+        # |Phi(4i)| = exp(-16 kap) = exp(8 (1 - e^-10)) at xi = 5, with no cancellation
+        st = make_state(StateSpec("squeezed", {"xi": 5.0}))
+        assert abs(char_fn(st, 4j)) == pytest.approx(math.exp(8.0 * (1.0 - math.exp(-10.0))),
+                                                     rel=1e-14)
 
     def test_classicality_squeezed_value_on_imag_axis(self):
         st = make_state(StateSpec("squeezed", {"xi": 0.5}))

@@ -133,7 +133,9 @@ class TestClassifyCommand:
         '{"kind": "thermal", "params": {"nbar": 0.5}, "displacement": {"re": NaN, "im": 0.0}}',
         '{"kind": "thermal", "params": {"nbar": 0.5}, "displacement": {"re": Infinity, "im": 0.0}}',
         '{"kind": "thermal", "params": {"nbar": 0.5}, "displacement": {"re": 1e200, "im": 0.0}}',
-    ], ids=["nbar-inf", "t-inf", "displacement-nan", "displacement-inf", "displacement-1e200"])
+        '{"kind": "squeezed", "params": {"xi": 800}}',
+    ], ids=["nbar-inf", "t-inf", "displacement-nan", "displacement-inf", "displacement-1e200",
+            "squeezing-overflows"])
     def test_non_finite_or_far_state_is_a_usage_error(self, runner, tmp_path, state):
         out = tmp_path / "report.json"
         res = runner.invoke(main, ["classify", "--state", state, "--out", str(out)])

@@ -9,10 +9,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from gsphase import states, witness
 from gsphase.errors import NoRegularFormError, ParameterError, TruncationWarning, UnsupportedError
 from gsphase.numerics import Cartesian, PhaseGrid, PhasePoint, Radial, gauss_nodes_1d, quad2d
 from gsphase.states import (
     MAX_DISPLACEMENT,
+    MAX_SQUEEZING,
     StateSpec,
     creation_exponential,
     fock_matrix,
@@ -20,6 +22,7 @@ from gsphase.states import (
     make_state,
     overlap_cutoff,
     regular_p,
+    resummed_coefficients,
     vacuum_overlap_normalizer,
 )
 from gsphase.witness import classify, vacuum_probability
@@ -147,6 +150,15 @@ class TestMakeState:
         st = make_state(StateSpec("thermal", {"nbar": 2.0}, displacement=MAX_DISPLACEMENT))
         assert vacuum_probability(st) == pytest.approx(math.exp(-MAX_DISPLACEMENT**2 / 3.0) / 3.0,
                                                        rel=1e-12)
+
+    @pytest.mark.parametrize("xi", [float(np.nextafter(MAX_SQUEEZING, math.inf)), 400.0, 800.0, 1e300])
+    def test_rejects_squeezing_whose_exponential_overflows(self, xi):
+        with pytest.raises(ParameterError, match=r"exp\(2 xi\) overflows"):
+            make_state(StateSpec("squeezed", {"xi": xi}))
+
+    def test_largest_squeezing_is_accepted(self):
+        lam, kap = make_state(StateSpec("squeezed", {"xi": MAX_SQUEEZING})).gaussian_xp
+        assert math.isfinite(lam) and kap == -0.5
 
     def test_spec_json_roundtrip(self):
         spec = StateSpec("squeezed", {"xi": 1.4}, displacement=0.5 - 0.25j, rotation=0.3)
@@ -327,12 +339,39 @@ class TestModifierInvariants:
             rho00 = fock_matrix(st, 12).matrix[0, 0]
         assert rho00 == pytest.approx(st.exact_vacuum_probability, abs=1e-12)
 
+    @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
+    @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)
+    def test_every_state_carries_its_phi(self, spec, mod):
+        st = make_state(replace(spec, **mod))
+        betas = np.array([[0j, 0.3 - 0.2j], [-1.1j, 0.8]])
+        phi = np.asarray(st.phi_closed(betas))
+        assert phi.shape == betas.shape and np.all(np.isfinite(phi))
+
+    @pytest.mark.parametrize("physical", [True, False])
+    def test_explicit_state_carries_its_phi(self, physical):
+        st = from_fock_matrix(np.diag([0.25, 0.5, 0.25]), physical=physical)
+        phi = np.asarray(st.phi_closed(np.array([0j, 0.3 - 0.2j])))
+        assert phi.shape == (2,) and phi[0] == pytest.approx(1.0, abs=1e-15)
+
     def test_rotated_heavy_tail_classify_builds_no_fock_matrix(self):
         st = make_state(StateSpec("cauchy_lorentz", {"t": 1.9}, rotation=0.9))
+        builder, calls = st._base_fock_builder, []
+        st._base_fock_builder = lambda K: calls.append(K) or builder(K)
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             classify(st)
-        assert st._fock_cache == {}
+        assert calls == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: from_fock_matrix(np.diag([0.5, 0.2, 0.3])),
+        lambda: make_state(StateSpec("fock_mixture", {"w1": 0.4, "w3": 0.6}, rotation=0.9)),
+    ], ids=["explicit", "rotated-fock_mixture"])
+    def test_classify_builds_the_fock_matrix_once(self, make, monkeypatch):
+        calls = []
+        monkeypatch.setattr(witness, "fock_matrix",
+                            lambda st, K: calls.append(K) or fock_matrix(st, K))
+        classify(make(), grid=PhaseGrid(2.0, 21))
+        assert calls == [128]
 
 
 class TestExplicitFock:
@@ -350,3 +389,64 @@ class TestExplicitFock:
         m[0, 1] = 1.0
         with pytest.raises(ParameterError):
             from_fock_matrix(m)
+
+    def test_resums_at_cutoff_64_or_the_whole_matrix(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(states, "resummed_coefficients",
+                            lambda rho, order=None: calls.append(rho.shape) or (np.ones((1, 1)),) * 2)
+        from_fock_matrix(np.eye(5) / 5)
+        from_fock_matrix(np.eye(401) / 401)
+        assert calls == [(65, 65), (401, 401)]
+        # more rows than Fock index 400 are rejected before any resummation
+        with pytest.raises(ParameterError, match="above 400"):
+            from_fock_matrix(np.eye(402) / 402)
+        assert len(calls) == 2
+
+
+def _resummed_reference(rho, order):
+    """d[q, r], the last k-term and sum_k |term|, by a plain loop over q, r and k."""
+    K = rho.shape[0] - 1
+    d = np.zeros((order + 1, order + 1), dtype=complex)
+    last = np.zeros_like(d)
+    size = np.zeros(d.shape)
+    lg = [math.lgamma(j + 1.0) for j in range(K + 1)]
+    for q in range(order + 1):
+        for r in range(order + 1):
+            for k in range(K - max(q, r) + 1):
+                last[q, r] = rho[q + k, r + k] * math.exp(
+                    0.5 * (lg[q + k] + lg[r + k]) - lg[k] - lg[q] - lg[r])
+                d[q, r] += last[q, r]
+                size[q, r] += abs(last[q, r])
+    return d, last, size
+
+
+def _resummed_by_k(rho, order):
+    """The same sums, one vectorized step per k: the same arithmetic in the same order."""
+    K = rho.shape[0] - 1
+    lg = gammaln(np.arange(K + 1) + 1.0)
+    d = np.zeros((order + 1, order + 1), dtype=complex)
+    last = np.zeros_like(d)
+    for k in range(K + 1):
+        n = min(K + 1 - k, order + 1)
+        logs = (0.5 * (lg[k:k + n, None] + lg[None, k:k + n]) - lg[k]
+                - lg[:n, None] - lg[None, :n])
+        last[:n, :n] = rho[k:k + n, k:k + n] * np.exp(logs)
+        d[:n, :n] += last[:n, :n]
+    return d, last
+
+
+@pytest.mark.parametrize("size,order", [(1, None), (6, None), (6, 2), (6, 10), (40, None),
+                                        (65, None), (129, 4)])
+def test_resummed_coefficients_against_a_double_loop(size, order):
+    rng = np.random.default_rng(size)
+    rho = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    o = min(size - 1, size - 1 if order is None else order)
+    d, last = resummed_coefficients(rho, order)
+    d_ref, last_ref, terms = _resummed_reference(rho, o)
+    assert d.shape == last.shape == d_ref.shape
+    # to the roundoff of exp(log-factorials of a few hundred), relative to sum_k |term|
+    assert np.all(np.abs(d - d_ref) <= 1e-12 * terms)
+    np.testing.assert_allclose(last, last_ref, rtol=1e-12, atol=0)
+    # the blocked steps add the same terms in the same order as a step per k
+    d_k, last_k = _resummed_by_k(rho, o)
+    assert np.array_equal(d, d_k) and np.array_equal(last, last_k)
