@@ -29,8 +29,8 @@ def char_fn(state: State, beta):
     """Characteristic function of a state: the Phi it carries from construction.
 
     A closed form for each catalog kind; for an explicit Fock matrix the
-    k-resummed Fock sum, which raises TruncationError when the matrix loses
-    more than 1e-6 of its trace, or past |beta| = sqrt(K)/3 when it is a
+    k-resummed Fock sum, which raises TruncationError when its cut at cutoff
+    K = 64 loses more than 1e-6, or past |beta| = sqrt(K)/3 when it is a
     genuine truncation.
     """
     b = as_complex(beta)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
@@ -44,7 +43,7 @@ from .numerics import as_complex, power_table
 DEFAULT_CUTOFF = 64
 
 #: largest accepted squeezing xi: exp(2 xi) still fits a float
-MAX_SQUEEZING = 0.5 * math.log(sys.float_info.max)
+MAX_SQUEEZING = 0.5 * math.log(np.finfo(float).max)
 
 #: largest accepted |displacement|; it caps overlap_cutoff at 889
 MAX_DISPLACEMENT = 25.0
@@ -139,9 +138,6 @@ def resummed_coefficients(rho: np.ndarray, order: int | None = None) -> tuple[np
     sum_{q,r} d[q,r] (-conj b)^q b^r, the delta-derivative series has
     c[q,r] = (-1)^(q+r) d[q,r] and <a^dag^r a^q> = q! r! d[q,r].  ``last``
     holds the k = cutoff - max(q, r) term of each sum.
-
-    Each step takes about _RESUM_BLOCK terms, k along the first axis; each
-    sum still adds its terms in the order of k.
     """
     K = rho.shape[0] - 1
     o = K if order is None else min(order, K)
@@ -152,21 +148,20 @@ def resummed_coefficients(rho: np.ndarray, order: int | None = None) -> tuple[np
     win = as_strided(pad, (K + 1, o + 1, o + 1), (sum(pad.strides), *pad.strides), writeable=False)
     lgk = sliding_window_view(lg, o + 1)
     d = np.zeros((o + 1, o + 1), dtype=complex)
-    last = np.zeros_like(d)
     k0 = 0
     while k0 <= K:
-        n = min(K + 1 - k0, o + 1)
+        n = min(K + 1 - k0, o + 1)  # d[q, r] with q or r >= n gets no more terms
         k1 = min(k0 + max(1, _RESUM_BLOCK // (n * n)), K + 1)
         lk = lgk[k0:k1, :n]
         t = win[k0:k1, :n, :n] * np.exp(0.5 * (lk[:, :, None] + lk[:, None, :])
                                          - lg[k0:k1, None, None] - lg[:n, None] - lg[:n])
-        for k in range(max(k0, K + 1 - n), k1):
-            m = K - k
-            last[m, :m + 1] = t[k - k0, m, :m + 1]
-            last[:m, m] = t[k - k0, :m, m]
         t[0] += d[:n, :n]  # the running sum goes first, so k is summed in order
         d[:n, :n] = np.cumsum(t, axis=0)[-1] if k1 > k0 + 1 else t[0]
         k0 = k1
+    q = np.arange(o + 1)
+    m = K - np.maximum.outer(q, q)  # the last k of each sum
+    i, j = q[:, None] + m, q + m
+    last = rho[i, j] * np.exp(0.5 * (lg[i] + lg[j]) - lg[m] - lg[q[:, None]] - lg[q])
     return d, last
 
 
@@ -277,7 +272,8 @@ def _gaussian(lam: float, kap: float) -> dict:
     """State fields of the centred Gaussian Phi(beta) = exp(-lam x^2 - kap p^2)."""
     def phi(beta):
         b = np.asarray(beta, dtype=complex)
-        return np.exp(-lam * b.real ** 2 - kap * b.imag ** 2)
+        with np.errstate(over="ignore"):  # lam x^2 = inf near MAX_SQUEEZING; exp(-inf) = 0
+            return np.exp(-lam * b.real ** 2 - kap * b.imag ** 2)
     return {"gaussian_xp": (lam, kap), "phi_closed": phi}
 
 
@@ -558,17 +554,21 @@ def from_fock_matrix(matrix, *, physical: bool = True) -> State:
     """A state defined by an explicit Hermitian Fock matrix of at most 401 rows.
 
     Phi = sum_{q,r} d[q,r] (-conj b)^q b^r, with d k-resummed once over the
-    matrix zero-padded to K = max(64, rows - 1), is exact when the last two
-    rows and columns are zero and valid for |beta| <= sqrt(K)/3 otherwise;
-    past that band, or when a physical state loses more than 1e-6 of its
-    trace, evaluating Phi raises TruncationError.
+    matrix cut or zero-padded to cutoff K = 64, is exact when the last two
+    rows and columns are zero and valid for |beta| <= sqrt(K)/3 otherwise.
+    Evaluating Phi past that band raises TruncationError, as it does when
+    the cut loses over 1e-6: of the trace of a physical state, of the summed
+    |entries| of any other.  K stays 64 for larger matrices: for weight near
+    index K the terms grow like exp(2 |beta| sqrt(K)), so a larger K would
+    widen the band only on paper.
     """
     fm = FockMatrix(matrix)
     _require(fm.cutoff <= _MAX_FOCK_INDEX, _FOCK_INDEX_LIMIT)
     _require(fm.is_hermitian(1.0e-9), "explicit Fock matrix must be Hermitian")
-    K = max(DEFAULT_CUTOFF, fm.cutoff)
+    K = DEFAULT_CUTOFF
     rho = _embedded(fm.matrix)(K)
-    loss = max(0.0, 1.0 - float(np.real(np.trace(rho)))) if physical else 0.0
+    loss = (max(0.0, 1.0 - float(np.real(np.trace(rho)))) if physical else
+            float(np.abs(fm.matrix[K + 1:]).sum() + np.abs(fm.matrix[:K + 1, K + 1:]).sum()))
     exact_rank = not rho[-2:].any() and not rho[:, -2:].any() and loss <= 1.0e-12
     band = math.sqrt(K) / 3.0
     d, _ = resummed_coefficients(rho)

@@ -206,15 +206,30 @@ class TestCharFn:
         with pytest.raises(TruncationError, match="truncation loss"):
             char_fn(st, 0.1 + 0j)
 
-    def test_large_explicit_matrix_is_used_whole(self):
-        # rank two with weight on |80>: the matrix is not cut to 64 rows
+    def test_large_explicit_matrix_is_cut_at_64(self):
+        # weight 0.5 on |80>: the cut at 64 loses it
         rho = np.zeros((81, 81), dtype=complex)
         rho[0, 0] = rho[80, 80] = 0.5
-        st = from_fock_matrix(rho)
-        expected = 0.5 + 0.5 * char_fn_fock_element(80, 80, 0.5 + 0j)
-        assert abs(char_fn(st, 0.5 + 0j) - expected) < 1e-12
+        for physical in (True, False):  # the trace or the |entries| cut away
+            for beta in (0.5, 2.9):
+                with pytest.raises(TruncationError, match="got 5.000e-01"):
+                    char_fn(from_fock_matrix(rho, physical=physical), beta + 0j)
+        thermal = make_state(StateSpec("thermal", {"nbar": 5.0}))
+        with pytest.raises(TruncationError, match="got 7.132e-06"):
+            char_fn(from_fock_matrix(fock_matrix(thermal, 400).matrix), 4.0 + 4.0j)
+        # a 401-row matrix that fits 64 photons is used within the band of K = 64
+        thermal = make_state(StateSpec("thermal", {"nbar": 0.5}))
+        st = from_fock_matrix(fock_matrix(thermal, 400).matrix)
+        assert abs(char_fn(st, 2.0 + 0j) - math.exp(-2.0)) < 1e-12
         with pytest.raises(TruncationError, match="sqrt"):
-            char_fn(st, 3.0 + 0j)  # sqrt(80)/3 = 2.98
+            char_fn(st, 2.7 + 0j)
+
+    def test_non_physical_finite_rank_has_no_band(self):
+        # |0><1| + |1><0| has trace 0 and Phi = beta - conj(beta) at any beta
+        rho = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        st = from_fock_matrix(rho, physical=False)
+        np.testing.assert_allclose(char_fn(st, np.array([3.0j, 3.0, 2.0 + 2.5j])),
+                                   [6.0j, 0.0, 5.0j], rtol=0, atol=1e-13)
 
     def test_displaced_state_phase_factor(self):
         a0 = 0.7 - 0.2j

@@ -50,6 +50,16 @@ class TestCharfnCommand:
                                    "--grid", "2,11"], input=THERMAL)
         assert res.exit_code == 0
 
+    def test_squeezing_near_the_bound_underflows_quietly(self, runner, tmp_path):
+        # lam x^2 overflows to inf for xi = 354; Phi = exp(-inf) = 0 without a RuntimeWarning
+        out = tmp_path / "phi.csv"
+        res = runner.invoke(main, ["charfn", "--state", '{"kind": "squeezed", "params": {"xi": 354}}',
+                                   "--grid", "4,11", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        _, vals = read_field_csv(out)
+        assert vals[0, 5] == 0.0 and vals[5, 5] == 1.0
+        assert vals[5, 0].real == pytest.approx(math.exp(8.0), rel=1e-14)
+
 
 class TestFilteredCommand:
     def test_grid_output(self, runner, tmp_path):

@@ -390,13 +390,13 @@ class TestExplicitFock:
         with pytest.raises(ParameterError):
             from_fock_matrix(m)
 
-    def test_resums_at_cutoff_64_or_the_whole_matrix(self, monkeypatch):
+    def test_resums_at_cutoff_64(self, monkeypatch):
         calls = []
         monkeypatch.setattr(states, "resummed_coefficients",
                             lambda rho, order=None: calls.append(rho.shape) or (np.ones((1, 1)),) * 2)
         from_fock_matrix(np.eye(5) / 5)
         from_fock_matrix(np.eye(401) / 401)
-        assert calls == [(65, 65), (401, 401)]
+        assert calls == [(65, 65), (65, 65)]
         # more rows than Fock index 400 are rejected before any resummation
         with pytest.raises(ParameterError, match="above 400"):
             from_fock_matrix(np.eye(402) / 402)
