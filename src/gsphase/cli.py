@@ -31,7 +31,7 @@ from .errors import GsphaseError, ParameterError
 from .filters import FilterKernel, GaussianCharFn, filtered_p_gaussian, filtered_p_numeric
 from .numerics import PhaseGrid, write_field_csv
 from .states import StateSpec, make_state
-from .witness import classify as classify_state
+from .witness import classify as classify_state, real_values
 
 #: largest --grid resolution; an N x N complex mesh takes 16 N^2 bytes per array
 MAX_GRID_RESOLUTION = 2001
@@ -145,7 +145,7 @@ def filtered(state_json, width, grid_text, cut_axis, out_path):
               "w": width, "cut": cut_axis}
     comments = _provenance("filtered", config)
     fld = filtered_p_numeric(st, FilterKernel(width), grid)
-    values = np.real(fld.values)
+    values = real_values(fld)
     if cut_axis is None:
         write_field_csv(out_path, grid, values.astype(complex), comments=comments)
     else:

@@ -20,13 +20,11 @@ import numpy as np
 from scipy.special import sici
 
 from .charfn import char_fn
-from .errors import NonConvergenceError, ParameterError, SupportError
+from .errors import NonConvergenceError, ParameterError, RangeError, SupportError
 from .numerics import (
     PhaseField,
     PhaseGrid,
     SQRT_PI,
-    _kernel_table,
-    _separable_product,
     as_complex,
     erfcx_complex,
     gauss_nodes_1d,
@@ -263,39 +261,73 @@ def filtered_p_gaussian_grid(cf: GaussianCharFn, w: float, grid: PhaseGrid) -> P
 
 @lru_cache(maxsize=RULE_CACHE_SIZE)
 def _filter_rule(w: float, nodes_per_panel: int, grid: PhaseGrid):
-    """Nodes, weights and kernel table of the split tensor Gauss rule.
+    """Positive-panel nodes, weights and real kernel table of the split Gauss rule.
 
-    Returns the nodes b of the two panels [-w, 0] and [0, w], the weights
-    tri(b/w) wb / pi (the 1/pi^2 prefactor, split over the axes) and the
-    table exp(2i axis (x) b) that maps the nodes onto the grid axis.  They
-    depend on no state, so the last ``RULE_CACHE_SIZE`` (w, nodes, grid)
-    rules are kept, read-only, and only the first call pays for the table.
+    The rule has two panels per axis, [-w, 0] and [0, w]; the negative
+    panel's nodes are the exact negation of the positive panel's nodes b+
+    and share their weights tri(b+/w) wb / pi (the 1/pi^2 prefactor, split
+    over the axes).  The table A = [cos(2 axis (x) b+) | sin(2 axis (x) b+)],
+    shape (N, 2n), maps the folded nodes onto the grid axis.  They depend
+    on no state, so the last ``RULE_CACHE_SIZE`` (w, nodes, grid) rules are
+    kept, read-only, and only the first call pays for the table.
     """
-    xm, wm = gauss_nodes_1d(-w, 0.0, nodes_per_panel)
-    xp, wp = gauss_nodes_1d(0.0, w, nodes_per_panel)
-    b, wb = np.concatenate([xm, xp]), np.concatenate([wm, wp])
-    tw = tri(b / w) * wb / math.pi
-    table = _kernel_table(grid.axis(), b)
-    for arr in (b, tw, table):
+    bp, wb = gauss_nodes_1d(0.0, w, nodes_per_panel)
+    tw = tri(bp / w) * wb / math.pi
+    phase = 2.0 * np.outer(grid.axis(), bp)
+    table = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+    for arr in (bp, tw, table):
         arr.flags.writeable = False
-    return b, tw, table
+    return bp, tw, table
 
 
 def _filtered_raw(state: State, w: float, grid: PhaseGrid,
-                  nodes_per_panel: int) -> tuple[np.ndarray, float]:
+                  nodes_per_panel: int) -> tuple[np.ndarray, float, float]:
     """Split tensor Gauss rule for the filtered transform on the grid [x, p].
 
-    The panels of each axis meet at 0, where the tri factor has a kink; the
-    kernel exp(2i (bx p - bp x)) is the cached table of ``_filter_rule`` and
-    its conjugate transpose.  Only Phi at the nodes is computed per state.
-    Returns the complex field and sum |integrand weights|, the scale of its
-    roundoff.
+    The panels of each axis meet at 0, where the tri factor has a kink.  Phi
+    is evaluated at all (2n)^2 nodes (b = -b+ reversed, then b+) and weighted
+    into the core W[u, v].  The kernel exp(2i (u p - v x)) is even or odd in
+    the sign of each node, so W folds onto the positive quadrant through its
+    parity sums EE, EO, OE and OO (E even, O odd; first letter u, second v)
+    and the field is (A K A^T)^T with the real table A of ``_filter_rule``
+    and K = [[Re EE, Im EO], [-Im OE, Re OO]].  The imaginary field is the
+    same product with K_im = [[Im EE, -Re EO], [Re OE, Im OO]]; it is only
+    formed when sum |K_im| exceeds the roundoff floor ``ROUNDOFF_FACTOR`` *
+    eps * sum |W|, and otherwise sum |K_im|, a bound on |Im P| since |A| <= 1,
+    stands for its maximum.
+
+    Returns the real field, that imaginary residue and sum |W|, the scale of
+    the field's roundoff.  Raises RangeError when Phi is not finite at some
+    node, since no finer rule can repair that.
     """
-    b, tw, table = _filter_rule(w, nodes_per_panel, grid)
+    bp, tw, table = _filter_rule(w, nodes_per_panel, grid)
+    n = bp.size
+    b = np.concatenate([-bp[::-1], bp])
     BX, BP = np.meshgrid(b, b, indexing="ij")
-    phi = np.asarray(char_fn(state, BX + 1j * BP), dtype=complex)
-    core = phi * (tw[:, None] * tw[None, :])
-    return _separable_product(core, table, table.conj().T), float(np.sum(np.abs(core)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        phi = np.asarray(char_fn(state, BX + 1j * BP), dtype=complex)
+    bad = int(np.count_nonzero(~np.isfinite(phi)))
+    if bad:
+        raise RangeError(
+            f"Phi of {state.describe()} is not finite at {bad} of {phi.size} nodes "
+            f"of the w={w:g} filter rule"
+        )
+    twb = np.concatenate([tw[::-1], tw])
+    core = phi * (twb[:, None] * twb[None, :])
+    # quadrants indexed [a, c] for u = +-b+[a], v = +-b+[c]
+    neg = slice(n - 1, None, -1)
+    upp, upm = core[n:, n:], core[n:, neg]
+    ump, umm = core[neg, n:], core[neg, neg]
+    s_p, d_p, s_m, d_m = upp + upm, upp - upm, ump + umm, ump - umm
+    ee, oe, eo, oo = s_p + s_m, s_p - s_m, d_p + d_m, d_p - d_m
+    k_re = np.block([[ee.real, eo.imag], [-oe.imag, oo.real]])
+    abs_sum = float(np.sum(np.abs(core)))
+    field = (table @ k_re @ table.T).T
+    k_im = np.block([[ee.imag, -eo.real], [oe.real, oo.imag]])
+    residue = float(np.sum(np.abs(k_im)))
+    if residue > ROUNDOFF_FACTOR * _EPS * abs_sum:
+        residue = float(np.max(np.abs(table @ k_im @ table.T)))
+    return field, residue, abs_sum
 
 
 def filtered_p_numeric(state: State, kernel: FilterKernel, grid: PhaseGrid) -> PhaseField:
@@ -313,26 +345,31 @@ def filtered_p_numeric(state: State, kernel: FilterKernel, grid: PhaseGrid) -> P
     tolerance is the larger of ``QUAD_TOLERANCE`` and the roundoff floor
     ``ROUNDOFF_FACTOR`` * eps * sum |integrand weights|, so a fast-growing
     Phi (p_max or strong squeezing at a large w) is not refused for
-    differences that are only roundoff.  Each rule's nodes, weights and
-    kernel table come from ``_filter_rule``, built once per (w, nodes,
-    grid) and cached; the state's Phi at the nodes is computed afresh.
+    differences that are only roundoff.  Each rule's positive-panel nodes,
+    weights and real cos/sin kernel table come from ``_filter_rule``, built
+    once per (w, nodes, grid) and cached; the state's Phi at all (2n)^2
+    nodes is computed afresh and folded onto that table by
+    ``_filtered_raw``, so the sums run in real arithmetic.
 
     The larger of the accepted difference and the roundoff floor is stored
     as ``quad_error`` on the field, an estimate of its absolute error at
-    every grid node; the largest imaginary residue goes to
-    ``imag_residue``; the values are the real part.  Raises
-    NonConvergenceError when the rules at 200 nodes per panel and the one
-    before still disagree by more than the tolerance (a width too large for
-    the grid extent, for instance), so an unresolved field never reaches a
-    verdict.
+    every grid node.  ``imag_residue`` is the accepted rule's largest
+    imaginary part, or, when a bound on it is below the roundoff floor, that
+    bound; the values are the real part.  Raises RangeError at the first
+    rule when Phi is not finite at a node, and NonConvergenceError when the
+    rules at 200 nodes per panel and the one before still disagree by more
+    than the tolerance (a width too large for the grid extent, for
+    instance), so an unresolved field never reaches a verdict.
     """
     w = kernel.w
     n = _FIRST_NODES_PER_PANEL
-    coarse, _ = _filtered_raw(state, w, grid, n)
+    coarse, _, _ = _filtered_raw(state, w, grid, n)
     while True:
         n_fine = min(2 * n, _MAX_NODES_PER_PANEL)
-        fine, abs_sum = _filtered_raw(state, w, grid, n_fine)
-        err = float(np.max(np.abs(fine.real - coarse.real)))
+        fine, residue, abs_sum = _filtered_raw(state, w, grid, n_fine)
+        # |P_2n - P_n| in place: the coarse field is not needed past here
+        np.abs(np.subtract(fine, coarse, out=coarse), out=coarse)
+        err = float(coarse.max())
         floor = ROUNDOFF_FACTOR * _EPS * abs_sum
         tol = max(QUAD_TOLERANCE, floor)
         if err <= tol:
@@ -344,6 +381,6 @@ def filtered_p_numeric(state: State, kernel: FilterKernel, grid: PhaseGrid) -> P
             )
         coarse, n = fine, n_fine
     del coarse  # at most two full-grid fields are held at a time
-    return PhaseField(side="alpha", grid=grid, values=fine.real.astype(complex),
-                      imag_residue=float(np.max(np.abs(fine.imag))),
+    return PhaseField(side="alpha", grid=grid, values=fine.astype(complex),
+                      imag_residue=residue,
                       quad_error=max(err, floor))

@@ -120,10 +120,12 @@ class PhaseField:
     or both.  When both exist they agree at the nodes by construction.
 
     ``imag_residue`` is the largest imaginary part dropped from a field
-    expected to be real.  ``quad_error`` is the estimated absolute error of
-    the sampled values from the quadrature that produced them (the last
-    refinement difference of ``filters.filtered_p_numeric``); it is 0 for
-    closed-form samples.  Neither enters any report.
+    expected to be real; where ``filters.filtered_p_numeric`` finds a bound
+    on that part below its roundoff floor, it stores the bound instead.
+    ``quad_error`` is the estimated absolute error of the sampled values
+    from the quadrature that produced them (the last refinement difference
+    of ``filters.filtered_p_numeric``); it is 0 for closed-form samples.
+    Neither enters any report.
     """
 
     side: str  # "alpha" | "beta"
@@ -336,9 +338,9 @@ def _separable_product(wx_vals, im_table, re_table) -> np.ndarray:
     builds both: ``im_table = _kernel_table(im_t, u)`` and ``re_table``
     = exp(-2i v (x) re_t) = ``_kernel_table(v, -re_t)``.  When both target
     axes are the same array, ``re_table`` is the conjugate transpose of
-    ``im_table``, bit for bit, so one ``np.exp`` serves both.  Nothing is
-    cached here; the numeric filter caches its table per rule and grid
-    (``filters._filter_rule``).
+    ``im_table``, bit for bit, so one ``np.exp`` serves both.  It serves the
+    Fourier transforms only; the numeric filter folds its sums onto a real
+    table of its own (``filters._filtered_raw``).
     """
     return (im_table @ wx_vals @ re_table).T
 

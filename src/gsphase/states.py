@@ -304,7 +304,7 @@ def _spats_diag(nbar: float, cutoff: int) -> np.ndarray:
 def _lorentz_radial_density(t: float):
     def density(alpha):
         u = np.abs(np.asarray(alpha, dtype=complex)) ** 2
-        return (t / math.pi) * (1.0 + u) ** (-(1.0 + t))
+        return (t / math.pi) * np.exp(-(1.0 + t) * np.log1p(u))
     return density
 
 

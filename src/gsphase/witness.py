@@ -25,6 +25,9 @@ from .states import State, displaced_vacuum_probability, fock_matrix, resummed_c
 #: default certification margin; an order below quadrature tolerances
 CERTIFICATION_MARGIN = 1.0e-9
 
+#: largest imaginary residue a field expected to be real may carry
+RESIDUE_TOLERANCE = 1.0e-9
+
 
 class Diverged:
     """Sentinel value for moments whose defining integral diverges."""
@@ -245,18 +248,29 @@ def moment_matrix_test(state: State, order: int,
                           detail=f"order {order} Hankel matrix of diagonal moments")
 
 
-def negativity_scan(fld: PhaseField, *, residue_tol: float = 1.0e-9):
-    """Minimum of a sampled real field with its grid location.
+def real_values(fld: PhaseField) -> np.ndarray:
+    """The real part of a sampled field expected to be real.
 
-    Ties are broken toward the lexicographically smallest (x, p).
+    Raises ComplexResidueError when the field's ``imag_residue`` exceeds
+    ``RESIDUE_TOLERANCE``: such a field (of a non-Hermitian input such as |0><2|)
+    is not a distribution whose sign means anything.
     """
     if fld.values is None or fld.grid is None:
-        raise ParameterError("negativity_scan needs a sampled field")
-    if fld.imag_residue > residue_tol:
+        raise ParameterError("a sampled field is required")
+    if fld.imag_residue > RESIDUE_TOLERANCE:
         raise ComplexResidueError(
-            f"field has imaginary residue {fld.imag_residue:.3e} > {residue_tol:g}"
+            f"field has imaginary residue {fld.imag_residue:.3e} > {RESIDUE_TOLERANCE:g}"
         )
-    vals = np.real(fld.values)
+    return np.real(fld.values)
+
+
+def negativity_scan(fld: PhaseField):
+    """Minimum of a sampled real field with its grid location.
+
+    Ties are broken toward the lexicographically smallest (x, p).  The field
+    passes ``real_values`` first.
+    """
+    vals = real_values(fld)
     idx = int(np.argmin(vals))
     i, j = divmod(idx, vals.shape[1])
     ax = fld.grid.axis()

@@ -292,6 +292,29 @@ class TestConfigErrors:
         assert "Traceback" not in res.output
         assert not out.exists()
 
+    def test_complex_field_is_refused(self, runner, tmp_path):
+        # |0><2| is not Hermitian: its filtered field's imaginary part reaches 0.167
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, ["filtered", "--state",
+                                   '{"kind": "fock_element", "params": {"m": 0, "n": 2}}',
+                                   "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "Error: field has imaginary residue 1.672e-01 > 1e-09" in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["filtered", "classify"])
+    @pytest.mark.parametrize("kind", ["cauchy_lorentz", "cauchy_lorentz_ncl"])
+    def test_non_finite_phi_is_an_error(self, runner, tmp_path, command, kind):
+        out = tmp_path / "x.out"
+        res = runner.invoke(main, [command, "--state",
+                                   f'{{"kind": "{kind}", "params": {{"t": 100}}}}',
+                                   "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert f"Error: Phi of {kind} t=100 is not finite at" in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("state", [
         '{"kind": "thermal", "params": {"nbar": "abc"}}',
         '{"kind": "fock_mixture", "params": {"wx": 1.0}}',

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
+from gsphase import filters
 from gsphase.charfn import char_fn
-from gsphase.errors import NonConvergenceError, ParameterError, SupportError
+from gsphase.errors import NonConvergenceError, ParameterError, RangeError, SupportError
 from gsphase.filters import (
     QUAD_TOLERANCE,
     ROUNDOFF_FACTOR,
@@ -389,7 +390,8 @@ def filtered_raw_two_exp(state, w, grid, nodes_per_panel):
     tw = tri(b / w) * wb / math.pi
     core = phi * (tw[:, None] * tw[None, :])
     ax = grid.axis()
-    return (np.exp(2j * np.outer(ax, b)) @ core @ np.exp(-2j * np.outer(b, ax))).T
+    field = (np.exp(2j * np.outer(ax, b)) @ core @ np.exp(-2j * np.outer(b, ax))).T
+    return field, float(np.sum(np.abs(core)))
 
 
 class TestCachedKernelTable:
@@ -399,13 +401,21 @@ class TestCachedKernelTable:
         StateSpec("fock_element", {"m": 1, "n": 3}, displacement=0.4 + 0.2j),
     ], ids=["spats-displaced", "fock-1-3-displaced"])
     def test_equals_two_exp_tables(self, spec, grid):
-        # both states converge at 64 nodes per panel for w = 2
+        # both states converge at 64 nodes per panel for w = 2; the folded
+        # real sums round differently from the complex products, by 2-6
+        # eps * sum |core| on these fields
         st = make_state(spec)
-        direct = filtered_raw_two_exp(st, 2.0, grid, 64)
-        for _ in range(2):  # the second call reads the cached tables
-            fld = filtered_p_numeric(st, FilterKernel(2.0), grid)
-            np.testing.assert_array_equal(fld.values, direct.real.astype(complex))
-            assert fld.imag_residue == float(np.max(np.abs(direct.imag)))
+        direct, abs_sum = filtered_raw_two_exp(st, 2.0, grid, 64)
+        first = filtered_p_numeric(st, FilterKernel(2.0), grid)
+        assert np.max(np.abs(first.values - direct.real)) <= 32 * np.finfo(float).eps * abs_sum
+        assert not np.any(first.values.imag)
+        if spec.kind == "spats":  # Hermitian: the imaginary field is roundoff
+            assert first.imag_residue <= 1e-15
+        else:
+            assert first.imag_residue == pytest.approx(np.max(np.abs(direct.imag)), rel=1e-14)
+        second = filtered_p_numeric(st, FilterKernel(2.0), grid)  # reads the cached tables
+        np.testing.assert_array_equal(second.values, first.values)
+        assert second.imag_residue == first.imag_residue
 
     def test_rule_arrays_are_read_only(self):
         for arr in _filter_rule(2.0, 32, GRID):
@@ -416,3 +426,23 @@ class TestCachedKernelTable:
     def test_cache_is_bounded(self):
         assert RULE_CACHE_SIZE == 4
         assert _filter_rule.cache_info().maxsize == RULE_CACHE_SIZE
+
+
+class TestNonFinitePhi:
+    @pytest.mark.parametrize("t", [100.0, 1e5])
+    @pytest.mark.parametrize("kind", ["cauchy_lorentz", "cauchy_lorentz_ncl"])
+    def test_first_rule_refuses(self, kind, t, monkeypatch):
+        # kv(t, 2|beta|) overflows at the small nodes; no finer rule helps
+        st = make_state(StateSpec(kind, {"t": t}))
+        rules = []
+        original = filters._filtered_raw
+        monkeypatch.setattr(filters, "_filtered_raw",
+                            lambda *a: rules.append(a[3]) or original(*a))
+        with pytest.raises(RangeError, match=f"Phi of {kind} t=.* is not finite at"):
+            filtered_p_numeric(st, FilterKernel(2.0), GRID)
+        assert rules == [32]
+
+    @pytest.mark.parametrize("kind", ["cauchy_lorentz", "cauchy_lorentz_ncl"])
+    def test_t50_is_finite(self, kind):
+        fld = filtered_p_numeric(make_state(StateSpec(kind, {"t": 50.0})), FilterKernel(2.0), GRID)
+        assert np.all(np.isfinite(fld.values))

@@ -11,7 +11,7 @@ from scipy.special import betaln, ive
 
 from gsphase import witness
 from gsphase.deltaseries import TaylorField, exp_laplace_series, pair
-from gsphase.errors import ComplexResidueError, NonConvergenceError, ParameterError
+from gsphase.errors import ComplexResidueError, NonConvergenceError, ParameterError, RangeError
 from gsphase.filters import FilterKernel, GaussianCharFn, filtered_p_gaussian_grid, filtered_p_numeric
 from gsphase.numerics import PhaseField, PhaseGrid
 from gsphase.states import StateSpec, fock_matrix, make_state, vacuum_overlap_normalizer
@@ -133,6 +133,9 @@ class TestNormalMoments:
          lambda k: math.factorial(k) * 1e-6 ** (k - 1) * (k * 1e-6 + k + 1e-6), 1e-12),
         ("cauchy_lorentz", {"t": 1e5}, lambda k: lorentz_moment_oracle(1e5, k), 1e-9),
         ("cauchy_lorentz", {"t": 1e6}, lambda k: lorentz_moment_oracle(1e6, k), 1e-8),
+        # (1 + u)^(-1-t) in log1p form: the power form was off by 3e-8 and 2e-5
+        ("cauchy_lorentz", {"t": 1e9}, lambda k: lorentz_moment_oracle(1e9, k), 1e-12),
+        ("cauchy_lorentz", {"t": 1e12}, lambda k: lorentz_moment_oracle(1e12, k), 1e-12),
     ])
     def test_narrow_densities_are_resolved(self, kind, params, oracle, rel):
         # cores 6e-4 to 3e-3 wide, where one 48-node panel on [0, 1] has its
@@ -441,6 +444,23 @@ class TestClassify:
         entry = rep.entry("filtered_negativity")
         assert entry.witness_value == -(CERTIFICATION_MARGIN + 0.5e-8)
         assert entry.verdict == verdict
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec("fock_element", {"m": 0, "n": 2}),
+        StateSpec("fock_element", {"m": 1, "n": 3}, displacement=0.4 + 0.2j),
+    ], ids=["0-2", "1-3-displaced"])
+    def test_non_hermitian_input_raises_complex_residue(self, spec):
+        # the filtered field's imaginary part reaches 0.167 and 0.0867
+        with pytest.raises(ComplexResidueError, match="imaginary residue"):
+            classify(make_state(spec))
+
+    @pytest.mark.parametrize("kind", ["cauchy_lorentz", "cauchy_lorentz_ncl"])
+    def test_non_finite_phi_raises_range_error(self, kind):
+        # kv(100, 2|beta|) overflows at the filter's small nodes; t = 50 does not
+        assert classify(make_state(StateSpec(kind, {"t": 50.0}))).overall in (
+            VERDICT_CONSISTENT, VERDICT_CERTIFIED)
+        with pytest.raises(RangeError, match=f"Phi of {kind} t=100 is not finite"):
+            classify(make_state(StateSpec(kind, {"t": 100.0})))
 
     def test_report_dict_shape(self):
         rep = classify(make_state(StateSpec("thermal", {"nbar": 0.5})))
