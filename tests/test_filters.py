@@ -441,8 +441,3 @@ class TestNonFinitePhi:
         with pytest.raises(RangeError, match=f"Phi of {kind} t=.* is not finite at"):
             filtered_p_numeric(st, FilterKernel(2.0), GRID)
         assert rules == [32]
-
-    @pytest.mark.parametrize("kind", ["cauchy_lorentz", "cauchy_lorentz_ncl"])
-    def test_t50_is_finite(self, kind):
-        fld = filtered_p_numeric(make_state(StateSpec(kind, {"t": 50.0})), FilterKernel(2.0), GRID)
-        assert np.all(np.isfinite(fld.values))
