@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RangeError
 from .numerics import PhaseGrid, as_complex
 # char_fn_fock_element lives with the catalog and stays importable from here
 from .states import State, char_fn_fock_element  # noqa: F401
@@ -28,10 +29,10 @@ from .states import State, char_fn_fock_element  # noqa: F401
 def char_fn(state: State, beta):
     """Characteristic function of a state: the Phi it carries from construction.
 
-    A closed form for each catalog kind; for an explicit Fock matrix the
-    k-resummed Fock sum, which raises TruncationError when its cut at cutoff
-    K = 64 loses more than 1e-6, or past |beta| = sqrt(K)/3 when it is a
-    genuine truncation.
+    A closed form for each catalog kind; for a Fock mixture or an explicit
+    Fock matrix the Laguerre sum of ``states.fock_phi`` over every row,
+    which for a physical matrix missing more than 1e-6 of its trace raises
+    TruncationError.
     """
     b = as_complex(beta)
     scalar = not isinstance(b, np.ndarray)
@@ -73,14 +74,27 @@ def _argmax_lexicographic(values: np.ndarray, mesh: np.ndarray) -> complex:
     return complex(mesh.ravel()[idx])
 
 
+def _scan_modulus(state: State, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The scan mesh and |Phi| on it; RangeError when Phi is not finite at a node."""
+    mesh = grid.mesh()
+    mod = np.abs(char_fn(state, mesh))
+    bad = int(np.count_nonzero(~np.isfinite(mod)))
+    if bad:
+        raise RangeError(
+            f"Phi of {state.describe()} is not finite at {bad} of {mod.size} nodes of the scan grid"
+        )
+    return mesh, mod
+
+
 def quantum_bound_check(state: State, grid: PhaseGrid) -> ScanReport:
     """Max over the grid of |Phi(beta)| exp(-|beta|^2/2).
 
     For every physical state the result is <= 1 (up to grid rounding);
-    report-only, no exception is raised on violation.
+    report-only, no exception is raised on violation.  Raises RangeError
+    when Phi is not finite at some node.
     """
-    mesh = grid.mesh()
-    vals = np.abs(char_fn(state, mesh)) * np.exp(-0.5 * np.abs(mesh) ** 2)
+    mesh, mod = _scan_modulus(state, grid)
+    vals = mod * np.exp(-0.5 * np.abs(mesh) ** 2)
     return ScanReport(float(vals.max()), _argmax_lexicographic(vals, mesh))
 
 
@@ -88,8 +102,9 @@ def classicality_violation(state: State, grid: PhaseGrid) -> ScanReport:
     """Max over the grid of |Phi(beta)| - 1 and its location.
 
     A positive value certifies nonclassicality; a non-positive value on a
-    finite grid is inconclusive.
+    finite grid is inconclusive.  Raises RangeError when Phi is not finite
+    at some node: a nan maximum would read as no excess.
     """
-    mesh = grid.mesh()
-    vals = np.abs(char_fn(state, mesh)) - 1.0
+    mesh, mod = _scan_modulus(state, grid)
+    vals = mod - 1.0
     return ScanReport(float(vals.max()), _argmax_lexicographic(vals, mesh))

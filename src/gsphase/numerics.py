@@ -165,15 +165,6 @@ def delta_field() -> PhaseField:
     return PhaseField(side="alpha", fn=None, delta_at_origin=True)
 
 
-def power_table(z, n: int) -> np.ndarray:
-    """z[..., None] ** arange(n) for complex z, by cumulative product."""
-    z = np.asarray(z, dtype=complex)
-    out = np.ones(z.shape + (n,), dtype=complex)
-    if n > 1:
-        out[..., 1:] = np.cumprod(np.broadcast_to(z[..., None], z.shape + (n - 1,)), axis=-1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Legendre helpers
 # ---------------------------------------------------------------------------

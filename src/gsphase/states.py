@@ -1,9 +1,10 @@
 """Catalog of states and pseudo-states with their closed-form representations.
 
-Every state carries its characteristic function from construction (for an
-explicit Fock matrix, the k-resummed Fock sum), plus whatever else exists: a
-regular phase-space density, the coefficients of a centred Gaussian
-characteristic function, and a truncated Fock matrix built per cutoff.
+Every state carries its characteristic function from construction (for a
+Fock mixture or an explicit Fock matrix, one Laguerre recurrence per diagonal
+offset), plus whatever else exists: a regular phase-space density, the
+coefficients of a centred Gaussian characteristic function, and a truncated
+Fock matrix built per cutoff.
 
 Catalog kinds and parameters (JSON wire format ``{"kind": ..., "params": {...}}``):
 
@@ -33,12 +34,12 @@ from typing import Callable, Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy.special import gammaln, kv
+from scipy.special import eval_genlaguerre, gammaln, kv
 
 from . import numerics
 from .errors import (NoRegularFormError, ParameterError, TruncationError, TruncationWarning,
                      UnsupportedError)
-from .numerics import as_complex, power_table
+from .numerics import as_complex
 
 DEFAULT_CUTOFF = 64
 
@@ -196,8 +197,12 @@ _FOCK_INDEX_LIMIT = f"Fock indices above {_MAX_FOCK_INDEX} are not supported"
 def char_fn_fock_element(m: int, n: int, beta):
     """<n| :D(beta): |m>, the characteristic function of |m><n|.
 
-    Finite sum over k <= min(m, n) with factorials handled through
-    log-gamma, stable for m, n up to a few hundred.
+    sqrt(lo!/hi!) z^d L_lo^(d)(|beta|^2) with lo = min(m, n), d = |m - n|,
+    z = -conj(beta) for m > n and beta otherwise (Cahill & Glauber, Phys.
+    Rev. 177, 1857 (1969)).  The Laguerre polynomial comes from SciPy's
+    recurrence, and its modulus meets the prefactor sqrt(lo!/hi!) |beta|^d
+    in log space, so the value keeps its digits for m, n up to 400 wherever
+    it is a normal double.
     """
     if m < 0 or n < 0:
         raise ParameterError("Fock indices must be non-negative")
@@ -206,13 +211,84 @@ def char_fn_fock_element(m: int, n: int, beta):
     b = as_complex(beta)
     scalar = not isinstance(b, np.ndarray)
     barr = np.asarray([b] if scalar else b, dtype=complex)
-    out = np.zeros(barr.shape, dtype=complex)
-    half = 0.5 * (gammaln(m + 1) + gammaln(n + 1))
-    nb = -np.conj(barr)
-    for k in range(min(m, n) + 1):
-        logmag = half - gammaln(k + 1) - gammaln(m - k + 1) - gammaln(n - k + 1)
-        out += math.exp(logmag) * barr ** (n - k) * nb ** (m - k)
+    lo, d = min(m, n), abs(m - n)
+    r = np.abs(barr)
+    lag = eval_genlaguerre(lo, d, r * r)
+    if d:
+        z = -np.conj(barr) if m > n else barr
+        # one exponent, so neither factor underflows alone; log 0 = -inf
+        # gives the exact 0 at beta = 0
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(lag)) + d * np.log(r)
+        out = np.sign(lag) * np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + d + 1)) + logs
+                                    + 1j * d * np.angle(z))
+    else:
+        out = lag.astype(complex)
     return complex(out[0]) if scalar else out
+
+
+#: offsets times points per block of the Laguerre recurrence; bounds its working memory
+_LAGUERRE_BLOCK = 1 << 15
+
+#: c in the roundoff bound c K eps sum|rho| exp(|beta|^2/2) of ``fock_phi`` on K rows
+PHI_ROUNDOFF_FACTOR = 8.0
+
+
+def fock_phi(rho: np.ndarray) -> Callable:
+    """Phi(beta) = sum_{m,n} rho[m,n] <n|:D(beta):|m> of a Hermitian Fock matrix.
+
+    With x = |beta|^2 and t_n^(d) = x^(d/2) sqrt(n!/(n+d)!) L_n^(d)(x), the
+    offset-d diagonal sums to S_d = sum_n rho[n+d, n] t_n^(d), and
+    Phi = S_0 + sum_{d>=1} [(-conj u)^d S_d + u^d conj(S_d)], u = beta/|beta|.
+    The t_n^(d) of every offset with a nonzero diagonal come from one real
+    three-term recurrence in n,
+    t_(n+1) = ((2n+1+d-x) t_n - sqrt(n(n+d)) t_(n-1)) / sqrt((n+1)(n+d+1)),
+    started at t_0^(d) = x^(d/2) / sqrt(d!), so a K-row matrix takes K steps
+    per block of points.  Every |t_n^(d)| <= exp(x/2), so roundoff stays
+    below c K eps sum|rho| exp(x/2).  The Hermitian part of rho is used;
+    rows and columns past the last nonzero entry cost nothing.
+    """
+    h = 0.5 * (rho + rho.conj().T)
+    K = np.flatnonzero(np.abs(h).sum(0)).max(initial=0)
+    h = h[:K + 1, :K + 1]
+    # offsets with a nonzero diagonal, ascending, so the live ones at step n are a prefix
+    ds = np.array([d for d in range(K + 1) if d == 0 or h.diagonal(-d).any()])
+    coef = np.zeros((ds.size, K + 1), dtype=complex)  # coef[j, n] = h[n + d_j, n]
+    for j, d in enumerate(ds):
+        coef[j, : K + 1 - d] = h.diagonal(-d)
+    live = K + 1 - ds  # steps of each offset's recurrence
+    half_lg = 0.5 * gammaln(ds + 1.0)[:, None]
+    dcol = ds[:, None].astype(float)
+
+    def block(b):
+        x = b.real ** 2 + b.imag ** 2
+        logx = np.log(np.maximum(x, np.finfo(float).tiny))  # x^0 = 1 also at x = 0
+        prev, cur = np.zeros((ds.size, b.size)), np.exp(0.5 * dcol * logx - half_lg)
+        s = coef[:, :1] * cur
+        for n in range(1, K + 1):
+            a = int(np.count_nonzero(live > n))
+            d = dcol[:a]
+            nxt = ((2 * n - 1 + d - x) * cur[:a] - np.sqrt((n - 1) * (n - 1 + d)) * prev[:a]) \
+                / np.sqrt(n * (n + d))
+            prev, cur = cur[:a], nxt
+            s[:a] += coef[:a, n:n + 1] * cur
+        out = s[0]
+        if ds.size > 1:
+            e = np.exp(1j * dcol[1:] * np.angle(b))
+            sign = np.where(ds[1:] % 2, -1.0, 1.0)[:, None]
+            out += (sign * np.conj(e) * s[1:] + e * np.conj(s[1:])).sum(0)
+        return out
+
+    def phi(beta):
+        barr = np.asarray(beta, dtype=complex)
+        flat = barr.ravel()
+        out = np.empty(flat.shape, dtype=complex)
+        step = max(1, _LAGUERRE_BLOCK // ds.size)
+        for i0 in range(0, flat.size, step):
+            out[i0:i0 + step] = block(flat[i0:i0 + step])
+        return out.reshape(barr.shape)
+
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +301,9 @@ class State:
     physical: bool
     #: the characteristic function Phi(beta) of an array of beta, set when built
     phi_closed: Callable
+    #: |roundoff of phi_closed(beta)| <= phi_roundoff * exp(|beta|^2/2); the
+    #: catalog closed forms carry none
+    phi_roundoff: float = 0.0
     #: exp(-lam x^2 - kap p^2) coefficients of the characteristic function,
     #: when it is a centered Gaussian (x = Re beta, p = Im beta); when
     #: lam == kap, lam is the generator gamma of the singular series
@@ -323,7 +402,8 @@ def _lorentz_phi(t: float):
         radii, inv = np.unique(b, return_inverse=True)
         out = np.ones(radii.shape, dtype=complex)
         nz = radii > 0
-        out[nz] = 2.0 * np.exp(t * np.log(radii[nz]) - lg) * kv(t, 2.0 * radii[nz])
+        with np.errstate(invalid="ignore"):  # 0 * inf past kv's range: nan, refused by the scans
+            out[nz] = 2.0 * np.exp(t * np.log(radii[nz]) - lg) * kv(t, 2.0 * radii[nz])
         return out[inv.reshape(b.shape)]  # numpy releases differ on inv's shape
 
     return phi
@@ -436,16 +516,10 @@ def make_state(spec: StateSpec) -> State:
         _require(abs(sum(weights.values()) - 1.0) < 1.0e-9, "fock_mixture weights must sum to 1")
         _require(max(weights) <= _MAX_FOCK_INDEX, _FOCK_INDEX_LIMIT)
 
-        def phi(beta, terms=[(int(k[1:]), p[k]) for k in sorted(keys)]):
-            out = np.zeros(np.shape(beta), dtype=complex)
-            for k, wgt in terms:
-                out += wgt * char_fn_fock_element(k, k, beta)
-            return out
-
-        st = State(spec=spec, physical=True, phi_closed=phi,
+        diag = np.diag([weights.get(k, 0.0) for k in range(max(weights) + 1)])
+        st = State(spec=spec, physical=True, phi_closed=fock_phi(diag),
                    exact_vacuum_probability=weights.get(0, 0.0),
-                   _base_fock_builder=_embedded(np.diag([weights.get(k, 0.0)
-                                                         for k in range(max(weights) + 1)])),
+                   _base_fock_builder=_embedded(diag),
                    _tail_loss=lambda K, ws=weights: sum(v for k, v in ws.items() if k > K))
     elif kind == "cauchy_lorentz":
         t = p.get("t")
@@ -546,50 +620,28 @@ def displaced_vacuum_probability(state: State) -> float:
     return float(np.real(np.conj(amp) @ state.centred._base_fock_builder(n[-1]) @ amp))
 
 
-#: points per matrix product of an explicit state's Phi; bounds its working memory
-_FOCK_CHUNK = 4096
-
-
 def from_fock_matrix(matrix, *, physical: bool = True) -> State:
     """A state defined by an explicit Hermitian Fock matrix of at most 401 rows.
 
-    Phi = sum_{q,r} d[q,r] (-conj b)^q b^r, with d k-resummed once over the
-    matrix cut or zero-padded to cutoff K = 64, is exact when the last two
-    rows and columns are zero and valid for |beta| <= sqrt(K)/3 otherwise.
-    Evaluating Phi past that band raises TruncationError, as it does when
-    the cut loses over 1e-6: of the trace of a physical state, of the summed
-    |entries| of any other.  K stays 64 for larger matrices: for weight near
-    index K the terms grow like exp(2 |beta| sqrt(K)), so a larger K would
-    widen the band only on paper.
+    Phi is the Laguerre sum of ``fock_phi`` over the whole matrix.  Evaluating
+    it raises TruncationError when the matrix of a physical state misses
+    more than 1e-6 of the trace.  ``phi_roundoff`` carries the roundoff
+    bound of the recurrence.
     """
     fm = FockMatrix(matrix)
     _require(fm.cutoff <= _MAX_FOCK_INDEX, _FOCK_INDEX_LIMIT)
     _require(fm.is_hermitian(1.0e-9), "explicit Fock matrix must be Hermitian")
-    K = DEFAULT_CUTOFF
-    rho = _embedded(fm.matrix)(K)
-    loss = (max(0.0, 1.0 - float(np.real(np.trace(rho)))) if physical else
-            float(np.abs(fm.matrix[K + 1:]).sum() + np.abs(fm.matrix[:K + 1, K + 1:]).sum()))
-    exact_rank = not rho[-2:].any() and not rho[:, -2:].any() and loss <= 1.0e-12
-    band = math.sqrt(K) / 3.0
-    d, _ = resummed_coefficients(rho)
-    rows, cols = np.nonzero(d)  # an exactly finite-rank matrix leaves a small polynomial
-    d = d[: rows.max(initial=-1) + 1, : cols.max(initial=-1) + 1]
+    loss = max(0.0, 1.0 - fm.trace()) if physical else 0.0
+    laguerre = fock_phi(fm.matrix)
 
     def phi(beta):
-        barr = np.asarray(beta, dtype=complex)
         if loss > 1.0e-6:
             raise TruncationError(f"Fock route needs truncation loss < 1e-6; got {loss:.3e}")
-        if not exact_rank and np.any(np.abs(barr) > band):
-            raise TruncationError(f"Fock route is valid for |beta| <= sqrt(cutoff)/3 = {band:.3g}")
-        flat = barr.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        for i0 in range(0, flat.size, _FOCK_CHUNK):
-            b = flat[i0:i0 + _FOCK_CHUNK]
-            out[i0:i0 + _FOCK_CHUNK] = ((power_table(-np.conj(b), d.shape[0]) @ d)
-                                        * power_table(b, d.shape[1])).sum(1)
-        return out.reshape(barr.shape)
+        return laguerre(beta)
 
     return State(spec=StateSpec(kind="explicit_fock"), physical=physical, phi_closed=phi,
+                 phi_roundoff=PHI_ROUNDOFF_FACTOR * fm.matrix.shape[0] * np.finfo(float).eps
+                 * float(np.abs(fm.matrix).sum()),
                  exact_vacuum_probability=float(fm.matrix[0, 0].real),
                  _base_fock_builder=_embedded(fm.matrix))
 

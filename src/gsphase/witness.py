@@ -270,11 +270,10 @@ def negativity_scan(fld: PhaseField):
     Ties are broken toward the lexicographically smallest (x, p).  The field
     passes ``real_values`` first.
     """
-    vals = real_values(fld)
-    idx = int(np.argmin(vals))
-    i, j = divmod(idx, vals.shape[1])
+    vals = np.ascontiguousarray(real_values(fld))  # the numeric filter's field is transposed
+    i, j = divmod(int(np.argmin(vals)), vals.shape[1])
     ax = fld.grid.axis()
-    return float(vals.ravel()[idx]), complex(ax[i], ax[j])
+    return float(vals[i, j]), complex(ax[i], ax[j])
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +395,8 @@ def classify(state: State, *, w: float = 2.0,
     battery never claims classicality.  Criteria run in a fixed order:
     characteristic-function excess, vacuum probability, diagonal moment
     matrix, and the negativity of the filter-regularized distribution.  The
+    excess certifies only above margin + the state's Phi roundoff bound at
+    the scan's argmax (nonzero for an explicit Fock matrix only).  The
     filtered minimum certifies only below -(margin + quad_error), with
     quad_error the field's quadrature error estimate (0 on the analytic
     Gaussian route).  A vacuum probability or moment that is not finite
@@ -409,9 +410,11 @@ def classify(state: State, *, w: float = 2.0,
     report = NonclassicalityReport(state=state.describe())
 
     scan = charfn.classicality_violation(state, beta_grid)
+    # |beta|^2 capped where math.exp would overflow; the bound is huge there anyway
+    roundoff = state.phi_roundoff * math.exp(0.5 * min(abs(scan.location) ** 2, 1400.0))
     report.entries.append(CriterionEntry(
         "characteristic_function",
-        VERDICT_CERTIFIED if scan.value > margin else VERDICT_CONSISTENT,
+        VERDICT_CERTIFIED if scan.value > margin + roundoff else VERDICT_CONSISTENT,
         scan.value, scan.location,
         detail="max |Phi(beta)| - 1 over the scan grid",
     ))

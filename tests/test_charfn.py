@@ -2,19 +2,22 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from gsphase import states
 from gsphase.charfn import (
+    ScanReport,
     char_fn,
     char_fn_fock_element,
     char_fn_s,
     classicality_violation,
     quantum_bound_check,
 )
-from gsphase.errors import ParameterError, TruncationError
+from gsphase.errors import ParameterError, RangeError, TruncationError
 from gsphase.numerics import Cartesian, PhaseGrid, quad2d
-from gsphase.states import _FOCK_CHUNK, StateSpec, from_fock_matrix, fock_matrix, make_state
+from gsphase.states import StateSpec, from_fock_matrix, fock_matrix, make_state
 
 RNG = np.random.default_rng(42)
 
@@ -66,6 +69,30 @@ class TestFockElement:
                 for n in range(5):
                     assert abs(char_fn_fock_element(m, n, b)
                                - truncated_operator_oracle(m, n, b)) < 1e-10
+
+    @pytest.mark.parametrize("x", [2.0, 8.0, 18.0, 32.0])
+    def test_against_mpmath_up_to_400(self, x):
+        # |m><n| on the Laguerre form at 40 digits; relative 1e-12 down to the
+        # smallest normal double (|<0|:D:|400>| = 6e-375 at x = 2 underflows)
+        idx = [0, 1, 10, 30, 50, 100, 200, 400]
+        b = math.sqrt(x) * complex(math.cos(0.7), math.sin(0.7))
+        tiny = np.finfo(float).tiny
+        with mpmath.workdps(40):
+            bm = mpmath.mpc(b.real, b.imag)
+            for m in idx:
+                for n in idx:
+                    lo, d = min(m, n), abs(m - n)
+                    z = -mpmath.conj(bm) if m > n else bm
+                    oracle = complex(mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(lo + d))
+                                     * z ** d * mpmath.laguerre(lo, d, x))
+                    err = abs(char_fn_fock_element(m, n, b) - oracle)
+                    assert err <= 1e-12 * abs(oracle) + tiny, (m, n)
+
+    def test_no_warning_at_the_origin(self):
+        # the log-space prefactor |beta|^d is exactly zero at beta = 0
+        assert char_fn_fock_element(0, 3, 0j) == 0
+        assert char_fn_fock_element(400, 0, np.zeros(2)).tolist() == [0, 0]
+        assert char_fn_fock_element(7, 7, 0j) == 1
 
     def test_index_guards(self):
         with pytest.raises(ParameterError):
@@ -174,31 +201,34 @@ class TestCharFn:
         np.testing.assert_allclose(ours, ref, atol=1e-6)
 
     @pytest.mark.parametrize("which", ["thermal", "finite_rank"])
-    def test_fock_route_over_chunks_equals_direct_sum(self, which):
-        # more points than one chunk of the route's matrix product
-        n_pts = 2 * (_FOCK_CHUNK // 2 + 150)
-        betas = RNG.uniform(-1.5, 1.5, n_pts) + 1j * RNG.uniform(-1.5, 1.5, n_pts)
+    def test_fock_route_over_chunks_equals_direct_sum(self, which, monkeypatch):
+        # blocks of 64 offsets times points: one offset spans 5 blocks, two span 10
+        monkeypatch.setattr(states, "_LAGUERRE_BLOCK", 64)
+        n_pts = 300
+        betas = RNG.uniform(-2.0, 2.0, n_pts) + 1j * RNG.uniform(-2.0, 2.0, n_pts)
         if which == "thermal":
             rho = fock_matrix(make_state(StateSpec("thermal", {"nbar": 0.5})), 64).matrix
-            st = from_fock_matrix(rho)
         else:
-            # exact rank: the coefficient matrix is trimmed to 5 x 5
-            rho = np.zeros((5, 5), dtype=complex)
+            # offsets 0 and 4 only; rows past the last nonzero one are trimmed
+            rho = np.zeros((9, 9), dtype=complex)
             rho[0, 0], rho[1, 1], rho[4, 4] = 0.5, 0.2, 0.3
             rho[0, 4], rho[4, 0] = 0.2 + 0.1j, 0.2 - 0.1j
-            st = from_fock_matrix(rho)
-            betas = betas * 2.0  # no band limit at exact rank
+        st = from_fock_matrix(rho)
         ours = np.asarray(char_fn(st, betas.reshape(2, -1)))
         assert ours.shape == (2, n_pts // 2)
         direct = sum(rho[m, n] * char_fn_fock_element(m, n, betas)
                      for m, n in zip(*np.nonzero(rho)))
         np.testing.assert_allclose(ours.ravel(), direct, rtol=0, atol=1e-11)
 
-    def test_fock_route_band_guard(self):
-        st = from_fock_matrix(fock_matrix(make_state(StateSpec("thermal", {"nbar": 0.5})), 64).matrix)
-        with pytest.raises(TruncationError, match="sqrt"):
-            char_fn(st, 3.5 + 0j)
-        assert abs(char_fn(st, 2.6 + 0j) - math.exp(-0.5 * 2.6 ** 2)) < 1e-12
+    def test_thermal_truncation_has_no_band(self):
+        # the 65-row truncation of thermal(0.5) loses (1/3)^65 = 9e-32 of its
+        # trace: Phi matches the closed form out to the scan grid's corner
+        closed = make_state(StateSpec("thermal", {"nbar": 0.5}))
+        st = from_fock_matrix(fock_matrix(closed, 64).matrix)
+        betas = np.array([2.6, 3.5, 4.0 + 4.0j, -4.0 + 3.0j])
+        bound = st.phi_roundoff * np.exp(0.5 * np.abs(betas) ** 2)
+        assert np.all(np.abs(char_fn(st, betas) - char_fn(closed, betas)) <= bound)
+        assert np.all(bound < 1e-5)
 
     def test_fock_route_loss_guard(self):
         # built without complaint; evaluating Phi raises
@@ -206,23 +236,21 @@ class TestCharFn:
         with pytest.raises(TruncationError, match="truncation loss"):
             char_fn(st, 0.1 + 0j)
 
-    def test_large_explicit_matrix_is_cut_at_64(self):
-        # weight 0.5 on |80>: the cut at 64 loses it
+    def test_large_explicit_matrix_uses_every_row(self):
+        # weight 0.5 on |80>: Phi = (1 + L_80(|beta|^2)) / 2, for either flag
         rho = np.zeros((81, 81), dtype=complex)
         rho[0, 0] = rho[80, 80] = 0.5
-        for physical in (True, False):  # the trace or the |entries| cut away
-            for beta in (0.5, 2.9):
-                with pytest.raises(TruncationError, match="got 5.000e-01"):
-                    char_fn(from_fock_matrix(rho, physical=physical), beta + 0j)
+        betas = np.array([0.5, 2.9, 4.0 + 4.0j])
+        with mpmath.workdps(40):
+            expected = [0.5 + 0.5 * float(mpmath.laguerre(80, 0, abs(b) ** 2)) for b in betas]
+        for physical in (True, False):
+            st = from_fock_matrix(rho, physical=physical)
+            np.testing.assert_allclose(char_fn(st, betas), expected, rtol=1e-12, atol=0)
+        # a 401-row thermal matrix keeps all of its trace, to (5/6)^401
         thermal = make_state(StateSpec("thermal", {"nbar": 5.0}))
-        with pytest.raises(TruncationError, match="got 7.132e-06"):
-            char_fn(from_fock_matrix(fock_matrix(thermal, 400).matrix), 4.0 + 4.0j)
-        # a 401-row matrix that fits 64 photons is used within the band of K = 64
-        thermal = make_state(StateSpec("thermal", {"nbar": 0.5}))
         st = from_fock_matrix(fock_matrix(thermal, 400).matrix)
-        assert abs(char_fn(st, 2.0 + 0j) - math.exp(-2.0)) < 1e-12
-        with pytest.raises(TruncationError, match="sqrt"):
-            char_fn(st, 2.7 + 0j)
+        for b in (0.5, 2.0 + 1.0j):
+            assert abs(char_fn(st, b) - char_fn(thermal, b)) < 1e-12
 
     def test_non_physical_finite_rank_has_no_band(self):
         # |0><1| + |1><0| has trace 0 and Phi = beta - conj(beta) at any beta
@@ -320,6 +348,19 @@ class TestBounds:
         assert abs(char_fn(st, 2.0 + 0j)) - 1.0 == pytest.approx(2.0, abs=1e-14)
         rep = classicality_violation(st, PhaseGrid(extent=4.0, resolution=161))
         assert rep.value > 0
+
+    def test_heavy_tail_scan_keeps_its_value_at_t_50(self):
+        st = make_state(StateSpec("cauchy_lorentz", {"t": 50.0}))
+        grid = PhaseGrid(extent=4.0, resolution=161)
+        assert classicality_violation(st, grid) == ScanReport(0.0, 0j)
+        assert quantum_bound_check(st, grid) == ScanReport(1.0, 0j)
+
+    @pytest.mark.parametrize("scan", [classicality_violation, quantum_bound_check])
+    def test_non_finite_phi_raises_at_t_1e5(self, scan):
+        # kv(t, 2|beta|) overflows where |beta|^t / Gamma(t) underflows: Phi is nan
+        st = make_state(StateSpec("cauchy_lorentz", {"t": 1e5}))
+        with pytest.raises(RangeError, match="Phi of cauchy_lorentz t=100000 is not finite at"):
+            scan(st, PhaseGrid(extent=4.0, resolution=161))
 
     def test_finite_rank_states_violate_on_large_grid(self):
         grid = PhaseGrid(extent=6.0, resolution=121)

@@ -315,6 +315,18 @@ class TestConfigErrors:
         assert "Traceback" not in res.output
         assert not out.exists()
 
+    def test_nan_scan_is_an_error(self, runner, tmp_path):
+        # at t = 1e5 Phi is nan on the scan grid itself, before any filter runs
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["classify", "--state",
+                                   '{"kind": "cauchy_lorentz", "params": {"t": 1e5}}',
+                                   "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "Error: Phi of cauchy_lorentz t=100000 is not finite at" in res.output
+        assert "of the scan grid" in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("state", [
         '{"kind": "thermal", "params": {"nbar": "abc"}}',
         '{"kind": "fock_mixture", "params": {"wx": 1.0}}',

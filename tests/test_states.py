@@ -4,12 +4,14 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
 from gsphase import states, witness
+from gsphase.charfn import char_fn
 from gsphase.errors import NoRegularFormError, ParameterError, TruncationWarning, UnsupportedError
 from gsphase.numerics import Cartesian, PhaseGrid, PhasePoint, Radial, gauss_nodes_1d, quad2d
 from gsphase.states import (
@@ -390,17 +392,68 @@ class TestExplicitFock:
         with pytest.raises(ParameterError):
             from_fock_matrix(m)
 
-    def test_resums_at_cutoff_64(self, monkeypatch):
+    def test_laguerre_route_takes_every_row(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(states, "resummed_coefficients",
-                            lambda rho, order=None: calls.append(rho.shape) or (np.ones((1, 1)),) * 2)
+        original = states.fock_phi
+        monkeypatch.setattr(states, "fock_phi", lambda rho: calls.append(rho.shape) or original(rho))
         from_fock_matrix(np.eye(5) / 5)
-        from_fock_matrix(np.eye(401) / 401)
-        assert calls == [(65, 65), (65, 65)]
-        # more rows than Fock index 400 are rejected before any resummation
+        st = from_fock_matrix(np.eye(401) / 401)
+        assert calls == [(5, 5), (401, 401)]
+        # Phi of the maximally mixed 401-row state is the mean of L_0..L_400
+        with mpmath.workdps(40):
+            mean = float(mpmath.fsum(mpmath.laguerre(k, 0, 2.25) for k in range(401))) / 401
+        assert char_fn(st, 1.5 + 0j) == pytest.approx(mean, rel=1e-12)
+        # more rows than Fock index 400 are rejected before the route is built
         with pytest.raises(ParameterError, match="above 400"):
             from_fock_matrix(np.eye(402) / 402)
         assert len(calls) == 2
+
+
+class TestLaguerreOracle:
+    """The Laguerre route against mpmath at 80 digits."""
+
+    @pytest.fixture(autouse=True)
+    def _digits(self):
+        # the dense oracle cancels terms up to exp(2 |beta| sqrt(64)) = 1e39
+        with mpmath.workdps(80):
+            yield
+
+    def test_fock_mixture_with_weight_on_300(self):
+        st = make_state(StateSpec("fock_mixture", {"w0": 0.5, "w300": 0.5}))
+        for x in (2.0, 8.0, 18.0, 32.0):
+            b = math.sqrt(x) * complex(math.cos(0.4), math.sin(0.4))
+            oracle = 0.5 + 0.5 * mpmath.laguerre(300, 0, mpmath.mpf(x))
+            assert abs(char_fn(st, b) - complex(oracle)) <= 1e-12 * abs(oracle)
+
+    def test_random_dense_pure_state(self):
+        # Phi = <e^(conj(b) a) psi | e^(-conj(b) a) psi>: a finite sum on 65 rows
+        rng = np.random.default_rng(65)
+        c = rng.normal(size=65) + 1j * rng.normal(size=65)
+        c /= np.linalg.norm(c)
+        beta = 4.0 + 4.0j
+        cm = [mpmath.mpc(v.real, v.imag) for v in c]
+
+        def lowered(z):
+            z = mpmath.mpc(z.real, z.imag)
+            return [mpmath.fsum(z ** (j - k) / mpmath.factorial(j - k)
+                                * mpmath.sqrt(mpmath.factorial(j) / mpmath.factorial(k)) * cm[j]
+                                for j in range(k, 65)) for k in range(65)]
+
+        left, right = lowered(np.conj(beta)), lowered(-np.conj(beta))
+        oracle = complex(mpmath.fsum(mpmath.conj(u) * v for u, v in zip(left, right)))
+        st = from_fock_matrix(np.outer(c, c.conj()))
+        got = char_fn(st, beta)
+        # the route's own roundoff bound holds, and so does the relative error
+        assert abs(got - oracle) <= st.phi_roundoff * math.exp(0.5 * abs(beta) ** 2)
+        assert abs(got - oracle) <= 1e-12 * abs(oracle)
+
+    def test_weight_on_80_is_evaluated(self):
+        rho = np.zeros((81, 81))
+        rho[0, 0] = rho[80, 80] = 0.5
+        st = from_fock_matrix(rho)
+        for b in (0.5, 2.9j, 4.0 + 4.0j):
+            oracle = 0.5 + 0.5 * mpmath.laguerre(80, 0, mpmath.mpf(abs(b) ** 2))
+            assert abs(char_fn(st, b) - complex(oracle)) <= 1e-12 * abs(oracle)
 
 
 def _resummed_reference(rho, order):

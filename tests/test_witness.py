@@ -9,12 +9,13 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import betaln, ive
 
-from gsphase import witness
+from gsphase import charfn, witness
 from gsphase.deltaseries import TaylorField, exp_laplace_series, pair
 from gsphase.errors import ComplexResidueError, NonConvergenceError, ParameterError, RangeError
 from gsphase.filters import FilterKernel, GaussianCharFn, filtered_p_gaussian_grid, filtered_p_numeric
 from gsphase.numerics import PhaseField, PhaseGrid
-from gsphase.states import StateSpec, fock_matrix, make_state, vacuum_overlap_normalizer
+from gsphase.states import (StateSpec, fock_matrix, from_fock_matrix, make_state,
+                            vacuum_overlap_normalizer)
 from gsphase.witness import (
     CERTIFICATION_MARGIN,
     DIVERGED,
@@ -240,6 +241,15 @@ class TestNegativityScan:
         with pytest.raises(ComplexResidueError):
             negativity_scan(fld)
 
+    def test_transposed_field_keeps_row_major_ties(self):
+        # the numeric filter stores its field transposed; ties still go to the
+        # first node in row-major order
+        vals = np.zeros((161, 161), dtype=complex)
+        vals[40, 7] = vals[3, 90] = vals[3, 100] = -1.0
+        for v in (vals, np.asfortranarray(vals)):
+            assert negativity_scan(PhaseField("alpha", grid=self.GRID, values=v)) == (
+                -1.0, self.GRID.mesh()[3, 90])
+
     def test_tie_breaks_lexicographic(self):
         vals = np.zeros((161, 161), dtype=complex)
         fld = PhaseField("alpha", grid=self.GRID, values=vals)
@@ -461,6 +471,32 @@ class TestClassify:
         assert classify(make_state(StateSpec(kind, {"t": 50.0}))).overall == expected
         with pytest.raises(RangeError, match=f"Phi of {kind} t=100 is not finite"):
             classify(make_state(StateSpec(kind, {"t": 100.0})))
+
+    def test_fock_50_is_certified(self):
+        # every criterion fires; the numeric filter converges on L_50(|beta|^2),
+        # which reaches 3.7e5 on the scan grid
+        rep = classify(make_state(StateSpec("fock_element", {"m": 50, "n": 50})))
+        assert [e.verdict for e in rep.entries] == [VERDICT_CERTIFIED] * 4
+
+    def test_thermal_truncation_at_65_rows_is_consistent(self):
+        # the 65-row cut of thermal(1) loses 2^-65; its Phi is used out to the scan's corner
+        rho = fock_matrix(make_state(StateSpec("thermal", {"nbar": 1.0})), 64).matrix
+        rep = classify(from_fock_matrix(rho))
+        assert [e.verdict for e in rep.entries] == [VERDICT_CONSISTENT] * 4
+        assert rep.entry("characteristic_function").witness_value <= 1e-12
+
+    @pytest.mark.parametrize("scale,verdict", [(1.01, VERDICT_CONSISTENT),
+                                               (0.99, VERDICT_CERTIFIED)])
+    def test_phi_excess_must_clear_the_roundoff_bound(self, scale, verdict):
+        # |1><1| has Phi = 1 - |beta|^2, excess 31 at the scan grid's corner
+        st = from_fock_matrix(np.diag([0.0, 1.0]))
+        assert st.phi_roundoff > 0
+        beta_grid = PhaseGrid(extent=4.0, resolution=21)
+        scan = charfn.classicality_violation(st, beta_grid)
+        st.phi_roundoff = scale * scan.value / math.exp(0.5 * abs(scan.location) ** 2)
+        rep = classify(st, grid=PhaseGrid(extent=4.0, resolution=21), beta_grid=beta_grid)
+        entry = rep.entry("characteristic_function")
+        assert entry.witness_value == scan.value and entry.verdict == verdict
 
     def test_report_dict_shape(self):
         rep = classify(make_state(StateSpec("thermal", {"nbar": 0.5})))
