@@ -29,12 +29,9 @@ from .charfn import char_fn, char_fn_s
 from .deltaseries import exp_laplace_series, fock_diagonal
 from .errors import GsphaseError, ParameterError
 from .filters import FilterKernel, GaussianCharFn, filtered_p_gaussian, filtered_p_numeric
-from .numerics import PhaseGrid, write_field_csv
+from .numerics import MAX_GRID_RESOLUTION, PhaseGrid, write_field_csv  # noqa: F401
 from .states import StateSpec, make_state
 from .witness import classify as classify_state, real_values
-
-#: largest --grid resolution; an N x N complex mesh takes 16 N^2 bytes per array
-MAX_GRID_RESOLUTION = 2001
 
 FIG1_STATES = [
     ("fig1a_vacuum", StateSpec("fock_element", {"m": 0, "n": 0})),
@@ -57,8 +54,8 @@ def _parse_grid(text: str) -> PhaseGrid:
         raise click.UsageError(f"--grid expects L,N (got {text!r})") from exc
     if n % 2 == 0:
         raise click.UsageError("--grid resolution N must be odd so the origin is a node")
-    if n > MAX_GRID_RESOLUTION:
-        raise click.UsageError(f"--grid resolution N must be at most {MAX_GRID_RESOLUTION}")
+    # PhaseGrid refuses a non-finite extent and N > MAX_GRID_RESOLUTION with a
+    # ParameterError (exit 2) before anything is allocated
     return PhaseGrid(extent=extent, resolution=n)
 
 

@@ -10,17 +10,20 @@ fixed here once:
 In real coordinates the forward kernel is exp(i*2*Im(beta)*x) * exp(-i*2*Re(beta)*p).
 Modules must import these transforms rather than re-deriving the signs.
 
-Both transforms are direct trapezoid sums over a sampled grid.  The kernel
-factors into one matrix per axis, so a full output grid (``out_grid``) and
-any 2-D target array laid out like ``PhaseGrid.mesh()`` (real part constant
-along rows, imaginary part constant along columns) cost two matrix
-products; other targets are summed point by point as one matrix product per
-chunk of targets.
+Both transforms are direct trapezoid sums over a sampled grid, run in real
+arithmetic: the weighted samples fold once, about the grid's centre, onto a
+real even/odd core on the half axis, and the kernel becomes real cos/sin
+rows, one per target axis.  A full output grid (``out_grid``) and any 2-D
+target array laid out like ``PhaseGrid.mesh()`` (real part constant along
+rows, imaginary part constant along columns) cost two real matrix products;
+other targets cost one real matrix product per chunk of targets and one dot
+per target.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -37,6 +40,9 @@ from .errors import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+
+#: largest grid resolution; an N x N complex mesh takes 16 N^2 bytes per array
+MAX_GRID_RESOLUTION = 2001
 
 ComplexArray = np.ndarray
 FieldEvaluator = Callable[[ComplexArray], ComplexArray]
@@ -82,10 +88,15 @@ class PhaseGrid:
     resolution: int = 257
 
     def __post_init__(self):
-        if self.extent <= 0:
-            raise ParameterError("grid extent must be positive")
-        if self.resolution < 2:
-            raise ParameterError("grid resolution must be at least 2")
+        if not (isinstance(self.extent, numbers.Real) and math.isfinite(self.extent)
+                and self.extent > 0):
+            raise ParameterError(f"grid extent must be finite and positive (got {self.extent!r})")
+        if not (isinstance(self.resolution, numbers.Integral)
+                and 2 <= self.resolution <= MAX_GRID_RESOLUTION):
+            raise ParameterError(
+                f"grid resolution must be an integer at least 2 and at most "
+                f"{MAX_GRID_RESOLUTION} (got {self.resolution!r})"
+            )
 
     @property
     def spacing(self) -> float:
@@ -303,101 +314,161 @@ def _quad_radial(f, *, tol: float) -> QuadResult:
 
 
 # ---------------------------------------------------------------------------
-# Fourier transforms (direct quadrature; the contract, FFT is optional)
+# Fourier transforms (direct trapezoid sums in real arithmetic on the folded grid)
 # ---------------------------------------------------------------------------
+
+#: targets per block of the scattered evaluator: at resolution 257 a block's
+#: two real tables and GEMM product take about 2 MB; blocks of 200 to 512
+#: targets time alike there, and 1024 is slower
+_TARGET_CHUNK = 256
+
 
 def _boundary_max(values: np.ndarray) -> float:
     return float(max(np.abs(values[0, :]).max(), np.abs(values[-1, :]).max(),
                      np.abs(values[:, 0]).max(), np.abs(values[:, -1]).max()))
 
 
-def _weighted(samples, grid: PhaseGrid) -> np.ndarray:
-    w = grid.trapezoid_weights()
-    return samples * w[:, None] * w[None, :]
+def _fold(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd parts of w about the centre of its first axis.
+
+    Row k of each part pairs the node at +h[k] of the half axis with its
+    mirror at -h[k].  An odd axis has its centre node h[0] = 0, which has
+    no mirror and is kept once in the even part; an even axis has none.
+    """
+    n = w.shape[0]
+    half = (n + 1) // 2
+    pos, neg = w[n - half:], w[half - 1::-1]
+    even, odd = pos + neg, pos - neg
+    if n % 2:
+        even[0] = pos[0]
+    return even, odd
 
 
-def _kernel_table(t, u) -> np.ndarray:
-    """exp(2i t[i] u[j]): one axis factor of the transform kernel."""
-    return np.exp(2j * np.outer(t, u))
+def _folded_core(samples, grid: PhaseGrid, prefactor: float):
+    """Half axis h and real core [K_re | K_im] of the weighted samples.
+
+    The transform sum at t = a + ib is sum W[i, j] exp(2i b u_i) exp(-2i a v_j)
+    with W the samples times the trapezoid weights and the prefactor.  The
+    grid is symmetric, so each axis folds onto its half axis h through the
+    parity sums EE, EO, OE and OO of W (E even, O odd; first letter u,
+    second v), and the sum is C(b) K C(a)^T with the real row
+    C(t) = [cos(2 t h) | sin(2 t h)] and K = [[EE, -i EO], [i OE, OO]].
+    Returns h and the real (2H, 4H) array [Re K | Im K].
+    """
+    wt = grid.trapezoid_weights()
+    eu, ou = _fold(samples * (prefactor * np.outer(wt, wt)))
+    ee, eo = (part.T for part in _fold(eu.T))
+    oe, oo = (part.T for part in _fold(ou.T))
+    half = ee.shape[0]
+    core = np.empty((2, half, 4, half))
+    for r, row in enumerate([[ee.real, eo.imag, ee.imag, -eo.real],
+                             [-oe.imag, oo.real, oe.real, oo.imag]]):
+        for c, block in enumerate(row):
+            core[r, :, c] = block
+    return grid.axis()[grid.resolution - half:], core.reshape(2 * half, 4 * half)
 
 
-def _separable_product(wx_vals, im_table, re_table) -> np.ndarray:
+def _cos_sin(t: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Rows [cos(2 t[m] h) | sin(2 t[m] h)], shape (t.size, 2 h.size)."""
+    phase = np.multiply.outer(2.0 * t, h)
+    table = np.empty((t.size, 2 * h.size))
+    np.cos(phase, out=table[:, :h.size])
+    np.sin(phase, out=table[:, h.size:])
+    return table
+
+
+def _separable_product(core, h, re_t, im_t) -> np.ndarray:
     """Transform sum at the targets re_t[i] + i*im_t[j], indexed [i, j].
 
-    The kernel exp(2i Im(t) u - 2i Re(t) v) factors into one table per
-    target axis, so the whole mesh costs two matrix products.  The caller
-    builds both: ``im_table = _kernel_table(im_t, u)`` and ``re_table``
-    = exp(-2i v (x) re_t) = ``_kernel_table(v, -re_t)``.  When both target
-    axes are the same array, ``re_table`` is the conjugate transpose of
-    ``im_table``, bit for bit, so one ``np.exp`` serves both.  It serves the
-    Fourier transforms only; the numeric filter folds its sums onto a real
-    table of its own (``filters._filtered_raw``).
+    One real GEMM takes the core to the imaginary-part rows, whose real and
+    imaginary halves are then interleaved so that a second real GEMM
+    against the real-part rows writes the complex mesh directly.
     """
-    return (im_table @ wx_vals @ re_table).T
+    rows = (_cos_sin(im_t, h) @ core).reshape(2 * im_t.size, -1)
+    return (_cos_sin(re_t, h) @ rows.T).view(complex)
 
 
 def _transform_eval(samples, grid: PhaseGrid, prefactor: float):
-    """Transform evaluator over trapezoid-weighted samples.
+    """Transform evaluator over the folded core of ``_folded_core``.
 
     Both transform directions share the kernel exp(2i Im(t) u - 2i Re(t) v)
     with t the target and (u, v) the sampled plane; they differ only in the
-    1/pi^2 prefactor of the inverse.  A 2-D target array whose real part is
-    constant along rows and whose imaginary part is constant along columns
-    (any ``PhaseGrid.mesh()``) takes the separable route; other targets are
-    summed point by point, in chunks.
+    1/pi^2 prefactor of the inverse, which the core carries.  A 2-D target
+    array whose real part is constant along rows and whose imaginary part
+    is constant along columns (any ``PhaseGrid.mesh()``) takes the two GEMMs
+    of ``_separable_product``.  Other targets go in blocks of
+    ``_TARGET_CHUNK``: one real GEMM of the imaginary-part rows against the
+    core, then one dot per target with its real-part row.
     """
-    ax = grid.axis()
-    wx_vals = _weighted(samples, grid)
+    h, core = _folded_core(samples, grid, prefactor)
     nyq = grid.nyquist
 
     def evaluate(targets: ComplexArray) -> ComplexArray:
         t = np.asarray(targets, dtype=complex)
+        bad = int(np.count_nonzero(~np.isfinite(t)))
+        if bad:
+            raise ParameterError(f"{bad} of {t.size} transform targets are not finite")
         if np.any(2.0 * np.abs(t.real) > nyq) or np.any(2.0 * np.abs(t.imag) > nyq):
             raise ResolutionError(
                 f"requested frequency exceeds the grid Nyquist band |2 Re/Im| <= {nyq:g}"
             )
         if (t.ndim == 2 and t.size and np.all(t.real == t.real[:, :1])
                 and np.all(t.imag == t.imag[:1, :])):
-            return prefactor * _separable_product(
-                wx_vals, _kernel_table(t.imag[0, :], ax), _kernel_table(ax, -t.real[:, 0]))
+            return _separable_product(core, h, t.real[:, 0], t.imag[0, :])
         flat = t.ravel()
         out = np.empty(flat.shape, dtype=complex)
-        chunk = 2048
-        for i0 in range(0, flat.size, chunk):
-            b = flat[i0:i0 + chunk]
-            ph_x = _kernel_table(b.imag, ax)              # (m, nx)
-            ph_p = _kernel_table(-b.real, ax)             # (m, np)
-            out[i0:i0 + chunk] = ((ph_x @ wx_vals) * ph_p).sum(1)
-        return prefactor * out.reshape(t.shape)
+        for i0 in range(0, flat.size, _TARGET_CHUNK):
+            b = flat[i0:i0 + _TARGET_CHUNK]
+            rows = (_cos_sin(b.imag, h) @ core).reshape(b.size, 2, -1)
+            out[i0:i0 + b.size] = np.einsum(
+                "mrk,mk->mr", rows, _cos_sin(b.real, h)).view(complex)[:, 0]
+        return out.reshape(t.shape)
 
     return evaluate
 
 
 def _transform_grid(samples, grid: PhaseGrid, prefactor: float,
                     out_grid: PhaseGrid) -> np.ndarray:
+    """The transform sum on the whole of ``out_grid``, by ``_separable_product``."""
     if 2.0 * out_grid.extent > grid.nyquist:
         raise ResolutionError("output grid exceeds the Nyquist band of the input grid")
-    table = _kernel_table(out_grid.axis(), grid.axis())
+    h, core = _folded_core(samples, grid, prefactor)
+    ax = out_grid.axis()
     # indexed [bx, bp], row-major in Re(beta)
-    return prefactor * _separable_product(_weighted(samples, grid), table, table.conj().T)
+    return _separable_product(core, h, ax, ax)
 
 
 def _prepare_samples(f: PhaseField, grid: PhaseGrid | None, tol: float):
     g = grid or f.grid or PhaseGrid()
-    vals = f.sampled_on(g)
-    bmax = _boundary_max(np.asarray(vals))
+    vals = np.asarray(f.sampled_on(g), dtype=complex)
+    if vals.shape != (g.resolution, g.resolution):
+        raise ParameterError(f"transform samples of shape {vals.shape} do not match the "
+                             f"{g.resolution}x{g.resolution} grid")
+    bad = int(np.count_nonzero(~np.isfinite(vals)))
+    if bad:
+        raise RangeError(f"transform samples are not finite at {bad} of {vals.size} grid nodes")
+    bmax = _boundary_max(vals)
     if bmax > tol:
         raise TruncationError(
             f"integrand magnitude {bmax:.3e} at the grid boundary exceeds {tol:g}; "
             "enlarge the extent"
         )
-    return np.asarray(vals, dtype=complex), g
+    return vals, g
 
 
 def fourier_forward(f: PhaseField, *, grid: PhaseGrid | None = None,
                     out_grid: PhaseGrid | None = None,
                     boundary_tol: float = 1.0e-10) -> PhaseField:
-    """Forward transform of an alpha-side field to the beta side."""
+    """Forward transform of an alpha-side field to the beta side.
+
+    The field is sampled on ``grid`` (else its own grid, else the default),
+    and the returned field's ``fn`` is the evaluator of ``_transform_eval``
+    over the folded core of those samples; with ``out_grid`` its ``values``
+    are the sum on that grid.  Raises RangeError for a non-finite sample,
+    TruncationError when the samples on the grid boundary exceed
+    ``boundary_tol``, and ResolutionError for ``out_grid`` or targets past
+    the grid's Nyquist band.
+    """
     if f.side != "alpha":
         raise ParameterError("fourier_forward expects an alpha-side field")
     if f.delta_at_origin:
@@ -418,7 +489,11 @@ def fourier_forward(f: PhaseField, *, grid: PhaseGrid | None = None,
 def fourier_inverse(f: PhaseField, *, grid: PhaseGrid | None = None,
                     out_grid: PhaseGrid | None = None,
                     boundary_tol: float = 1.0e-10) -> PhaseField:
-    """Inverse transform of a beta-side field back to the alpha side."""
+    """Inverse transform of a beta-side field back to the alpha side.
+
+    The same sum and checks as ``fourier_forward``, with the 1/pi^2
+    prefactor of the inverse carried by the folded core.
+    """
     if f.side != "beta":
         raise ParameterError("fourier_inverse expects a beta-side field")
     samples, g = _prepare_samples(f, grid, boundary_tol)

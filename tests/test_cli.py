@@ -371,3 +371,11 @@ class TestConfigErrors:
         assert res.exit_code == 2
         assert "at most" in res.output
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["nan,21", "inf,21"])
+    def test_non_finite_grid_extent_is_a_usage_error(self, runner, tmp_path, grid):
+        res = runner.invoke(main, ["charfn", "--state", THERMAL, "--grid", grid,
+                                   "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 2, res.output
+        assert "grid extent must be finite and positive" in res.output
+        assert not (tmp_path / "x.csv").exists()

@@ -8,11 +8,13 @@ import pytest
 
 from gsphase.errors import (
     NonConvergenceError,
+    ParameterError,
     RangeError,
     ResolutionError,
     TruncationError,
 )
 from gsphase.numerics import (
+    MAX_GRID_RESOLUTION,
     Cartesian,
     PhaseField,
     PhaseGrid,
@@ -179,22 +181,131 @@ class TestFourierMeshRoute:
         expected = np.array([fwd(complex(t)) for t in targets.ravel()])
         np.testing.assert_allclose(got.ravel(), expected, rtol=0, atol=1e-12)
 
-    def test_one_exp_table_equals_two(self):
-        # the out_grid, the mesh and the scattered routes each build
-        # exp(-2i v t) as the conjugate of exp(2i t v): the same bits as
-        # calling np.exp with the negated exponent
-        fwd, out_grid = self._forward()
-        g = PhaseGrid(extent=6.0, resolution=65)
-        ax, t = g.axis(), out_grid.axis()
-        wt = g.trapezoid_weights()
-        samples = gaussian_bump(g.mesh()) * wt[:, None] * wt[None, :]
-        direct = (np.exp(2j * np.outer(t, ax)) @ samples @ np.exp(-2j * np.outer(ax, t))).T
-        np.testing.assert_array_equal(fwd.values, direct)
-        np.testing.assert_array_equal(fwd(out_grid.mesh()), direct)
-        b = out_grid.mesh().ravel()
-        scattered = ((np.exp(2j * np.outer(b.imag, ax)) @ samples)
-                     * np.exp(-2j * np.outer(b.real, ax))).sum(1)
-        np.testing.assert_array_equal(fwd(b), scattered)
+
+def direct_sum(samples, grid, prefactor, targets):
+    """The transform sum at each target, one float64 complex exponential per node."""
+    ax, wt = grid.axis(), grid.trapezoid_weights()
+    w = samples * wt[:, None] * wt[None, :]
+    t = np.asarray(targets, dtype=complex).ravel()
+    kernel = np.exp(2j * (np.multiply.outer(t.imag, ax)[:, :, None]
+                          - np.multiply.outer(t.real, ax)[:, None, :]))
+    return prefactor * np.einsum("mij,ij->m", kernel, w).reshape(np.shape(targets))
+
+
+@pytest.mark.parametrize("n", [65, 64], ids=["odd", "even"])
+class TestFoldedTransform:
+    """Every route of the folded real-arithmetic sum against the direct sum.
+
+    The tolerance is 1e-12 times the field's largest magnitude, its value at
+    the origin: targets far out in the band have values near roundoff.
+    """
+
+    def _targets(self, grid):
+        edge = grid.nyquist / 2.0      # 2 |Re t| = 2 |Im t| = Nyquist
+        corners = np.array([0.0, edge + 1j * edge, -edge - 1j * edge, edge - 0.3j * edge,
+                            -0.7 * edge + 1j * edge, edge, -1j * edge])
+        inner = RNG.uniform(-edge, edge, 40) + 1j * RNG.uniform(-edge, edge, 40)
+        return np.concatenate([corners, inner])
+
+    def _check(self, got, want, peak):
+        assert np.max(np.abs(got - want)) <= 1e-12 * peak
+
+    def _peak(self, samples, grid, prefactor):
+        return abs(direct_sum(samples, grid, prefactor, np.zeros(1))[0])
+
+    def test_forward_routes_match_direct_sum(self, n):
+        grid = PhaseGrid(extent=6.0, resolution=n)
+        out_grid = PhaseGrid(extent=2.0, resolution=n // 4 + 1)
+        fwd = fourier_forward(PhaseField("alpha", fn=gaussian_bump), grid=grid,
+                              out_grid=out_grid)
+        samples = gaussian_bump(grid.mesh())
+        peak = self._peak(samples, grid, 1.0)
+        targets = self._targets(grid)
+        self._check(fwd(targets), direct_sum(samples, grid, 1.0, targets), peak)
+        mesh = out_grid.mesh()
+        want = direct_sum(samples, grid, 1.0, mesh)
+        self._check(fwd(mesh), want, peak)
+        self._check(fwd.values, want, peak)
+
+    def test_inverse_routes_match_direct_sum(self, n):
+        grid = PhaseGrid(extent=6.0, resolution=n)
+        samples = gaussian_bump(grid.mesh()).conj()
+        field = PhaseField("beta", grid=grid, values=samples)
+        out_grid = PhaseGrid(extent=grid.nyquist / 2.0, resolution=17)  # on the band edge
+        inv = fourier_inverse(field, out_grid=out_grid)
+        pref = 1.0 / math.pi**2
+        peak = self._peak(samples, grid, pref)
+        targets = self._targets(grid)
+        self._check(inv(targets), direct_sum(samples, grid, pref, targets), peak)
+        want = direct_sum(samples, grid, pref, out_grid.mesh())
+        self._check(inv.values, want, peak)
+        self._check(inv(out_grid.mesh()), want, peak)
+
+    def test_chunks_equal_chunk_by_chunk_evaluation(self, n):
+        from gsphase.numerics import _TARGET_CHUNK as chunk
+        grid = PhaseGrid(extent=6.0, resolution=n)
+        fwd = fourier_forward(PhaseField("alpha", fn=gaussian_bump), grid=grid)
+        edge = grid.nyquist / 2.0
+        m = 2 * chunk + chunk // 2
+        targets = RNG.uniform(-edge, edge, m) + 1j * RNG.uniform(-edge, edge, m)
+        whole = fwd(targets)
+        pieces = np.concatenate([fwd(targets[i:i + chunk]) for i in range(0, m, chunk)])
+        np.testing.assert_array_equal(whole, pieces)
+        samples = gaussian_bump(grid.mesh())
+        self._check(whole, direct_sum(samples, grid, 1.0, targets),
+                    self._peak(samples, grid, 1.0))
+
+
+class TestTransformInputs:
+    def test_non_finite_samples_raise(self):
+        grid = PhaseGrid(extent=6.0, resolution=257)
+        near = np.abs(grid.mesh()) < 0.1
+        f = PhaseField("alpha", fn=lambda a: np.where(np.abs(a) < 0.1, np.nan,
+                                                      np.exp(-np.abs(a) ** 2)))
+        with pytest.raises(RangeError, match=f"not finite at {np.count_nonzero(near)} of "
+                                             f"{grid.resolution ** 2} grid nodes"):
+            fourier_forward(f, grid=grid)
+        values = np.exp(-np.abs(grid.mesh()) ** 2).astype(complex)
+        values[3, 4] = complex(0.0, np.inf)
+        with pytest.raises(RangeError, match="not finite at 1 of"):
+            fourier_inverse(PhaseField("beta", grid=grid, values=values))
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (5,), (4, 4)])
+    def test_samples_off_the_grid_raise(self, shape):
+        # a (1, 5) array would broadcast to a field constant along one axis
+        f = PhaseField("beta", grid=PhaseGrid(extent=6.0, resolution=5),
+                       values=np.full(shape, 1e-12, dtype=complex))
+        with pytest.raises(ParameterError, match="do not match the 5x5 grid"):
+            fourier_inverse(f)
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                     complex(-np.inf, 1.0)])
+    def test_non_finite_targets_raise(self, bad):
+        f = PhaseField("alpha", fn=lambda a: np.exp(-np.abs(a) ** 2))
+        fwd = fourier_forward(f, grid=PhaseGrid(extent=6.0, resolution=65))
+        with pytest.raises(ParameterError, match="1 of 3 transform targets"):
+            fwd(np.array([0.5, bad, 0.25j]))
+        mesh = PhaseGrid(extent=1.0, resolution=5).mesh()
+        mesh[2, 2] = bad
+        with pytest.raises(ParameterError, match="not finite"):
+            fwd(mesh)
+
+
+class TestPhaseGridBounds:
+    @pytest.mark.parametrize("extent", [np.nan, np.inf, -np.inf, 0.0, -1.0, "6"])
+    def test_bad_extent(self, extent):
+        with pytest.raises(ParameterError, match="extent"):
+            PhaseGrid(extent=extent, resolution=5)
+
+    @pytest.mark.parametrize("resolution", [2.5, 5.0, 1, 0, -3, MAX_GRID_RESOLUTION + 1])
+    def test_bad_resolution(self, resolution):
+        with pytest.raises(ParameterError, match="resolution"):
+            PhaseGrid(extent=6.0, resolution=resolution)
+
+    def test_bounds_accepted(self):
+        assert PhaseGrid(6.0, 2).axis().tolist() == [-6.0, 6.0]
+        assert PhaseGrid(6.0, MAX_GRID_RESOLUTION).resolution == MAX_GRID_RESOLUTION
+        assert PhaseGrid(np.float64(4.0), np.int64(5)).spacing == 2.0
 
 
 class TestQuad2d:
