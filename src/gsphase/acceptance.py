@@ -89,10 +89,20 @@ def _fmt(x: float) -> str:
 # oracles local to the verification suite
 # ---------------------------------------------------------------------------
 
-def _t_quadrature(y: np.ndarray, g: float, nodes: int = 500) -> np.ndarray:
+def _t_quadrature(y: np.ndarray, gs, nodes: int = 500) -> np.ndarray:
+    """The defining integral of ``tri_gaussian_ft`` by Gauss quadrature, per g.
+
+    (2/pi) Int_0^1 exp(-g z^2) cos(2 y z) (1 - z) dz, the real part of the
+    transform folded onto z >= 0, on one ``nodes``-point rule.  The table
+    cos(2 y z) is built once for all g and each g only adds its weight row
+    exp(-g z^2) w (1 - z), so row k of the (len(gs), y.size) result is
+    g = gs[k] at every y.  A direct quadrature, independent of the erfcx
+    closed form it checks.
+    """
     z, w = gauss_nodes_1d(0.0, 1.0, nodes)
-    vals = np.exp(-g * z * z + 2j * np.multiply.outer(y, z)) * (w * (1.0 - z))
-    return (2.0 / math.pi) * vals.sum(axis=-1).real
+    table = np.cos(2.0 * np.multiply.outer(y, z))
+    weights = np.exp(-np.multiply.outer(np.asarray(gs, dtype=float), z * z)) * (w * (1.0 - z))
+    return (2.0 / math.pi) * (weights @ table.T)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +197,9 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """Closed form of the tri-Gaussian transform against its defining integral."""
     ys = np.linspace(-10.0, 10.0, 201)
-    worst = 0.0
-    for g in (-2.0, -0.5, 0.0, 0.5, 2.0):
-        worst = max(worst, float(np.max(np.abs(tri_gaussian_ft(ys, g) - _t_quadrature(ys, g)))))
+    gs = (-2.0, -0.5, 0.0, 0.5, 2.0)
+    worst = max(float(np.max(np.abs(tri_gaussian_ft(ys, g) - row)))
+                for g, row in zip(gs, _t_quadrature(ys, gs)))
     branch_exact = all(
         tri_gaussian_ft(y, 0.0) == math.sin(y) ** 2 / (math.pi * y * y)
         for y in (0.5, 1.0, 2.5)

@@ -144,7 +144,7 @@ def filtered(state_json, width, grid_text, cut_axis, out_path):
     fld = filtered_p_numeric(st, FilterKernel(width), grid)
     values = real_values(fld)
     if cut_axis is None:
-        write_field_csv(out_path, grid, values.astype(complex), comments=comments)
+        write_field_csv(out_path, grid, values, comments=comments)
     else:
         mid = grid.resolution // 2
         cut = values[:, mid] if cut_axis == "re" else values[mid, :]

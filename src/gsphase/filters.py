@@ -41,7 +41,8 @@ QUAD_TOLERANCE = 1.0e-10
 ROUNDOFF_FACTOR = 1.0e3
 _EPS = float(np.finfo(float).eps)
 
-#: (w, nodes per panel, grid) rules whose kernel tables are kept
+#: rules whose tables are kept: (w, nodes per panel, grid) filter rules, and
+#: line-integral window rules per r_cut
 RULE_CACHE_SIZE = 4
 
 #: Gauss nodes per panel of the first numeric rule, and the cap of the doubling
@@ -204,21 +205,41 @@ def tri_gaussian_ft(y, g: float):
     return float(val[0]) if shape == () else val.reshape(shape)
 
 
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _line_window_rule(r_cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """Squared nodes z^2 and g-free kernel of the line integral's window rule.
+
+    12 Gauss nodes on each of max(64, 4 r_cut / pi) equal panels of
+    [1e-12, 1], flattened; the kernel is w (1 - z) sin(2 r_cut z) / z with
+    w the Gauss weights.  Neither depends on g, so the last
+    ``RULE_CACHE_SIZE`` rules are kept, read-only.
+    """
+    n_panels = max(64, int(4.0 * r_cut / math.pi))
+    edges = np.linspace(1.0e-12, 1.0, n_panels + 1)
+    zz, ww = gauss_nodes_1d(edges[:-1, None], edges[1:, None], 12)
+    z2 = (zz * zz).ravel()
+    kernel = (ww * (1.0 - zz) * np.sin(2.0 * r_cut * zz) / zz).ravel()
+    for arr in (z2, kernel):
+        arr.flags.writeable = False
+    return z2, kernel
+
+
 def tri_gaussian_ft_line_integral(g: float, r_cut: float = 1600.0) -> float:
     """Int_{-inf}^{inf} tri_gaussian_ft(u; g) du, analytically equal to 1.
 
     Evaluated as the finite-window integral (by exchanging the integration
     order, which turns it into a smooth 1-D integral) plus the tail of the
     large-|u| expansion (1 - e^{-g} cos 2u)/(2 pi u^2) - g e^{-g} sin 2u /
-    (pi u^3), whose cosine/sine integrals are expressed through Si.
+    (pi u^3), whose cosine/sine integrals are expressed through Si.  The
+    window rule's nodes and g-free kernel come from ``_line_window_rule``,
+    cached per ``r_cut``, so a call costs one exp(-g z^2) and one sum of its
+    products with the kernel.  The sum is numpy's pairwise sum, not a BLAS
+    dot, whose rounding changes with the BLAS thread count.  Returns a
+    Python float whatever the type of g.
     """
-    # window part: (1/pi) Int_0^1 dz e^{-g z^2} tri(z) * 2 sin(2 r_cut z)/z,
-    # 12 Gauss nodes on each of n_panels equal panels, all in one array
-    n_panels = max(64, int(4.0 * r_cut / math.pi))
-    edges = np.linspace(1.0e-12, 1.0, n_panels + 1)
-    zz, ww = gauss_nodes_1d(edges[:-1, None], edges[1:, None], 12)
-    inner = np.exp(-g * zz * zz) * (1.0 - zz) * np.sin(2.0 * r_cut * zz) / zz
-    window = (2.0 / math.pi) * float(np.sum(ww * inner))
+    # window part: (1/pi) Int_0^1 dz e^{-g z^2} tri(z) * 2 sin(2 r_cut z)/z
+    z2, kernel = _line_window_rule(r_cut)
+    window = (2.0 / math.pi) * float(np.sum(np.exp(-g * z2) * kernel))
 
     si, ci = sici(2.0 * r_cut)
     eg = math.exp(-g)
@@ -226,7 +247,7 @@ def tri_gaussian_ft_line_integral(g: float, r_cut: float = 1600.0) -> float:
     int_sin = math.sin(2.0 * r_cut) / (2.0 * r_cut**2) + int_cos
     tail = (1.0 / math.pi) * (1.0 / r_cut) - (eg / math.pi) * int_cos \
         - (2.0 * g * eg / math.pi) * int_sin
-    return window + tail
+    return float(window + tail)
 
 
 def filtered_p_gaussian(cf: GaussianCharFn, w: float, alpha) -> float | np.ndarray:
@@ -261,23 +282,31 @@ def filtered_p_gaussian_grid(cf: GaussianCharFn, w: float, grid: PhaseGrid) -> P
 
 @lru_cache(maxsize=RULE_CACHE_SIZE)
 def _filter_rule(w: float, nodes_per_panel: int, grid: PhaseGrid):
-    """Positive-panel nodes, weights and real kernel table of the split Gauss rule.
+    """Node mesh, weight table and real kernel table of the split Gauss rule.
 
     The rule has two panels per axis, [-w, 0] and [0, w]; the negative
     panel's nodes are the exact negation of the positive panel's nodes b+
     and share their weights tri(b+/w) wb / pi (the 1/pi^2 prefactor, split
-    over the axes).  The table A = [cos(2 axis (x) b+) | sin(2 axis (x) b+)],
-    shape (N, 2n), maps the folded nodes onto the grid axis.  They depend
-    on no state, so the last ``RULE_CACHE_SIZE`` (w, nodes, grid) rules are
-    kept, read-only, and only the first call pays for the table.
+    over the axes).  With b = -b+ reversed, then b+, and tb its weights, the
+    rule is the complex node mesh b[i] + i b[j] and the 2-D weight table
+    tb[i] tb[j], both (2n, 2n).  The table A = [cos(2 axis (x) b+) |
+    sin(2 axis (x) b+)], shape (N, 2n), maps the folded nodes onto the grid
+    axis.  None of them depends on a state, so the last ``RULE_CACHE_SIZE``
+    (w, nodes, grid) rules are kept, read-only, and only the first call pays
+    for them.
     """
     bp, wb = gauss_nodes_1d(0.0, w, nodes_per_panel)
     tw = tri(bp / w) * wb / math.pi
+    b = np.concatenate([-bp[::-1], bp])
+    BX, BP = np.meshgrid(b, b, indexing="ij")
+    nodes = BX + 1j * BP
+    twb = np.concatenate([tw[::-1], tw])
+    weights = twb[:, None] * twb[None, :]
     phase = 2.0 * np.outer(grid.axis(), bp)
     table = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
-    for arr in (bp, tw, table):
+    for arr in (nodes, weights, table):
         arr.flags.writeable = False
-    return bp, tw, table
+    return nodes, weights, table
 
 
 def _filtered_raw(state: State, w: float, grid: PhaseGrid,
@@ -285,12 +314,14 @@ def _filtered_raw(state: State, w: float, grid: PhaseGrid,
     """Split tensor Gauss rule for the filtered transform on the grid [x, p].
 
     The panels of each axis meet at 0, where the tri factor has a kink.  Phi
-    is evaluated at all (2n)^2 nodes (b = -b+ reversed, then b+) and weighted
-    into the core W[u, v].  The kernel exp(2i (u p - v x)) is even or odd in
-    the sign of each node, so W folds onto the positive quadrant through its
-    parity sums EE, EO, OE and OO (E even, O odd; first letter u, second v)
-    and the field is (A K A^T)^T with the real table A of ``_filter_rule``
-    and K = [[Re EE, Im EO], [-Im OE, Re OO]].  The imaginary field is the
+    is evaluated at the (2n)^2 nodes of ``_filter_rule``'s cached mesh
+    (b = -b+ reversed, then b+) and weighted by its cached weight table into
+    the core W[u, v]; only Phi and that product are computed per state.  The
+    kernel exp(2i (u p - v x)) is even or odd in the sign of each node, so W
+    folds onto the positive quadrant through its parity sums EE, EO, OE and
+    OO (E even, O odd; first letter u, second v) and the field is (A K A^T)^T
+    with the real table A of ``_filter_rule`` and
+    K = [[Re EE, Im EO], [-Im OE, Re OO]].  The imaginary field is the
     same product with K_im = [[Im EE, -Re EO], [Re OE, Im OO]]; it is only
     formed when sum |K_im| exceeds the roundoff floor ``ROUNDOFF_FACTOR`` *
     eps * sum |W|, and otherwise sum |K_im|, a bound on |Im P| since |A| <= 1,
@@ -300,20 +331,17 @@ def _filtered_raw(state: State, w: float, grid: PhaseGrid,
     the field's roundoff.  Raises RangeError when Phi is not finite at some
     node, since no finer rule can repair that.
     """
-    bp, tw, table = _filter_rule(w, nodes_per_panel, grid)
-    n = bp.size
-    b = np.concatenate([-bp[::-1], bp])
-    BX, BP = np.meshgrid(b, b, indexing="ij")
+    nodes, weights, table = _filter_rule(w, nodes_per_panel, grid)
+    n = nodes_per_panel
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        phi = np.asarray(char_fn(state, BX + 1j * BP), dtype=complex)
+        phi = np.asarray(char_fn(state, nodes), dtype=complex)
     bad = int(np.count_nonzero(~np.isfinite(phi)))
     if bad:
         raise RangeError(
             f"Phi of {state.describe()} is not finite at {bad} of {phi.size} nodes "
             f"of the w={w:g} filter rule"
         )
-    twb = np.concatenate([tw[::-1], tw])
-    core = phi * (twb[:, None] * twb[None, :])
+    core = phi * weights
     # quadrants indexed [a, c] for u = +-b+[a], v = +-b+[c]
     neg = slice(n - 1, None, -1)
     upp, upm = core[n:, n:], core[n:, neg]
@@ -345,11 +373,11 @@ def filtered_p_numeric(state: State, kernel: FilterKernel, grid: PhaseGrid) -> P
     tolerance is the larger of ``QUAD_TOLERANCE`` and the roundoff floor
     ``ROUNDOFF_FACTOR`` * eps * sum |integrand weights|, so a fast-growing
     Phi (p_max or strong squeezing at a large w) is not refused for
-    differences that are only roundoff.  Each rule's positive-panel nodes,
-    weights and real cos/sin kernel table come from ``_filter_rule``, built
-    once per (w, nodes, grid) and cached; the state's Phi at all (2n)^2
-    nodes is computed afresh and folded onto that table by
-    ``_filtered_raw``, so the sums run in real arithmetic.
+    differences that are only roundoff.  Each rule's node mesh, weight table
+    and real cos/sin kernel table come from ``_filter_rule``, built once per
+    (w, nodes, grid) and cached; the state's Phi at all (2n)^2 nodes is
+    computed afresh and folded onto that table by ``_filtered_raw``, so the
+    sums run in real arithmetic.
 
     The larger of the accepted difference and the roundoff floor is stored
     as ``quad_error`` on the field, an estimate of its absolute error at

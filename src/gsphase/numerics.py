@@ -22,6 +22,7 @@ per target.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -106,10 +107,19 @@ class PhaseGrid:
         return np.linspace(-self.extent, self.extent, self.resolution)
 
     def mesh(self) -> ComplexArray:
-        """Complex nodes alpha[i, j] = x_i + i*p_j (row-major in x)."""
+        """Complex nodes alpha[i, j] = x_i + i*p_j (row-major in x).
+
+        The axis is broadcast into the real and imaginary parts of one
+        preallocated array, with no intermediate meshes.  Every bit equals
+        the ``meshgrid`` construction ``x + 1j * p``: the axis holds no -0.0
+        (``linspace`` writes +0.0 at the centre of an odd axis), which is
+        the only value that construction would change.
+        """
         ax = self.axis()
-        x, p = np.meshgrid(ax, ax, indexing="ij")
-        return x + 1j * p
+        out = np.empty((self.resolution, self.resolution), dtype=complex)
+        out.real = ax[:, None]
+        out.imag = ax[None, :]
+        return out
 
     def trapezoid_weights(self) -> np.ndarray:
         w = np.full(self.resolution, self.spacing)
@@ -388,8 +398,8 @@ def _separable_product(core, h, re_t, im_t) -> np.ndarray:
     return (_cos_sin(re_t, h) @ rows.T).view(complex)
 
 
-def _transform_eval(samples, grid: PhaseGrid, prefactor: float):
-    """Transform evaluator over the folded core of ``_folded_core``.
+def _transform_eval(h: np.ndarray, core: np.ndarray, grid: PhaseGrid):
+    """Transform evaluator over the half axis h and core of ``_folded_core``.
 
     Both transform directions share the kernel exp(2i Im(t) u - 2i Re(t) v)
     with t the target and (u, v) the sampled plane; they differ only in the
@@ -400,7 +410,6 @@ def _transform_eval(samples, grid: PhaseGrid, prefactor: float):
     ``_TARGET_CHUNK``: one real GEMM of the imaginary-part rows against the
     core, then one dot per target with its real-part row.
     """
-    h, core = _folded_core(samples, grid, prefactor)
     nyq = grid.nyquist
 
     def evaluate(targets: ComplexArray) -> ComplexArray:
@@ -427,12 +436,15 @@ def _transform_eval(samples, grid: PhaseGrid, prefactor: float):
     return evaluate
 
 
-def _transform_grid(samples, grid: PhaseGrid, prefactor: float,
+def _transform_grid(h: np.ndarray, core: np.ndarray, grid: PhaseGrid,
                     out_grid: PhaseGrid) -> np.ndarray:
-    """The transform sum on the whole of ``out_grid``, by ``_separable_product``."""
+    """The transform sum on the whole of ``out_grid``, by ``_separable_product``.
+
+    Takes the half axis h and core of ``_folded_core``, the same pair the
+    transform's evaluator holds, so the samples fold once per transform.
+    """
     if 2.0 * out_grid.extent > grid.nyquist:
         raise ResolutionError("output grid exceeds the Nyquist band of the input grid")
-    h, core = _folded_core(samples, grid, prefactor)
     ax = out_grid.axis()
     # indexed [bx, bp], row-major in Re(beta)
     return _separable_product(core, h, ax, ax)
@@ -462,9 +474,10 @@ def fourier_forward(f: PhaseField, *, grid: PhaseGrid | None = None,
     """Forward transform of an alpha-side field to the beta side.
 
     The field is sampled on ``grid`` (else its own grid, else the default),
-    and the returned field's ``fn`` is the evaluator of ``_transform_eval``
-    over the folded core of those samples; with ``out_grid`` its ``values``
-    are the sum on that grid.  Raises RangeError for a non-finite sample,
+    and those samples fold once onto the core of ``_folded_core``.  The
+    returned field's ``fn`` is the evaluator of ``_transform_eval`` over
+    that core; with ``out_grid`` its ``values`` are the sum on that grid,
+    from the same core.  Raises RangeError for a non-finite sample,
     TruncationError when the samples on the grid boundary exceed
     ``boundary_tol``, and ResolutionError for ``out_grid`` or targets past
     the grid's Nyquist band.
@@ -478,11 +491,11 @@ def fourier_forward(f: PhaseField, *, grid: PhaseGrid | None = None,
             out.values = one(out_grid.mesh())
         return out
     samples, g = _prepare_samples(f, grid, boundary_tol)
-    fn = _transform_eval(samples, g, prefactor=1.0)
-    out = PhaseField(side="beta", fn=fn)
+    h, core = _folded_core(samples, g, 1.0)
+    out = PhaseField(side="beta", fn=_transform_eval(h, core, g))
     if out_grid is not None:
         out.grid = out_grid
-        out.values = _transform_grid(samples, g, 1.0, out_grid)
+        out.values = _transform_grid(h, core, g, out_grid)
     return out
 
 
@@ -497,12 +510,11 @@ def fourier_inverse(f: PhaseField, *, grid: PhaseGrid | None = None,
     if f.side != "beta":
         raise ParameterError("fourier_inverse expects a beta-side field")
     samples, g = _prepare_samples(f, grid, boundary_tol)
-    pref = 1.0 / math.pi**2
-    fn = _transform_eval(samples, g, prefactor=pref)
-    out = PhaseField(side="alpha", fn=fn)
+    h, core = _folded_core(samples, g, 1.0 / math.pi**2)
+    out = PhaseField(side="alpha", fn=_transform_eval(h, core, g))
     if out_grid is not None:
         out.grid = out_grid
-        out.values = _transform_grid(samples, g, pref, out_grid)
+        out.values = _transform_grid(h, core, g, out_grid)
     return out
 
 
@@ -570,18 +582,25 @@ def write_field_csv(path, grid: PhaseGrid, values: np.ndarray,
     ``x,p,re,im``, then one row per node in row-major order (x outer, p
     inner).  Every float is written as its Python ``repr``, so
     ``read_field_csv`` recovers each value exactly (``-0.0``, ``nan`` and
-    ``inf`` included).  The body is written one grid row at a time and is
-    never held in memory whole.
+    ``inf`` included).  A real ``values`` array writes the literal ``0.0``
+    in the ``im`` column, the bytes its complex twin would give, without
+    formatting a zero per node.  The body is written one grid row at a time
+    and is never held in memory whole.
     """
-    vals = np.asarray(values, dtype=complex)
+    vals = np.asarray(values)
     if vals.shape != (grid.resolution, grid.resolution):
         raise ParameterError("values shape does not match the grid")
+    if np.iscomplexobj(vals):
+        im_rows = (map(repr, row) for row in vals.imag.tolist())
+    else:
+        vals = vals.astype(float, copy=False)
+        im_rows = itertools.repeat(["0.0"] * grid.resolution)
     ax = [repr(x) for x in grid.axis().tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write("x,p,re,im\n")
-        for x, re_row, im_row in zip(ax, vals.real.tolist(), vals.imag.tolist()):
-            fh.write("".join([f"{x},{p},{re!r},{im!r}\n"
+        for x, re_row, im_row in zip(ax, vals.real.tolist(), im_rows):
+            fh.write("".join([f"{x},{p},{re!r},{im}\n"
                               for p, re, im in zip(ax, re_row, im_row)]))
 
 

@@ -4,13 +4,17 @@ These call the same criterion functions that back ``gsphase verify``, so a
 green run here matches a zero exit status there.
 """
 
+import json
+import math
 import time
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from gsphase import acceptance
 from gsphase.cli import main as cli_main
+from gsphase.numerics import gauss_nodes_1d
 
 
 def _run(criterion, budget_seconds=None):
@@ -77,4 +81,23 @@ def test_criterion_11_verify_determinism(tmp_path):
         assert "FAIL" not in res.output
     a, b = paths[0].read_bytes(), paths[1].read_bytes()
     assert a == b
+    # every number in the report is a plain Python repr, never a numpy scalar's
+    details = [d for c in json.loads(a)["criteria"] for d in c["details"]]
+    assert details and not [d for d in details if "np." in d]
     print("ACCEPTANCE 11 PASS  byte-identical verify reports across runs")
+
+
+def t_quadrature_per_g(y, g, nodes=500):
+    """Criterion 5's quadrature as it was: one complex exp table per g."""
+    z, w = gauss_nodes_1d(0.0, 1.0, nodes)
+    vals = np.exp(-g * z * z + 2j * np.multiply.outer(y, z)) * (w * (1.0 - z))
+    return (2.0 / math.pi) * vals.sum(axis=-1).real
+
+
+def test_t_quadrature_rows_match_the_per_g_complex_form():
+    ys = np.linspace(-10.0, 10.0, 201)
+    gs = (-2.0, -0.5, 0.0, 0.5, 2.0)
+    rows = acceptance._t_quadrature(ys, gs)
+    assert rows.shape == (len(gs), ys.size)
+    for g, row in zip(gs, rows):
+        np.testing.assert_allclose(row, t_quadrature_per_g(ys, g), rtol=0, atol=1e-15)

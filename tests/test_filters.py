@@ -168,6 +168,41 @@ class TestTriGaussianFt:
             assert tri_gaussian_ft_line_integral(g) == pytest.approx(1.0, abs=2e-8)
 
 
+def line_window_uncached(g, r_cut=1600.0):
+    """The line integral's window sum built node by node, as before its cache."""
+    n_panels = max(64, int(4.0 * r_cut / math.pi))
+    edges = np.linspace(1.0e-12, 1.0, n_panels + 1)
+    zz, ww = gauss_nodes_1d(edges[:-1, None], edges[1:, None], 12)
+    inner = np.exp(-g * zz * zz) * (1.0 - zz) * np.sin(2.0 * r_cut * zz) / zz
+    return (2.0 / math.pi) * float(np.sum(ww * inner)), zz.size
+
+
+class TestLineIntegralRule:
+    def test_cached_window_matches_the_uncached_sum(self):
+        z2, kernel = filters._line_window_rule(1600.0)
+        for g in (-2.0, -0.5, 0.0, 0.5, 2.0, 3.92, -7.5158, 123.45):
+            want, size = line_window_uncached(g)
+            assert size == z2.size == kernel.size == 2037 * 12
+            got = (2.0 / math.pi) * float(np.sum(np.exp(-g * z2) * kernel))
+            assert abs(got - want) <= 1e-15
+
+    def test_returns_a_python_float(self):
+        for g in (np.float64(0.98), 0.5, np.float64(-2.0)):
+            assert type(tri_gaussian_ft_line_integral(g)) is float
+
+    def test_second_g_reuses_the_cached_rule(self):
+        tri_gaussian_ft_line_integral(0.25)      # the r_cut = 1600 rule is cached now
+        hits = filters._line_window_rule.cache_info().hits
+        tri_gaussian_ft_line_integral(1.75)
+        assert filters._line_window_rule.cache_info().hits == hits + 1
+
+    def test_rule_arrays_are_read_only(self):
+        for arr in filters._line_window_rule(1600.0):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 GRID = PhaseGrid(extent=4.0, resolution=321)
 
 
@@ -418,10 +453,23 @@ class TestCachedKernelTable:
         assert second.imag_residue == first.imag_residue
 
     def test_rule_arrays_are_read_only(self):
-        for arr in _filter_rule(2.0, 32, GRID):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        for n in (32, 64):
+            nodes, weights, table = _filter_rule(2.0, n, GRID)
+            for arr in (nodes, weights, table):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+            # each array equals, bit for bit, its former per-call construction
+            bp, wb = gauss_nodes_1d(0.0, 2.0, n)
+            tw = tri(bp / 2.0) * wb / math.pi
+            b = np.concatenate([-bp[::-1], bp])
+            BX, BP = np.meshgrid(b, b, indexing="ij")
+            twb = np.concatenate([tw[::-1], tw])
+            phase = 2.0 * np.outer(GRID.axis(), bp)
+            assert nodes.tobytes() == (BX + 1j * BP).tobytes()
+            assert weights.tobytes() == (twb[:, None] * twb[None, :]).tobytes()
+            assert table.tobytes() == np.concatenate([np.cos(phase), np.sin(phase)],
+                                                     axis=1).tobytes()
 
     def test_cache_is_bounded(self):
         assert RULE_CACHE_SIZE == 4

@@ -182,6 +182,26 @@ class TestFourierMeshRoute:
         np.testing.assert_allclose(got.ravel(), expected, rtol=0, atol=1e-12)
 
 
+class TestFoldOnce:
+    """A transform with ``out_grid`` folds its samples once, for both routes."""
+
+    @pytest.mark.parametrize("side", ["alpha", "beta"])
+    def test_one_fold_per_transform(self, side, monkeypatch):
+        import gsphase.numerics as numerics
+        calls = []
+        original = numerics._folded_core
+        monkeypatch.setattr(numerics, "_folded_core",
+                            lambda *a: calls.append(1) or original(*a))
+        grid = PhaseGrid(extent=6.0, resolution=65)
+        out_grid = PhaseGrid(extent=2.0, resolution=17)
+        transform = fourier_forward if side == "alpha" else fourier_inverse
+        out = transform(PhaseField(side, fn=gaussian_bump), grid=grid, out_grid=out_grid)
+        assert calls == [1]
+        # the grid values and the evaluator read the same core, bit for bit
+        assert out.values.tobytes() == out(out_grid.mesh()).tobytes()
+        assert calls == [1]
+
+
 def direct_sum(samples, grid, prefactor, targets):
     """The transform sum at each target, one float64 complex exponential per node."""
     ax, wt = grid.axis(), grid.trapezoid_weights()
@@ -308,6 +328,19 @@ class TestPhaseGridBounds:
         assert PhaseGrid(np.float64(4.0), np.int64(5)).spacing == 2.0
 
 
+class TestPhaseGridMesh:
+    @pytest.mark.parametrize("extent", [4.0, 6.0, 1.5, 0.1])
+    @pytest.mark.parametrize("n", [2, 3, 20, 21, 161, 320, 321, 2001])
+    def test_bit_identical_to_meshgrid(self, n, extent):
+        grid = PhaseGrid(extent, n)
+        mesh = grid.mesh()
+        assert mesh.shape == (n, n) and mesh.dtype == complex
+        ax = grid.axis()
+        for i in range(0, n, 256):   # the reference in row blocks, to bound memory
+            x, p = np.meshgrid(ax[i:i + 256], ax, indexing="ij")
+            assert mesh[i:i + 256].tobytes() == (x + 1j * p).tobytes()
+
+
 class TestQuad2d:
     def test_gaussian_integral(self):
         res = quad2d(lambda a: np.exp(-np.abs(a) ** 2), Cartesian.square(7.0), tol=1e-12)
@@ -427,12 +460,34 @@ class TestCsv:
         assert text.splitlines()[0] == "# config deadbeef"
         assert text.splitlines()[1] == "x,p,re,im"
 
+    SPECIALS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-05, -1e-05,
+                0.1 + 0.2, 1.0 / 3.0, -2.5e-300, 123456789.125]
+
+    def test_real_values_write_the_bytes_of_their_complex_twin(self, tmp_path,
+                                                               reference_field_csv):
+        grid = PhaseGrid(extent=1.5, resolution=5)
+        real = np.resize(self.SPECIALS, 25).reshape(5, 5)
+        paths = [tmp_path / "real.csv", tmp_path / "complex.csv"]
+        write_field_csv(paths[0], grid, real, comments=["config 0"])
+        write_field_csv(paths[1], grid, real.astype(complex), comments=["config 0"])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert paths[0].read_bytes() == reference_field_csv(
+            grid, real.astype(complex), ["config 0"]).encode("utf-8")
+
+    def test_negative_zero_imaginary_parts_survive(self, tmp_path):
+        grid = PhaseGrid(extent=1.0, resolution=3)
+        vals = np.empty((3, 3), dtype=complex)
+        vals.real = 1.0
+        vals.imag = -0.0
+        path = tmp_path / "field.csv"
+        write_field_csv(path, grid, vals)
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == 9 and all(r.endswith(",1.0,-0.0") for r in rows)
+
     def test_bytes_equal_per_node_reference(self, tmp_path, reference_field_csv):
         grid = PhaseGrid(extent=1.5, resolution=5)
-        specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-05, -1e-05,
-                    0.1 + 0.2, 1.0 / 3.0, -2.5e-300, 123456789.125]
-        re = np.resize(specials, 25)
-        im = np.resize(specials[::-1], 25)
+        re = np.resize(self.SPECIALS, 25)
+        im = np.resize(self.SPECIALS[::-1], 25)
         vals = np.empty((5, 5), dtype=complex)
         vals.real = re.reshape(5, 5)
         vals.imag = im.reshape(5, 5)
