@@ -157,17 +157,67 @@ class TestCharFn:
             scalar = np.array([char_fn(st, complex(b)) for b in beta.ravel()]).reshape(beta.shape)
             assert np.array_equal(got, scalar)
 
-    def test_bessel_k_equals_per_point_formula_bitwise(self):
-        # deduplicating radii leaves every kv argument, hence every value, unchanged
-        from scipy.special import kv
-        t = 3.0
+    @pytest.mark.parametrize("t", [2.2, 3.0, states._K_RECURRENCE_MAX + 1.0],
+                             ids=["kv-2.2", "recurrence-3", "kv-above-bound"])
+    def test_bessel_k_equals_per_point_formula_bitwise(self, t):
+        # deduplicating radii leaves every value unchanged: each node carries
+        # the per-point kv formula, or at integer t up to the bound the
+        # per-point upward recurrence
+        from scipy.special import k0, k1, kv
         st = make_state(StateSpec("cauchy_lorentz", {"t": t}))
         mesh = PhaseGrid(extent=3.0, resolution=31).mesh()
         r = np.abs(mesh)
         expected = np.ones(mesh.shape, dtype=complex)
-        nz = r > 0
-        expected[nz] = 2.0 * np.exp(t * np.log(r[nz]) - math.lgamma(t)) * kv(t, 2.0 * r[nz])
+        for idx in zip(*np.nonzero(r)):
+            x = 2.0 * r[idx]
+            if t == 3.0:
+                phi1 = x * k1(x)
+                phi2 = phi1 + r[idx] * (r[idx] * (2.0 * k0(x)))
+                expected[idx] = phi2 + r[idx] * (r[idx] * phi1) / 2
+            else:
+                expected[idx] = 2.0 * np.exp(t * np.log(r[idx]) - math.lgamma(t)) * kv(t, x)
         assert np.array_equal(char_fn(st, mesh), expected)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 10, states._K_RECURRENCE_MAX, 0.5, 1.5, 2.2])
+    def test_lorentz_phi_against_mpmath(self, t):
+        r = np.geomspace(1e-6, 5.66, 97)
+        st = make_state(StateSpec("cauchy_lorentz", {"t": t}))
+        got = char_fn(st, r.astype(complex))
+        with mpmath.workdps(40):
+            exact = np.array([float(2 * mpmath.mpf(x) ** t / mpmath.gamma(t)
+                                    * mpmath.besselk(t, 2 * mpmath.mpf(x))) for x in r])
+        assert np.all(got.imag == 0.0)
+        big = np.abs(exact) > 1e-290
+        assert big.sum() >= 90
+        assert np.max(np.abs(got.real[big] - exact[big]) / np.abs(exact[big])) < 3e-14
+
+    @pytest.mark.parametrize("t", [0.5, 50, 1e5, 1e12])
+    def test_lorentz_phi_off_the_recurrence_is_kv(self, t):
+        # half-integer t and integer t far above the bound keep the kv
+        # formula bit for bit, nan included; t = 1e12 must not run a loop
+        # over the order
+        from scipy.special import kv
+        st = make_state(StateSpec("cauchy_lorentz", {"t": t}))
+        r = np.array([1e-3, 0.05, 0.7, 2.0, 5.66])
+        with np.errstate(invalid="ignore"):
+            expected = 2.0 * np.exp(t * np.log(r) - math.lgamma(t)) * kv(t, 2.0 * r)
+        np.testing.assert_array_equal(char_fn(st, r.astype(complex)).real, expected)
+
+    def test_lorentz_recurrence_takes_int_and_float_t_alike(self):
+        mesh = PhaseGrid(extent=3.0, resolution=31).mesh()
+        for t in (1, 3, states._K_RECURRENCE_MAX):
+            a = char_fn(make_state(StateSpec("cauchy_lorentz", {"t": t})), mesh)
+            b = char_fn(make_state(StateSpec("cauchy_lorentz", {"t": float(t)})), mesh)
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("t", [1, 3, states._K_RECURRENCE_MAX])
+    def test_lorentz_recurrence_is_finite_at_tiny_and_huge_radii(self, t):
+        # Phi -> 1 as |beta| -> 0 and -> 0 far out; r^t / Gamma(t) is never
+        # formed, so neither end meets 0 * inf
+        st = make_state(StateSpec("cauchy_lorentz", {"t": t}))
+        got = char_fn(st, np.array([1e-300, 1e-150, 1e-20, 400.0, 1e5, 1e150], dtype=complex))
+        np.testing.assert_allclose(got[:3].real, 1.0, rtol=1e-15, atol=0)
+        assert np.array_equal(got[3:], np.zeros(3))
 
     def test_hermiticity_all_catalog(self):
         specs = [

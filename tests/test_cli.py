@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import gsphase
 from gsphase.cli import MAX_GRID_RESOLUTION, config_hash, main
 from gsphase.filters import FilterKernel, filtered_p_numeric
 from gsphase.numerics import PhaseGrid, read_field_csv
@@ -239,6 +244,23 @@ class TestDeterminism:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_verify_report_does_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS reads its thread count once, at import, so each count
+        # needs its own interpreter; a BLAS reduction whose rounding follows
+        # the thread count would change the report's digits
+        src = str(Path(gsphase.__file__).resolve().parents[1])
+        reports = []
+        for blas in ("1", "2"):
+            out = tmp_path / f"verify_blas_{blas}.json"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            res = subprocess.run([sys.executable, "-m", "gsphase.cli", "verify",
+                                  "--threads", "1", "--out", str(out)],
+                                 env=env, capture_output=True, text=True, timeout=600)
+            assert res.returncode == 0, res.stdout + res.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_config_hash_stability(self):
         cfg = {"command": "filtered", "state": THERMAL, "grid": "4,321", "w": 2.0}
         assert config_hash(cfg) == config_hash(dict(reversed(list(cfg.items()))))
@@ -324,6 +346,23 @@ class TestConfigErrors:
         assert res.exit_code == 1, res.output
         assert "Error: Phi of cauchy_lorentz t=100000 is not finite at" in res.output
         assert "of the scan grid" in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["classify", "charfn", "filtered"])
+    @pytest.mark.parametrize("state", [
+        '{"kind": "spats", "params": {"nbar": 1e103}}',
+        '{"kind": "spats", "params": {"nbar": 1e200}, "displacement": {"re": 0.5, "im": 0.0}}',
+    ], ids=["nbar-cubed-overflows", "displaced-nbar-squared-overflows"])
+    def test_huge_spats_nbar_is_a_usage_error(self, runner, tmp_path, command, state):
+        # pi nbar^3 of the regular density and (nbar + 1)^2 of the Fock
+        # diagonal raised OverflowError; the bound refuses nbar first
+        out = tmp_path / "x.out"
+        res = runner.invoke(main, [command, "--state", state, "--grid", "2,11",
+                                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: spats requires nbar <= 1e+100" in res.output
         assert "Traceback" not in res.output
         assert not out.exists()
 

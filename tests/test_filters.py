@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import sici
@@ -323,6 +324,39 @@ class TestFilteredNumeric:
         fld = filtered_p_numeric(st, FilterKernel(2.0), GRID)
         val, loc = negativity_scan(fld)
         assert val < 0
+
+
+def t_mpmath(y, g):
+    """(2/pi) Int_0^1 exp(-g z^2) cos(2yz)(1 - z) dz at 40 digits."""
+    with mpmath.workdps(40):
+        y, g = mpmath.mpf(y), mpmath.mpf(g)
+        return (2 / mpmath.pi) * mpmath.quad(
+            lambda z: mpmath.exp(-g * z * z) * mpmath.cos(2 * y * z) * (1 - z), [0, 0.5, 1])
+
+
+class TestPmaxAtWidth6:
+    """p_max at w = 6 (g = w^2 lam = -18) on the 4,321 grid, against mpmath.
+
+    The erfcx closed form and the numeric rules differ there by up to 0.013
+    on a field of size 4.5e10; 40-digit quadrature of T decides between them.
+    """
+
+    def test_closed_form_against_mpmath(self):
+        t_max = float(t_mpmath(0.0, -18.0))  # T(y; -18) peaks at y = 0
+        assert t_max == pytest.approx(35414.628160333, rel=1e-12)
+        for y in (0.3, 1.5, 3.0, 7.5, 12.0):
+            assert abs(tri_gaussian_ft(y, -18.0) - float(t_mpmath(y, -18.0))) <= 1e-12 * t_max
+
+    def test_numeric_field_within_its_error_of_mpmath(self):
+        grid = PhaseGrid(extent=4.0, resolution=321)
+        st = make_state(StateSpec("p_max"))
+        fld = filtered_p_numeric(st, FilterKernel(6.0), grid)
+        assert 0.0 < fld.quad_error < 0.02
+        ax = grid.axis()
+        for i, j in [(170, 150), (160, 160), (200, 120)]:
+            # P(alpha; w) = w^2 T(-w Re alpha; w^2 kap) T(w Im alpha; w^2 lam)
+            exact = 36 * t_mpmath(-6.0 * ax[i], -18.0) * t_mpmath(6.0 * ax[j], -18.0)
+            assert abs(fld.values[i, j].real - float(exact)) <= fld.quad_error
 
 
 class TestWidthCheck:

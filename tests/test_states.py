@@ -16,6 +16,7 @@ from gsphase.errors import NoRegularFormError, ParameterError, TruncationWarning
 from gsphase.numerics import Cartesian, PhaseGrid, PhasePoint, Radial, gauss_nodes_1d, quad2d
 from gsphase.states import (
     MAX_DISPLACEMENT,
+    MAX_SPATS_NBAR,
     MAX_SQUEEZING,
     StateSpec,
     creation_exponential,
@@ -161,6 +162,22 @@ class TestMakeState:
     def test_largest_squeezing_is_accepted(self):
         lam, kap = make_state(StateSpec("squeezed", {"xi": MAX_SQUEEZING})).gaussian_xp
         assert math.isfinite(lam) and kap == -0.5
+
+    @pytest.mark.parametrize("nbar", [float(np.nextafter(MAX_SPATS_NBAR, math.inf)), 1e103, 1e200])
+    def test_rejects_spats_nbar_whose_cube_overflows(self, nbar):
+        with pytest.raises(ParameterError, match=r"pi nbar\^3 overflows"):
+            make_state(StateSpec("spats", {"nbar": nbar}))
+        with pytest.raises(ParameterError, match=r"pi nbar\^3 overflows"):
+            make_state(StateSpec("spats", {"nbar": nbar}, displacement=0.5))
+
+    def test_largest_spats_nbar_is_accepted(self):
+        st = make_state(StateSpec("spats", {"nbar": MAX_SPATS_NBAR}))
+        u = np.array([0.0, 1.0, MAX_SPATS_NBAR])
+        density = np.real(st.regular_p_closed(np.sqrt(u)))
+        assert np.all(np.isfinite(density)) and density[0] < 0 < density[2]
+        with pytest.warns(TruncationWarning):  # the weight sits near |nbar>
+            fm = fock_matrix(st, 8)
+        assert np.all(np.isfinite(fm.matrix))
 
     def test_spec_json_roundtrip(self):
         spec = StateSpec("squeezed", {"xi": 1.4}, displacement=0.5 - 0.25j, rotation=0.3)
