@@ -32,6 +32,23 @@ from .states import FockMatrix, resummed_coefficients
 _RATIO_LIMIT = 0.95
 _RATIO_WINDOW = 10
 
+#: a diagonal pairing cut off at the test function's max_order is refused
+#: when its last term is still above this fraction of the sum; while the
+#: term ratios stay below _RATIO_LIMIT the tail past it is at most 19 such
+#: terms
+_TAIL_TOLERANCE = 1.0e-10
+
+#: a diagonal pairing is refused when _CANCEL_FACTOR * eps * sum |term|
+#: exceeds _CANCEL_TOLERANCE * |sum|, i.e. sum |term| / |sum| > 4.5e4.  Each
+#: term is exp of a log magnitude built from log-factorials in the
+#: thousands, so the sums of the |k><k| symbols err by up to 22 eps
+#: * sum |term|; the factor keeps a 45-fold margin over that, so an
+#: accepted sum is right to about 2e-10 relative.  The acceptance
+#: battery's pairings have sum |term| / |sum| of at most 3.
+_CANCEL_FACTOR = 1.0e3
+_CANCEL_TOLERANCE = 1.0e-8
+_EPS = float(np.finfo(float).eps)
+
 
 # ---------------------------------------------------------------------------
 # series
@@ -126,8 +143,6 @@ class TaylorField:
     max_order: int
     diag_fn: Callable[[int], complex] | None = None
     diag_log: DiagLog | None = None
-    coeffs: dict[tuple[int, int], complex] | None = None
-    evaluator: Callable | None = None
     label: str = ""
     coeff_fn: Callable[[int, int], complex] | None = None
 
@@ -138,9 +153,7 @@ class TaylorField:
             )
         if self.coeff_fn is not None:
             return self.coeff_fn(m, n)
-        if self.diag_fn is not None:
-            return self.diag_fn(m) if m == n else 0.0
-        return self.coeffs.get((m, n), 0.0) if self.coeffs else 0.0
+        return self.diag_fn(m) if self.diag_fn is not None and m == n else 0.0
 
     def diagonal_sign_log(self, n: int) -> tuple[float, float]:
         if self.diag_log is not None:
@@ -166,11 +179,8 @@ class TaylorField:
             sign = 1.0 if c > 0 or n % 2 == 0 else -1.0
             return sign, n * math.log(abs(c)) + gammaln(n + 1)
 
-        def ev(alpha):
-            return np.exp(c * np.abs(np.asarray(alpha, dtype=complex)) ** 2)
-
         return cls(max_order=max_order, diag_fn=diag, diag_log=diag_log,
-                   evaluator=ev, label=f"exp({c:g}|a|^2)")
+                   label=f"exp({c:g}|a|^2)")
 
     @classmethod
     def constant(cls, value: float = 1.0, max_order: int = 200) -> "TaylorField":
@@ -183,7 +193,6 @@ class TaylorField:
             return 0.0, -math.inf
 
         return cls(max_order=max_order, diag_fn=diag, diag_log=diag_log,
-                   evaluator=lambda a: np.full(np.shape(a), value, dtype=float),
                    label=f"constant {value:g}")
 
     @classmethod
@@ -201,12 +210,8 @@ class TaylorField:
             s, lg = diag_log(n)
             return s * math.exp(lg) if s else 0.0
 
-        def ev(alpha):
-            u = np.abs(np.asarray(alpha, dtype=complex)) ** 2
-            return np.exp(-u + k * np.log(np.maximum(u, 1.0e-300)) - lgk)
-
         return cls(max_order=max_order, diag_fn=diag, diag_log=diag_log,
-                   evaluator=ev, label=f"|{k}><{k}| symbol")
+                   label=f"|{k}><{k}| symbol")
 
     @classmethod
     def alternating(cls, c: float, theta: float, max_order: int = 400) -> "TaylorField":
@@ -257,12 +262,8 @@ class TaylorField:
                 total += (-1.0 / s) ** j * (a / s) ** (m + n - 2 * j) * math.exp(lg)
             return amplitude * math.exp(-x) * total
 
-        def ev(alpha):
-            z = np.asarray(alpha, dtype=complex)
-            return amplitude * np.exp(-np.abs(z - a) ** 2 / s)
-
         return cls(max_order=max_order, diag_fn=diag, diag_log=diag_log,
-                   coeff_fn=coeff, evaluator=ev, label=f"gaussian bump at {a:g}")
+                   coeff_fn=coeff, label=f"gaussian bump at {a:g}")
 
     def perturbed(self, other: "TaylorField") -> "TaylorField":
         """Pointwise sum F + G at the level of derivative data."""
@@ -280,11 +281,8 @@ class TaylorField:
                 return 0.0, -math.inf
             return math.copysign(1.0, val), hi + math.log(abs(val))
 
-        ev = None
-        if self.evaluator is not None and other.evaluator is not None:
-            ev = lambda alpha: self.evaluator(alpha) + other.evaluator(alpha)
         return TaylorField(max_order=min(self.max_order, other.max_order),
-                           coeff_fn=coeff, diag_log=diag_log, evaluator=ev,
+                           coeff_fn=coeff, diag_log=diag_log,
                            label=f"{self.label} + {other.label}")
 
 
@@ -309,7 +307,12 @@ def pair(series: DeltaSeries, test_fn: TaylorField) -> PairingResult:
     Generator series are summed along the diagonal, with terms assembled in
     log magnitude to avoid overflow, under a geometric-ratio convergence
     policy: the magnitude ratio of consecutive non-zero terms must drop
-    below 0.95 within the last ten ratios, else DivergenceError.
+    below 0.95 within the last ten ratios, else DivergenceError.  The sum
+    also raises DivergenceError when it is cut off at the test function's
+    ``max_order`` while its last term is above ``_TAIL_TOLERANCE`` of the
+    sum, and when its terms cancel so far that the rounding bound
+    ``_CANCEL_FACTOR`` * eps * sum |term| exceeds ``_CANCEL_TOLERANCE`` of
+    the sum.
     """
     if series.generator is None:
         total = 0.0 + 0.0j
@@ -322,31 +325,42 @@ def pair(series: DeltaSeries, test_fn: TaylorField) -> PairingResult:
         return PairingResult(complex(test_fn.coefficient(0, 0)), 0.0)
     log_ag = math.log(abs(gamma))
     sign_g = math.copysign(1.0, gamma)
-    total = 0.0
+    total = abs_sum = 0.0
     ratios: list[float] = []
-    last_mag = 0.0
-    final_mag = 0.0
+    last_mag = 0.0  # the last non-zero term
+    tail = 0.0      # the term at the last index summed, zero or not
     for n in range(test_fn.max_order + 1):
         s_a, log_a = test_fn.diagonal_sign_log(n)
         if s_a == 0.0:
+            tail = 0.0
             continue
         logmag = n * log_ag - gammaln(n + 1) + log_a
         if logmag > 230.0:  # magnitude beyond 1e100: hopeless divergence
             raise DivergenceError("diagonal pairing terms grow without bound")
         mag = math.exp(logmag)
         total += s_a * (sign_g**n) * mag
+        abs_sum += mag
         if last_mag > 0.0:
             ratios.append(mag / last_mag)
             ratios = ratios[-_RATIO_WINDOW:]
-        last_mag = mag
-        final_mag = mag
+        last_mag = tail = mag
         if mag < 1.0e-18 * max(abs(total), 1.0e-300) and n > 2:
             break
     if len(ratios) == _RATIO_WINDOW and min(ratios) >= _RATIO_LIMIT:
         raise DivergenceError(
             f"diagonal pairing fails the ratio policy (last ratios >= {_RATIO_LIMIT})"
         )
-    ratio = final_mag / abs(total) if total != 0 else 0.0
+    if tail > _TAIL_TOLERANCE * abs(total):
+        raise DivergenceError(
+            f"diagonal pairing is cut off at order {test_fn.max_order} while its last "
+            f"term is {tail:.3e} against a sum of {abs(total):.3e}"
+        )
+    if _CANCEL_FACTOR * _EPS * abs_sum > _CANCEL_TOLERANCE * abs(total):
+        raise DivergenceError(
+            f"diagonal pairing terms cancel: sum |term| = {abs_sum:.3e} against a sum "
+            f"of {abs(total):.3e}, below its rounding"
+        )
+    ratio = last_mag / abs(total) if total != 0 else 0.0
     return PairingResult(complex(total), float(ratio))
 
 

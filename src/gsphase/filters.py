@@ -25,6 +25,9 @@ from .numerics import (
     PhaseField,
     PhaseGrid,
     SQRT_PI,
+    _cos_sin,
+    _folded_core,
+    _separable_product,
     as_complex,
     erfcx_complex,
     gauss_nodes_1d,
@@ -289,21 +292,18 @@ def _filter_rule(w: float, nodes_per_panel: int, grid: PhaseGrid):
     and share their weights tri(b+/w) wb / pi (the 1/pi^2 prefactor, split
     over the axes).  With b = -b+ reversed, then b+, and tb its weights, the
     rule is the complex node mesh b[i] + i b[j] and the 2-D weight table
-    tb[i] tb[j], both (2n, 2n).  The table A = [cos(2 axis (x) b+) |
-    sin(2 axis (x) b+)], shape (N, 2n), maps the folded nodes onto the grid
-    axis.  None of them depends on a state, so the last ``RULE_CACHE_SIZE``
-    (w, nodes, grid) rules are kept, read-only, and only the first call pays
-    for them.
+    tb[i] tb[j], both (2n, 2n).  The table is ``numerics._cos_sin`` of the
+    grid axis over the half axis b+, shape (N, 2n).  None of them depends
+    on a state, so the last ``RULE_CACHE_SIZE`` (w, nodes, grid) rules are
+    kept, read-only, and only the first call pays for them.
     """
     bp, wb = gauss_nodes_1d(0.0, w, nodes_per_panel)
     tw = tri(bp / w) * wb / math.pi
     b = np.concatenate([-bp[::-1], bp])
-    BX, BP = np.meshgrid(b, b, indexing="ij")
-    nodes = BX + 1j * BP
+    nodes = b[:, None] + 1j * b[None, :]
     twb = np.concatenate([tw[::-1], tw])
     weights = twb[:, None] * twb[None, :]
-    phase = 2.0 * np.outer(grid.axis(), bp)
-    table = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+    table = _cos_sin(grid.axis(), bp)
     for arr in (nodes, weights, table):
         arr.flags.writeable = False
     return nodes, weights, table
@@ -314,25 +314,22 @@ def _filtered_raw(state: State, w: float, grid: PhaseGrid,
     """Split tensor Gauss rule for the filtered transform on the grid [x, p].
 
     The panels of each axis meet at 0, where the tri factor has a kink.  Phi
-    is evaluated at the (2n)^2 nodes of ``_filter_rule``'s cached mesh
-    (b = -b+ reversed, then b+) and weighted by its cached weight table into
-    the core W[u, v]; only Phi and that product are computed per state.  The
-    kernel exp(2i (u p - v x)) is even or odd in the sign of each node, so W
-    folds onto the positive quadrant through its parity sums EE, EO, OE and
-    OO (E even, O odd; first letter u, second v) and the field is (A K A^T)^T
-    with the real table A of ``_filter_rule`` and
-    K = [[Re EE, Im EO], [-Im OE, Re OO]].  The imaginary field is the
-    same product with K_im = [[Im EE, -Re EO], [Re OE, Im OO]]; it is only
-    formed when sum |K_im| exceeds the roundoff floor ``ROUNDOFF_FACTOR`` *
-    eps * sum |W|, and otherwise sum |K_im|, a bound on |Im P| since |A| <= 1,
-    stands for its maximum.
+    is evaluated at the (2n)^2 nodes of ``_filter_rule``'s cached mesh and
+    times its cached weight table gives W; only Phi and that product are
+    computed per state.  The sum is the inverse transform's, so W folds
+    onto the real core [Re K | Im K] of ``numerics._folded_core`` (the
+    even node axis has no centre node) and ``numerics._separable_product``
+    of Re K with the rule's table gives the real field.  The imaginary
+    field is the same product of Im K; it is only formed when sum |Im K|
+    exceeds the roundoff floor ``ROUNDOFF_FACTOR`` * eps * sum |W|, and
+    otherwise sum |Im K|, a bound on |Im P| since the table's entries are
+    at most 1, stands for its maximum.
 
     Returns the real field, that imaginary residue and sum |W|, the scale of
     the field's roundoff.  Raises RangeError when Phi is not finite at some
     node, since no finer rule can repair that.
     """
     nodes, weights, table = _filter_rule(w, nodes_per_panel, grid)
-    n = nodes_per_panel
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         phi = np.asarray(char_fn(state, nodes), dtype=complex)
     bad = int(np.count_nonzero(~np.isfinite(phi)))
@@ -341,20 +338,13 @@ def _filtered_raw(state: State, w: float, grid: PhaseGrid,
             f"Phi of {state.describe()} is not finite at {bad} of {phi.size} nodes "
             f"of the w={w:g} filter rule"
         )
-    core = phi * weights
-    # quadrants indexed [a, c] for u = +-b+[a], v = +-b+[c]
-    neg = slice(n - 1, None, -1)
-    upp, upm = core[n:, n:], core[n:, neg]
-    ump, umm = core[neg, n:], core[neg, neg]
-    s_p, d_p, s_m, d_m = upp + upm, upp - upm, ump + umm, ump - umm
-    ee, oe, eo, oo = s_p + s_m, s_p - s_m, d_p + d_m, d_p - d_m
-    k_re = np.block([[ee.real, eo.imag], [-oe.imag, oo.real]])
-    abs_sum = float(np.sum(np.abs(core)))
-    field = (table @ k_re @ table.T).T
-    k_im = np.block([[ee.imag, -eo.real], [oe.real, oo.imag]])
+    weighted = phi * weights
+    abs_sum = float(np.sum(np.abs(weighted)))
+    k_re, k_im = np.hsplit(_folded_core(weighted), 2)
+    field = _separable_product(k_re, table, table)
     residue = float(np.sum(np.abs(k_im)))
     if residue > ROUNDOFF_FACTOR * _EPS * abs_sum:
-        residue = float(np.max(np.abs(table @ k_im @ table.T)))
+        residue = float(np.max(np.abs(_separable_product(k_im, table, table))))
     return field, residue, abs_sum
 
 
@@ -376,8 +366,8 @@ def filtered_p_numeric(state: State, kernel: FilterKernel, grid: PhaseGrid) -> P
     differences that are only roundoff.  Each rule's node mesh, weight table
     and real cos/sin kernel table come from ``_filter_rule``, built once per
     (w, nodes, grid) and cached; the state's Phi at all (2n)^2 nodes is
-    computed afresh and folded onto that table by ``_filtered_raw``, so the
-    sums run in real arithmetic.
+    computed afresh, and ``_filtered_raw`` sums it on the folded core of the
+    ``numerics`` transforms, in real arithmetic.
 
     The larger of the accepted difference and the roundoff floor is stored
     as ``quad_error`` on the field, an estimate of its absolute error at

@@ -17,7 +17,9 @@ rows, one per target axis.  A full output grid (``out_grid``) and any 2-D
 target array laid out like ``PhaseGrid.mesh()`` (real part constant along
 rows, imaginary part constant along columns) cost two real matrix products;
 other targets cost one real matrix product per chunk of targets and one dot
-per target.
+per target.  The numeric filter (``filters.filtered_p_numeric``) is an
+inverse transform on a split Gauss rule instead of a grid and sums on the
+same folded core and separable product.
 """
 
 from __future__ import annotations
@@ -354,28 +356,25 @@ def _fold(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-def _folded_core(samples, grid: PhaseGrid, prefactor: float):
-    """Half axis h and real core [K_re | K_im] of the weighted samples.
+def _folded_core(weighted: np.ndarray) -> np.ndarray:
+    """Real core [Re K | Im K] of weighted samples on a symmetric node axis.
 
     The transform sum at t = a + ib is sum W[i, j] exp(2i b u_i) exp(-2i a v_j)
-    with W the samples times the trapezoid weights and the prefactor.  The
-    grid is symmetric, so each axis folds onto its half axis h through the
-    parity sums EE, EO, OE and OO of W (E even, O odd; first letter u,
-    second v), and the sum is C(b) K C(a)^T with the real row
-    C(t) = [cos(2 t h) | sin(2 t h)] and K = [[EE, -i EO], [i OE, OO]].
-    Returns h and the real (2H, 4H) array [Re K | Im K].
+    with W the samples times their quadrature weights and any prefactor,
+    and u, v the nodes of one axis symmetric about 0: odd with a centre
+    node (a ``PhaseGrid``) or even without one (the numeric filter's split
+    Gauss rule).  Each axis folds onto its half axis h, the nodes >= 0,
+    through the parity sums EE, EO, OE and OO of W (E even, O odd; first
+    letter u, second v), and the sum is C(b) K C(a)^T with the real rows
+    C(t) = [cos(2 t h) | sin(2 t h)] of ``_cos_sin`` and
+    K = [[EE, -i EO], [i OE, OO]].  Returns the real (2H, 4H) array
+    [Re K | Im K].
     """
-    wt = grid.trapezoid_weights()
-    eu, ou = _fold(samples * (prefactor * np.outer(wt, wt)))
+    eu, ou = _fold(weighted)
     ee, eo = (part.T for part in _fold(eu.T))
     oe, oo = (part.T for part in _fold(ou.T))
-    half = ee.shape[0]
-    core = np.empty((2, half, 4, half))
-    for r, row in enumerate([[ee.real, eo.imag, ee.imag, -eo.real],
-                             [-oe.imag, oo.real, oe.real, oo.imag]]):
-        for c, block in enumerate(row):
-            core[r, :, c] = block
-    return grid.axis()[grid.resolution - half:], core.reshape(2 * half, 4 * half)
+    return np.block([[ee.real, eo.imag, ee.imag, -eo.real],
+                     [-oe.imag, oo.real, oe.real, oo.imag]])
 
 
 def _cos_sin(t: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -387,15 +386,18 @@ def _cos_sin(t: np.ndarray, h: np.ndarray) -> np.ndarray:
     return table
 
 
-def _separable_product(core, h, re_t, im_t) -> np.ndarray:
+def _separable_product(core, re_rows, im_rows) -> np.ndarray:
     """Transform sum at the targets re_t[i] + i*im_t[j], indexed [i, j].
 
-    One real GEMM takes the core to the imaginary-part rows, whose real and
-    imaginary halves are then interleaved so that a second real GEMM
-    against the real-part rows writes the complex mesh directly.
+    ``re_rows`` and ``im_rows`` are the ``_cos_sin`` rows of re_t and im_t.
+    One real GEMM takes the core to the imaginary-part rows and a second,
+    against the real-part rows, finishes the sum.  The 2H-wide core Re K
+    gives the real part of the sum; the 4H-wide [Re K | Im K] gives two
+    rows per imaginary part, its real and imaginary halves interleaved, so
+    the second GEMM writes the complex mesh, read through ``view(complex)``.
     """
-    rows = (_cos_sin(im_t, h) @ core).reshape(2 * im_t.size, -1)
-    return (_cos_sin(re_t, h) @ rows.T).view(complex)
+    out = re_rows @ (im_rows @ core).reshape(-1, re_rows.shape[1]).T
+    return out if core.shape[1] == re_rows.shape[1] else out.view(complex)
 
 
 def _transform_eval(h: np.ndarray, core: np.ndarray, grid: PhaseGrid):
@@ -423,7 +425,8 @@ def _transform_eval(h: np.ndarray, core: np.ndarray, grid: PhaseGrid):
             )
         if (t.ndim == 2 and t.size and np.all(t.real == t.real[:, :1])
                 and np.all(t.imag == t.imag[:1, :])):
-            return _separable_product(core, h, t.real[:, 0], t.imag[0, :])
+            return _separable_product(core, _cos_sin(t.real[:, 0], h),
+                                      _cos_sin(t.imag[0, :], h))
         flat = t.ravel()
         out = np.empty(flat.shape, dtype=complex)
         for i0 in range(0, flat.size, _TARGET_CHUNK):
@@ -445,12 +448,14 @@ def _transform_grid(h: np.ndarray, core: np.ndarray, grid: PhaseGrid,
     """
     if 2.0 * out_grid.extent > grid.nyquist:
         raise ResolutionError("output grid exceeds the Nyquist band of the input grid")
-    ax = out_grid.axis()
+    rows = _cos_sin(out_grid.axis(), h)
     # indexed [bx, bp], row-major in Re(beta)
-    return _separable_product(core, h, ax, ax)
+    return _separable_product(core, rows, rows)
 
 
-def _prepare_samples(f: PhaseField, grid: PhaseGrid | None, tol: float):
+def _prepare_samples(f: PhaseField, grid: PhaseGrid | None, tol: float, prefactor: float):
+    """Trapezoid-weighted samples of f times the prefactor, the half axis h
+    of their grid (its nodes >= 0) and that grid, checked for a transform."""
     g = grid or f.grid or PhaseGrid()
     vals = np.asarray(f.sampled_on(g), dtype=complex)
     if vals.shape != (g.resolution, g.resolution):
@@ -465,7 +470,8 @@ def _prepare_samples(f: PhaseField, grid: PhaseGrid | None, tol: float):
             f"integrand magnitude {bmax:.3e} at the grid boundary exceeds {tol:g}; "
             "enlarge the extent"
         )
-    return vals, g
+    wt = g.trapezoid_weights()
+    return vals * (prefactor * np.outer(wt, wt)), g.axis()[g.resolution // 2:], g
 
 
 def fourier_forward(f: PhaseField, *, grid: PhaseGrid | None = None,
@@ -490,8 +496,8 @@ def fourier_forward(f: PhaseField, *, grid: PhaseGrid | None = None,
         if out_grid is not None:
             out.values = one(out_grid.mesh())
         return out
-    samples, g = _prepare_samples(f, grid, boundary_tol)
-    h, core = _folded_core(samples, g, 1.0)
+    weighted, h, g = _prepare_samples(f, grid, boundary_tol, 1.0)
+    core = _folded_core(weighted)
     out = PhaseField(side="beta", fn=_transform_eval(h, core, g))
     if out_grid is not None:
         out.grid = out_grid
@@ -509,8 +515,8 @@ def fourier_inverse(f: PhaseField, *, grid: PhaseGrid | None = None,
     """
     if f.side != "beta":
         raise ParameterError("fourier_inverse expects a beta-side field")
-    samples, g = _prepare_samples(f, grid, boundary_tol)
-    h, core = _folded_core(samples, g, 1.0 / math.pi**2)
+    weighted, h, g = _prepare_samples(f, grid, boundary_tol, 1.0 / math.pi**2)
+    core = _folded_core(weighted)
     out = PhaseField(side="alpha", fn=_transform_eval(h, core, g))
     if out_grid is not None:
         out.grid = out_grid

@@ -10,6 +10,7 @@ battery can never certify classicality, so the aggregate verdict is either
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,6 +213,16 @@ class NonclassicalityReport:
         }
 
 
+def _check_margin_order(margin: float, order: int) -> None:
+    """Raise ParameterError unless the certification margin is finite and >= 0
+    and the moment order an integer >= 0: a negative margin certifies a
+    classical state at its roundoff, and a nan margin never certifies."""
+    if not (isinstance(margin, numbers.Real) and math.isfinite(margin) and margin >= 0):
+        raise ParameterError(f"certification margin must be finite and >= 0 (got {margin!r})")
+    if not (isinstance(order, numbers.Integral) and order >= 0):
+        raise ParameterError(f"moment order must be an integer >= 0 (got {order!r})")
+
+
 def moment_matrix_test(state: State, order: int,
                        *, margin: float = CERTIFICATION_MARGIN) -> CriterionEntry:
     """Minimal eigenvalue of the Hankel matrix M[j,k] = <:n^(j+k):>.
@@ -225,7 +236,10 @@ def moment_matrix_test(state: State, order: int,
     eigenvalue carries roundoff (-3e-6 for a coherent state at |a0| = 19.5),
     and at small moments the rescaled one magnifies quadrature error.  When
     any moment diverges or is not finite, the verdict is inapplicable.
+    Raises ParameterError unless the margin is finite and >= 0 and the
+    order an integer >= 0.
     """
+    _check_margin_order(margin, order)
     table = _centred_moments(state, 2 * order)
     a0 = complex(state.spec.displacement)
     moments = []
@@ -270,7 +284,7 @@ def negativity_scan(fld: PhaseField):
     Ties are broken toward the lexicographically smallest (x, p).  The field
     passes ``real_values`` first.
     """
-    vals = np.ascontiguousarray(real_values(fld))  # the numeric filter's field is transposed
+    vals = real_values(fld)
     i, j = divmod(int(np.argmin(vals)), vals.shape[1])
     ax = fld.grid.axis()
     return float(vals[i, j]), complex(ax[i], ax[j])
@@ -400,11 +414,14 @@ def classify(state: State, *, w: float = 2.0,
     filtered minimum certifies only below -(margin + quad_error), with
     quad_error the field's quadrature error estimate (0 on the analytic
     Gaussian route).  A vacuum probability or moment that is not finite
-    makes its criterion inapplicable.  Raises ParameterError for a filter width w that is not
-    finite and positive, before any criterion runs, and NonConvergenceError
-    when the numeric filter cannot resolve the grid at width w.
+    makes its criterion inapplicable.  Raises ParameterError, before any
+    criterion runs, for a filter width w that is not finite and positive, a
+    margin that is not finite and >= 0, or a moment order that is not an
+    integer >= 0; and NonConvergenceError when the numeric filter cannot
+    resolve the grid at width w.
     """
     kernel = FilterKernel(w)
+    _check_margin_order(margin, moment_order)
     grid = grid or PhaseGrid(extent=4.0, resolution=321)
     beta_grid = beta_grid or PhaseGrid(extent=4.0, resolution=161)
     report = NonclassicalityReport(state=state.describe())

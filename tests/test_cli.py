@@ -158,6 +158,25 @@ class TestClassifyCommand:
         assert "Traceback" not in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_unsound_tolerance_is_a_usage_error(self, runner, tmp_path, tolerance):
+        # -1 certified this thermal state; nan never certified anything
+        out = tmp_path / "report.json"
+        res = runner.invoke(main, ["classify", "--state", THERMAL, "--tolerance", tolerance,
+                                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "certification margin must be finite and >= 0" in res.output
+        assert not out.exists()
+
+    def test_zero_tolerance_is_accepted(self, runner, tmp_path):
+        out = tmp_path / "report.json"
+        res = runner.invoke(main, ["classify", "--state", THERMAL, "--tolerance", "0",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(out.read_text())["overall"] == "consistent-with-classical"
+
     def test_report_schema(self, runner, tmp_path):
         out = tmp_path / "report.json"
         runner.invoke(main, ["classify", "--state", '{"kind": "p_max"}', "--out", str(out)])
@@ -184,13 +203,15 @@ class TestFockdiagCommand:
                                    "--out", str(tmp_path / "x.json")])
         assert res.exit_code == 2
 
-    def test_divergent_series_is_a_clean_error(self, runner, tmp_path):
+    @pytest.mark.parametrize("kmax", ["8", "60"])
+    def test_divergent_series_is_a_clean_error(self, runner, tmp_path, kmax):
         out = tmp_path / "x.json"
-        res = runner.invoke(main, ["fockdiag", "--gamma", "0.9", "--kmax", "60",
+        res = runner.invoke(main, ["fockdiag", "--gamma", "0.9", "--kmax", kmax,
                                    "--out", str(out)])
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)
-        assert "Error:" in res.output and "ratio policy" in res.output
+        # k = 3 is the first symbol whose terms cancel below their rounding
+        assert "Error:" in res.output and "terms cancel" in res.output
         assert not out.exists()
 
     def test_negative_kmax_rejected(self, runner, tmp_path):

@@ -202,6 +202,25 @@ class TestFoldOnce:
         assert calls == [1]
 
 
+@pytest.mark.parametrize("n", [65, 64], ids=["odd", "even"])
+def test_real_product_is_the_real_part_of_the_complex_one(n):
+    # the numeric filter takes the 2H-wide core Re K, the transforms all 4H
+    import gsphase.numerics as numerics
+    grid = PhaseGrid(extent=6.0, resolution=n)
+    weighted = RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
+    core = numerics._folded_core(weighted)
+    h = grid.axis()[n // 2:]
+    assert core.shape == (2 * h.size, 4 * h.size)
+    re_rows = numerics._cos_sin(RNG.uniform(-2.0, 2.0, 23), h)
+    im_rows = numerics._cos_sin(RNG.uniform(-2.0, 2.0, 17), h)
+    full = numerics._separable_product(core, re_rows, im_rows)
+    real = numerics._separable_product(core[:, :2 * h.size], re_rows, im_rows)
+    assert full.dtype == complex and real.dtype == float
+    assert real.shape == full.shape == (23, 17)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(real - full.real)) <= 4 * eps * np.sum(np.abs(core))
+
+
 def direct_sum(samples, grid, prefactor, targets):
     """The transform sum at each target, one float64 complex exponential per node."""
     ax, wt = grid.axis(), grid.trapezoid_weights()

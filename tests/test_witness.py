@@ -213,6 +213,44 @@ class TestMomentMatrix:
         assert entry.verdict == VERDICT_CERTIFIED
 
 
+class TestMarginAndOrder:
+    """A margin or moment order that breaks soundness is refused up front."""
+
+    THERMAL = StateSpec("thermal", {"nbar": 0.5})
+
+    @pytest.mark.parametrize("margin", [-1.0, -1e-300, math.nan, math.inf, -math.inf, "0"])
+    def test_bad_margin_refused(self, margin):
+        # margin -1 certified this thermal state through the moment matrix
+        st = make_state(self.THERMAL)
+        with pytest.raises(ParameterError, match="certification margin"):
+            classify(st, margin=margin)
+        with pytest.raises(ParameterError, match="certification margin"):
+            moment_matrix_test(st, 2, margin=margin)
+
+    @pytest.mark.parametrize("order", [-1, 2.5, 2.0, "2", None])
+    def test_bad_order_refused(self, order):
+        st = make_state(self.THERMAL)
+        with pytest.raises(ParameterError, match="moment order"):
+            classify(st, moment_order=order)
+        with pytest.raises(ParameterError, match="moment order"):
+            moment_matrix_test(st, order)
+
+    def test_refused_before_any_criterion_runs(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(charfn, "classicality_violation", no_scan)
+        with pytest.raises(ParameterError):
+            classify(make_state(self.THERMAL), margin=-1.0)
+
+    @pytest.mark.parametrize("order", [0, 2, np.int64(2)])
+    def test_zero_margin_and_integer_orders_accepted(self, order):
+        st = make_state(self.THERMAL)
+        assert moment_matrix_test(st, order, margin=0.0).verdict == VERDICT_CONSISTENT
+        rep = classify(st, margin=0.0, moment_order=order)
+        assert rep.overall == VERDICT_CONSISTENT
+
+
 class TestNegativityScan:
     GRID = PhaseGrid(extent=4.0, resolution=161)
 
@@ -242,8 +280,8 @@ class TestNegativityScan:
             negativity_scan(fld)
 
     def test_transposed_field_keeps_row_major_ties(self):
-        # the numeric filter stores its field transposed; ties still go to the
-        # first node in row-major order
+        # a field in either memory layout sends ties to the first node in
+        # row-major order
         vals = np.zeros((161, 161), dtype=complex)
         vals[40, 7] = vals[3, 90] = vals[3, 100] = -1.0
         for v in (vals, np.asfortranarray(vals)):
