@@ -21,8 +21,6 @@ from .deltaseries import (
     series_from_fock,
 )
 from .filters import (
-    FilterKernel,
-    GaussianCharFn,
     box_autocorrelation,
     filtered_p_gaussian,
     filtered_p_gaussian_grid,
@@ -34,7 +32,6 @@ from .filters import (
 from .numerics import (
     PhaseField,
     PhaseGrid,
-    PhasePoint,
     erf_complex,
     erfcx_complex,
     fourier_forward,
@@ -61,13 +58,10 @@ __version__ = "0.1.0"
 __all__ = [
     "DIVERGED",
     "DeltaSeries",
-    "FilterKernel",
     "FockMatrix",
-    "GaussianCharFn",
     "NonclassicalityReport",
     "PhaseField",
     "PhaseGrid",
-    "PhasePoint",
     "State",
     "StateSpec",
     "TaylorField",

@@ -22,8 +22,6 @@ from .charfn import char_fn, char_fn_fock_element, quantum_bound_check
 from .deltaseries import TaylorField, exp_laplace_series, fock_diagonal, pair
 from .errors import ParameterError
 from .filters import (
-    FilterKernel,
-    GaussianCharFn,
     filtered_p_gaussian_grid,
     filtered_p_numeric,
     sinc2_kernel,
@@ -218,7 +216,7 @@ def criterion_6() -> CriterionResult:
     mid = FIG_GRID.resolution // 2
 
     vac = make_state(StateSpec("fock_element", {"m": 0, "n": 0}))
-    fld = filtered_p_numeric(vac, FilterKernel(w), FIG_GRID)
+    fld = filtered_p_numeric(vac, w, FIG_GRID)
     kernel = sinc2_kernel(FIG_GRID.mesh(), w)
     err_a = float(np.max(np.abs(np.real(fld.values) - kernel)))
     min_a = float(np.real(fld.values).min())
@@ -226,19 +224,19 @@ def criterion_6() -> CriterionResult:
     details.append(f"(a) vacuum: max |numeric - kernel| = {_fmt(err_a)}, min = {_fmt(min_a)}")
 
     pm = make_state(StateSpec("p_max"))
-    fpm = filtered_p_gaussian_grid(GaussianCharFn.from_state(pm), w, FIG_GRID)
+    fpm = filtered_p_gaussian_grid(pm.gaussian_xp, w, FIG_GRID)
     min_b = float(np.real(fpm.values).min())
     ok_b = min_b < -1e-3
     details.append(f"(b) maximally singular: min = {min_b!r} < -1e-3")
 
     th = make_state(StateSpec("thermal", {"nbar": 0.5}))
-    fth = filtered_p_gaussian_grid(GaussianCharFn.from_state(th), w, FIG_GRID)
+    fth = filtered_p_gaussian_grid(th.gaussian_xp, w, FIG_GRID)
     min_c = float(np.real(fth.values).min())
     ok_c = min_c >= -1e-9
     details.append(f"(c) thermal 1/2: min = {_fmt(min_c)} >= -1e-9")
 
     sq = make_state(StateSpec("squeezed", {"xi": 1.4}))
-    fsq = filtered_p_gaussian_grid(GaussianCharFn.from_state(sq), w, FIG_GRID)
+    fsq = filtered_p_gaussian_grid(sq.gaussian_xp, w, FIG_GRID)
     cut_sq = np.real(fsq.values)[:, mid]
     cut_pm = np.real(fpm.values)[:, mid]
 

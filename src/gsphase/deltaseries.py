@@ -293,7 +293,8 @@ class TaylorField:
 @dataclass(frozen=True)
 class PairingResult:
     value: complex
-    #: |last term| / |partial sum|; 0.0 for finite series
+    #: |last term| / |partial sum|; 0.0 for finite series and for a generator
+    #: sum that ends at its series' order
     convergence_ratio: float
 
     def __complex__(self):
@@ -304,13 +305,15 @@ def pair(series: DeltaSeries, test_fn: TaylorField) -> PairingResult:
     """Apply a delta-derivative series to a test function.
 
     Finite series reduce to a finite sum over the stored coefficients.
-    Generator series are summed along the diagonal, with terms assembled in
-    log magnitude to avoid overflow, under a geometric-ratio convergence
-    policy: the magnitude ratio of consecutive non-zero terms must drop
-    below 0.95 within the last ten ratios, else DivergenceError.  The sum
-    also raises DivergenceError when it is cut off at the test function's
-    ``max_order`` while its last term is above ``_TAIL_TOLERANCE`` of the
-    sum, and when its terms cancel so far that the rounding bound
+    Generator series are summed along the diagonal to the smaller of the
+    series' ``order`` and the test function's ``max_order``, with terms
+    assembled in log magnitude to avoid overflow.  A sum that stops at
+    ``max_order`` (series order >= max_order) stands for the series to all
+    orders, so it is held to a geometric-ratio convergence policy: the
+    magnitude ratio of consecutive non-zero terms must drop below 0.95
+    within the last ten ratios, and its last term must be at most
+    ``_TAIL_TOLERANCE`` of the sum, else DivergenceError.  Any sum raises
+    DivergenceError when its terms cancel so far that the rounding bound
     ``_CANCEL_FACTOR`` * eps * sum |term| exceeds ``_CANCEL_TOLERANCE`` of
     the sum.
     """
@@ -329,7 +332,8 @@ def pair(series: DeltaSeries, test_fn: TaylorField) -> PairingResult:
     ratios: list[float] = []
     last_mag = 0.0  # the last non-zero term
     tail = 0.0      # the term at the last index summed, zero or not
-    for n in range(test_fn.max_order + 1):
+    last = min(series.order, test_fn.max_order)
+    for n in range(last + 1):
         s_a, log_a = test_fn.diagonal_sign_log(n)
         if s_a == 0.0:
             tail = 0.0
@@ -346,11 +350,12 @@ def pair(series: DeltaSeries, test_fn: TaylorField) -> PairingResult:
         last_mag = tail = mag
         if mag < 1.0e-18 * max(abs(total), 1.0e-300) and n > 2:
             break
-    if len(ratios) == _RATIO_WINDOW and min(ratios) >= _RATIO_LIMIT:
+    cut_off = last == test_fn.max_order
+    if cut_off and len(ratios) == _RATIO_WINDOW and min(ratios) >= _RATIO_LIMIT:
         raise DivergenceError(
             f"diagonal pairing fails the ratio policy (last ratios >= {_RATIO_LIMIT})"
         )
-    if tail > _TAIL_TOLERANCE * abs(total):
+    if cut_off and tail > _TAIL_TOLERANCE * abs(total):
         raise DivergenceError(
             f"diagonal pairing is cut off at order {test_fn.max_order} while its last "
             f"term is {tail:.3e} against a sum of {abs(total):.3e}"
@@ -360,7 +365,7 @@ def pair(series: DeltaSeries, test_fn: TaylorField) -> PairingResult:
             f"diagonal pairing terms cancel: sum |term| = {abs_sum:.3e} against a sum "
             f"of {abs(total):.3e}, below its rounding"
         )
-    ratio = last_mag / abs(total) if total != 0 else 0.0
+    ratio = last_mag / abs(total) if cut_off and total != 0 else 0.0
     return PairingResult(complex(total), float(ratio))
 
 

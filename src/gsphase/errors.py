@@ -41,9 +41,5 @@ class ComplexResidueError(GsphaseError):
     """A field expected to be real carries a non-negligible imaginary part."""
 
 
-class SupportError(GsphaseError):
-    """A filter kernel lacks the compact support required to tame growth."""
-
-
 class TruncationWarning(UserWarning):
     """Reported truncation loss exceeds the documented target."""

@@ -1,26 +1,32 @@
 """Filter-regularized phase-space distributions.
 
-The built-in filter family starts from the unit box window on the frequency
-side.  Its normalized autocorrelation tri(Re b/w) tri(Im b/w) has compact
-support, so multiplying any characteristic function by it tames even the
-worst-case growth exp(|beta|^2/2) for every width w > 0; the corresponding
-position-side kernel is the non-negative squared-sinc probability density.
-Convolution with that kernel preserves the sign structure of the underlying
-distribution, which is what makes the regularized output a faithful
-nonclassicality witness.
+The one filter family is the unit box window on the frequency side, given
+by its width w alone.  Its normalized autocorrelation tri(Re b/w)
+tri(Im b/w) (``box_autocorrelation``) has compact support, so multiplying
+any characteristic function by it tames even the worst-case growth
+exp(|beta|^2/2) for every width w > 0; the corresponding position-side
+kernel (``sinc2_kernel``) is the non-negative squared-sinc probability
+density.  Convolution with that kernel preserves the sign structure of the
+underlying distribution, which is what makes the regularized output a
+faithful nonclassicality witness.
+
+A centred Gaussian Phi exp(-lam x^2 - kap p^2) has a closed-form filtered
+profile in its pair (lam, kap), the ``State.gaussian_xp`` of its state
+(``filtered_p_gaussian*``); any other Phi is filtered by quadrature
+(``filtered_p_numeric``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import sici
 
 from .charfn import char_fn
-from .errors import NonConvergenceError, ParameterError, RangeError, SupportError
+from .errors import NonConvergenceError, ParameterError, RangeError
 from .numerics import (
     PhaseField,
     PhaseGrid,
@@ -67,8 +73,8 @@ def tri(x) -> np.ndarray | float:
 
 
 def _check_width(w: float) -> None:
-    """Raise ParameterError unless the filter width w is finite and positive."""
-    if not (math.isfinite(w) and w > 0):
+    """Raise ParameterError unless the filter width w is a finite positive real."""
+    if not (isinstance(w, numbers.Real) and math.isfinite(w) and w > 0):
         raise ParameterError(f"filter width must be finite and positive (got {w!r})")
 
 
@@ -97,51 +103,17 @@ def sinc2_kernel(alpha, w: float):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class FilterKernel:
-    """Box-window filter of width w > 0.
-
-    ``omega_tilde`` is the compactly supported frequency-side factor,
-    ``omega_alpha`` the non-negative position-side density.
-    """
-
-    w: float
-    omega_spec: str = "box"
-
-    def __post_init__(self):
-        _check_width(self.w)
-        if self.omega_spec != "box":
-            raise SupportError("only the box window family is built in")
-
-    def omega_tilde(self, beta):
-        return box_autocorrelation(beta, self.w)
-
-    def omega_alpha(self, alpha):
-        return sinc2_kernel(alpha, self.w)
-
-    @property
-    def support_half_width(self) -> float:
-        return self.w
-
-
 # ---------------------------------------------------------------------------
-# Gaussian characteristic functions and the analytic filtered profile
+# the analytic filtered profile of a centred Gaussian Phi
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianCharFn:
-    """Phi(beta) = exp(-lam x^2 - kap p^2) with x = Re beta, p = Im beta."""
-
-    lam: float
-    kap: float
-
-    @classmethod
-    def from_state(cls, state: State) -> "GaussianCharFn":
-        if state.gaussian_xp is None:
-            raise ParameterError(
-                f"state {state.describe()} has no centered Gaussian characteristic function"
-            )
-        return cls(*state.gaussian_xp)
+def _check_gaussian(xp: tuple[float, float] | None, w: float) -> tuple[float, float]:
+    """(lam, kap) = xp, a ``State.gaussian_xp``, once the width w passes
+    ``_check_width``; ParameterError for xp None (no centred Gaussian Phi)."""
+    _check_width(w)
+    if xp is None:
+        raise ParameterError("the state has no centred Gaussian characteristic function")
+    return xp
 
 
 def _moment_m(y: np.ndarray, nmax: int) -> np.ndarray:
@@ -253,30 +225,40 @@ def tri_gaussian_ft_line_integral(g: float, r_cut: float = 1600.0) -> float:
     return float(window + tail)
 
 
-def filtered_p_gaussian(cf: GaussianCharFn, w: float, alpha) -> float | np.ndarray:
-    """Analytically filtered distribution of a Gaussian characteristic function.
+def filtered_p_gaussian(xp: tuple[float, float] | None, w: float,
+                        alpha) -> float | np.ndarray:
+    """Box-filtered distribution at alpha of the Gaussian Phi with xp = (lam, kap).
 
-    P(alpha; w) = w^2 T(w Im alpha; w^2 lam) T(-w Re alpha; w^2 kap) with T
-    the tri-Gaussian transform; the Im-alpha axis pairs with lam (the Re-beta
-    coefficient) under the Fourier convention, with no axis swap.
+    Phi(beta) = exp(-lam x^2 - kap p^2) with x = Re beta, p = Im beta, the
+    pair a state holds as ``State.gaussian_xp``.  P(alpha; w) =
+    w^2 T(w Im alpha; w^2 lam) T(-w Re alpha; w^2 kap) with T the
+    tri-Gaussian transform; the Im-alpha axis pairs with lam (the Re-beta
+    coefficient) under the Fourier convention, with no axis swap.  Raises
+    ParameterError for a width that is not a finite positive real and for
+    xp None (a state with no centred Gaussian Phi).
     """
-    _check_width(w)
+    lam, kap = _check_gaussian(xp, w)
     a = np.asarray(as_complex(alpha))
-    out = (w * w) * tri_gaussian_ft(w * a.imag, w * w * cf.lam) \
-        * tri_gaussian_ft(-w * a.real, w * w * cf.kap)
+    out = (w * w) * tri_gaussian_ft(w * a.imag, w * w * lam) \
+        * tri_gaussian_ft(-w * a.real, w * w * kap)
     return float(out) if a.ndim == 0 else out
 
 
-def filtered_p_gaussian_grid(cf: GaussianCharFn, w: float, grid: PhaseGrid) -> PhaseField:
-    """Filtered Gaussian profile on a full grid via its separable structure."""
-    _check_width(w)
+def filtered_p_gaussian_grid(xp: tuple[float, float] | None, w: float,
+                             grid: PhaseGrid) -> PhaseField:
+    """``filtered_p_gaussian`` on a full grid, by its separable structure.
+
+    Two tri-Gaussian rows, one per axis, and their outer product; the field
+    also carries ``filtered_p_gaussian`` as its evaluator.  Raises as
+    ``filtered_p_gaussian`` does.
+    """
+    lam, kap = _check_gaussian(xp, w)
     ax = grid.axis()
-    tx = tri_gaussian_ft(-w * ax, w * w * cf.kap)
-    tp = tri_gaussian_ft(w * ax, w * w * cf.lam)
+    tx = tri_gaussian_ft(-w * ax, w * w * kap)
+    tp = tri_gaussian_ft(w * ax, w * w * lam)
     values = (w * w) * np.outer(tx, tp)
     return PhaseField(side="alpha", grid=grid, values=values.astype(complex),
-                      fn=lambda a, cf=cf, w=w: np.asarray(
-                          filtered_p_gaussian(cf, w, a), dtype=complex))
+                      fn=lambda a: np.asarray(filtered_p_gaussian(xp, w, a), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +330,8 @@ def _filtered_raw(state: State, w: float, grid: PhaseGrid,
     return field, residue, abs_sum
 
 
-def filtered_p_numeric(state: State, kernel: FilterKernel, grid: PhaseGrid) -> PhaseField:
-    """Filtered distribution by direct quadrature over the kernel support.
+def filtered_p_numeric(state: State, w: float, grid: PhaseGrid) -> PhaseField:
+    """Box-filtered distribution of any state at width w, by quadrature.
 
     P(alpha; w) = (1/pi^2) Int d^2beta e^{conj(beta) alpha - beta conj(alpha)}
     Phi(beta) tri(Re beta/w) tri(Im beta/w).  The integrand is smooth on each
@@ -377,9 +359,10 @@ def filtered_p_numeric(state: State, kernel: FilterKernel, grid: PhaseGrid) -> P
     rule when Phi is not finite at a node, and NonConvergenceError when the
     rules at 200 nodes per panel and the one before still disagree by more
     than the tolerance (a width too large for the grid extent, for
-    instance), so an unresolved field never reaches a verdict.
+    instance), so an unresolved field never reaches a verdict.  Raises
+    ParameterError first for a width that is not a finite positive real.
     """
-    w = kernel.w
+    _check_width(w)
     n = _FIRST_NODES_PER_PANEL
     coarse, _, _ = _filtered_raw(state, w, grid, n)
     while True:

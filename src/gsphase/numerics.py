@@ -55,27 +55,9 @@ FieldEvaluator = Callable[[ComplexArray], ComplexArray]
 # points, grids, fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point alpha = x + i*p of the phase plane (dimensionless quadratures)."""
-
-    x: float
-    p: float
-
-    @property
-    def alpha(self) -> complex:
-        return complex(self.x, self.p)
-
-    @classmethod
-    def from_alpha(cls, alpha: complex) -> "PhasePoint":
-        alpha = complex(alpha)
-        return cls(alpha.real, alpha.imag)
-
-
 def as_complex(value) -> ComplexArray | complex:
-    """Coerce a PhasePoint, scalar or array to complex."""
-    if isinstance(value, PhasePoint):
-        return value.alpha
+    """A phase-plane point alpha = x + i*p, or an array of them, as complex:
+    an ndarray becomes a complex array, anything else a Python complex."""
     return np.asarray(value, dtype=complex) if isinstance(value, np.ndarray) else complex(value)
 
 
@@ -139,8 +121,10 @@ class PhaseGrid:
 class PhaseField:
     """A complex-valued function over the phase plane (alpha or beta side).
 
-    Either a closed-form vectorized evaluator, a sampled array over a grid,
-    or both.  When both exist they agree at the nodes by construction.
+    A closed-form vectorized evaluator ``fn``, samples ``values`` over a
+    ``grid``, or both; when both exist they agree at the nodes by
+    construction.  A transform's output carries the transform's evaluator,
+    and with ``out_grid`` its samples there.
 
     ``imag_residue`` is the largest imaginary part dropped from a field
     expected to be real; where ``filters.filtered_p_numeric`` finds a bound
@@ -155,15 +139,14 @@ class PhaseField:
     fn: FieldEvaluator | None = None
     grid: PhaseGrid | None = None
     values: np.ndarray | None = None
-    delta_at_origin: bool = False
     imag_residue: float = 0.0
     quad_error: float = 0.0
 
     def __post_init__(self):
         if self.side not in ("alpha", "beta"):
             raise ParameterError("field side must be 'alpha' or 'beta'")
-        if self.fn is None and self.values is None and not self.delta_at_origin:
-            raise ParameterError("field needs an evaluator, samples, or the delta tag")
+        if self.fn is None and self.values is None:
+            raise ParameterError("field needs an evaluator or samples")
         if self.values is not None and self.grid is None:
             raise ParameterError("sampled field needs its grid")
 
@@ -181,11 +164,6 @@ class PhaseField:
         if self.fn is None:
             raise ParameterError("cannot resample a purely sampled field on a new grid")
         return self.fn(grid.mesh())
-
-
-def delta_field() -> PhaseField:
-    """The unit point mass at the origin, usable as a transform input."""
-    return PhaseField(side="alpha", fn=None, delta_at_origin=True)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +197,6 @@ class Cartesian:
     @classmethod
     def square(cls, half_width: float) -> "Cartesian":
         return cls(-half_width, half_width, -half_width, half_width)
-
-    @classmethod
-    def from_grid(cls, grid: PhaseGrid) -> "Cartesian":
-        return cls.square(grid.extent)
 
 
 @dataclass(frozen=True)
@@ -270,8 +244,6 @@ def quad2d(f, domain, *, tol: float = 1.0e-10, max_refine: int = 7) -> QuadResul
     last inter-level difference, which bounds the true error on smooth
     integrands in practice.
     """
-    if isinstance(domain, PhaseGrid):
-        domain = Cartesian.from_grid(domain)
     if isinstance(domain, Cartesian):
         n = 24
         prev = _tensor_gauss(f, domain, n)
@@ -474,35 +446,40 @@ def _prepare_samples(f: PhaseField, grid: PhaseGrid | None, tol: float, prefacto
     return vals * (prefactor * np.outer(wt, wt)), g.axis()[g.resolution // 2:], g
 
 
+def _transform(f: PhaseField, side: str, prefactor: float, grid: PhaseGrid | None,
+               out_grid: PhaseGrid | None, boundary_tol: float) -> PhaseField:
+    """The body of both transforms: f to a field on ``side``.
+
+    The samples of ``_prepare_samples`` fold once onto the core of
+    ``_folded_core``.  The returned field's ``fn`` is the evaluator of
+    ``_transform_eval`` over that core; with ``out_grid`` its ``values``
+    are the sum on that grid, from the same core.
+    """
+    weighted, h, g = _prepare_samples(f, grid, boundary_tol, prefactor)
+    core = _folded_core(weighted)
+    out = PhaseField(side=side, fn=_transform_eval(h, core, g))
+    if out_grid is not None:
+        out.grid = out_grid
+        out.values = _transform_grid(h, core, g, out_grid)
+    return out
+
+
 def fourier_forward(f: PhaseField, *, grid: PhaseGrid | None = None,
                     out_grid: PhaseGrid | None = None,
                     boundary_tol: float = 1.0e-10) -> PhaseField:
     """Forward transform of an alpha-side field to the beta side.
 
-    The field is sampled on ``grid`` (else its own grid, else the default),
-    and those samples fold once onto the core of ``_folded_core``.  The
-    returned field's ``fn`` is the evaluator of ``_transform_eval`` over
-    that core; with ``out_grid`` its ``values`` are the sum on that grid,
-    from the same core.  Raises RangeError for a non-finite sample,
+    The field is sampled on ``grid`` (else its own grid, else the default)
+    and summed by ``_transform``: the returned field evaluates the
+    transform at any targets, and with ``out_grid`` also holds its values
+    on that grid.  Raises RangeError for a non-finite sample,
     TruncationError when the samples on the grid boundary exceed
     ``boundary_tol``, and ResolutionError for ``out_grid`` or targets past
     the grid's Nyquist band.
     """
     if f.side != "alpha":
         raise ParameterError("fourier_forward expects an alpha-side field")
-    if f.delta_at_origin:
-        one = lambda b: np.ones_like(np.asarray(b, dtype=complex))
-        out = PhaseField(side="beta", fn=one, grid=out_grid)
-        if out_grid is not None:
-            out.values = one(out_grid.mesh())
-        return out
-    weighted, h, g = _prepare_samples(f, grid, boundary_tol, 1.0)
-    core = _folded_core(weighted)
-    out = PhaseField(side="beta", fn=_transform_eval(h, core, g))
-    if out_grid is not None:
-        out.grid = out_grid
-        out.values = _transform_grid(h, core, g, out_grid)
-    return out
+    return _transform(f, "beta", 1.0, grid, out_grid, boundary_tol)
 
 
 def fourier_inverse(f: PhaseField, *, grid: PhaseGrid | None = None,
@@ -515,28 +492,7 @@ def fourier_inverse(f: PhaseField, *, grid: PhaseGrid | None = None,
     """
     if f.side != "beta":
         raise ParameterError("fourier_inverse expects a beta-side field")
-    weighted, h, g = _prepare_samples(f, grid, boundary_tol, 1.0 / math.pi**2)
-    core = _folded_core(weighted)
-    out = PhaseField(side="alpha", fn=_transform_eval(h, core, g))
-    if out_grid is not None:
-        out.grid = out_grid
-        out.values = _transform_grid(h, core, g, out_grid)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Wirtinger derivatives from closed-form quadrature partials
-# ---------------------------------------------------------------------------
-
-def wirtinger_from_xp(df_dx, df_dp):
-    """Combine exact x/p partial derivatives into (d/d_alpha, d/d_alpha*).
-
-    d/d_alpha = (d_x - i d_p)/2 and d/d_alpha* = (d_x + i d_p)/2; exact when
-    the supplied partials are closed forms.
-    """
-    d_alpha = 0.5 * (np.asarray(df_dx) - 1j * np.asarray(df_dp))
-    d_alpha_star = 0.5 * (np.asarray(df_dx) + 1j * np.asarray(df_dp))
-    return d_alpha, d_alpha_star
+    return _transform(f, "alpha", 1.0 / math.pi**2, grid, out_grid, boundary_tol)
 
 
 # ---------------------------------------------------------------------------

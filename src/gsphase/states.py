@@ -127,9 +127,6 @@ class FockMatrix:
     def is_hermitian(self, tol: float = 1.0e-12) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T)).min())
-
 
 #: terms per step of the k-resummation; bounds its working memory
 _RESUM_BLOCK = 4096

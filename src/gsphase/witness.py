@@ -19,7 +19,7 @@ from scipy.special import comb, factorial, gammaln
 from . import charfn
 from .deltaseries import TaylorField
 from .errors import ComplexResidueError, ParameterError
-from .filters import FilterKernel, GaussianCharFn, filtered_p_gaussian_grid, filtered_p_numeric
+from .filters import _check_width, filtered_p_gaussian_grid, filtered_p_numeric
 from .numerics import PhaseField, PhaseGrid, gauss_nodes_1d
 from .states import State, displaced_vacuum_probability, fock_matrix, resummed_coefficients
 
@@ -415,12 +415,12 @@ def classify(state: State, *, w: float = 2.0,
     quad_error the field's quadrature error estimate (0 on the analytic
     Gaussian route).  A vacuum probability or moment that is not finite
     makes its criterion inapplicable.  Raises ParameterError, before any
-    criterion runs, for a filter width w that is not finite and positive, a
+    criterion runs, for a filter width w that is not a finite positive real, a
     margin that is not finite and >= 0, or a moment order that is not an
     integer >= 0; and NonConvergenceError when the numeric filter cannot
     resolve the grid at width w.
     """
-    kernel = FilterKernel(w)
+    _check_width(w)
     _check_margin_order(margin, moment_order)
     grid = grid or PhaseGrid(extent=4.0, resolution=321)
     beta_grid = beta_grid or PhaseGrid(extent=4.0, resolution=161)
@@ -453,9 +453,9 @@ def classify(state: State, *, w: float = 2.0,
     report.entries.append(moment_matrix_test(state, moment_order, margin=margin))
 
     if state.gaussian_xp is not None:
-        fld = filtered_p_gaussian_grid(GaussianCharFn.from_state(state), w, grid)
+        fld = filtered_p_gaussian_grid(state.gaussian_xp, w, grid)
     else:
-        fld = filtered_p_numeric(state, kernel, grid)
+        fld = filtered_p_numeric(state, w, grid)
     min_val, loc = negativity_scan(fld)
     report.entries.append(CriterionEntry(
         "filtered_negativity",

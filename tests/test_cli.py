@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import gsphase
 from gsphase.cli import MAX_GRID_RESOLUTION, config_hash, main
-from gsphase.filters import FilterKernel, filtered_p_numeric
+from gsphase.filters import filtered_p_numeric
 from gsphase.numerics import PhaseGrid, read_field_csv
 from gsphase.states import StateSpec, make_state
 
@@ -84,7 +84,7 @@ class TestFilteredCommand:
         assert res.exit_code == 0, res.output
         spec = StateSpec.from_json(state)
         grid = PhaseGrid(extent=3.0, resolution=21)
-        values = np.real(filtered_p_numeric(make_state(spec), FilterKernel(2.0), grid).values)
+        values = np.real(filtered_p_numeric(make_state(spec), 2.0, grid).values)
         config = {"command": "filtered", "state": spec.to_json(), "grid": "3,21",
                   "w": 2.0, "cut": None}
         comments = ["gsphase filtered", f"config {config_hash(config)}"]

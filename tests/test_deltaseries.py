@@ -143,6 +143,14 @@ class TestPairing:
         f = TaylorField.from_exp_quadratic(-0.7)
         assert pair(ser, f).value == 1.0  # F(0)
 
+    @pytest.mark.parametrize("gamma,exact", [(0.5, 0.75), (2.0, 3.0)])
+    def test_generator_series_stops_at_its_order(self, gamma, exact):
+        # order 2 against exp(-|alpha|^2): the terms are (-gamma)^n for n <= 2;
+        # the all-orders sums are 1/(1 + gamma) and divergent
+        res = pair(exp_laplace_series(gamma, 2), TaylorField.from_exp_quadratic(-1.0))
+        assert res.value == pytest.approx(exact, rel=1e-15)
+        assert res.convergence_ratio == 0.0
+
     def test_divergence_policy(self):
         # thermal gamma=2 against a width-1 Gaussian: term ratio 2
         ser = exp_laplace_series(2.0, 400)
@@ -208,7 +216,8 @@ class TestPairingRefusals:
         exact = 0.9**10 / 0.1**11
         with pytest.raises(DivergenceError, match="cut off at order 400"):
             pair(series, TaylorField.vacuum_projector_symbol(10))
-        longer = pair(series, TaylorField.vacuum_projector_symbol(10, max_order=1000))
+        longer = pair(exp_laplace_series(-0.9, 1000),
+                      TaylorField.vacuum_projector_symbol(10, max_order=1000))
         assert longer.value == pytest.approx(exact, rel=1e-12)
 
     def test_max_singular_symbols_to_k_100(self):

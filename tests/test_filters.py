@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from gsphase import filters
+from gsphase import charfn, filters
 from gsphase.charfn import char_fn
-from gsphase.errors import NonConvergenceError, ParameterError, RangeError, SupportError
+from gsphase.errors import NonConvergenceError, ParameterError, RangeError
 from gsphase.filters import (
     QUAD_TOLERANCE,
     ROUNDOFF_FACTOR,
     RULE_CACHE_SIZE,
-    FilterKernel,
-    GaussianCharFn,
     box_autocorrelation,
     filtered_p_gaussian,
     filtered_p_gaussian_grid,
@@ -28,7 +26,7 @@ from gsphase.filters import (
 )
 from gsphase.numerics import PhaseGrid, gauss_nodes_1d
 from gsphase.states import StateSpec, make_state
-from gsphase.witness import negativity_scan
+from gsphase.witness import classify, negativity_scan
 
 RNG = np.random.default_rng(11)
 
@@ -100,16 +98,6 @@ class TestSinc2Kernel:
         x, wt = (a.ravel() for a in gauss_nodes_1d(edges[:-1, None], edges[1:, None], 40))
         mass_1d = float(np.sum(wt * np.sinc(w * x / math.pi) ** 2)) * w / math.pi
         assert mass_1d**2 == pytest.approx(1.0, abs=1e-2)
-
-    def test_kernel_object(self):
-        k = FilterKernel(2.0)
-        assert k.omega_tilde(0j) == 1.0
-        assert k.omega_alpha(0j) == pytest.approx(4.0 / math.pi**2)
-        assert k.support_half_width == 2.0
-        with pytest.raises(ParameterError):
-            FilterKernel(-1.0)
-        with pytest.raises(SupportError):
-            FilterKernel(1.0, omega_spec="gaussian")
 
     def test_width_limit_recovers_point_mass(self):
         # omega_tilde(beta; w) -> 1 pointwise as w grows
@@ -211,21 +199,27 @@ GRID = PhaseGrid(extent=4.0, resolution=321)
 
 class TestFilteredGaussian:
     def test_vacuum_equals_kernel(self):
-        cf = GaussianCharFn(0.0, 0.0)
         pts = RNG.uniform(-3, 3, 40) + 1j * RNG.uniform(-3, 3, 40)
-        ours = filtered_p_gaussian(cf, 2.0, pts)
+        ours = filtered_p_gaussian((0.0, 0.0), 2.0, pts)
         np.testing.assert_allclose(ours, sinc2_kernel(pts, 2.0), atol=1e-13)
 
     def test_max_singular_negative_on_axis(self):
         st = make_state(StateSpec("p_max"))
-        cf = GaussianCharFn.from_state(st)
         xs = np.linspace(-4.0, 4.0, 321)
-        cut = filtered_p_gaussian(cf, 2.0, xs.astype(complex))
+        cut = filtered_p_gaussian(st.gaussian_xp, 2.0, xs.astype(complex))
         assert cut.min() < -1e-3
+
+    def test_state_without_gaussian_phi_is_refused(self):
+        xp = make_state(StateSpec("spats", {"nbar": 1.0})).gaussian_xp
+        assert xp is None
+        with pytest.raises(ParameterError, match="no centred Gaussian"):
+            filtered_p_gaussian(xp, 2.0, 0.5 + 0.5j)
+        with pytest.raises(ParameterError, match="no centred Gaussian"):
+            filtered_p_gaussian_grid(xp, 2.0, GRID)
 
     def test_thermal_non_negative(self):
         st = make_state(StateSpec("thermal", {"nbar": 0.5}))
-        fld = filtered_p_gaussian_grid(GaussianCharFn.from_state(st), 2.0, GRID)
+        fld = filtered_p_gaussian_grid(st.gaussian_xp, 2.0, GRID)
         assert np.real(fld.values).min() >= -1e-9
 
     def test_squeezed_coefficients(self):
@@ -239,7 +233,7 @@ class TestFilteredGaussian:
 class TestFilteredNumeric:
     def test_vacuum_reproduces_kernel_grid(self):
         st = make_state(StateSpec("fock_element", {"m": 0, "n": 0}))
-        fld = filtered_p_numeric(st, FilterKernel(2.0), GRID)
+        fld = filtered_p_numeric(st, 2.0, GRID)
         expected = sinc2_kernel(GRID.mesh(), 2.0)
         assert np.max(np.abs(np.real(fld.values) - expected)) < 1e-8
         assert fld.imag_residue < 1e-9
@@ -252,15 +246,15 @@ class TestFilteredNumeric:
     ], ids=lambda s: s.kind)
     def test_agrees_with_analytic_route_no_axis_swap(self, spec):
         st = make_state(spec)
-        num = filtered_p_numeric(st, FilterKernel(2.0), GRID)
-        ana = filtered_p_gaussian_grid(GaussianCharFn.from_state(st), 2.0, GRID)
+        num = filtered_p_numeric(st, 2.0, GRID)
+        ana = filtered_p_gaussian_grid(st.gaussian_xp, 2.0, GRID)
         assert np.max(np.abs(np.real(num.values) - np.real(ana.values))) < 1e-6
 
     def test_squeezed_cut_tracks_max_singular(self):
         st = make_state(StateSpec("squeezed", {"xi": 1.4}))
         pm = make_state(StateSpec("p_max"))
-        fsq = filtered_p_numeric(st, FilterKernel(2.0), GRID)
-        fpm = filtered_p_gaussian_grid(GaussianCharFn.from_state(pm), 2.0, GRID)
+        fsq = filtered_p_numeric(st, 2.0, GRID)
+        fpm = filtered_p_gaussian_grid(pm.gaussian_xp, 2.0, GRID)
         mid = GRID.resolution // 2
         cut_sq = np.real(fsq.values)[:, mid]   # squeezed direction: Im alpha = 0
         cut_pm = np.real(fpm.values)[:, mid]
@@ -277,7 +271,7 @@ class TestFilteredNumeric:
         # stays negative, confirmed against direct 2-D convolution
         from gsphase.numerics import Cartesian, quad2d
         st = make_state(StateSpec("spats", {"nbar": 1.0}))
-        fld = filtered_p_numeric(st, FilterKernel(2.0), GRID)
+        fld = filtered_p_numeric(st, 2.0, GRID)
         mid = GRID.resolution // 2
         center_val = float(np.real(fld.values)[mid, mid])
         assert center_val < 0
@@ -307,23 +301,22 @@ class TestFilteredNumeric:
                      StateSpec("cauchy_lorentz", {"t": 3.0})]:
             st = make_state(spec)
             for w in (1.0, 2.0, 4.0):
-                fld = filtered_p_numeric(st, FilterKernel(w), GRID)
+                fld = filtered_p_numeric(st, w, GRID)
                 assert np.real(fld.values).min() >= -1e-9, spec.kind
 
     def test_width_limit_approaches_regular_density(self):
         st = make_state(StateSpec("thermal", {"nbar": 0.5}))
-        cf = GaussianCharFn.from_state(st)
         mesh = GRID.mesh()
         regular = np.real(st.regular_p_closed(mesh))
         errs = []
         for w in (1.0, 2.0, 4.0, 8.0):
-            fld = filtered_p_gaussian_grid(cf, w, GRID)
+            fld = filtered_p_gaussian_grid(st.gaussian_xp, w, GRID)
             errs.append(np.max(np.abs(np.real(fld.values) - regular)))
         assert errs[0] > errs[1] > errs[2] > errs[3]
 
     def test_ncl_filtered_negative_at_origin(self):
         st = make_state(StateSpec("cauchy_lorentz_ncl", {"t": 1.0}))
-        fld = filtered_p_numeric(st, FilterKernel(2.0), GRID)
+        fld = filtered_p_numeric(st, 2.0, GRID)
         val, loc = negativity_scan(fld)
         assert val < 0
 
@@ -352,7 +345,7 @@ class TestPmaxAtWidth6:
     def test_numeric_field_within_its_error_of_mpmath(self):
         grid = PhaseGrid(extent=4.0, resolution=321)
         st = make_state(StateSpec("p_max"))
-        fld = filtered_p_numeric(st, FilterKernel(6.0), grid)
+        fld = filtered_p_numeric(st, 6.0, grid)
         assert 0.0 < fld.quad_error < 0.02
         ax = grid.axis()
         for i, j in [(170, 150), (160, 160), (200, 120)]:
@@ -361,20 +354,32 @@ class TestPmaxAtWidth6:
             assert abs(fld.values[i, j].real - float(exact)) <= fld.quad_error
 
 
+BAD_WIDTHS = [math.nan, math.inf, 0.0, -1.0, "2", None, 1j]
+
+
 class TestWidthCheck:
-    @pytest.mark.parametrize("w", [math.nan, math.inf, 0.0, -1.0], ids=repr)
+    @pytest.mark.parametrize("w", BAD_WIDTHS, ids=repr)
     def test_every_entry_point_rejects(self, w):
-        cf = GaussianCharFn(0.5, 0.5)
-        with pytest.raises(ParameterError):
-            FilterKernel(w)
-        with pytest.raises(ParameterError):
-            filtered_p_gaussian(cf, w, 0.5 + 0.5j)
-        with pytest.raises(ParameterError):
-            filtered_p_gaussian_grid(cf, w, GRID)
-        with pytest.raises(ParameterError):
+        st = make_state(StateSpec("thermal", {"nbar": 0.5}))
+        with pytest.raises(ParameterError, match="filter width"):
+            filtered_p_numeric(st, w, GRID)
+        with pytest.raises(ParameterError, match="filter width"):
+            filtered_p_gaussian(st.gaussian_xp, w, 0.5 + 0.5j)
+        with pytest.raises(ParameterError, match="filter width"):
+            filtered_p_gaussian_grid(st.gaussian_xp, w, GRID)
+        with pytest.raises(ParameterError, match="filter width"):
             box_autocorrelation(0.5j, w)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="filter width"):
             sinc2_kernel(0.5j, w)
+
+    @pytest.mark.parametrize("w", BAD_WIDTHS, ids=repr)
+    def test_classify_refuses_before_any_criterion_runs(self, w, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(charfn, "classicality_violation", no_scan)
+        with pytest.raises(ParameterError, match="filter width"):
+            classify(make_state(StateSpec("thermal", {"nbar": 0.5})), w=w)
 
 
 def _rule_200(state, w):
@@ -426,7 +431,7 @@ class TestAdaptiveRule:
                              + ("-rotated" if s.rotation else "") + "-" + str(s.params))
     def test_agrees_with_200_node_reference(self, spec, w):
         st = make_state(spec)
-        fld = filtered_p_numeric(st, FilterKernel(w), GRID)
+        fld = filtered_p_numeric(st, w, GRID)
         # the rules' sums of |weights| agree to far better than 1%
         assert 0.0 <= fld.quad_error <= max(QUAD_TOLERANCE, 1.01 * roundoff_floor_200(st, w))
         assert np.max(np.abs(np.real(fld.values) - filtered_reference_200(st, w, GRID))) <= 1e-10
@@ -434,7 +439,7 @@ class TestAdaptiveRule:
     def test_width_too_large_for_the_grid_raises(self):
         st = make_state(StateSpec("fock_element", {"m": 0, "n": 0}, displacement=0.3))
         with pytest.raises(NonConvergenceError, match="did not converge"):
-            filtered_p_numeric(st, FilterKernel(40.0), PhaseGrid(extent=10.0, resolution=161))
+            filtered_p_numeric(st, 40.0, PhaseGrid(extent=10.0, resolution=161))
 
     @pytest.mark.parametrize("spec,w", [(StateSpec("p_max"), 5.0),
                                         (StateSpec("squeezed", {"xi": 1.4}), 6.0)],
@@ -444,10 +449,10 @@ class TestAdaptiveRule:
         # fields of size 1.6e4 and 2.5e6: roundoff, accepted through the floor
         assert ROUNDOFF_FACTOR == 1.0e3
         st = make_state(spec)
-        fld = filtered_p_numeric(st, FilterKernel(w), GRID)
+        fld = filtered_p_numeric(st, w, GRID)
         assert fld.quad_error == pytest.approx(roundoff_floor_200(st, w), rel=1e-2)
         assert fld.quad_error > QUAD_TOLERANCE
-        exact = filtered_p_gaussian_grid(GaussianCharFn.from_state(st), w, GRID).values
+        exact = filtered_p_gaussian_grid(st.gaussian_xp, w, GRID).values
         assert np.max(np.abs(fld.values - exact)) <= fld.quad_error
 
 
@@ -477,14 +482,14 @@ class TestCachedKernelTable:
         # eps * sum |core| on these fields
         st = make_state(spec)
         direct, abs_sum = filtered_raw_two_exp(st, 2.0, grid, 64)
-        first = filtered_p_numeric(st, FilterKernel(2.0), grid)
+        first = filtered_p_numeric(st, 2.0, grid)
         assert np.max(np.abs(first.values - direct.real)) <= 32 * np.finfo(float).eps * abs_sum
         assert not np.any(first.values.imag)
         if spec.kind == "spats":  # Hermitian: the imaginary field is roundoff
             assert first.imag_residue <= 1e-15
         else:
             assert first.imag_residue == pytest.approx(np.max(np.abs(direct.imag)), rel=1e-14)
-        second = filtered_p_numeric(st, FilterKernel(2.0), grid)  # reads the cached tables
+        second = filtered_p_numeric(st, 2.0, grid)  # reads the cached tables
         np.testing.assert_array_equal(second.values, first.values)
         assert second.imag_residue == first.imag_residue
 
@@ -523,5 +528,5 @@ class TestNonFinitePhi:
         monkeypatch.setattr(filters, "_filtered_raw",
                             lambda *a: rules.append(a[3]) or original(*a))
         with pytest.raises(RangeError, match=f"Phi of {kind} t=.* is not finite at"):
-            filtered_p_numeric(st, FilterKernel(2.0), GRID)
+            filtered_p_numeric(st, 2.0, GRID)
         assert rules == [32]

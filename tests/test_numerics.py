@@ -18,16 +18,13 @@ from gsphase.numerics import (
     Cartesian,
     PhaseField,
     PhaseGrid,
-    PhasePoint,
     Radial,
-    delta_field,
     erf_complex,
     erfcx_complex,
     fourier_forward,
     fourier_inverse,
     quad2d,
     read_field_csv,
-    wirtinger_from_xp,
     write_field_csv,
 )
 
@@ -39,13 +36,7 @@ def random_beta(n, radius=2.0):
     return pts[:, 0] + 1j * pts[:, 1]
 
 
-class TestPhasePoint:
-    def test_roundtrip_exact(self):
-        pt = PhasePoint(0.125, -2.5)
-        assert pt.alpha == 0.125 - 2.5j
-        back = PhasePoint.from_alpha(pt.alpha)
-        assert back == pt
-
+class TestPhaseGridAxis:
     def test_grid_origin_is_node(self):
         grid = PhaseGrid(extent=4.0, resolution=41)
         assert 0.0 in grid.axis()
@@ -77,11 +68,6 @@ class TestFourier:
         out = fourier_forward(f)
         betas = random_beta(20)
         np.testing.assert_allclose(out(betas), np.exp(-nbar * np.abs(betas) ** 2), atol=1e-8)
-
-    def test_delta_transforms_to_one(self):
-        out = fourier_forward(delta_field())
-        betas = random_beta(10, radius=5.0)
-        np.testing.assert_allclose(out(betas), 1.0)
 
     def test_inverse_gaussian_closed_form(self):
         # exp(-nbar |b|^2)  ->  exp(-|a|^2/nbar) / (pi nbar)
@@ -382,36 +368,6 @@ class TestQuad2d:
     def test_divergent_integrand_raises(self):
         with pytest.raises(NonConvergenceError):
             quad2d(lambda a: 1.0 / (1.0 + np.abs(a) ** 2), Radial(), tol=1e-10)
-
-
-class TestWirtinger:
-    def test_modulus_squared_closed_form(self):
-        # |alpha|^2 has d/dx = 2x, d/dp = 2p; the combination gives a*, a
-        for alpha in random_beta(10):
-            d_a, d_as = wirtinger_from_xp(2.0 * alpha.real, 2.0 * alpha.imag)
-            assert d_a == np.conj(alpha)
-            assert d_as == alpha
-
-    def test_against_finite_differences(self):
-        # central differences with one Richardson step as the oracle
-        f = lambda a: np.abs(a) ** 2
-
-        def fd(alpha, h=1e-4):
-            def partial(step):
-                dx = (f(alpha + step) - f(alpha - step)) / (2 * abs(step))
-                return dx
-            dx1, dx2 = partial(h), partial(h / 2)
-            dfdx = (4 * dx2 - dx1) / 3
-            dp1 = (f(alpha + 1j * h) - f(alpha - 1j * h)) / (2 * h)
-            dp2 = (f(alpha + 0.5j * h) - f(alpha - 0.5j * h)) / h
-            dfdp = (4 * dp2 - dp1) / 3
-            return dfdx, dfdp
-
-        for alpha in random_beta(5):
-            dfdx, dfdp = fd(alpha)
-            d_a, d_as = wirtinger_from_xp(dfdx, dfdp)
-            assert abs(d_a - np.conj(alpha)) < 1e-9
-            assert abs(d_as - alpha) < 1e-9
 
 
 class TestErf:

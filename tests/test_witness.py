@@ -12,7 +12,7 @@ from scipy.special import betaln, ive
 from gsphase import charfn, witness
 from gsphase.deltaseries import TaylorField, exp_laplace_series, pair
 from gsphase.errors import ComplexResidueError, NonConvergenceError, ParameterError, RangeError
-from gsphase.filters import FilterKernel, GaussianCharFn, filtered_p_gaussian_grid, filtered_p_numeric
+from gsphase.filters import filtered_p_gaussian_grid, filtered_p_numeric
 from gsphase.numerics import PhaseField, PhaseGrid
 from gsphase.states import (StateSpec, fock_matrix, from_fock_matrix, make_state,
                             vacuum_overlap_normalizer)
@@ -256,19 +256,19 @@ class TestNegativityScan:
 
     def test_filtered_vacuum_non_negative(self):
         st = make_state(StateSpec("fock_element", {"m": 0, "n": 0}))
-        fld = filtered_p_gaussian_grid(GaussianCharFn.from_state(st), 2.0, self.GRID)
+        fld = filtered_p_gaussian_grid(st.gaussian_xp, 2.0, self.GRID)
         val, _ = negativity_scan(fld)
         assert val >= -1e-12
 
     def test_filtered_max_singular_negative(self):
         st = make_state(StateSpec("p_max"))
-        fld = filtered_p_gaussian_grid(GaussianCharFn.from_state(st), 2.0, self.GRID)
+        fld = filtered_p_gaussian_grid(st.gaussian_xp, 2.0, self.GRID)
         val, loc = negativity_scan(fld)
         assert val < 0
 
     def test_filtered_spats_negative(self):
         st = make_state(StateSpec("spats", {"nbar": 1.0}))
-        fld = filtered_p_numeric(st, FilterKernel(2.0), self.GRID)
+        fld = filtered_p_numeric(st, 2.0, self.GRID)
         val, loc = negativity_scan(fld)
         assert val < 0
         assert abs(loc) < 1.0  # negativity sits near the origin
