@@ -100,7 +100,7 @@ class TestSinc2Kernel:
         assert mass_1d**2 == pytest.approx(1.0, abs=1e-2)
 
     def test_width_limit_recovers_point_mass(self):
-        # omega_tilde(beta; w) -> 1 pointwise as w grows
+        # box_autocorrelation(beta, w) -> 1 pointwise as w grows
         betas = RNG.uniform(-3, 3, 20) + 1j * RNG.uniform(-3, 3, 20)
         vals = [np.min(box_autocorrelation(betas, w)) for w in (10.0, 100.0, 1000.0)]
         assert vals[0] < vals[1] < vals[2]
