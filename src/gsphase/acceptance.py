@@ -103,6 +103,30 @@ def _t_quadrature(y: np.ndarray, gs, nodes: int = 500) -> np.ndarray:
     return (2.0 / math.pi) * (weights @ table.T)
 
 
+#: dyadic panel ratio at or above which ``_radial_moment`` calls a moment divergent
+_PANEL_RATIO_DIVERGENT = 0.98
+
+
+def _radial_moment(density, n: int, *, n_panels: int = 22, nodes: int = 48):
+    """Int d^2alpha P |alpha|^(2n) of a radial density over dyadic panels, or Diverged.
+
+    One Gauss panel on [0, 1], then [2^j, 2^(j+1)] for j < n_panels, all
+    in one evaluation of the density.  The panel sums of a power-law tail
+    decay geometrically with the dyadic ratio: a last ratio at or above
+    _PANEL_RATIO_DIVERGENT calls the moment divergent, and a smaller one
+    closes the sum with the geometric tail.  Criterion 9's quadrature
+    oracle of the closed-form moments and their frontier, for densities no
+    narrower than 1 at the centre.
+    """
+    edges = np.array([0.0] + [2.0 ** j for j in range(n_panels + 1)])[:, None]
+    r, w = gauss_nodes_1d(edges[:-1], edges[1:], nodes)
+    panels = np.sum(w * 2.0 * math.pi * r ** (2 * n + 1) * np.real(density(r)), axis=1)
+    rho = panels[-1] / panels[-2]
+    if rho >= _PANEL_RATIO_DIVERGENT:
+        return DIVERGED
+    return float(panels.sum() + panels[-1] * rho / (1.0 - rho))
+
+
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -298,7 +322,12 @@ def criterion_8() -> CriterionResult:
 
 
 def criterion_9() -> CriterionResult:
-    """Heavy-tail moments: Beta-integral value and the divergence frontier."""
+    """Heavy-tail moments: Beta-integral value and the divergence frontier.
+
+    The closed-form moments of ``State.moments`` must sit on the frontier
+    t <= n and, where finite, agree with ``_radial_moment`` to 1e-10
+    relative; the quadrature must find the same frontier.
+    """
     from scipy.special import betaln
     st3 = make_state(StateSpec("cauchy_lorentz", {"t": 3.0}))
     m1 = normal_moment(st3, 1)
@@ -309,11 +338,11 @@ def criterion_9() -> CriterionResult:
         st = make_state(StateSpec("cauchy_lorentz", {"t": t}))
         for n in (0, 1, 2):
             m = normal_moment(st, n)
-            want_diverged = t <= n
-            got_diverged = m is DIVERGED
-            if want_diverged != got_diverged:
+            quad = _radial_moment(st.regular_p_closed, n)
+            frontier = (m is DIVERGED) == (quad is DIVERGED) == (t <= n)
+            if not (frontier and (m is DIVERGED or abs(m - quad) <= 1e-10 * abs(quad))):
                 ok = False
-                details.append(f"FRONTIER MISMATCH t={t:g} n={n}: diverged={got_diverged}")
+                details.append(f"MISMATCH t={t:g} n={n}: closed form {m!r}, quadrature {quad!r}")
     details.append("divergence exactly on the t <= n cells of the 5x3 grid")
     return CriterionResult(9, "heavy-tail moments and divergence frontier", ok, details)
 

@@ -136,13 +136,14 @@ DiagLog = Callable[[int], tuple[float, float]]  # n -> (sign, log|a_n|)
 class TaylorField:
     """Derivative data a[m,n] = [d_alpha^m d_alpha*^n F](0) of a test function.
 
-    Diagonal families additionally expose (sign, log magnitude) pairs so
-    high-order pairings can be accumulated without overflow.
+    The diagonal is given once, as (sign, log magnitude) pairs, so
+    high-order pairings can be accumulated without overflow; the diagonal
+    coefficient a[n,n] is read from it.  ``coeff_fn``, when set, gives
+    every entry.
     """
 
     max_order: int
-    diag_fn: Callable[[int], complex] | None = None
-    diag_log: DiagLog | None = None
+    diag_log: DiagLog
     label: str = ""
     coeff_fn: Callable[[int, int], complex] | None = None
 
@@ -153,47 +154,32 @@ class TaylorField:
             )
         if self.coeff_fn is not None:
             return self.coeff_fn(m, n)
-        return self.diag_fn(m) if self.diag_fn is not None and m == n else 0.0
-
-    def diagonal_sign_log(self, n: int) -> tuple[float, float]:
-        if self.diag_log is not None:
-            return self.diag_log(n)
-        a = self.coefficient(n, n)
-        if a == 0:
-            return 0.0, -math.inf
-        if a.imag != 0:
-            raise ParameterError("diagonal derivative data must be real for log pairing")
-        return math.copysign(1.0, a.real), math.log(abs(a.real))
+        if m != n:
+            return 0.0
+        s, lg = self.diag_log(m)
+        return s * math.exp(lg) if s else 0.0
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_exp_quadratic(cls, c: float, max_order: int = 200) -> "TaylorField":
         """F(alpha) = exp(c |alpha|^2), with a[n,n] = c^n n!."""
-        def diag(n: int) -> complex:
-            return c**n * math.factorial(n)
-
         def diag_log(n: int) -> tuple[float, float]:
             if c == 0:
                 return (1.0, 0.0) if n == 0 else (0.0, -math.inf)
             sign = 1.0 if c > 0 or n % 2 == 0 else -1.0
             return sign, n * math.log(abs(c)) + gammaln(n + 1)
 
-        return cls(max_order=max_order, diag_fn=diag, diag_log=diag_log,
-                   label=f"exp({c:g}|a|^2)")
+        return cls(max_order=max_order, diag_log=diag_log, label=f"exp({c:g}|a|^2)")
 
     @classmethod
     def constant(cls, value: float = 1.0, max_order: int = 200) -> "TaylorField":
-        def diag(n: int) -> complex:
-            return value if n == 0 else 0.0
-
         def diag_log(n: int) -> tuple[float, float]:
             if n == 0 and value != 0:
                 return math.copysign(1.0, value), math.log(abs(value))
             return 0.0, -math.inf
 
-        return cls(max_order=max_order, diag_fn=diag, diag_log=diag_log,
-                   label=f"constant {value:g}")
+        return cls(max_order=max_order, diag_log=diag_log, label=f"constant {value:g}")
 
     @classmethod
     def vacuum_projector_symbol(cls, k: int, max_order: int = 400) -> "TaylorField":
@@ -206,20 +192,12 @@ class TaylorField:
             sign = 1.0 if (n - k) % 2 == 0 else -1.0
             return sign, 2.0 * gammaln(n + 1) - gammaln(n - k + 1) - lgk
 
-        def diag(n: int) -> complex:
-            s, lg = diag_log(n)
-            return s * math.exp(lg) if s else 0.0
-
-        return cls(max_order=max_order, diag_fn=diag, diag_log=diag_log,
-                   label=f"|{k}><{k}| symbol")
+        return cls(max_order=max_order, diag_log=diag_log, label=f"|{k}><{k}| symbol")
 
     @classmethod
     def alternating(cls, c: float, theta: float, max_order: int = 400) -> "TaylorField":
         """a[n,n] = (-1)^n (2 c^2 theta)^n n!: saturates the pairing bound as theta->1."""
         base = 2.0 * c * c * theta
-
-        def diag(n: int) -> complex:
-            return (-base) ** n * math.factorial(n)
 
         def diag_log(n: int) -> tuple[float, float]:
             if base == 0:
@@ -227,7 +205,7 @@ class TaylorField:
             sign = 1.0 if n % 2 == 0 else -1.0
             return sign, n * math.log(base) + gammaln(n + 1)
 
-        return cls(max_order=max_order, diag_fn=diag, diag_log=diag_log,
+        return cls(max_order=max_order, diag_log=diag_log,
                    label=f"alternating C={c:g} theta={theta:g}")
 
     @classmethod
@@ -250,10 +228,6 @@ class TaylorField:
             return sign, (math.log(abs(amplitude)) - x + n * math.log(1.0 / s)
                           + gammaln(n + 1) + math.log(abs(ln)))
 
-        def diag(n: int) -> complex:
-            sg, lg = diag_log(n)
-            return sg * math.exp(lg) if sg else 0.0
-
         def coeff(m: int, n: int) -> complex:
             total = 0.0
             for j in range(min(m, n) + 1):
@@ -262,8 +236,8 @@ class TaylorField:
                 total += (-1.0 / s) ** j * (a / s) ** (m + n - 2 * j) * math.exp(lg)
             return amplitude * math.exp(-x) * total
 
-        return cls(max_order=max_order, diag_fn=diag, diag_log=diag_log,
-                   coeff_fn=coeff, label=f"gaussian bump at {a:g}")
+        return cls(max_order=max_order, diag_log=diag_log, coeff_fn=coeff,
+                   label=f"gaussian bump at {a:g}")
 
     def perturbed(self, other: "TaylorField") -> "TaylorField":
         """Pointwise sum F + G at the level of derivative data."""
@@ -271,8 +245,8 @@ class TaylorField:
             return self.coefficient(m, n) + other.coefficient(m, n)
 
         def diag_log(n: int) -> tuple[float, float]:
-            s1, l1 = self.diagonal_sign_log(n)
-            s2, l2 = other.diagonal_sign_log(n)
+            s1, l1 = self.diag_log(n)
+            s2, l2 = other.diag_log(n)
             if s1 == 0 and s2 == 0:
                 return 0.0, -math.inf
             hi = max(l1 if s1 else -math.inf, l2 if s2 else -math.inf)
@@ -334,7 +308,7 @@ def pair(series: DeltaSeries, test_fn: TaylorField) -> PairingResult:
     tail = 0.0      # the term at the last index summed, zero or not
     last = min(series.order, test_fn.max_order)
     for n in range(last + 1):
-        s_a, log_a = test_fn.diagonal_sign_log(n)
+        s_a, log_a = test_fn.diag_log(n)
         if s_a == 0.0:
             tail = 0.0
             continue

@@ -57,8 +57,20 @@ FieldEvaluator = Callable[[ComplexArray], ComplexArray]
 
 def as_complex(value) -> ComplexArray | complex:
     """A phase-plane point alpha = x + i*p, or an array of them, as complex:
-    an ndarray becomes a complex array, anything else a Python complex."""
-    return np.asarray(value, dtype=complex) if isinstance(value, np.ndarray) else complex(value)
+    an ndarray, list or tuple of numbers becomes a complex array, a number a
+    Python complex.  Anything else (a string, None, a ragged or non-numeric
+    sequence) raises ParameterError."""
+    if isinstance(value, (np.ndarray, list, tuple)):
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # a ragged nesting
+            arr = None
+        if arr is not None and arr.dtype.kind in "biufc":
+            return arr.astype(complex, copy=False)
+    elif isinstance(value, (numbers.Number, np.bool_)):
+        return complex(value)
+    raise ParameterError(
+        f"phase-plane points must be numbers or arrays of numbers (got {type(value).__name__})")
 
 
 @dataclass(frozen=True)

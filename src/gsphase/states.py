@@ -2,9 +2,23 @@
 
 Every state carries its characteristic function from construction (for a
 Fock mixture or an explicit Fock matrix, one Laguerre recurrence per diagonal
-offset), plus whatever else exists: a regular phase-space density, the
+offset) and the table of its centred normally ordered moments
+<a^dag^r a^q>, plus whatever else exists: a regular phase-space density, the
 coefficients of a centred Gaussian characteristic function, and a truncated
 Fock matrix built per cutoff.
+
+The moment table of each kind comes from one closed form:
+
+- thermal, squeezed, p_max and the vacuum (centred Gaussian Phi): the
+  coefficients of exp(A u^2 + A v^2 + N u v), a finite sum;
+- spats: <:n^k:> = k! nbar^(k-1) (k nbar + nbar + k);
+- cauchy_lorentz: <:n^k:> = t B(k+1, t-k) for k < t, divergent from k >= t;
+  cauchy_lorentz_ncl scales it by 1/(1 - N_t) and keeps the trace 1;
+- fock_element, fock_mixture, photon_vacuum_mix and explicit matrices: the
+  k-resummation of the matrix over all its rows.
+
+A rotation multiplies the table by a phase; a displaced state recentres the
+table of its ``centred`` state.
 
 Catalog kinds and parameters (JSON wire format ``{"kind": ..., "params": {...}}``):
 
@@ -34,7 +48,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy.special import eval_genlaguerre, gammaln, k0, k1, kv
+from scipy.special import betaln, eval_genlaguerre, factorial, gammaln, k0, k1, kv
 
 from . import numerics
 from .errors import (NoRegularFormError, ParameterError, TruncationError, TruncationWarning,
@@ -309,6 +323,10 @@ class State:
     #: when it is a centered Gaussian (x = Re beta, p = Im beta); when
     #: lam == kap, lam is the generator gamma of the singular series
     gaussian_xp: tuple[float, float] | None = None
+    #: order -> the centred table T[q, r] = <a^dag^r a^q> for q, r <= order,
+    #: cut before the first divergent diagonal order; None for a displaced
+    #: state, whose moments are recentred from ``centred.moments``
+    moments: Callable[[int], np.ndarray] | None = None
     #: closed-form regular phase-space density (None: no regular form),
     #: radially symmetric about spec.displacement
     regular_p_closed: Callable | None = None
@@ -348,13 +366,50 @@ def _embedded(m: np.ndarray) -> Callable[[int], np.ndarray]:
     return fock
 
 
+def _finite_moments(rho: np.ndarray) -> Callable[[int], np.ndarray]:
+    """Moments q! r! d[q, r] of a finite Fock matrix, resummed over all its rows.
+
+    The matrix is zero-padded to the order, so entries past its last row are
+    exactly zero.  Each factorial multiplies in turn, so no intermediate
+    overflows before the moment itself does.
+    """
+    def moments(order):
+        d, _ = resummed_coefficients(_embedded(rho)(max(order, rho.shape[0] - 1)), order)
+        f = factorial(np.arange(order + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return d * f[:, None] * f
+    return moments
+
+
 def _gaussian(lam: float, kap: float) -> dict:
-    """State fields of the centred Gaussian Phi(beta) = exp(-lam x^2 - kap p^2)."""
+    """State fields of the centred Gaussian Phi(beta) = exp(-lam x^2 - kap p^2).
+
+    With u = beta and v = -conj(beta), Phi = exp(A u^2 + A v^2 + N u v) for
+    A = (kap - lam)/4 and N = (lam + kap)/2, so <a^dag^r a^q> is q! r! times
+    the coefficient of u^r v^q: the sum over k <= min(q, r) of equal parity of
+    q! r! A^(i+j) N^k / (i! j! k!), i = (r-k)/2, j = (q-k)/2.  A circular
+    Gaussian (A = 0) keeps only T[q, q] = q! N^q.  A term past the float
+    range is inf, and a sum of infinities of both signs nan.
+    """
     def phi(beta):
         b = np.asarray(beta, dtype=complex)
         with np.errstate(over="ignore"):  # lam x^2 = inf near MAX_SQUEEZING; exp(-inf) = 0
             return np.exp(-lam * b.real ** 2 - kap * b.imag ** 2)
-    return {"gaussian_xp": (lam, kap), "phi_closed": phi}
+
+    a, n = (kap - lam) / 4.0, (lam + kap) / 2.0
+
+    def moments(order):
+        q = np.arange(order + 1)
+        f = factorial(q)
+        table = np.zeros((order + 1, order + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in q:
+                j = (q[k::2] - k) // 2
+                ratio = f[k::2] / f[j]  # q!/j!, finite wherever q! is
+                table[k::2, k::2] += np.outer(ratio / f[k], ratio) * a ** np.add.outer(j, j) * n ** k
+        return table.astype(complex)
+
+    return {"gaussian_xp": (lam, kap), "phi_closed": phi, "moments": moments}
 
 
 def _geometric_diag(nbar: float, cutoff: int) -> np.ndarray:
@@ -381,11 +436,33 @@ def _spats_diag(nbar: float, cutoff: int) -> np.ndarray:
     return np.diag(k * q ** np.maximum(k - 1, 0) / (nbar + 1.0) ** 2).astype(complex)
 
 
+def _diagonal_moments(diag: Callable[[np.ndarray], np.ndarray],
+                      top: float = math.inf) -> Callable[[int], np.ndarray]:
+    """Moment table of a radial state: <:n^k:> = diag(k) on the diagonal for
+    k <= order, cut before the first k >= top; inf past the float range."""
+    def moments(order):
+        k = np.arange(order + 1)
+        with np.errstate(over="ignore"):
+            return np.diag(diag(k[k < top])).astype(complex)
+    return moments
+
+
 def _lorentz_radial_density(t: float):
     def density(alpha):
         u = np.abs(np.asarray(alpha, dtype=complex)) ** 2
         return (t / math.pi) * np.exp(-(1.0 + t) * np.log1p(u))
     return density
+
+
+def _lorentz_moments(t: float, scale: float = 1.0) -> Callable[[int], np.ndarray]:
+    """<:n^k:> = scale t B(k+1, t-k) for 0 < k < t, divergent from k >= t.
+
+    The trace is 1: the mass t B(1, t) of cauchy_lorentz, and for
+    cauchy_lorentz_ncl the density's 1/(1 - N_t) plus its point mass
+    -N_t/(1 - N_t) at the centre.
+    """
+    return _diagonal_moments(
+        lambda k: np.where(k == 0, 1.0, scale * t * np.exp(betaln(k + 1.0, t - k))), t)
 
 
 #: largest integer t whose Lorentz Phi takes the upward recurrence instead of
@@ -519,8 +596,11 @@ def make_state(spec: StateSpec) -> State:
             u = np.abs(np.asarray(alpha, dtype=complex)) ** 2
             return ((nb + 1.0) * u - nb) * np.exp(-u / nb) / (math.pi * nb**3)
 
-        st = State(spec=spec, physical=True, phi_closed=phi, regular_p_closed=preg,
-                   exact_vacuum_probability=0.0,
+        # <:n^k:> = k! nbar^(k-1) (k nbar + nbar + k)
+        moments = _diagonal_moments(
+            lambda k, nb=nbar: np.exp(gammaln(k + 1.0) + k * math.log(nb)) * (k + 1.0 + k / nb))
+        st = State(spec=spec, physical=True, phi_closed=phi, moments=moments,
+                   regular_p_closed=preg, exact_vacuum_probability=0.0,
                    _base_fock_builder=lambda K, nb=nbar: _spats_diag(nb, K),
                    _tail_loss=lambda K, q=nbar / (nbar + 1.0):
                        q**K * ((K + 1) * (1.0 - q) + q))
@@ -531,8 +611,9 @@ def make_state(spec: StateSpec) -> State:
         def phi(beta, eta=eta):
             return 1.0 - eta * np.abs(np.asarray(beta, dtype=complex)) ** 2
 
-        st = State(spec=spec, physical=True, phi_closed=phi, exact_vacuum_probability=1.0 - eta,
-                   _base_fock_builder=_embedded(np.diag([1.0 - eta, eta])),
+        rho = np.diag([1.0 - eta, eta])
+        st = State(spec=spec, physical=True, phi_closed=phi, moments=_finite_moments(rho),
+                   exact_vacuum_probability=1.0 - eta, _base_fock_builder=_embedded(rho),
                    _tail_loss=lambda K, eta=eta: 0.0 if K >= 1 else eta)
     elif kind == "fock_element":
         m, n = int(p.get("m", -1)), int(p.get("n", -1))
@@ -542,7 +623,8 @@ def make_state(spec: StateSpec) -> State:
         unit[m, n] = 1.0
         st = State(spec=spec, physical=(m == n),
                    **(_gaussian(0.0, 0.0) if m == n == 0 else
-                      {"phi_closed": lambda b, m=m, n=n: char_fn_fock_element(m, n, b)}),
+                      {"phi_closed": lambda b, m=m, n=n: char_fn_fock_element(m, n, b),
+                       "moments": _finite_moments(unit)}),
                    exact_vacuum_probability=float(m == n == 0),
                    _base_fock_builder=_embedded(unit),
                    _tail_loss=lambda K, m=m, n=n: 0.0 if K >= max(m, n) else 1.0)
@@ -558,14 +640,14 @@ def make_state(spec: StateSpec) -> State:
 
         diag = np.diag([weights.get(k, 0.0) for k in range(max(weights) + 1)])
         st = State(spec=spec, physical=True, phi_closed=fock_phi(diag),
-                   exact_vacuum_probability=weights.get(0, 0.0),
+                   moments=_finite_moments(diag), exact_vacuum_probability=weights.get(0, 0.0),
                    _base_fock_builder=_embedded(diag),
                    _tail_loss=lambda K, ws=weights: sum(v for k, v in ws.items() if k > K))
     elif kind == "cauchy_lorentz":
         t = p.get("t")
         _require(t is not None and t > 0, "cauchy_lorentz requires t > 0")
         st = State(spec=spec, physical=True, phi_closed=_lorentz_phi(t),
-                   regular_p_closed=_lorentz_radial_density(t),
+                   moments=_lorentz_moments(t), regular_p_closed=_lorentz_radial_density(t),
                    exact_vacuum_probability=vacuum_overlap_normalizer(t),
                    _base_fock_builder=lambda K, t=t: _lorentz_fock_diag(t, K))
     elif kind == "cauchy_lorentz_ncl":
@@ -584,7 +666,7 @@ def make_state(spec: StateSpec) -> State:
             d[0, 0] -= norm
             return d * scale
 
-        st = State(spec=spec, physical=True, phi_closed=phi,
+        st = State(spec=spec, physical=True, phi_closed=phi, moments=_lorentz_moments(t, scale),
                    regular_p_closed=lambda a, dens=dens, scale=scale: dens(a) * scale,
                    atom_weight=-norm * scale,
                    exact_vacuum_probability=0.0, _base_fock_builder=fock)
@@ -613,22 +695,31 @@ def _apply_modifiers(st: State) -> State:
 
     This is where the invariants are decided.  A rotation keeps whatever
     depends only on the photon-number diagonal (the exact vacuum probability
-    and the tail loss) and keeps a Gaussian characteristic function only when
-    it is circular (lam == kap, the generator).  A displacement keeps
-    only Phi and the regular density, radially symmetric about alpha0; the
-    rotated state stays as ``centred``, and there is no displaced Fock matrix.
+    and the tail loss), multiplies the moment table T[q, r] by
+    exp(i phi (q - r)), as it does rho[m, n] by exp(i phi (m - n)), and keeps
+    a Gaussian characteristic function only when it is circular (lam == kap,
+    the generator).  A displacement keeps only Phi and the regular density,
+    radially symmetric about alpha0; the rotated state stays as ``centred``,
+    and there is no displaced Fock matrix or moment table.
     """
     phi0, a0 = st.spec.rotation, complex(st.spec.displacement)
     base_phi, base_p, builder = st.phi_closed, st.regular_p_closed, st._base_fock_builder
     if phi0:
         rot = np.exp(-1j * phi0)
+        base_moments = st.moments
 
         def fock(K):
             ph = np.exp(1j * phi0 * np.arange(K + 1))
             return builder(K) * np.outer(ph, ph.conj())
 
+        def moments(order):
+            table = base_moments(order)
+            q = np.arange(table.shape[0])
+            with np.errstate(invalid="ignore"):  # inf * (1 + 0j) has a nan imaginary part
+                return table * np.exp(1j * phi0 * np.subtract.outer(q, q))
+
         circular = st.gaussian_xp is not None and st.gaussian_xp[0] == st.gaussian_xp[1]
-        st = replace(st, gaussian_xp=st.gaussian_xp if circular else None,
+        st = replace(st, gaussian_xp=st.gaussian_xp if circular else None, moments=moments,
                      phi_closed=lambda b: base_phi(rot * np.asarray(b, dtype=complex)),
                      regular_p_closed=None if base_p is None else
                      lambda a: base_p(rot * np.asarray(a, dtype=complex)),
@@ -680,6 +771,7 @@ def from_fock_matrix(matrix, *, physical: bool = True) -> State:
         return laguerre(beta)
 
     return State(spec=StateSpec(kind="explicit_fock"), physical=physical, phi_closed=phi,
+                 moments=_finite_moments(fm.matrix),
                  phi_roundoff=PHI_ROUNDOFF_FACTOR * fm.matrix.shape[0] * np.finfo(float).eps
                  * float(np.abs(fm.matrix).sum()),
                  exact_vacuum_probability=float(fm.matrix[0, 0].real),

@@ -14,14 +14,14 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import comb, factorial, gammaln
+from scipy.special import comb, gammaln
 
 from . import charfn
 from .deltaseries import TaylorField
 from .errors import ComplexResidueError, ParameterError
 from .filters import _check_width, filtered_p_gaussian_grid, filtered_p_numeric
-from .numerics import PhaseField, PhaseGrid, gauss_nodes_1d
-from .states import State, displaced_vacuum_probability, fock_matrix, resummed_coefficients
+from .numerics import PhaseField, PhaseGrid
+from .states import State, displaced_vacuum_probability
 
 #: default certification margin; an order below quadrature tolerances
 CERTIFICATION_MARGIN = 1.0e-9
@@ -67,70 +67,16 @@ def vacuum_probability(state: State) -> float:
 # normally ordered moments with divergence detection
 # ---------------------------------------------------------------------------
 
-_PANEL_RATIO_DIVERGENT = 0.98
-
-
-def _radial_moment(density, n: int, *, n_panels: int = 22, nodes: int = 48):
-    """Int d^2alpha P |alpha|^(2n) over dyadic radial panels.
-
-    The panel sums of a power-law tail decay geometrically with the dyadic
-    ratio; a ratio locked at or above one signals the divergent regime, and
-    the convergent regime is closed with the geometric tail extrapolation.
-    Inside r = 1 the panels are dyadic down to 4-8 widths 1/sqrt(pi |P(0)|)
-    of a core narrower than 1/8 (cauchy_lorentz at t = 1e6).
-    """
-    def shell(r0, r1):
-        r, w = gauss_nodes_1d(r0, r1, nodes)
-        return float(np.sum(w * 2.0 * math.pi * r ** (2 * n + 1) * density(r)))
-
-    core = abs(float(density(np.zeros(1))[0]))
-    depth = int(np.clip(np.ceil(0.5 * np.log2(math.pi * core)) - 3, 0, 1000)) if core > 0 else 0
-    total = sum(shell(2.0 ** -(j + 1) if j < depth else 0.0, 2.0 ** -j) for j in range(depth, -1, -1))
-    contributions = []
-    quiet = 0
-    for j in range(n_panels):
-        value = shell(2.0 ** j, 2.0 ** (j + 1))
-        contributions.append(value)
-        total += value
-        quiet = quiet + 1 if abs(value) < 1.0e-14 * max(abs(total), 1.0) else 0
-        if quiet >= 2:
-            return total
-        ratios = [b / a for a, b in zip(contributions[-3:-1], contributions[-2:]) if a > 0]
-        if len(contributions) >= 4 and len(ratios) == 2 and min(ratios) >= _PANEL_RATIO_DIVERGENT:
-            return DIVERGED
-    rho = contributions[-1] / contributions[-2] if contributions[-2] > 0 else 0.0
-    if rho >= 1.0:
-        return DIVERGED
-    return total + contributions[-1] * rho / (1.0 - rho)
-
-
 def _centred_moments(state: State, order: int) -> np.ndarray:
     """T[q, r] = <a^dag^r a^q> of the centred (rotated) state, q, r <= order.
 
-    A generator state (a circular Gaussian Phi, gamma = lam = kap) gives
-    T[q, q] = q! gamma^q; a radial regular density its radial moments, cut
-    before the first divergent one, with T[0, 0] = 1 counting the point mass
-    of cauchy_lorentz_ncl; any other state q! r! d[q, r] from
-    ``resummed_coefficients`` at cutoff 128, with the trace T[0, 0] = 1 for a
-    physical state whatever its truncation loss.
+    One read of the table the centred state carries from construction
+    (``State.moments``): a closed form for every catalog kind, the
+    k-resummation of the matrix itself for a finite-rank state.  The table
+    is cut before the first divergent diagonal order; an entry past the
+    float range is inf or nan.
     """
-    c = state.centred or state
-    q = np.arange(order + 1)
-    if c.gaussian_xp is not None and c.gaussian_xp[0] == c.gaussian_xp[1]:
-        return np.diag(factorial(q) * c.gaussian_xp[0] ** q).astype(complex)
-    if c.regular_p_closed is not None:
-        diag = [1.0]
-        for j in q[1:]:
-            m = _radial_moment(lambda r: np.real(c.regular_p_closed(r)), int(j))
-            if m is DIVERGED:
-                break
-            diag.append(m)
-        return np.diag(diag).astype(complex)
-    d, _ = resummed_coefficients(fock_matrix(c, 128).matrix, order)
-    table = d * np.outer(factorial(q), factorial(q))
-    if c.physical:
-        table[0, 0] = 1.0
-    return table
+    return (state.centred or state).moments(order)
 
 
 def _displaced_moment(table: np.ndarray, a0: complex, n: int):
@@ -139,17 +85,19 @@ def _displaced_moment(table: np.ndarray, a0: complex, n: int):
         return DIVERGED
     j = np.arange(n + 1)
     binom = comb(n, j)
-    return float(np.real((binom * a0 ** (n - j)) @ table[: n + 1, : n + 1]
-                         @ (binom * np.conj(a0) ** (n - j))))
+    with np.errstate(over="ignore", invalid="ignore"):  # a table past the float range: inf or nan
+        return float(np.real((binom * a0 ** (n - j)) @ table[: n + 1, : n + 1]
+                             @ (binom * np.conj(a0) ** (n - j))))
 
 
 def normal_moment(state: State, n: int):
     """<: (a^dag a)^n :> = Int d^2alpha P(alpha) |alpha|^(2n), or Diverged.
 
     Centred and displaced states share one route: the binomial expansion
-    of <(a^dag + conj a0)^n (a + a0)^n> over the centred moment table.
-    The order-0 moment is the trace (0 for |m><n| with m != n).  Diverged is
-    a value, not an exception.
+    of <(a^dag + conj a0)^n (a + a0)^n> over the centred moment table
+    ``State.moments``, closed form or finite-rank resummation.  The order-0
+    moment is the trace (0 for |m><n| with m != n).  Diverged is a value,
+    not an exception; a moment past the float range is inf or nan.
     """
     if n < 0:
         raise ParameterError("moment order must be >= 0")
@@ -234,8 +182,11 @@ def moment_matrix_test(state: State, order: int,
     matrix rescaled by alpha -> alpha / sqrt|<:n:>|, a congruence that keeps
     the sign, is also below -margin: at large moments the unscaled
     eigenvalue carries roundoff (-3e-6 for a coherent state at |a0| = 19.5),
-    and at small moments the rescaled one magnifies quadrature error.  When
-    any moment diverges or is not finite, the verdict is inapplicable.
+    and at small moments the rescaled one magnifies the error of a moment
+    table.  The moments are recentred from the state's centred table
+    (``State.moments``).  When any moment diverges or is not finite (a
+    table past the float range, such as squeezed xi = 354), the verdict is
+    inapplicable.
     Raises ParameterError unless the margin is finite and >= 0 and the
     order an integer >= 0.
     """

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from gsphase import charfn, filters
+from gsphase import charfn, filters, numerics
 from gsphase.charfn import char_fn
 from gsphase.errors import NonConvergenceError, ParameterError, RangeError
 from gsphase.filters import (
@@ -530,3 +530,36 @@ class TestNonFinitePhi:
         with pytest.raises(RangeError, match=f"Phi of {kind} t=.* is not finite at"):
             filtered_p_numeric(st, 2.0, GRID)
         assert rules == [32]
+
+
+class TestPointInputs:
+    """Points given as a list or tuple act as an array; anything not a number is refused."""
+
+    @pytest.mark.parametrize("points", [[0.0, 0.5], (0.0, 0.5j), [[0.0, 0.5], [1.0 - 0.2j, -0.3]]],
+                             ids=["list", "tuple", "nested"])
+    def test_sequence_equals_the_ndarray_call(self, points):
+        arr = np.asarray(points, dtype=complex)
+        np.testing.assert_array_equal(sinc2_kernel(points, 2.0), sinc2_kernel(arr, 2.0))
+        np.testing.assert_array_equal(box_autocorrelation(points, 2.0),
+                                      box_autocorrelation(arr, 2.0))
+        np.testing.assert_array_equal(filtered_p_gaussian((0.5, 0.5), 2.0, points),
+                                      filtered_p_gaussian((0.5, 0.5), 2.0, arr))
+        st = make_state(StateSpec("thermal", {"nbar": 0.5}))
+        np.testing.assert_array_equal(char_fn(st, points), char_fn(st, arr))
+
+    def test_scalar_stays_a_python_number(self):
+        assert isinstance(numerics.as_complex(0.5), complex)
+        assert isinstance(numerics.as_complex(np.float64(0.5)), complex)
+        assert isinstance(sinc2_kernel(0.5, 2.0), float)
+        assert isinstance(char_fn(make_state(StateSpec("thermal", {"nbar": 0.5})), 0.5), complex)
+
+    @pytest.mark.parametrize("bad", ["abc", "0.5", None, [None], ["1"], [[0.0, 0.5], [1.0]],
+                                     {0.5}], ids=["abc", "numeric-string", "None", "[None]",
+                                                  "[string]", "ragged", "set"])
+    def test_non_numbers_are_refused(self, bad):
+        with pytest.raises(ParameterError, match="must be numbers"):
+            sinc2_kernel(bad, 2.0)
+        with pytest.raises(ParameterError, match="must be numbers"):
+            filtered_p_gaussian((0.5, 0.5), 2.0, bad)
+        with pytest.raises(ParameterError, match="must be numbers"):
+            char_fn(make_state(StateSpec("thermal", {"nbar": 0.5})), bad)

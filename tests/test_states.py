@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from gsphase import states, witness
+from gsphase import states
 from gsphase.charfn import char_fn
 from gsphase.errors import NoRegularFormError, ParameterError, TruncationWarning, UnsupportedError
 from gsphase.numerics import Cartesian, PhaseGrid, Radial, gauss_nodes_1d, quad2d
@@ -366,6 +366,22 @@ class TestModifierInvariants:
         phi = np.asarray(st.phi_closed(betas))
         assert phi.shape == betas.shape and np.all(np.isfinite(phi))
 
+    @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
+    @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)
+    def test_every_state_carries_its_moments(self, spec, mod):
+        # a displaced state reads its centred state's table; T[0, 0] = Phi(0)
+        st = make_state(replace(spec, **mod))
+        assert (st.moments is None) == (st.centred is not None)
+        centred = st.centred or st
+        table = centred.moments(4)
+        n = table.shape[0]
+        assert 1 <= n <= 5 and table.shape == (n, n) and np.all(np.isfinite(table))
+        assert table[0, 0] == pytest.approx(centred.phi_closed(np.zeros(1))[0], abs=1e-12)
+        if spec.kind.startswith("cauchy_lorentz"):  # cut before the first k >= t
+            assert n == math.ceil(spec.params["t"])
+        else:
+            assert n == 5
+
     @pytest.mark.parametrize("physical", [True, False])
     def test_explicit_state_carries_its_phi(self, physical):
         st = from_fock_matrix(np.diag([0.25, 0.5, 0.25]), physical=physical)
@@ -384,13 +400,17 @@ class TestModifierInvariants:
     @pytest.mark.parametrize("make", [
         lambda: from_fock_matrix(np.diag([0.5, 0.2, 0.3])),
         lambda: make_state(StateSpec("fock_mixture", {"w1": 0.4, "w3": 0.6}, rotation=0.9)),
-    ], ids=["explicit", "rotated-fock_mixture"])
-    def test_classify_builds_the_fock_matrix_once(self, make, monkeypatch):
-        calls = []
-        monkeypatch.setattr(witness, "fock_matrix",
-                            lambda st, K: calls.append(K) or fock_matrix(st, K))
-        classify(make(), grid=PhaseGrid(2.0, 21))
-        assert calls == [128]
+        lambda: make_state(StateSpec("squeezed", {"xi": 1.0}, rotation=0.7)),
+    ], ids=["explicit", "rotated-fock_mixture", "rotated-squeezed"])
+    def test_classify_builds_no_fock_matrix(self, make, monkeypatch):
+        # every moment table comes from State.moments, not from a Fock cutoff
+        st, calls = make(), []
+        builder = st._base_fock_builder
+        st._base_fock_builder = lambda K: calls.append(K) or builder(K)
+        monkeypatch.setattr(states, "fock_matrix",
+                            lambda s, K: calls.append(K) or fock_matrix(s, K))
+        classify(st, grid=PhaseGrid(2.0, 21))
+        assert calls == []
 
 
 class TestExplicitFock:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from gsphase.errors import ComplexResidueError, NonConvergenceError, ParameterEr
 from gsphase.filters import filtered_p_gaussian_grid, filtered_p_numeric
 from gsphase.numerics import PhaseField, PhaseGrid
 from gsphase.states import (StateSpec, fock_matrix, from_fock_matrix, make_state,
-                            vacuum_overlap_normalizer)
+                            resummed_coefficients, vacuum_overlap_normalizer)
 from gsphase.witness import (
     CERTIFICATION_MARGIN,
     DIVERGED,
@@ -128,19 +129,17 @@ class TestNormalMoments:
             assert normal_moment(make_state(spec), 0) == 1.0
 
     @pytest.mark.parametrize("kind,params,oracle,rel", [
-        # thermal reads k! nbar^k from its generator, not from the density
+        # each from its closed-form table, not from a quadrature of the density
         ("thermal", {"nbar": 3.5e-7}, lambda k: math.factorial(k) * 3.5e-7 ** k, 1e-15),
         ("spats", {"nbar": 1e-6},
          lambda k: math.factorial(k) * 1e-6 ** (k - 1) * (k * 1e-6 + k + 1e-6), 1e-12),
         ("cauchy_lorentz", {"t": 1e5}, lambda k: lorentz_moment_oracle(1e5, k), 1e-9),
         ("cauchy_lorentz", {"t": 1e6}, lambda k: lorentz_moment_oracle(1e6, k), 1e-8),
-        # (1 + u)^(-1-t) in log1p form: the power form was off by 3e-8 and 2e-5
         ("cauchy_lorentz", {"t": 1e9}, lambda k: lorentz_moment_oracle(1e9, k), 1e-12),
         ("cauchy_lorentz", {"t": 1e12}, lambda k: lorentz_moment_oracle(1e12, k), 1e-12),
     ])
     def test_narrow_densities_are_resolved(self, kind, params, oracle, rel):
-        # cores 6e-4 to 3e-3 wide, where one 48-node panel on [0, 1] has its
-        # first node at 6e-4
+        # cores 6e-4 to 3e-3 wide, which a radial quadrature has to resolve
         st = make_state(StateSpec(kind, params))
         for k in range(1, 5):
             assert normal_moment(st, k) == pytest.approx(oracle(k), rel=rel, abs=0.0)
@@ -183,6 +182,66 @@ class TestNormalMoments:
         for i in range(1, 4):
             assert normal_moment(st, i) == pytest.approx(
                 (-0.5) ** i * math.factorial(i), rel=1e-12)
+
+
+class TestMomentTables:
+    """The closed-form moment tables every state carries, against their formulas."""
+
+    @pytest.mark.parametrize("xi", [1.0, 2.0, 3.0, 5.0])
+    def test_squeezed(self, xi):
+        st = make_state(StateSpec("squeezed", {"xi": xi}))
+        s2, c2 = math.sinh(xi) ** 2, math.cosh(xi) ** 2
+        assert normal_moment(st, 1) == pytest.approx(s2, rel=1e-12, abs=0.0)
+        assert normal_moment(st, 2) == pytest.approx(2.0 * s2 * s2 + s2 * c2, rel=1e-12, abs=0.0)
+        assert st.moments(2)[2, 0] == pytest.approx(-math.sinh(xi) * math.cosh(xi), rel=1e-12)
+
+    def test_fock_mixture_resums_every_row(self):
+        st = make_state(StateSpec("fock_mixture", {"w0": 0.5, "w300": 0.5}))
+        assert normal_moment(st, 1) == pytest.approx(150.0, rel=1e-12, abs=0.0)
+        assert normal_moment(st, 2) == pytest.approx(0.5 * 300 * 299, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("nbar", [1.0, 20.0, 50.0, 1e4])
+    def test_spats(self, nbar):
+        st = make_state(StateSpec("spats", {"nbar": nbar}))
+        assert normal_moment(st, 1) == pytest.approx(2.0 * nbar + 1.0, rel=1e-12, abs=0.0)
+        assert normal_moment(st, 2) == pytest.approx(6.0 * nbar**2 + 4.0 * nbar,
+                                                     rel=1e-12, abs=0.0)
+        assert moment_matrix_test(st, 2).verdict != VERDICT_INAPPLICABLE
+
+    @pytest.mark.parametrize("kind", ["cauchy_lorentz", "cauchy_lorentz_ncl"])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 1.5, 2.0, 3.0, 5.5])
+    def test_finite_lorentz_cells_against_quad(self, kind, t):
+        # <:n^k:> = Int_0^inf t u^k (1 + u)^(-1-t) du, u = |alpha|^2, for k < t
+        st = make_state(StateSpec(kind, {"t": t}))
+        scale = 1.0 if kind == "cauchy_lorentz" else 1.0 / (1.0 - vacuum_overlap_normalizer(t))
+        assert normal_moment(st, 0) == 1.0
+        for k in range(1, 4):
+            if k >= t:
+                assert normal_moment(st, k) is DIVERGED
+                continue
+            val, err = quad(lambda u: t * u**k * (1.0 + u) ** (-1.0 - t), 0.0, math.inf,
+                            epsabs=0.0, epsrel=1e-13, limit=200)
+            assert normal_moment(st, k) == pytest.approx(scale * val, rel=1e-10, abs=0.0)
+
+    def test_rotation_phase_matches_the_fock_route(self):
+        # T[q, r] = q! r! d[q, r] of the rotated cutoff-128 Fock matrix; the
+        # opposite phase is off by O(1), so this pins the sign
+        f = np.array([math.factorial(k) for k in range(5)], dtype=float)
+        st = make_state(StateSpec("squeezed", {"xi": 1.0}, rotation=0.7))
+        for rotation, close in [(0.7, True), (-0.7, False)]:
+            fock = make_state(StateSpec("squeezed", {"xi": 1.0}, rotation=rotation))
+            d, _ = resummed_coefficients(fock_matrix(fock, 128).matrix, 4)
+            diff = np.abs(st.moments(4) - d * np.outer(f, f)).max()
+            assert (diff < 1e-7) == close
+
+    @pytest.mark.parametrize("xi,rotation", [(354.0, 0.0), (200.0, 0.3)])
+    def test_moments_past_the_float_range_are_not_finite(self, xi, rotation):
+        st = make_state(StateSpec("squeezed", {"xi": xi}, rotation=rotation))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entry = moment_matrix_test(st, 2)
+        assert entry.verdict == VERDICT_INAPPLICABLE
+        assert entry.detail.endswith("is not finite")
 
 
 class TestMomentMatrix:
