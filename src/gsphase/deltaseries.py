@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 from scipy.special import eval_laguerre, gammaln
 
 from .errors import DivergenceError, ParameterError, TruncationWarning, UnsupportedError
-from .numerics import PhaseField, Radial, quad2d
+from .numerics import PhaseField, radial_integral
 from .states import FockMatrix, resummed_coefficients
 
 #: consecutive-term ratio that the diagonal pairing must stay below,
@@ -48,6 +49,15 @@ _TAIL_TOLERANCE = 1.0e-10
 _CANCEL_FACTOR = 1.0e3
 _CANCEL_TOLERANCE = 1.0e-8
 _EPS = float(np.finfo(float).eps)
+
+#: largest k whose <k| mu |k> ``fock_diagonal`` also takes by its transform oracle
+_ORACLE_K_MAX = 3
+
+
+def _check_order(order, what: str = "order", least: int = 0) -> None:
+    """Raise ParameterError unless ``order`` is an integer >= ``least``."""
+    if not (isinstance(order, numbers.Integral) and order >= least):
+        raise ParameterError(f"{what} must be an integer >= {least} (got {order!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +101,14 @@ class DeltaSeries:
 
 
 def exp_laplace_series(gamma: float, order: int) -> DeltaSeries:
-    """Diagonal series with c[n,n] = gamma^n/n! for n <= order."""
-    if order < 0:
-        raise ParameterError("order must be >= 0")
+    """Diagonal series with c[n,n] = gamma^n/n! for n <= order.
+
+    Raises ParameterError unless gamma is a finite real and the order an
+    integer >= 0.
+    """
+    if not (isinstance(gamma, numbers.Real) and math.isfinite(gamma)):
+        raise ParameterError(f"generator gamma must be a finite real (got {gamma!r})")
+    _check_order(order)
     return DeltaSeries(order=order, generator=float(gamma))
 
 
@@ -104,6 +119,7 @@ def series_from_fock(fock: FockMatrix, order_cutoff: int) -> DeltaSeries:
     truncated at the matrix cutoff.  Warns when the last retained k-term
     still contributes more than 1e-8 of a coefficient.
     """
+    _check_order(order_cutoff, "order_cutoff")
     if not fock.is_hermitian(1.0e-9):
         raise ParameterError("series_from_fock needs a Hermitian matrix")
     if order_cutoff > fock.cutoff:
@@ -196,17 +212,12 @@ class TaylorField:
 
     @classmethod
     def alternating(cls, c: float, theta: float, max_order: int = 400) -> "TaylorField":
-        """a[n,n] = (-1)^n (2 c^2 theta)^n n!: saturates the pairing bound as theta->1."""
-        base = 2.0 * c * c * theta
+        """a[n,n] = (-1)^n (2 c^2 theta)^n n!: saturates the pairing bound as theta->1.
 
-        def diag_log(n: int) -> tuple[float, float]:
-            if base == 0:
-                return (1.0, 0.0) if n == 0 else (0.0, -math.inf)
-            sign = 1.0 if n % 2 == 0 else -1.0
-            return sign, n * math.log(base) + gammaln(n + 1)
-
-        return cls(max_order=max_order, diag_log=diag_log,
-                   label=f"alternating C={c:g} theta={theta:g}")
+        The test function exp(-2 c^2 theta |alpha|^2), under its own label.
+        """
+        return replace(cls.from_exp_quadratic(-2.0 * c * c * theta, max_order),
+                       label=f"alternating C={c:g} theta={theta:g}")
 
     @classmethod
     def displaced_gaussian(cls, center: float, width_sq: float,
@@ -353,11 +364,12 @@ class FockDiagonalReport:
 
     ``pairing`` comes from the absolutely convergent diagonal pairing with
     the |k><k| symbols; ``transform_oracle`` (k <= 3) integrates the series'
-    characteristic function against the symbols' transforms by independent
-    2-D quadrature.  ``reference_closed_form`` is a closed form quoted in
-    earlier literature for the gamma = -1/2 case; it disagrees with both
-    routes (a sign is dropped in its derivation), so it is reported for
-    comparison only and never asserted.
+    characteristic function against the symbols' transforms by the
+    independent radial quadrature ``numerics.radial_integral``.
+    ``reference_closed_form`` is a closed form quoted in earlier literature
+    for the gamma = -1/2 case; it disagrees with both routes (a sign is
+    dropped in its derivation), so it is reported for comparison only and
+    never asserted.
     """
 
     pairing: list[float]
@@ -368,12 +380,13 @@ class FockDiagonalReport:
     reference_matches: bool | None
 
 
-def fock_diagonal(series: DeltaSeries, k_max: int,
-                  *, oracle_k_max: int = 3) -> FockDiagonalReport:
+def fock_diagonal(series: DeltaSeries, k_max: int) -> FockDiagonalReport:
     """<k| mu |k> for k <= k_max of a diagonal generator series.
 
-    Requires |gamma| < 1 for the pairing route to converge.
+    Requires |gamma| < 1 for the pairing route to converge, and k_max an
+    integer >= 0.
     """
+    _check_order(k_max, "k_max")
     if not series.is_generator:
         raise UnsupportedError("fock_diagonal needs a generator-form series")
     gamma = series.generator
@@ -387,12 +400,10 @@ def fock_diagonal(series: DeltaSeries, k_max: int,
 
     oracle_vals = []
     if gamma > -1.0:
-        for k in range(min(k_max, oracle_k_max) + 1):
-            def integrand(beta, k=k, g=gamma):
-                u = np.abs(np.asarray(beta, dtype=complex)) ** 2
-                # (1/pi^2) Phi_series(beta) times the |k><k| symbol transform
-                return (1.0 / math.pi) * eval_laguerre(k, u) * np.exp(-(1.0 + g) * u)
-            oracle_vals.append(quad2d(integrand, Radial(), tol=1.0e-9).real)
+        for k in range(min(k_max, _ORACLE_K_MAX) + 1):
+            # (1/pi^2) Phi_series(beta) times the |k><k| symbol transform, at |beta| = r
+            oracle_vals.append(radial_integral(
+                lambda r: (1.0 / math.pi) * eval_laguerre(k, r * r) * np.exp(-(1.0 + gamma) * r * r)))
     diffs = [abs(a - b) for a, b in zip(pairing_vals, oracle_vals)]
     max_diff = max(diffs) if diffs else 0.0
 

@@ -30,7 +30,7 @@ class NoRegularFormError(GsphaseError):
 
 
 class DivergenceError(GsphaseError):
-    """A formal series pairing fails its convergence policy."""
+    """A formal series pairing or a whole-plane integral fails its convergence policy."""
 
 
 class UnsupportedError(GsphaseError):

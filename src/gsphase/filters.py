@@ -35,6 +35,7 @@ from .numerics import (
     _folded_core,
     _separable_product,
     as_complex,
+    as_real,
     erfcx_complex,
     gauss_nodes_1d,
 )
@@ -50,8 +51,7 @@ QUAD_TOLERANCE = 1.0e-10
 ROUNDOFF_FACTOR = 1.0e3
 _EPS = float(np.finfo(float).eps)
 
-#: rules whose tables are kept: (w, nodes per panel, grid) filter rules, and
-#: line-integral window rules per r_cut
+#: (w, nodes per panel, grid) filter rules whose tables are kept
 RULE_CACHE_SIZE = 4
 
 #: Gauss nodes per panel of the first numeric rule, and the cap of the doubling
@@ -60,14 +60,24 @@ _FIRST_NODES_PER_PANEL = 32
 _MAX_NODES_PER_PANEL = 200
 
 #: below this |g| the closed form for the tri-Gaussian transform is replaced
-#: by its 6-term expansion in g: the closed form pairs large reciprocals of
-#: g against erf differences and loses roughly eps/|g| to cancellation
+#: by its _SMALL_G_TERMS-term expansion in g: the closed form pairs large
+#: reciprocals of g against erf differences and loses roughly eps/|g| to
+#: cancellation
 _SMALL_G = 1.0e-3
+_SMALL_G_TERMS = 6
+
+#: window half-width of ``tri_gaussian_ft_line_integral``; past it the
+#: integrand takes its large-|u| expansion
+_LINE_R_CUT = 1600.0
 
 
 def tri(x) -> np.ndarray | float:
-    """Triangular window: 1 - |x| on [-1, 1], zero outside; tri(0) = 1."""
-    ax = np.abs(np.asarray(x, dtype=float))
+    """Triangular window: 1 - |x| on [-1, 1], zero outside; tri(0) = 1.
+
+    Raises ParameterError for x that ``numerics.as_real`` refuses.
+    """
+    x = as_real(x)
+    ax = np.abs(np.asarray(x))
     out = np.where(ax < 1.0, 1.0 - ax, 0.0)
     return float(out) if np.ndim(x) == 0 else out
 
@@ -140,10 +150,10 @@ def _moment_m(y: np.ndarray, nmax: int) -> np.ndarray:
     return out
 
 
-def _tri_gaussian_ft_small_g(y: np.ndarray, g: float, terms: int = 6) -> np.ndarray:
-    m = _moment_m(y, 2 * terms - 1)
+def _tri_gaussian_ft_small_g(y: np.ndarray, g: float) -> np.ndarray:
+    m = _moment_m(y, 2 * _SMALL_G_TERMS - 1)
     total, c = np.zeros(y.shape), 1.0
-    for j in range(terms):
+    for j in range(_SMALL_G_TERMS):
         total += c * (m[2 * j] - m[2 * j + 1]).real
         c *= -g / (j + 1)
     return (2.0 / math.pi) * total
@@ -157,10 +167,15 @@ def tri_gaussian_ft(y, g: float):
     defining integral is the normative contract; the closed form below is
     an erfcx rearrangement of it with all large exponentials cancelled
     analytically, validated against direct quadrature in the tests.  ``y``
-    may be a scalar (float result) or an array (array result).
+    may be a scalar (float result) or an array (array result).  Raises
+    ParameterError for y that ``numerics.as_real`` refuses and for g that is
+    not a finite real.
     """
+    y = as_real(y)
+    if not (isinstance(g, numbers.Real) and math.isfinite(g)):
+        raise ParameterError(f"tri_gaussian_ft needs a finite real g (got {g!r})")
     shape = np.shape(y)
-    y = np.asarray(y, dtype=float).ravel()
+    y = np.asarray(y).ravel()
     g = float(g)
     if g == 0.0:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -180,15 +195,16 @@ def tri_gaussian_ft(y, g: float):
     return float(val[0]) if shape == () else val.reshape(shape)
 
 
-@lru_cache(maxsize=RULE_CACHE_SIZE)
-def _line_window_rule(r_cut: float) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1)
+def _line_window_rule() -> tuple[np.ndarray, np.ndarray]:
     """Squared nodes z^2 and g-free kernel of the line integral's window rule.
 
     12 Gauss nodes on each of max(64, 4 r_cut / pi) equal panels of
-    [1e-12, 1], flattened; the kernel is w (1 - z) sin(2 r_cut z) / z with
-    w the Gauss weights.  Neither depends on g, so the last
-    ``RULE_CACHE_SIZE`` rules are kept, read-only.
+    [1e-12, 1], flattened, with r_cut = ``_LINE_R_CUT``; the kernel is
+    w (1 - z) sin(2 r_cut z) / z with w the Gauss weights.  Neither depends
+    on g, so the rule is built once and kept, read-only.
     """
+    r_cut = _LINE_R_CUT
     n_panels = max(64, int(4.0 * r_cut / math.pi))
     edges = np.linspace(1.0e-12, 1.0, n_panels + 1)
     zz, ww = gauss_nodes_1d(edges[:-1, None], edges[1:, None], 12)
@@ -199,21 +215,23 @@ def _line_window_rule(r_cut: float) -> tuple[np.ndarray, np.ndarray]:
     return z2, kernel
 
 
-def tri_gaussian_ft_line_integral(g: float, r_cut: float = 1600.0) -> float:
+def tri_gaussian_ft_line_integral(g: float) -> float:
     """Int_{-inf}^{inf} tri_gaussian_ft(u; g) du, analytically equal to 1.
 
     Evaluated as the finite-window integral (by exchanging the integration
-    order, which turns it into a smooth 1-D integral) plus the tail of the
-    large-|u| expansion (1 - e^{-g} cos 2u)/(2 pi u^2) - g e^{-g} sin 2u /
-    (pi u^3), whose cosine/sine integrals are expressed through Si.  The
+    order, which turns it into a smooth 1-D integral) over |u| <= r_cut =
+    ``_LINE_R_CUT``, plus the tail of the large-|u| expansion
+    (1 - e^{-g} cos 2u)/(2 pi u^2) - g e^{-g} sin 2u / (pi u^3), whose
+    cosine/sine integrals are expressed through Si.  The
     window rule's nodes and g-free kernel come from ``_line_window_rule``,
-    cached per ``r_cut``, so a call costs one exp(-g z^2) and one sum of its
+    built once, so a call costs one exp(-g z^2) and one sum of its
     products with the kernel.  The sum is numpy's pairwise sum, not a BLAS
     dot, whose rounding changes with the BLAS thread count.  Returns a
     Python float whatever the type of g.
     """
     # window part: (1/pi) Int_0^1 dz e^{-g z^2} tri(z) * 2 sin(2 r_cut z)/z
-    z2, kernel = _line_window_rule(r_cut)
+    z2, kernel = _line_window_rule()
+    r_cut = _LINE_R_CUT
     window = (2.0 / math.pi) * float(np.sum(np.exp(-g * z2) * kernel))
 
     si, ci = sici(2.0 * r_cut)

@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import betaln, eval_genlaguerre, factorial, gammaln, k0, k1, kv
 
 from . import numerics
@@ -72,6 +73,10 @@ def overlap_cutoff(alpha0: complex) -> int:
     """Cutoff 64 + ceil(|a0|^2 + 8|a0|), past the Poisson weights of |alpha0>."""
     r = abs(alpha0)
     return DEFAULT_CUTOFF + math.ceil(r * r + 8.0 * r)
+
+
+#: largest cutoff of ``fock_matrix``: the largest the library builds itself
+MAX_CUTOFF = overlap_cutoff(MAX_DISPLACEMENT)
 
 
 # ---------------------------------------------------------------------------
@@ -154,30 +159,37 @@ def resummed_coefficients(rho: np.ndarray, order: int | None = None) -> tuple[np
     sum_{q,r} d[q,r] (-conj b)^q b^r, the delta-derivative series has
     c[q,r] = (-1)^(q+r) d[q,r] and <a^dag^r a^q> = q! r! d[q,r].  ``last``
     holds the k = cutoff - max(q, r) term of each sum.
+
+    Each term's exponent is 0.5 (R[k, q] + R[k, r]) - lg q! - lg r!, with the
+    rising-factorial table R[k, q] = log((k+q)!/k!), the cumulative sum of
+    log(k + i) for i = 1..q.  It stays small where q and r are, so the term
+    is not the difference of log-factorials near k log k.
     """
     K = rho.shape[0] - 1
     o = K if order is None else min(order, K)
-    lg = gammaln(np.arange(K + o + 1) + 1.0)
+    lg = gammaln(np.arange(o + 1) + 1.0)
+    rise = np.zeros((K + 1, o + 1))
+    np.cumsum(np.log(np.add.outer(np.arange(K + 1.0), np.arange(1.0, o + 1))), axis=1,
+              out=rise[:, 1:])
     pad = np.zeros((K + o + 1,) * 2, dtype=complex)  # zero past the cutoff
     pad[:K + 1, :K + 1] = rho
-    # read-only views: win[k, q, r] = rho[q+k, r+k] and lgk[k, q] = lg[q+k]
+    # a read-only view: win[k, q, r] = rho[q+k, r+k]
     win = as_strided(pad, (K + 1, o + 1, o + 1), (sum(pad.strides), *pad.strides), writeable=False)
-    lgk = sliding_window_view(lg, o + 1)
     d = np.zeros((o + 1, o + 1), dtype=complex)
     k0 = 0
     while k0 <= K:
         n = min(K + 1 - k0, o + 1)  # d[q, r] with q or r >= n gets no more terms
         k1 = min(k0 + max(1, _RESUM_BLOCK // (n * n)), K + 1)
-        lk = lgk[k0:k1, :n]
-        t = win[k0:k1, :n, :n] * np.exp(0.5 * (lk[:, :, None] + lk[:, None, :])
-                                         - lg[k0:k1, None, None] - lg[:n, None] - lg[:n])
+        rk = rise[k0:k1, :n]
+        t = win[k0:k1, :n, :n] * np.exp(0.5 * (rk[:, :, None] + rk[:, None, :])
+                                         - lg[:n, None] - lg[:n])
         t[0] += d[:n, :n]  # the running sum goes first, so k is summed in order
         d[:n, :n] = np.cumsum(t, axis=0)[-1] if k1 > k0 + 1 else t[0]
         k0 = k1
     q = np.arange(o + 1)
     m = K - np.maximum.outer(q, q)  # the last k of each sum
-    i, j = q[:, None] + m, q + m
-    last = rho[i, j] * np.exp(0.5 * (lg[i] + lg[j]) - lg[m] - lg[q[:, None]] - lg[q])
+    last = rho[q[:, None] + m, q + m] * np.exp(0.5 * (rise[m, q[:, None]] + rise[m, q])
+                                               - lg[q[:, None]] - lg[q])
     return d, last
 
 
@@ -209,6 +221,13 @@ _MAX_FOCK_INDEX = 400
 _FOCK_INDEX_LIMIT = f"Fock indices above {_MAX_FOCK_INDEX} are not supported"
 
 
+def _fock_index(v) -> int:
+    """A Fock index, an integer-valued real from 0 to _MAX_FOCK_INDEX, as int."""
+    _require(isinstance(v, numbers.Real) and 0 <= v <= _MAX_FOCK_INDEX and float(v).is_integer(),
+             f"Fock indices must be integers from 0 to {_MAX_FOCK_INDEX} (got {v!r})")
+    return int(v)
+
+
 def char_fn_fock_element(m: int, n: int, beta):
     """<n| :D(beta): |m>, the characteristic function of |m><n|.
 
@@ -217,12 +236,10 @@ def char_fn_fock_element(m: int, n: int, beta):
     Rev. 177, 1857 (1969)).  The Laguerre polynomial comes from SciPy's
     recurrence, and its modulus meets the prefactor sqrt(lo!/hi!) |beta|^d
     in log space, so the value keeps its digits for m, n up to 400 wherever
-    it is a normal double.
+    it is a normal double.  Raises ParameterError unless m and n are integers
+    from 0 to 400.
     """
-    if m < 0 or n < 0:
-        raise ParameterError("Fock indices must be non-negative")
-    if m > _MAX_FOCK_INDEX or n > _MAX_FOCK_INDEX:
-        raise ParameterError(_FOCK_INDEX_LIMIT)
+    m, n = _fock_index(m), _fock_index(n)
     b = as_complex(beta)
     scalar = not isinstance(b, np.ndarray)
     barr = np.asarray([b] if scalar else b, dtype=complex)
@@ -616,9 +633,8 @@ def make_state(spec: StateSpec) -> State:
                    exact_vacuum_probability=1.0 - eta, _base_fock_builder=_embedded(rho),
                    _tail_loss=lambda K, eta=eta: 0.0 if K >= 1 else eta)
     elif kind == "fock_element":
-        m, n = int(p.get("m", -1)), int(p.get("n", -1))
-        _require(m >= 0 and n >= 0, "fock_element requires m, n >= 0")
-        _require(max(m, n) <= _MAX_FOCK_INDEX, _FOCK_INDEX_LIMIT)
+        _require("m" in p and "n" in p, "fock_element requires m, n >= 0")
+        m, n = _fock_index(p["m"]), _fock_index(p["n"])
         unit = np.zeros((max(m, n) + 1,) * 2)
         unit[m, n] = 1.0
         st = State(spec=spec, physical=(m == n),
@@ -783,10 +799,12 @@ def fock_matrix(state: State, cutoff: int = DEFAULT_CUTOFF) -> FockMatrix:
 
     Physical states report loss = 1 - trace of the truncation; a loss above
     1e-6 triggers a TruncationWarning.  The p_max pseudo-state is exempt
-    from the loss accounting (its diagonal is not summable).
+    from the loss accounting (its diagonal is not summable).  Raises
+    ParameterError, before anything is built, unless the cutoff is an
+    integer from 0 to ``MAX_CUTOFF`` (889).
     """
-    if cutoff < 0:
-        raise ParameterError("cutoff must be >= 0")
+    _require(isinstance(cutoff, numbers.Integral) and 0 <= cutoff <= MAX_CUTOFF,
+             f"cutoff must be an integer from 0 to {MAX_CUTOFF} (got {cutoff!r})")
     if state._base_fock_builder is None:
         what = f"kind {state.spec.kind!r}" if state.centred is None else "a displaced state"
         raise UnsupportedError(f"no Fock construction for {what}")

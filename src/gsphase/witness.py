@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import comb, gammaln
 
 from . import charfn
-from .deltaseries import TaylorField
+from .deltaseries import TaylorField, _check_order
 from .errors import ComplexResidueError, ParameterError
 from .filters import _check_width, filtered_p_gaussian_grid, filtered_p_numeric
 from .numerics import PhaseField, PhaseGrid
@@ -97,10 +97,10 @@ def normal_moment(state: State, n: int):
     of <(a^dag + conj a0)^n (a + a0)^n> over the centred moment table
     ``State.moments``, closed form or finite-rank resummation.  The order-0
     moment is the trace (0 for |m><n| with m != n).  Diverged is a value,
-    not an exception; a moment past the float range is inf or nan.
+    not an exception; a moment past the float range is inf or nan.  Raises
+    ParameterError unless n is an integer >= 0.
     """
-    if n < 0:
-        raise ParameterError("moment order must be >= 0")
+    _check_order(n, "moment order")
     return _displaced_moment(_centred_moments(state, n), complex(state.spec.displacement), n)
 
 
@@ -167,8 +167,7 @@ def _check_margin_order(margin: float, order: int) -> None:
     classical state at its roundoff, and a nan margin never certifies."""
     if not (isinstance(margin, numbers.Real) and math.isfinite(margin) and margin >= 0):
         raise ParameterError(f"certification margin must be finite and >= 0 (got {margin!r})")
-    if not (isinstance(order, numbers.Integral) and order >= 0):
-        raise ParameterError(f"moment order must be an integer >= 0 (got {order!r})")
+    _check_order(order, "moment order")
 
 
 def moment_matrix_test(state: State, order: int,
@@ -245,6 +244,12 @@ def negativity_scan(fld: PhaseField):
 # admissible test functions and the worst-case pairing bound
 # ---------------------------------------------------------------------------
 
+def _check_admissibility_constant(c) -> None:
+    """Raise ParameterError unless c is a real with 0 <= C < 1 (nan fails too)."""
+    if not (isinstance(c, numbers.Real) and 0.0 <= c < 1.0):
+        raise ParameterError(f"admissibility constant must satisfy 0 <= C < 1 (got {c!r})")
+
+
 @dataclass(frozen=True)
 class AdmissibilityResult:
     admissible: bool
@@ -256,10 +261,11 @@ def admissible_check(f: TaylorField, c: float, order: int) -> AdmissibilityResul
     """Check |a[n,m]| <= (sqrt(2) C)^(n+m) sqrt(n! m!) for all n, m <= order.
 
     Returns the first violating index pair in total-order-then-lexicographic
-    scan order, if any.
+    scan order, if any.  Raises ParameterError unless 0 <= C < 1 and the
+    order is an integer >= 0.
     """
-    if not 0.0 <= c < 1.0:
-        raise ParameterError("admissibility constant must satisfy 0 <= C < 1")
+    _check_admissibility_constant(c)
+    _check_order(order)
     log_sqrt2c = math.log(math.sqrt(2.0) * c) if c > 0 else -math.inf
     for total in range(0, 2 * order + 1):
         for m in range(max(0, total - order), min(order, total) + 1):
@@ -275,8 +281,7 @@ def admissible_check(f: TaylorField, c: float, order: int) -> AdmissibilityResul
 
 def pmax_pairing_bound(c: float) -> float:
     """Worst-case pairing bound 1/(1 - C^2) over the admissibility class."""
-    if not 0.0 <= c < 1.0:
-        raise ParameterError("admissibility constant must satisfy 0 <= C < 1")
+    _check_admissibility_constant(c)
     return 1.0 / (1.0 - c * c)
 
 
@@ -286,12 +291,13 @@ def radius_estimate(c: float, orders) -> list[float]:
     Returns c_k^(1/k) with c_k = sum_{n<=k} (sqrt(2) C)^k / sqrt((k-n)! n!),
     for each k in ``orders``; the sequence is eventually decreasing toward
     zero and is dominated by 2 C ((l-1)!)^(-1/(2l)), so the Taylor series of
-    every admissible test function converges on the whole plane.
+    every admissible test function converges on the whole plane.  Raises
+    ParameterError unless 0 <= C < 1 and every order is an integer >= 1.
     """
-    if not 0.0 <= c < 1.0:
-        raise ParameterError("admissibility constant must satisfy 0 <= C < 1")
+    _check_admissibility_constant(c)
     out = []
     for k in orders:
+        _check_order(k, least=1)
         if c == 0.0:
             out.append(0.0)
             continue
@@ -305,12 +311,14 @@ def radius_estimate(c: float, orders) -> list[float]:
 
 def radius_estimate_bound(c: float, order: int) -> float:
     """Majorant 2 C ((l-1)!)^(-1/(2l)) of the root-test sequence."""
+    _check_admissibility_constant(c)
+    _check_order(order, least=1)
     return 2.0 * c * math.exp(-gammaln(order) / (2.0 * order))
 
 
 @dataclass(frozen=True)
 class DivergenceDemo:
-    """Partial sums of M sum n! (C^2/2)^n, the merely-analytic majorant.
+    """Partial sums of sum n! (C^2/2)^n, the merely-analytic majorant.
 
     The term ratio n C^2 / 2 grows without bound, so analyticity alone is
     not enough for a finite worst-case pairing; partial sums are reported
@@ -322,11 +330,12 @@ class DivergenceDemo:
     first_index_above_1e6: int | None
 
 
-def analytic_divergence_demo(c: float, n_terms: int, m_const: float = 1.0) -> DivergenceDemo:
-    if c < 0:
-        raise ParameterError("C must be non-negative")
+def analytic_divergence_demo(c: float, n_terms: int) -> DivergenceDemo:
+    if not (isinstance(c, numbers.Real) and c >= 0):
+        raise ParameterError(f"C must be a non-negative real (got {c!r})")
+    _check_order(n_terms, "n_terms")
     log_c2h = math.log(c * c / 2.0) if c > 0 else -math.inf
-    log_sum = math.log(m_const)
+    log_sum = 0.0
     sums = [log_sum / math.log(10.0)]
     ratios = []
     first = None
@@ -335,7 +344,7 @@ def analytic_divergence_demo(c: float, n_terms: int, m_const: float = 1.0) -> Di
             sums.append(log_sum / math.log(10.0))
             ratios.append(0.0)
             continue
-        log_term = math.log(m_const) + gammaln(n + 1) + n * log_c2h
+        log_term = gammaln(n + 1) + n * log_c2h
         hi = max(log_sum, log_term)
         log_sum = hi + math.log(math.exp(log_sum - hi) + math.exp(log_term - hi))
         sums.append(log_sum / math.log(10.0))

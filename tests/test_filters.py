@@ -170,7 +170,7 @@ def line_window_uncached(g, r_cut=1600.0):
 
 class TestLineIntegralRule:
     def test_cached_window_matches_the_uncached_sum(self):
-        z2, kernel = filters._line_window_rule(1600.0)
+        z2, kernel = filters._line_window_rule()
         for g in (-2.0, -0.5, 0.0, 0.5, 2.0, 3.92, -7.5158, 123.45):
             want, size = line_window_uncached(g)
             assert size == z2.size == kernel.size == 2037 * 12
@@ -182,13 +182,13 @@ class TestLineIntegralRule:
             assert type(tri_gaussian_ft_line_integral(g)) is float
 
     def test_second_g_reuses_the_cached_rule(self):
-        tri_gaussian_ft_line_integral(0.25)      # the r_cut = 1600 rule is cached now
+        tri_gaussian_ft_line_integral(0.25)      # the rule is cached now
         hits = filters._line_window_rule.cache_info().hits
         tri_gaussian_ft_line_integral(1.75)
         assert filters._line_window_rule.cache_info().hits == hits + 1
 
     def test_rule_arrays_are_read_only(self):
-        for arr in filters._line_window_rule(1600.0):
+        for arr in filters._line_window_rule():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
