@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .numerics import PhaseGrid, as_complex
+from .numerics import PhaseGrid, pointwise
 # char_fn_fock_element lives with the catalog and stays importable from here
 from .states import State, char_fn_fock_element  # noqa: F401
 
@@ -34,11 +34,7 @@ def char_fn(state: State, beta):
     which for a physical matrix missing more than 1e-6 of its trace raises
     TruncationError.
     """
-    b = as_complex(beta)
-    scalar = not isinstance(b, np.ndarray)
-    barr = np.asarray([b] if scalar else b, dtype=complex)
-    out = np.asarray(state.phi_closed(barr), dtype=complex)
-    return complex(out.reshape(-1)[0]) if scalar else out
+    return pointwise(lambda b: np.asarray(state.phi_closed(b), dtype=complex), beta)
 
 
 def char_fn_s(state: State, beta, s: float):
@@ -47,12 +43,8 @@ def char_fn_s(state: State, beta, s: float):
     s = 1 is the identity; s = 0 and s = -1 give the symmetric and
     antinormal orderings.  Values outside [-1, 1] are accepted.
     """
-    b = as_complex(beta)
-    scalar = not isinstance(b, np.ndarray)
-    barr = np.asarray([b] if scalar else b, dtype=complex)
-    damp = np.exp(-0.5 * (1.0 - s) * np.abs(barr) ** 2)
-    out = damp * np.asarray(char_fn(state, barr), dtype=complex)
-    return complex(out[0]) if scalar else out
+    return pointwise(lambda b: np.exp(-0.5 * (1.0 - s) * np.abs(b) ** 2) * char_fn(state, b),
+                     beta)
 
 
 # ---------------------------------------------------------------------------

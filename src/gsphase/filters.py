@@ -10,14 +10,19 @@ density.  Convolution with that kernel preserves the sign structure of the
 underlying distribution, which is what makes the regularized output a
 faithful nonclassicality witness.
 
-A centred Gaussian Phi exp(-lam x^2 - kap p^2) has a closed-form filtered
-profile in its pair (lam, kap), the ``State.gaussian_xp`` of its state
-(``filtered_p_gaussian*``); any other Phi is filtered by quadrature
+A Gaussian Phi exp(-lam x^2 - kap p^2) has a closed-form filtered profile
+in its pair (lam, kap), the ``State.gaussian_xp`` of its state
+(``filtered_p_gaussian*``).  The pair describes the undisplaced state: a
+displacement a0 multiplies Phi by exp(beta conj(a0) - conj(beta) a0), and
+since the box filter acts on beta alone, the filtered profile of the
+displaced state is the same profile translated by a0 (the ``centre`` of
+``filtered_p_gaussian_grid``).  Any other Phi is filtered by quadrature
 (``filtered_p_numeric``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from functools import lru_cache
@@ -34,10 +39,9 @@ from .numerics import (
     _cos_sin,
     _folded_core,
     _separable_product,
-    as_complex,
-    as_real,
     erfcx_complex,
     gauss_nodes_1d,
+    pointwise,
 )
 from .states import State
 
@@ -76,10 +80,10 @@ def tri(x) -> np.ndarray | float:
 
     Raises ParameterError for x that ``numerics.as_real`` refuses.
     """
-    x = as_real(x)
-    ax = np.abs(np.asarray(x))
-    out = np.where(ax < 1.0, 1.0 - ax, 0.0)
-    return float(out) if np.ndim(x) == 0 else out
+    def window(x):
+        ax = np.abs(x)
+        return np.where(ax < 1.0, 1.0 - ax, 0.0)
+    return pointwise(window, x, real=True)
 
 
 def _check_width(w: float) -> None:
@@ -94,9 +98,7 @@ def box_autocorrelation(beta, w: float):
     Equals tri(Re beta / w) tri(Im beta / w); support [-w, w]^2.
     """
     _check_width(w)
-    b = np.asarray(as_complex(beta))
-    out = np.asarray(tri(b.real / w)) * np.asarray(tri(b.imag / w))
-    return float(out) if out.ndim == 0 else out
+    return pointwise(lambda b: tri(b.real / w) * tri(b.imag / w), beta)
 
 
 def sinc2_kernel(alpha, w: float):
@@ -106,20 +108,22 @@ def sinc2_kernel(alpha, w: float):
     singularities on the axes take the limit value sinc(0) = 1.
     """
     _check_width(w)
-    a = np.asarray(as_complex(alpha))
-    sx = np.sinc(w * a.real / math.pi)
-    sp = np.sinc(w * a.imag / math.pi)
-    out = (w * w / math.pi**2) * sx * sx * sp * sp
-    return float(out) if out.ndim == 0 else out
+
+    def kernel(a):
+        sx = np.sinc(w * a.real / math.pi)
+        sp = np.sinc(w * a.imag / math.pi)
+        return (w * w / math.pi**2) * sx * sx * sp * sp
+    return pointwise(kernel, alpha)
 
 
 # ---------------------------------------------------------------------------
-# the analytic filtered profile of a centred Gaussian Phi
+# the analytic filtered profile of a Gaussian Phi
 # ---------------------------------------------------------------------------
 
 def _check_gaussian(xp: tuple[float, float] | None, w: float) -> tuple[float, float]:
     """(lam, kap) = xp, a ``State.gaussian_xp``, once the width w passes
-    ``_check_width``; ParameterError for xp None (no centred Gaussian Phi)."""
+    ``_check_width``; ParameterError for xp None (the undisplaced state has
+    no Gaussian Phi)."""
     _check_width(w)
     if xp is None:
         raise ParameterError("the state has no centred Gaussian characteristic function")
@@ -159,6 +163,13 @@ def _tri_gaussian_ft_small_g(y: np.ndarray, g: float) -> np.ndarray:
     return (2.0 / math.pi) * total
 
 
+def _check_g(g, name: str) -> float:
+    """g as a float; ParameterError unless it is a finite real."""
+    if not (isinstance(g, numbers.Real) and math.isfinite(g)):
+        raise ParameterError(f"{name} needs a finite real g (got {g!r})")
+    return float(g)
+
+
 def tri_gaussian_ft(y, g: float):
     """(1/pi) Int dz exp(2iyz - g z^2) tri(z), in closed form.
 
@@ -167,32 +178,33 @@ def tri_gaussian_ft(y, g: float):
     defining integral is the normative contract; the closed form below is
     an erfcx rearrangement of it with all large exponentials cancelled
     analytically, validated against direct quadrature in the tests.  ``y``
-    may be a scalar (float result) or an array (array result).  Raises
-    ParameterError for y that ``numerics.as_real`` refuses and for g that is
-    not a finite real.
+    may be a number or 0-d array (float result) or an array (array result).
+    Raises ParameterError for y that ``numerics.as_real`` refuses and for g
+    that is not a finite real.
     """
-    y = as_real(y)
-    if not (isinstance(g, numbers.Real) and math.isfinite(g)):
-        raise ParameterError(f"tri_gaussian_ft needs a finite real g (got {g!r})")
-    shape = np.shape(y)
-    y = np.asarray(y).ravel()
-    g = float(g)
-    if g == 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.where(y == 0.0, 1.0 / math.pi, np.sin(y) ** 2 / (math.pi * y * y))
-    elif abs(g) < _SMALL_G:
-        val = _tri_gaussian_ft_small_g(y, g)
-    else:
-        sg = np.sqrt(complex(g))
-        w1 = (g - 1j * y) / sg
-        w2 = -1j * y / sg
-        e = np.exp(-g + 2j * y)
-        # E = exp(-y^2/g) (erf(w1) - erf(w2)); w1 and w2 share the sign of Re,
-        # and reflecting both onto Re >= 0 keeps every factor of moderate size
-        sign = np.where(w1.real >= 0.0, 1.0, -1.0)
-        E = sign * (erfcx_complex(sign * w2) - e * erfcx_complex(sign * w1))
-        val = ((e - 1.0) / (math.pi * g) + w1 * E / (SQRT_PI * g)).real
-    return float(val[0]) if shape == () else val.reshape(shape)
+    g = _check_g(g, "tri_gaussian_ft")
+
+    def transform(y):
+        shape, y = y.shape, y.ravel()
+        if g == 0.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = np.where(y == 0.0, 1.0 / math.pi, np.sin(y) ** 2 / (math.pi * y * y))
+        elif abs(g) < _SMALL_G:
+            val = _tri_gaussian_ft_small_g(y, g)
+        else:
+            sg = np.sqrt(complex(g))
+            w1 = (g - 1j * y) / sg
+            w2 = -1j * y / sg
+            e = np.exp(-g + 2j * y)
+            # E = exp(-y^2/g) (erf(w1) - erf(w2)); w1 and w2 share the sign of
+            # Re, and reflecting both onto Re >= 0 keeps every factor of
+            # moderate size
+            sign = np.where(w1.real >= 0.0, 1.0, -1.0)
+            E = sign * (erfcx_complex(sign * w2) - e * erfcx_complex(sign * w1))
+            val = ((e - 1.0) / (math.pi * g) + w1 * E / (SQRT_PI * g)).real
+        return val.reshape(shape)
+
+    return pointwise(transform, y, real=True)
 
 
 @lru_cache(maxsize=1)
@@ -227,8 +239,10 @@ def tri_gaussian_ft_line_integral(g: float) -> float:
     built once, so a call costs one exp(-g z^2) and one sum of its
     products with the kernel.  The sum is numpy's pairwise sum, not a BLAS
     dot, whose rounding changes with the BLAS thread count.  Returns a
-    Python float whatever the type of g.
+    Python float whatever the type of g; raises ParameterError for g that is
+    not a finite real.
     """
+    g = _check_g(g, "tri_gaussian_ft_line_integral")
     # window part: (1/pi) Int_0^1 dz e^{-g z^2} tri(z) * 2 sin(2 r_cut z)/z
     z2, kernel = _line_window_rule()
     r_cut = _LINE_R_CUT
@@ -253,30 +267,35 @@ def filtered_p_gaussian(xp: tuple[float, float] | None, w: float,
     tri-Gaussian transform; the Im-alpha axis pairs with lam (the Re-beta
     coefficient) under the Fourier convention, with no axis swap.  Raises
     ParameterError for a width that is not a finite positive real and for
-    xp None (a state with no centred Gaussian Phi).
+    xp None (an undisplaced state with no Gaussian Phi).
     """
     lam, kap = _check_gaussian(xp, w)
-    a = np.asarray(as_complex(alpha))
-    out = (w * w) * tri_gaussian_ft(w * a.imag, w * w * lam) \
-        * tri_gaussian_ft(-w * a.real, w * w * kap)
-    return float(out) if a.ndim == 0 else out
+    return pointwise(lambda a: (w * w) * tri_gaussian_ft(w * a.imag, w * w * lam)
+                     * tri_gaussian_ft(-w * a.real, w * w * kap), alpha)
 
 
 def filtered_p_gaussian_grid(xp: tuple[float, float] | None, w: float,
-                             grid: PhaseGrid) -> PhaseField:
-    """``filtered_p_gaussian`` on a full grid, by its separable structure.
+                             grid: PhaseGrid, *, centre: complex = 0j) -> PhaseField:
+    """``filtered_p_gaussian`` on a full grid, translated to ``centre``.
 
-    Two tri-Gaussian rows, one per axis, and their outer product; the field
-    also carries ``filtered_p_gaussian`` as its evaluator.  Raises as
-    ``filtered_p_gaussian`` does.
+    P(alpha; w) of the state displaced by a0 = ``centre`` is the profile of
+    its undisplaced Gaussian Phi at alpha - a0.  It stays separable: two
+    tri-Gaussian rows, one per axis shifted by Re a0 or Im a0, and their
+    outer product; the field also carries the translated
+    ``filtered_p_gaussian`` as its evaluator.  Raises as
+    ``filtered_p_gaussian`` does, and ParameterError for a centre that is
+    not a finite number.
     """
     lam, kap = _check_gaussian(xp, w)
+    if not (isinstance(centre, numbers.Complex) and cmath.isfinite(centre)):
+        raise ParameterError(f"the centre must be a finite number (got {centre!r})")
     ax = grid.axis()
-    tx = tri_gaussian_ft(-w * ax, w * w * kap)
-    tp = tri_gaussian_ft(w * ax, w * w * lam)
+    tx = tri_gaussian_ft(-w * (ax - centre.real), w * w * kap)
+    tp = tri_gaussian_ft(w * (ax - centre.imag), w * w * lam)
     values = (w * w) * np.outer(tx, tp)
     return PhaseField(side="alpha", grid=grid, values=values.astype(complex),
-                      fn=lambda a: np.asarray(filtered_p_gaussian(xp, w, a), dtype=complex))
+                      fn=lambda a: np.asarray(filtered_p_gaussian(xp, w, a - centre),
+                                              dtype=complex))
 
 
 # ---------------------------------------------------------------------------

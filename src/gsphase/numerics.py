@@ -93,6 +93,21 @@ def as_real(value) -> np.ndarray | float:
     return out
 
 
+def pointwise(f: Callable[[np.ndarray], np.ndarray], points, *, real: bool = False):
+    """f at points, under the one scalar rule of the pointwise entry points.
+
+    The points pass ``as_real`` (``real``) or ``as_complex``, and f takes
+    them as an ndarray of at least one dimension, uncopied when they already
+    have the right dtype, and returns an array of the same shape.  A number
+    or a 0-d array gives a Python float or complex, as f's dtype says; any
+    other input gives f's array.
+    """
+    arr = np.asarray(as_real(points) if real else as_complex(points))
+    if arr.ndim:
+        return f(arr)
+    return np.asarray(f(arr.reshape(1))).reshape(-1)[0].item()
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """Uniform Cartesian grid, symmetric about the origin.
@@ -185,10 +200,7 @@ class PhaseField:
     def __call__(self, points) -> ComplexArray | complex:
         if self.fn is None:
             raise ParameterError("field has no closed-form evaluator")
-        z = as_complex(points)
-        if np.isscalar(z) or isinstance(z, complex):
-            return complex(self.fn(np.asarray([z]))[0])
-        return self.fn(np.asarray(z, dtype=complex))
+        return pointwise(lambda z: np.asarray(self.fn(z), dtype=complex), points)
 
     def sampled_on(self, grid: PhaseGrid) -> np.ndarray:
         if self.values is not None and self.grid == grid:
@@ -296,12 +308,17 @@ def radial_integral(f) -> float:
     integrated.  The panel sums of a power-law tail decay geometrically with
     the dyadic ratio, so the sum is closed with the geometric tail of its
     last ratio; a tail that underflowed to zero needs no closure.  A last
-    ratio at or above ``_PANEL_RATIO_DIVERGENT`` raises DivergenceError.
-    Meant for functions no narrower than 1 at the centre.
+    ratio at or above ``_PANEL_RATIO_DIVERGENT`` raises DivergenceError, and
+    an integrand that is not finite at some radius RangeError.  Meant for
+    functions no narrower than 1 at the centre.
     """
     edges = np.array([0.0] + [2.0 ** j for j in range(_RADIAL_PANELS + 1)])[:, None]
     r, w = gauss_nodes_1d(edges[:-1], edges[1:], _RADIAL_NODES)
-    panels = np.sum(w * 2.0 * math.pi * r * np.real(f(r)), axis=1)
+    vals = np.real(f(r))
+    bad = int(np.count_nonzero(~np.isfinite(vals)))
+    if bad:
+        raise RangeError(f"radial integrand is not finite at {bad} of {vals.size} radii")
+    panels = np.sum(w * 2.0 * math.pi * r * vals, axis=1)
     last, before = panels[-1], panels[-2]
     # a tail that underflowed to zero has nothing to close (and 0/0 for a ratio)
     rho = 0.0 if last == 0.0 else (last / before if before else math.inf)
@@ -523,13 +540,14 @@ def erf_complex(z):
     Faddeeva package (see Poppe & Wijers, ACM TOMS 16, 38 (1990)); odd and
     conjugate-symmetric.  Arguments with |z| > ERF_STABLE_RANGE raise
     RangeError, and arguments that ``as_complex`` refuses ParameterError.  A
-    scalar argument gives a Python complex, an array an array.
+    number or 0-d array gives a Python complex, an array an array
+    (``pointwise``).
     """
-    z = as_complex(z)
-    if np.any(np.abs(z) > ERF_STABLE_RANGE):
-        raise RangeError(f"erf_complex is documented for |z| <= {ERF_STABLE_RANGE}")
-    out = special.erf(z)
-    return out if isinstance(z, np.ndarray) else complex(out)
+    def erf(z):
+        if np.any(np.abs(z) > ERF_STABLE_RANGE):
+            raise RangeError(f"erf_complex is documented for |z| <= {ERF_STABLE_RANGE}")
+        return special.erf(z)
+    return pointwise(erf, z)
 
 
 def erfcx_complex(z):
@@ -541,9 +559,7 @@ def erfcx_complex(z):
     carries exp(z^2) and may overflow.  Takes and returns points as
     erf_complex does.
     """
-    z = as_complex(z)
-    out = special.erfcx(z)
-    return out if isinstance(z, np.ndarray) else complex(out)
+    return pointwise(special.erfcx, z)
 
 
 # ---------------------------------------------------------------------------

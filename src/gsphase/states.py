@@ -1,15 +1,18 @@
 """Catalog of states and pseudo-states with their closed-form representations.
 
-Every state carries its characteristic function from construction (for a
-Fock mixture or an explicit Fock matrix, one Laguerre recurrence per diagonal
-offset) and the table of its centred normally ordered moments
-<a^dag^r a^q>, plus whatever else exists: a regular phase-space density, the
-coefficients of a centred Gaussian characteristic function, and a truncated
-Fock matrix built per cutoff.
+Every state is rho = D(a0) rho_c D(a0)^dag with a0 = ``spec.displacement``
+and rho_c the rotated, undisplaced state, and has one shape (``State``).  A
+displacement only translates the Glauber-Sudarshan P function, so the state
+carries the characteristic function and the regular phase-space density of
+rho (for a Fock mixture or an explicit Fock matrix, Phi is one Laguerre
+recurrence per diagonal offset), and everything else of rho_c: the table of
+its normally ordered moments <a^dag^r a^q>, its vacuum probability, the
+coefficients of its Gaussian characteristic function when it has one, and
+its truncated Fock matrix, built per cutoff.
 
 The moment table of each kind comes from one closed form:
 
-- thermal, squeezed, p_max and the vacuum (centred Gaussian Phi): the
+- thermal, squeezed, p_max and the vacuum (Gaussian Phi): the
   coefficients of exp(A u^2 + A v^2 + N u v), a finite sum;
 - spats: <:n^k:> = k! nbar^(k-1) (k nbar + nbar + k);
 - cauchy_lorentz: <:n^k:> = t B(k+1, t-k) for k < t, divergent from k >= t;
@@ -17,8 +20,8 @@ The moment table of each kind comes from one closed form:
 - fock_element, fock_mixture, photon_vacuum_mix and explicit matrices: the
   k-resummation of the matrix over all its rows.
 
-A rotation multiplies the table by a phase; a displaced state recentres the
-table of its ``centred`` state.
+A rotation multiplies the table by a phase; the moments of rho are the
+binomial recentring of the table at a0 (``witness.normal_moment``).
 
 Catalog kinds and parameters (JSON wire format ``{"kind": ..., "params": {...}}``):
 
@@ -54,7 +57,7 @@ from scipy.special import betaln, eval_genlaguerre, factorial, gammaln, k0, k1, 
 from . import numerics
 from .errors import (NoRegularFormError, ParameterError, TruncationError, TruncationWarning,
                      UnsupportedError)
-from .numerics import as_complex
+from .numerics import pointwise
 
 DEFAULT_CUTOFF = 64
 
@@ -240,23 +243,22 @@ def char_fn_fock_element(m: int, n: int, beta):
     from 0 to 400.
     """
     m, n = _fock_index(m), _fock_index(n)
-    b = as_complex(beta)
-    scalar = not isinstance(b, np.ndarray)
-    barr = np.asarray([b] if scalar else b, dtype=complex)
     lo, d = min(m, n), abs(m - n)
-    r = np.abs(barr)
-    lag = eval_genlaguerre(lo, d, r * r)
-    if d:
-        z = -np.conj(barr) if m > n else barr
+
+    def element(b):
+        r = np.abs(b)
+        lag = eval_genlaguerre(lo, d, r * r)
+        if not d:
+            return lag.astype(complex)
+        z = -np.conj(b) if m > n else b
         # one exponent, so neither factor underflows alone; log 0 = -inf
         # gives the exact 0 at beta = 0
         with np.errstate(divide="ignore"):
             logs = np.log(np.abs(lag)) + d * np.log(r)
-        out = np.sign(lag) * np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + d + 1)) + logs
-                                    + 1j * d * np.angle(z))
-    else:
-        out = lag.astype(complex)
-    return complex(out[0]) if scalar else out
+        return np.sign(lag) * np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + d + 1)) + logs
+                                     + 1j * d * np.angle(z))
+
+    return pointwise(element, beta)
 
 
 #: offsets times points per block of the Laguerre recurrence; bounds its working memory
@@ -329,33 +331,37 @@ def fock_phi(rho: np.ndarray) -> Callable:
 
 @dataclass
 class State:
+    """A state rho = D(a0) rho_c D(a0)^dag with a0 = ``spec.displacement``.
+
+    ``phi_closed``, ``phi_roundoff``, ``regular_p_closed`` and
+    ``atom_weight`` describe rho; every other field describes the rotated,
+    undisplaced rho_c, which a displacement only translates.
+    """
+
     spec: StateSpec
     physical: bool
-    #: the characteristic function Phi(beta) of an array of beta, set when built
+    #: the characteristic function Phi(beta) of rho at an array of beta
     phi_closed: Callable
+    #: order -> the table T[q, r] = <a^dag^r a^q> of rho_c for q, r <= order,
+    #: cut before the first divergent diagonal order
+    moments: Callable[[int], np.ndarray]
+    #: rho_c[0, 0], the vacuum probability of the undisplaced state
+    centred_vacuum: float
+    #: n -> the Fock matrix of rho_c truncated at cutoff n
+    _base_fock_builder: Callable[[int], np.ndarray]
     #: |roundoff of phi_closed(beta)| <= phi_roundoff * exp(|beta|^2/2); the
     #: catalog closed forms carry none
     phi_roundoff: float = 0.0
-    #: exp(-lam x^2 - kap p^2) coefficients of the characteristic function,
-    #: when it is a centered Gaussian (x = Re beta, p = Im beta); when
-    #: lam == kap, lam is the generator gamma of the singular series
+    #: (lam, kap) when the Phi of rho_c is the Gaussian exp(-lam x^2 - kap p^2)
+    #: (x = Re beta, p = Im beta); when lam == kap, lam is the generator gamma
+    #: of the singular series
     gaussian_xp: tuple[float, float] | None = None
-    #: order -> the centred table T[q, r] = <a^dag^r a^q> for q, r <= order,
-    #: cut before the first divergent diagonal order; None for a displaced
-    #: state, whose moments are recentred from ``centred.moments``
-    moments: Callable[[int], np.ndarray] | None = None
-    #: closed-form regular phase-space density (None: no regular form),
-    #: radially symmetric about spec.displacement
+    #: closed-form regular phase-space density of rho (None: no regular
+    #: form), radially symmetric about spec.displacement
     regular_p_closed: Callable | None = None
-    #: weight of an explicit point mass at spec.displacement (cauchy_lorentz_ncl)
+    #: weight of an explicit point mass of rho at spec.displacement (cauchy_lorentz_ncl)
     atom_weight: float = 0.0
-    #: exact vacuum probability; known for every state that is not displaced
-    exact_vacuum_probability: float | None = None
-    #: the rotated, undisplaced state rho_c of a displaced state
-    #: rho = D(a0) rho_c D(a0)^dag (None: the state is not displaced)
-    centred: State | None = None
-    _base_fock_builder: Callable[[int], np.ndarray] | None = None
-    #: analytic truncation loss sum_{k > K} rho[k, k], when a formula exists
+    #: analytic truncation loss sum_{k > K} rho_c[k, k], when a formula exists
     _tail_loss: Callable[[int], float] | None = None
 
     def describe(self) -> str:
@@ -571,6 +577,9 @@ def vacuum_overlap_normalizer(t: float) -> float:
 def make_state(spec: StateSpec) -> State:
     """Build a catalog state with every available closed form attached."""
     kind, p = spec.kind, dict(spec.params)
+    _require(all(isinstance(v, numbers.Real) for v in [*p.values(), spec.rotation])
+             and isinstance(spec.displacement, numbers.Complex),
+             "state parameters and rotation must be real numbers and the displacement a number")
     a0 = complex(spec.displacement)
     _require(all(math.isfinite(v) for v in [*p.values(), a0.real, a0.imag, spec.rotation]),
              "state parameters, displacement and rotation must be finite")
@@ -581,7 +590,7 @@ def make_state(spec: StateSpec) -> State:
         st = State(
             spec=spec, physical=True, **_gaussian(nbar, nbar),
             regular_p_closed=lambda a, nb=nbar: np.exp(-np.abs(np.asarray(a, dtype=complex)) ** 2 / nb) / (math.pi * nb),
-            exact_vacuum_probability=1.0 / (nbar + 1.0),
+            centred_vacuum=1.0 / (nbar + 1.0),
             _base_fock_builder=lambda K, nb=nbar: _geometric_diag(nb, K),
             _tail_loss=lambda K, q=nbar / (nbar + 1.0): q ** (K + 1),
         )
@@ -597,7 +606,7 @@ def make_state(spec: StateSpec) -> State:
 
         st = State(spec=spec, physical=True,
                    **_gaussian((math.exp(2 * xi) - 1.0) / 2.0, -(1.0 - math.exp(-2 * xi)) / 2.0),
-                   exact_vacuum_probability=1.0 / math.cosh(xi),
+                   centred_vacuum=1.0 / math.cosh(xi),
                    _base_fock_builder=fock)
     elif kind == "spats":
         nbar = p.get("nbar")
@@ -617,7 +626,7 @@ def make_state(spec: StateSpec) -> State:
         moments = _diagonal_moments(
             lambda k, nb=nbar: np.exp(gammaln(k + 1.0) + k * math.log(nb)) * (k + 1.0 + k / nb))
         st = State(spec=spec, physical=True, phi_closed=phi, moments=moments,
-                   regular_p_closed=preg, exact_vacuum_probability=0.0,
+                   regular_p_closed=preg, centred_vacuum=0.0,
                    _base_fock_builder=lambda K, nb=nbar: _spats_diag(nb, K),
                    _tail_loss=lambda K, q=nbar / (nbar + 1.0):
                        q**K * ((K + 1) * (1.0 - q) + q))
@@ -630,7 +639,7 @@ def make_state(spec: StateSpec) -> State:
 
         rho = np.diag([1.0 - eta, eta])
         st = State(spec=spec, physical=True, phi_closed=phi, moments=_finite_moments(rho),
-                   exact_vacuum_probability=1.0 - eta, _base_fock_builder=_embedded(rho),
+                   centred_vacuum=1.0 - eta, _base_fock_builder=_embedded(rho),
                    _tail_loss=lambda K, eta=eta: 0.0 if K >= 1 else eta)
     elif kind == "fock_element":
         _require("m" in p and "n" in p, "fock_element requires m, n >= 0")
@@ -641,7 +650,7 @@ def make_state(spec: StateSpec) -> State:
                    **(_gaussian(0.0, 0.0) if m == n == 0 else
                       {"phi_closed": lambda b, m=m, n=n: char_fn_fock_element(m, n, b),
                        "moments": _finite_moments(unit)}),
-                   exact_vacuum_probability=float(m == n == 0),
+                   centred_vacuum=float(m == n == 0),
                    _base_fock_builder=_embedded(unit),
                    _tail_loss=lambda K, m=m, n=n: 0.0 if K >= max(m, n) else 1.0)
     elif kind == "fock_mixture":
@@ -656,7 +665,7 @@ def make_state(spec: StateSpec) -> State:
 
         diag = np.diag([weights.get(k, 0.0) for k in range(max(weights) + 1)])
         st = State(spec=spec, physical=True, phi_closed=fock_phi(diag),
-                   moments=_finite_moments(diag), exact_vacuum_probability=weights.get(0, 0.0),
+                   moments=_finite_moments(diag), centred_vacuum=weights.get(0, 0.0),
                    _base_fock_builder=_embedded(diag),
                    _tail_loss=lambda K, ws=weights: sum(v for k, v in ws.items() if k > K))
     elif kind == "cauchy_lorentz":
@@ -664,7 +673,7 @@ def make_state(spec: StateSpec) -> State:
         _require(t is not None and t > 0, "cauchy_lorentz requires t > 0")
         st = State(spec=spec, physical=True, phi_closed=_lorentz_phi(t),
                    moments=_lorentz_moments(t), regular_p_closed=_lorentz_radial_density(t),
-                   exact_vacuum_probability=vacuum_overlap_normalizer(t),
+                   centred_vacuum=vacuum_overlap_normalizer(t),
                    _base_fock_builder=lambda K, t=t: _lorentz_fock_diag(t, K))
     elif kind == "cauchy_lorentz_ncl":
         t = p.get("t")
@@ -685,11 +694,11 @@ def make_state(spec: StateSpec) -> State:
         st = State(spec=spec, physical=True, phi_closed=phi, moments=_lorentz_moments(t, scale),
                    regular_p_closed=lambda a, dens=dens, scale=scale: dens(a) * scale,
                    atom_weight=-norm * scale,
-                   exact_vacuum_probability=0.0, _base_fock_builder=fock)
+                   centred_vacuum=0.0, _base_fock_builder=fock)
     elif kind == "p_max":
         st = State(
             spec=spec, physical=False, **_gaussian(-0.5, -0.5),
-            exact_vacuum_probability=2.0,
+            centred_vacuum=2.0,
             _base_fock_builder=_pmax_fock_diag,
         )
     else:
@@ -710,13 +719,14 @@ def _apply_modifiers(st: State) -> State:
     """Apply alpha -> exp(i phi) alpha + alpha0 to a catalog state.
 
     This is where the invariants are decided.  A rotation keeps whatever
-    depends only on the photon-number diagonal (the exact vacuum probability
-    and the tail loss), multiplies the moment table T[q, r] by
+    depends only on the photon-number diagonal (the vacuum probability and
+    the tail loss), multiplies the moment table T[q, r] by
     exp(i phi (q - r)), as it does rho[m, n] by exp(i phi (m - n)), and keeps
     a Gaussian characteristic function only when it is circular (lam == kap,
-    the generator).  A displacement keeps only Phi and the regular density,
-    radially symmetric about alpha0; the rotated state stays as ``centred``,
-    and there is no displaced Fock matrix or moment table.
+    the generator).  A displacement D(alpha0) only translates the P
+    function: it multiplies Phi by exp(beta conj(alpha0) - conj(beta) alpha0)
+    and moves the regular density and its point mass to alpha0.  Every other
+    field keeps describing the rotated, undisplaced state (``State``).
     """
     phi0, a0 = st.spec.rotation, complex(st.spec.displacement)
     base_phi, base_p, builder = st.phi_closed, st.regular_p_closed, st._base_fock_builder
@@ -748,23 +758,8 @@ def _apply_modifiers(st: State) -> State:
         b = np.asarray(beta, dtype=complex)
         return np.exp(b * np.conj(a0) - np.conj(b) * a0) * phi_c(b)
 
-    return State(spec=st.spec, physical=st.physical, phi_closed=phi_closed,
-                 regular_p_closed=None if p_c is None else
-                 lambda a: p_c(np.asarray(a, dtype=complex) - a0),
-                 atom_weight=st.atom_weight,
-                 centred=replace(st, spec=replace(st.spec, displacement=0j)))
-
-
-def displaced_vacuum_probability(state: State) -> float:
-    """<vac|rho|vac> = <-a0|rho_c|-a0> of a displaced rho = D(a0) rho_c D(a0)^dag.
-
-    The centred Fock matrix is summed to overlap_cutoff(a0), past the Poisson
-    weights of <n|-a0> = exp(-|a0|^2/2) (-a0)^n / sqrt(n!).
-    """
-    a0 = complex(state.spec.displacement)
-    n = np.arange(overlap_cutoff(a0) + 1)
-    amp = np.exp(-0.5 * abs(a0) ** 2 + n * np.log(-a0) - 0.5 * gammaln(n + 1))
-    return float(np.real(np.conj(amp) @ state.centred._base_fock_builder(n[-1]) @ amp))
+    return replace(st, phi_closed=phi_closed, regular_p_closed=None if p_c is None else
+                   lambda a: p_c(np.asarray(a, dtype=complex) - a0))
 
 
 def from_fock_matrix(matrix, *, physical: bool = True) -> State:
@@ -790,7 +785,7 @@ def from_fock_matrix(matrix, *, physical: bool = True) -> State:
                  moments=_finite_moments(fm.matrix),
                  phi_roundoff=PHI_ROUNDOFF_FACTOR * fm.matrix.shape[0] * np.finfo(float).eps
                  * float(np.abs(fm.matrix).sum()),
-                 exact_vacuum_probability=float(fm.matrix[0, 0].real),
+                 centred_vacuum=float(fm.matrix[0, 0].real),
                  _base_fock_builder=_embedded(fm.matrix))
 
 
@@ -801,13 +796,13 @@ def fock_matrix(state: State, cutoff: int = DEFAULT_CUTOFF) -> FockMatrix:
     1e-6 triggers a TruncationWarning.  The p_max pseudo-state is exempt
     from the loss accounting (its diagonal is not summable).  Raises
     ParameterError, before anything is built, unless the cutoff is an
-    integer from 0 to ``MAX_CUTOFF`` (889).
+    integer from 0 to ``MAX_CUTOFF`` (889), and UnsupportedError for a
+    displaced state, whose builder gives the Fock matrix of rho_c only.
     """
     _require(isinstance(cutoff, numbers.Integral) and 0 <= cutoff <= MAX_CUTOFF,
              f"cutoff must be an integer from 0 to {MAX_CUTOFF} (got {cutoff!r})")
-    if state._base_fock_builder is None:
-        what = f"kind {state.spec.kind!r}" if state.centred is None else "a displaced state"
-        raise UnsupportedError(f"no Fock construction for {what}")
+    if state.spec.displacement != 0:
+        raise UnsupportedError("no Fock construction for a displaced state")
     rho = state._base_fock_builder(cutoff)
     if not state.physical:
         loss = 0.0
@@ -833,8 +828,5 @@ def regular_p(state: State, alpha):
         raise NoRegularFormError(
             f"state kind {state.spec.kind!r} has no regular phase-space density"
         )
-    a = as_complex(alpha)
-    scalar = np.isscalar(a) or isinstance(a, complex)
-    vals = state.regular_p_closed(np.asarray([a]) if scalar else a)
-    vals = np.real_if_close(vals, tol=1000)
-    return float(np.real(vals[0])) if scalar else np.real(vals)
+    return pointwise(lambda a: np.real(np.real_if_close(state.regular_p_closed(a), tol=1000)),
+                     alpha)

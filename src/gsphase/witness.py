@@ -21,7 +21,7 @@ from .deltaseries import TaylorField, _check_order
 from .errors import ComplexResidueError, ParameterError
 from .filters import _check_width, filtered_p_gaussian_grid, filtered_p_numeric
 from .numerics import PhaseField, PhaseGrid
-from .states import State, displaced_vacuum_probability
+from .states import State, overlap_cutoff
 
 #: default certification margin; an order below quadrature tolerances
 CERTIFICATION_MARGIN = 1.0e-9
@@ -52,35 +52,30 @@ DIVERGED = Diverged()
 # ---------------------------------------------------------------------------
 
 def vacuum_probability(state: State) -> float:
-    """<vac| rho |vac>: the exact value, or <-a0|rho_c|-a0> for rho = D(a0) rho_c D(a0)^dag.
+    """<vac|rho|vac> of rho = D(a0) rho_c D(a0)^dag.
 
-    Every classical state has strictly positive vacuum overlap, but a
-    classical overlap can be arbitrarily small (exp(-|a0|^2) for a coherent
-    state), so ``classify`` certifies only a structural zero: a physical
-    state whose ``exact_vacuum_probability`` is exactly 0.0.
+    ``State.centred_vacuum`` at a0 = 0; otherwise <-a0|rho_c|-a0>, the Fock
+    matrix of rho_c summed to overlap_cutoff(a0), past the Poisson weights
+    of <n|-a0> = exp(-|a0|^2/2) (-a0)^n / sqrt(n!).  Every classical state
+    has strictly positive vacuum overlap, but a classical overlap can be
+    arbitrarily small (exp(-|a0|^2) for a coherent state), so ``classify``
+    certifies only a structural zero: an undisplaced physical state whose
+    ``centred_vacuum`` is exactly 0.0.
     """
-    p0 = state.exact_vacuum_probability
-    return displaced_vacuum_probability(state) if p0 is None else float(p0)
+    a0 = complex(state.spec.displacement)
+    if a0 == 0:
+        return float(state.centred_vacuum)
+    n = np.arange(overlap_cutoff(a0) + 1)
+    amp = np.exp(-0.5 * abs(a0) ** 2 + n * np.log(-a0) - 0.5 * gammaln(n + 1))
+    return float(np.real(np.conj(amp) @ state._base_fock_builder(n[-1]) @ amp))
 
 
 # ---------------------------------------------------------------------------
 # normally ordered moments with divergence detection
 # ---------------------------------------------------------------------------
 
-def _centred_moments(state: State, order: int) -> np.ndarray:
-    """T[q, r] = <a^dag^r a^q> of the centred (rotated) state, q, r <= order.
-
-    One read of the table the centred state carries from construction
-    (``State.moments``): a closed form for every catalog kind, the
-    k-resummation of the matrix itself for a finite-rank state.  The table
-    is cut before the first divergent diagonal order; an entry past the
-    float range is inf or nan.
-    """
-    return (state.centred or state).moments(order)
-
-
 def _displaced_moment(table: np.ndarray, a0: complex, n: int):
-    """<(a^dag + conj a0)^n (a + a0)^n> from the centred table, or Diverged."""
+    """<(a^dag + conj a0)^n (a + a0)^n> from the table of rho_c, or Diverged."""
     if n >= table.shape[0]:
         return DIVERGED
     j = np.arange(n + 1)
@@ -94,14 +89,15 @@ def normal_moment(state: State, n: int):
     """<: (a^dag a)^n :> = Int d^2alpha P(alpha) |alpha|^(2n), or Diverged.
 
     Centred and displaced states share one route: the binomial expansion
-    of <(a^dag + conj a0)^n (a + a0)^n> over the centred moment table
-    ``State.moments``, closed form or finite-rank resummation.  The order-0
-    moment is the trace (0 for |m><n| with m != n).  Diverged is a value,
-    not an exception; a moment past the float range is inf or nan.  Raises
-    ParameterError unless n is an integer >= 0.
+    of <(a^dag + conj a0)^n (a + a0)^n> over the moment table of the
+    undisplaced state, ``State.moments``, closed form or finite-rank
+    resummation.  The order-0 moment is the trace (0 for |m><n| with
+    m != n).  Diverged is a value, not an exception; a moment past the
+    float range is inf or nan.  Raises ParameterError unless n is an
+    integer >= 0.
     """
     _check_order(n, "moment order")
-    return _displaced_moment(_centred_moments(state, n), complex(state.spec.displacement), n)
+    return _displaced_moment(state.moments(n), complex(state.spec.displacement), n)
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +178,15 @@ def moment_matrix_test(state: State, order: int,
     the sign, is also below -margin: at large moments the unscaled
     eigenvalue carries roundoff (-3e-6 for a coherent state at |a0| = 19.5),
     and at small moments the rescaled one magnifies the error of a moment
-    table.  The moments are recentred from the state's centred table
-    (``State.moments``).  When any moment diverges or is not finite (a
+    table.  The moments are recentred from the table of the undisplaced
+    state (``State.moments``).  When any moment diverges or is not finite (a
     table past the float range, such as squeezed xi = 354), the verdict is
     inapplicable.
     Raises ParameterError unless the margin is finite and >= 0 and the
     order an integer >= 0.
     """
     _check_margin_order(margin, order)
-    table = _centred_moments(state, 2 * order)
+    table = state.moments(2 * order)
     a0 = complex(state.spec.displacement)
     moments = []
     for i in range(2 * order + 1):
@@ -373,7 +369,8 @@ def classify(state: State, *, w: float = 2.0,
     the scan's argmax (nonzero for an explicit Fock matrix only).  The
     filtered minimum certifies only below -(margin + quad_error), with
     quad_error the field's quadrature error estimate (0 on the analytic
-    Gaussian route).  A vacuum probability or moment that is not finite
+    Gaussian route, which every state with a ``gaussian_xp`` takes, centred
+    at its displacement).  A vacuum probability or moment that is not finite
     makes its criterion inapplicable.  Raises ParameterError, before any
     criterion runs, for a filter width w that is not a finite positive real, a
     margin that is not finite and >= 0, or a moment order that is not an
@@ -398,7 +395,8 @@ def classify(state: State, *, w: float = 2.0,
 
     vp = vacuum_probability(state)
     if math.isfinite(vp):
-        vp_certified = state.physical and state.exact_vacuum_probability == 0.0
+        vp_certified = (state.physical and state.spec.displacement == 0
+                        and state.centred_vacuum == 0.0)
         report.entries.append(CriterionEntry(
             "vacuum_probability",
             VERDICT_CERTIFIED if vp_certified else VERDICT_CONSISTENT,
@@ -413,7 +411,8 @@ def classify(state: State, *, w: float = 2.0,
     report.entries.append(moment_matrix_test(state, moment_order, margin=margin))
 
     if state.gaussian_xp is not None:
-        fld = filtered_p_gaussian_grid(state.gaussian_xp, w, grid)
+        fld = filtered_p_gaussian_grid(state.gaussian_xp, w, grid,
+                                       centre=complex(state.spec.displacement))
     else:
         fld = filtered_p_numeric(state, w, grid)
     min_val, loc = negativity_scan(fld)

@@ -20,6 +20,7 @@ from gsphase.states import StateSpec, make_state
 THERMAL = '{"kind": "thermal", "params": {"nbar": 0.5}}'
 SPATS = '{"kind": "spats", "params": {"nbar": 1.0}}'
 COHERENT = '{"kind": "fock_element", "params": {"m": 0, "n": 0}, "displacement": {"re": 0.3, "im": 0.0}}'
+DISPLACED_LORENTZ = '{"kind": "cauchy_lorentz", "params": {"t": 3.0}, "displacement": {"re": 0.3, "im": 0.0}}'
 
 
 @pytest.fixture
@@ -323,12 +324,16 @@ class TestConfigErrors:
         assert "Traceback" not in res.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["filtered", "classify"])
-    def test_unresolved_filter_is_an_error(self, runner, tmp_path, command):
+    @pytest.mark.parametrize("command,state", [("filtered", COHERENT),
+                                               ("classify", DISPLACED_LORENTZ)],
+                             ids=["filtered", "classify"])
+    def test_unresolved_filter_is_an_error(self, runner, tmp_path, command, state):
         # w = 40 on extent 10 is beyond 200 Gauss nodes per panel; the fixed
-        # rule certified this coherent state as nonclassical
+        # rule certified the coherent state as nonclassical.  classify takes
+        # the numeric filter for the displaced Lorentz state only: the
+        # coherent state's filter is the translated closed form
         out = tmp_path / "x.out"
-        res = runner.invoke(main, [command, "--state", COHERENT, "--w", "40",
+        res = runner.invoke(main, [command, "--state", state, "--w", "40",
                                    "--grid", "10,161", "--out", str(out)])
         assert res.exit_code == 1, res.output
         assert "Error:" in res.output and "did not converge" in res.output

@@ -25,7 +25,7 @@ from gsphase.filters import (
     _filter_rule,
 )
 from gsphase.numerics import PhaseGrid, gauss_nodes_1d
-from gsphase.states import StateSpec, make_state
+from gsphase.states import StateSpec, make_state, regular_p
 from gsphase.witness import classify, negativity_scan
 
 RNG = np.random.default_rng(11)
@@ -456,6 +456,49 @@ class TestAdaptiveRule:
         assert np.max(np.abs(fld.values - exact)) <= fld.quad_error
 
 
+class TestTranslatedGaussianFilter:
+    """A displacement translates the filtered profile of a Gaussian Phi."""
+
+    SPECS = [
+        StateSpec("fock_element", {"m": 0, "n": 0}, displacement=0.7 - 0.4j),
+        StateSpec("thermal", {"nbar": 0.8}, displacement=-0.5 + 0.9j, rotation=1.1),
+        StateSpec("squeezed", {"xi": 1.0}, displacement=0.6 + 0.3j),
+        StateSpec("p_max", displacement=-0.4 - 0.8j),
+    ]
+
+    @pytest.mark.parametrize("w", [2.0, 4.0])
+    @pytest.mark.parametrize("spec", SPECS, ids=["coherent", "thermal-rotated", "squeezed-1",
+                                                 "p_max"])
+    def test_agrees_with_the_numeric_filter(self, spec, w):
+        st = make_state(spec)
+        assert st.gaussian_xp is not None
+        a0 = spec.displacement
+        ana = filtered_p_gaussian_grid(st.gaussian_xp, w, GRID, centre=a0)
+        num = filtered_p_numeric(st, w, GRID)
+        assert np.max(np.abs(ana.values - num.values)) <= num.quad_error
+        # the evaluator is the same translated profile
+        pts = np.array([a0, 0.3 - 1.2j])
+        np.testing.assert_allclose(ana(pts), filtered_p_gaussian(st.gaussian_xp, w, pts - a0),
+                                   rtol=0, atol=0)
+        if spec.kind in ("fock_element", "thermal"):
+            assert classify(st, w=w, grid=GRID).overall == "consistent-with-classical"
+
+    @pytest.mark.parametrize("xi", [6.0, 10.0])
+    def test_strongly_squeezed_displaced_state_gets_a_verdict(self, xi):
+        # the numeric filter does not converge for xi = 6 at w = 2; the
+        # translated closed form certifies the negativity
+        st = make_state(StateSpec("squeezed", {"xi": xi}, displacement=0.5 - 0.4j))
+        entry = classify(st).entry("filtered_negativity")
+        assert entry.verdict == "nonclassical-certified"
+        assert entry.witness_value < -1e-6
+
+    def test_zero_centre_is_the_centred_profile(self):
+        st = make_state(StateSpec("squeezed", {"xi": 0.7}))
+        np.testing.assert_array_equal(
+            filtered_p_gaussian_grid(st.gaussian_xp, 2.0, GRID, centre=0j).values,
+            filtered_p_gaussian_grid(st.gaussian_xp, 2.0, GRID).values)
+
+
 def filtered_raw_two_exp(state, w, grid, nodes_per_panel):
     """One split rule with both kernel tables built by np.exp, nothing cached."""
     xm, wm = gauss_nodes_1d(-w, 0.0, nodes_per_panel)
@@ -552,6 +595,46 @@ class TestPointInputs:
         assert isinstance(numerics.as_complex(np.float64(0.5)), complex)
         assert isinstance(sinc2_kernel(0.5, 2.0), float)
         assert isinstance(char_fn(make_state(StateSpec("thermal", {"nbar": 0.5})), 0.5), complex)
+
+    _THERMAL = make_state(StateSpec("thermal", {"nbar": 0.5}))
+    #: name -> (pointwise entry point, point, Python type of a scalar result)
+    POINTWISE = {
+        "char_fn": (lambda b: char_fn(TestPointInputs._THERMAL, b), 0.3 - 0.2j, complex),
+        "char_fn_s": (lambda b: charfn.char_fn_s(TestPointInputs._THERMAL, b, 0.0), 0.3 - 0.2j,
+                      complex),
+        "char_fn_fock_element": (lambda b: charfn.char_fn_fock_element(1, 2, b), 0.3 - 0.2j,
+                                 complex),
+        "regular_p": (lambda a: regular_p(TestPointInputs._THERMAL, a), 0.3 - 0.2j, float),
+        "erf_complex": (numerics.erf_complex, 0.3 - 0.2j, complex),
+        "erfcx_complex": (numerics.erfcx_complex, 0.3 - 0.2j, complex),
+        "PhaseField": (filtered_p_gaussian_grid((0.5, 0.5), 2.0, PhaseGrid(2.0, 5)), 0.3 - 0.2j,
+                       complex),
+        "tri": (tri, 0.3, float),
+        "tri_gaussian_ft": (lambda y: tri_gaussian_ft(y, 0.5), 0.3, float),
+        "box_autocorrelation": (lambda b: box_autocorrelation(b, 2.0), 0.3 - 0.2j, float),
+        "sinc2_kernel": (lambda a: sinc2_kernel(a, 2.0), 0.3 - 0.2j, float),
+        "filtered_p_gaussian": (lambda a: filtered_p_gaussian((0.5, 0.5), 2.0, a), 0.3 - 0.2j,
+                                float),
+    }
+
+    @pytest.mark.parametrize("fn,point,kind", POINTWISE.values(), ids=POINTWISE)
+    def test_one_scalar_rule(self, fn, point, kind):
+        # a number or a 0-d array gives a Python number; any other array an
+        # array of its shape with the same values
+        value = fn(point)
+        assert type(value) is kind
+        zero_d = fn(np.asarray(point))
+        assert type(zero_d) is kind and zero_d == value
+        arr = fn(np.array([[point, 2 * point, 0.0]]))
+        assert isinstance(arr, np.ndarray) and arr.shape == (1, 3)
+        assert arr[0, 0] == value
+
+    @pytest.mark.parametrize("points", [np.array([0.5, 1.0j]), np.array(0.5 + 0j)],
+                             ids=["1-d", "0-d"])
+    def test_pointwise_passes_the_right_dtype_uncopied(self, points):
+        seen = []
+        numerics.pointwise(lambda a: seen.append(a) or a, points)
+        assert np.shares_memory(seen[0], points)
 
     @pytest.mark.parametrize("bad", ["abc", "0.5", None, [None], ["1"], [[0.0, 0.5], [1.0]],
                                      {0.5}], ids=["abc", "numeric-string", "None", "[None]",

@@ -13,8 +13,9 @@ import pytest
 from gsphase.charfn import char_fn_fock_element
 from gsphase.deltaseries import TaylorField, exp_laplace_series, fock_diagonal, series_from_fock
 from gsphase.errors import GsphaseError
-from gsphase.filters import tri, tri_gaussian_ft
-from gsphase.numerics import erf_complex, erfcx_complex
+from gsphase.filters import (filtered_p_gaussian_grid, tri, tri_gaussian_ft,
+                             tri_gaussian_ft_line_integral)
+from gsphase.numerics import PhaseGrid, erf_complex, erfcx_complex, radial_integral
 from gsphase.states import StateSpec, fock_matrix, make_state
 from gsphase.witness import (
     admissible_check,
@@ -63,6 +64,19 @@ REFUSALS = {
     "tri_gaussian_ft y complex": lambda: tri_gaussian_ft([0.5j], 0.5),
     "tri_gaussian_ft g nan": lambda: tri_gaussian_ft(0.5, math.nan),
     "tri_gaussian_ft g 'x'": lambda: tri_gaussian_ft(0.5, "x"),
+    "tri_gaussian_ft_line_integral g nan": lambda: tri_gaussian_ft_line_integral(math.nan),
+    "tri_gaussian_ft_line_integral g 'x'": lambda: tri_gaussian_ft_line_integral("x"),
+    "radial_integral nan integrand": lambda: radial_integral(lambda r: r * math.nan),
+    "filtered_p_gaussian_grid centre 'x'": lambda: filtered_p_gaussian_grid(
+        (0.5, 0.5), 2.0, PhaseGrid(2.0, 5), centre="x"),
+    "filtered_p_gaussian_grid centre nan": lambda: filtered_p_gaussian_grid(
+        (0.5, 0.5), 2.0, PhaseGrid(2.0, 5), centre=complex(math.nan, 0.0)),
+    # state parameters and modifiers given through the Python API
+    "make_state nbar 'x'": lambda: make_state(StateSpec("thermal", {"nbar": "x"})),
+    "make_state rotation 'x'": lambda: make_state(StateSpec("thermal", {"nbar": 0.5},
+                                                            rotation="x")),
+    "make_state displacement 'x'": lambda: make_state(StateSpec("thermal", {"nbar": 0.5},
+                                                                displacement="x")),
 }
 
 

@@ -268,7 +268,6 @@ class TestModifiers:
         st = make_state(StateSpec("squeezed", {"xi": 0.5}, displacement=0.4, rotation=rotation))
         with pytest.raises(UnsupportedError, match="displaced state"):
             fock_matrix(st, 8)
-        assert st.centred.spec == StateSpec("squeezed", {"xi": 0.5}, rotation=rotation)
 
     def test_rotation_phases_fock(self):
         st = make_state(StateSpec("squeezed", {"xi": 0.5}, rotation=0.7))
@@ -338,23 +337,28 @@ class TestModifierInvariants:
         st = make_state(replace(spec, **mod))
         if st.gaussian_xp is None:
             return
+        # gaussian_xp describes the undisplaced state; a displacement a0
+        # multiplies its Phi by exp(beta conj(a0) - conj(beta) a0)
         lam, kap = st.gaussian_xp
+        a0 = st.spec.displacement
         mesh = PhaseGrid(extent=2.0, resolution=31).mesh()
         np.testing.assert_allclose(st.phi_closed(mesh),
-                                   np.exp(-lam * mesh.real**2 - kap * mesh.imag**2),
+                                   np.exp(-lam * mesh.real**2 - kap * mesh.imag**2)
+                                   * np.exp(mesh * np.conj(a0) - np.conj(mesh) * a0),
                                    rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
     @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)
     def test_exact_vacuum_probability_matches_fock_matrix(self, spec, mod):
+        # centred_vacuum is rho_c[0, 0] of the undisplaced twin
         st = make_state(replace(spec, **mod))
-        if st.exact_vacuum_probability is None:
-            return
+        twin = make_state(replace(spec, **{**mod, "displacement": 0j}))
         with warnings.catch_warnings():
             # entry [0, 0] does not depend on the cutoff
             warnings.simplefilter("ignore", TruncationWarning)
-            rho00 = fock_matrix(st, 12).matrix[0, 0]
-        assert rho00 == pytest.approx(st.exact_vacuum_probability, abs=1e-12)
+            rho00 = fock_matrix(twin, 12).matrix[0, 0]
+        assert rho00 == pytest.approx(st.centred_vacuum, abs=1e-12)
+        assert twin.centred_vacuum == st.centred_vacuum
 
     @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
     @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)
@@ -367,14 +371,15 @@ class TestModifierInvariants:
     @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
     @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)
     def test_every_state_carries_its_moments(self, spec, mod):
-        # a displaced state reads its centred state's table; T[0, 0] = Phi(0)
+        # the table describes the undisplaced state, so a displaced state's
+        # table equals its undisplaced twin's; T[0, 0] = Phi(0)
         st = make_state(replace(spec, **mod))
-        assert (st.moments is None) == (st.centred is not None)
-        centred = st.centred or st
-        table = centred.moments(4)
+        table = st.moments(4)
+        twin = make_state(replace(spec, **{**mod, "displacement": 0j}))
+        np.testing.assert_array_equal(table, twin.moments(4))
         n = table.shape[0]
         assert 1 <= n <= 5 and table.shape == (n, n) and np.all(np.isfinite(table))
-        assert table[0, 0] == pytest.approx(centred.phi_closed(np.zeros(1))[0], abs=1e-12)
+        assert table[0, 0] == pytest.approx(st.phi_closed(np.zeros(1))[0], abs=1e-12)
         if spec.kind.startswith("cauchy_lorentz"):  # cut before the first k >= t
             assert n == math.ceil(spec.params["t"])
         else:

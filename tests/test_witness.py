@@ -531,11 +531,21 @@ class TestClassify:
         assert rep.entry("moment_matrix").verdict == VERDICT_INAPPLICABLE
 
     def test_unresolved_filter_raises_instead_of_certifying(self):
-        # the fixed 200-node rule certified this coherent state with a
-        # filtered minimum of -34.8
-        st = make_state(StateSpec("fock_element", {"m": 0, "n": 0}, displacement=0.3))
+        # w = 40 on extent 10 is beyond 200 Gauss nodes per panel; this
+        # classical state takes the numeric filter, which must refuse to
+        # give a verdict (the fixed 200-node rule certified the coherent
+        # state with a filtered minimum of -34.8)
+        st = make_state(StateSpec("cauchy_lorentz", {"t": 3.0}, displacement=0.3))
         with pytest.raises(NonConvergenceError):
             classify(st, w=40.0, grid=PhaseGrid(extent=10.0, resolution=161))
+
+    def test_coherent_state_takes_the_analytic_filter_at_any_width(self):
+        # the translated closed form needs no quadrature, so w = 40 on extent
+        # 10, which the numeric filter cannot resolve, still gets a verdict
+        st = make_state(StateSpec("fock_element", {"m": 0, "n": 0}, displacement=0.3))
+        rep = classify(st, w=40.0, grid=PhaseGrid(extent=10.0, resolution=161))
+        assert rep.overall == VERDICT_CONSISTENT
+        assert rep.entry("filtered_negativity").verdict == VERDICT_CONSISTENT
 
     @pytest.mark.parametrize("quad_error,verdict", [(1.0e-8, VERDICT_CONSISTENT),
                                                     (0.0, VERDICT_CERTIFIED)])
@@ -699,11 +709,12 @@ class TestDisplacedClassicalStates:
         # has eigenvalue -0.066, the unscaled one only roundoff
         nbar, weight = 3.5e-7, 1.9
         table = np.diag([1.0] + [weight * math.factorial(k) * nbar**k for k in range(1, 5)])
-        monkeypatch.setattr(witness, "_centred_moments", lambda state, order: table.astype(complex))
+        st = make_state(StateSpec("thermal", {"nbar": nbar}))
+        monkeypatch.setattr(st, "moments", lambda order: table.astype(complex))
         h = np.array([[table[j + k, j + k] for k in range(3)] for j in range(3)])
         jk = np.add.outer(np.arange(3), np.arange(3))
         assert np.linalg.eigvalsh(h / (weight * nbar) ** jk).min() < -0.06
-        entry = moment_matrix_test(make_state(StateSpec("thermal", {"nbar": nbar})), 2)
+        entry = moment_matrix_test(st, 2)
         assert -1.0e-12 < entry.witness_value < 0.0
         assert entry.verdict == VERDICT_CONSISTENT
 
