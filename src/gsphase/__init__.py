@@ -22,6 +22,7 @@ from .deltaseries import (
 )
 from .filters import (
     box_autocorrelation,
+    filtered_p,
     filtered_p_gaussian,
     filtered_p_gaussian_grid,
     filtered_p_numeric,
@@ -76,6 +77,7 @@ __all__ = [
     "erf_complex",
     "erfcx_complex",
     "exp_laplace_series",
+    "filtered_p",
     "filtered_p_gaussian",
     "filtered_p_gaussian_grid",
     "filtered_p_numeric",

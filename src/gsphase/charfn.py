@@ -16,12 +16,15 @@ Modulus bounds implemented here:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import RangeError
-from .numerics import PhaseGrid, pointwise
+from .errors import ParameterError, RangeError
+from .numerics import PhaseGrid, pointwise, radial_orbits
 # char_fn_fock_element lives with the catalog and stays importable from here
 from .states import State, char_fn_fock_element  # noqa: F401
 
@@ -41,8 +44,11 @@ def char_fn_s(state: State, beta, s: float):
     """Ordering-parametrized characteristic function exp(-(1-s)|b|^2/2) Phi(b).
 
     s = 1 is the identity; s = 0 and s = -1 give the symmetric and
-    antinormal orderings.  Values outside [-1, 1] are accepted.
+    antinormal orderings.  Values outside [-1, 1] are accepted; an s that is
+    not a finite real raises ParameterError.
     """
+    if not (isinstance(s, numbers.Real) and math.isfinite(s)):
+        raise ParameterError(f"the ordering parameter s must be a finite real (got {s!r})")
     return pointwise(lambda b: np.exp(-0.5 * (1.0 - s) * np.abs(b) ** 2) * char_fn(state, b),
                      beta)
 
@@ -66,16 +72,44 @@ def _argmax_lexicographic(values: np.ndarray, mesh: np.ndarray) -> complex:
     return complex(mesh.ravel()[idx])
 
 
-def _scan_modulus(state: State, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The scan mesh and |Phi| on it; RangeError when Phi is not finite at a node."""
+#: scan grids whose meshes and orbits are kept
+SCAN_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=SCAN_CACHE_SIZE)
+def _scan_mesh(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scan mesh of a grid, its distinct radii and their gather index.
+
+    ``grid.mesh()`` and the ``numerics.radial_orbits`` of it: radii[inverse]
+    is |mesh| bit for bit (5,542 radii for the 25,921 nodes of 4,161).  None
+    depends on a state, so the last ``SCAN_CACHE_SIZE`` grids are kept,
+    read-only, and only the first scan of a grid pays for them.
+    """
     mesh = grid.mesh()
-    mod = np.abs(char_fn(state, mesh))
-    bad = int(np.count_nonzero(~np.isfinite(mod)))
+    radii, inverse = radial_orbits(mesh)
+    for arr in (mesh, radii, inverse):
+        arr.flags.writeable = False
+    return mesh, radii, inverse
+
+
+def _scan(state: State, grid: PhaseGrid, excess) -> ScanReport:
+    """Max over the scan mesh of excess(|Phi(beta)|, |beta|) and its first location.
+
+    A radial state's Phi is evaluated once per distinct |beta| of the
+    cached mesh and the excess gathered back to the nodes; any other
+    state's Phi at every node.  Raises RangeError when Phi is not finite at
+    some node: a nan maximum would read as no excess.
+    """
+    mesh, radii, inverse = _scan_mesh(grid)
+    mod = np.abs(char_fn(state, radii if state.radial else mesh))
+    bad_at = ~np.isfinite(mod)
+    bad = int(np.count_nonzero(bad_at[inverse] if state.radial else bad_at))
     if bad:
         raise RangeError(
-            f"Phi of {state.describe()} is not finite at {bad} of {mod.size} nodes of the scan grid"
+            f"Phi of {state.describe()} is not finite at {bad} of {mesh.size} nodes of the scan grid"
         )
-    return mesh, mod
+    vals = excess(mod, radii)[inverse] if state.radial else excess(mod, radii[inverse])
+    return ScanReport(float(vals.max()), _argmax_lexicographic(vals, mesh))
 
 
 def quantum_bound_check(state: State, grid: PhaseGrid) -> ScanReport:
@@ -85,9 +119,7 @@ def quantum_bound_check(state: State, grid: PhaseGrid) -> ScanReport:
     report-only, no exception is raised on violation.  Raises RangeError
     when Phi is not finite at some node.
     """
-    mesh, mod = _scan_modulus(state, grid)
-    vals = mod * np.exp(-0.5 * np.abs(mesh) ** 2)
-    return ScanReport(float(vals.max()), _argmax_lexicographic(vals, mesh))
+    return _scan(state, grid, lambda mod, r: mod * np.exp(-0.5 * r ** 2))
 
 
 def classicality_violation(state: State, grid: PhaseGrid) -> ScanReport:
@@ -95,8 +127,6 @@ def classicality_violation(state: State, grid: PhaseGrid) -> ScanReport:
 
     A positive value certifies nonclassicality; a non-positive value on a
     finite grid is inconclusive.  Raises RangeError when Phi is not finite
-    at some node: a nan maximum would read as no excess.
+    at some node.
     """
-    mesh, mod = _scan_modulus(state, grid)
-    vals = mod - 1.0
-    return ScanReport(float(vals.max()), _argmax_lexicographic(vals, mesh))
+    return _scan(state, grid, lambda mod, r: mod - 1.0)

@@ -28,7 +28,7 @@ from .acceptance import default_workers, report_payload, run_with_determinism_ch
 from .charfn import char_fn, char_fn_s
 from .deltaseries import exp_laplace_series, fock_diagonal
 from .errors import GsphaseError, ParameterError
-from .filters import filtered_p_gaussian, filtered_p_numeric
+from .filters import filtered_p, filtered_p_gaussian
 from .numerics import MAX_GRID_RESOLUTION, PhaseGrid, write_field_csv  # noqa: F401
 from .states import StateSpec, make_state
 from .witness import classify as classify_state, real_values
@@ -141,7 +141,7 @@ def filtered(state_json, width, grid_text, cut_axis, out_path):
     config = {"command": "filtered", "state": spec.to_json(), "grid": grid_text,
               "w": width, "cut": cut_axis}
     comments = _provenance("filtered", config)
-    fld = filtered_p_numeric(st, width, grid)
+    fld = filtered_p(st, width, grid)
     values = real_values(fld)
     if cut_axis is None:
         write_field_csv(out_path, grid, values, comments=comments)

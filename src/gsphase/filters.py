@@ -17,7 +17,8 @@ displacement a0 multiplies Phi by exp(beta conj(a0) - conj(beta) a0), and
 since the box filter acts on beta alone, the filtered profile of the
 displaced state is the same profile translated by a0 (the ``centre`` of
 ``filtered_p_gaussian_grid``).  Any other Phi is filtered by quadrature
-(``filtered_p_numeric``).
+(``filtered_p_numeric``); ``filtered_p`` makes that choice for a state.
+Filtered fields are real: their ``values`` are float arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ from .numerics import (
     _separable_product,
     erfcx_complex,
     gauss_nodes_1d,
+    mesh_axes,
     pointwise,
+    radial_orbits,
 )
 from .states import State
 
@@ -105,13 +108,18 @@ def sinc2_kernel(alpha, w: float):
     """Position-side filter kernel (w^2/pi^2) sinc^2(w x) sinc^2(w p).
 
     Non-negative, integrates to one over the plane; the removable
-    singularities on the axes take the limit value sinc(0) = 1.
+    singularities on the axes take the limit value sinc(0) = 1.  On a tensor
+    mesh (``numerics.mesh_axes``) each sinc is taken once per row or
+    column; the product keeps its left-to-right order, so the values are the
+    same bits as at the points one at a time.
     """
     _check_width(w)
 
     def kernel(a):
-        sx = np.sinc(w * a.real / math.pi)
-        sp = np.sinc(w * a.imag / math.pi)
+        axes = mesh_axes(a)
+        x, p = (axes[0][:, None], axes[1][None, :]) if axes is not None else (a.real, a.imag)
+        sx = np.sinc(w * x / math.pi)
+        sp = np.sinc(w * p / math.pi)
         return (w * w / math.pi**2) * sx * sx * sp * sp
     return pointwise(kernel, alpha)
 
@@ -281,7 +289,7 @@ def filtered_p_gaussian_grid(xp: tuple[float, float] | None, w: float,
     P(alpha; w) of the state displaced by a0 = ``centre`` is the profile of
     its undisplaced Gaussian Phi at alpha - a0.  It stays separable: two
     tri-Gaussian rows, one per axis shifted by Re a0 or Im a0, and their
-    outer product; the field also carries the translated
+    outer product, real values; the field also carries the translated
     ``filtered_p_gaussian`` as its evaluator.  Raises as
     ``filtered_p_gaussian`` does, and ParameterError for a centre that is
     not a finite number.
@@ -292,8 +300,7 @@ def filtered_p_gaussian_grid(xp: tuple[float, float] | None, w: float,
     ax = grid.axis()
     tx = tri_gaussian_ft(-w * (ax - centre.real), w * w * kap)
     tp = tri_gaussian_ft(w * (ax - centre.imag), w * w * lam)
-    values = (w * w) * np.outer(tx, tp)
-    return PhaseField(side="alpha", grid=grid, values=values.astype(complex),
+    return PhaseField(side="alpha", grid=grid, values=(w * w) * np.outer(tx, tp),
                       fn=lambda a: np.asarray(filtered_p_gaussian(xp, w, a - centre),
                                               dtype=complex))
 
@@ -304,7 +311,7 @@ def filtered_p_gaussian_grid(xp: tuple[float, float] | None, w: float,
 
 @lru_cache(maxsize=RULE_CACHE_SIZE)
 def _filter_rule(w: float, nodes_per_panel: int, grid: PhaseGrid):
-    """Node mesh, weight table and real kernel table of the split Gauss rule.
+    """Node mesh, weight table, real kernel table and node orbits of the split Gauss rule.
 
     The rule has two panels per axis, [-w, 0] and [0, w]; the negative
     panel's nodes are the exact negation of the positive panel's nodes b+
@@ -312,9 +319,12 @@ def _filter_rule(w: float, nodes_per_panel: int, grid: PhaseGrid):
     over the axes).  With b = -b+ reversed, then b+, and tb its weights, the
     rule is the complex node mesh b[i] + i b[j] and the 2-D weight table
     tb[i] tb[j], both (2n, 2n).  The table is ``numerics._cos_sin`` of the
-    grid axis over the half axis b+, shape (N, 2n).  None of them depends
-    on a state, so the last ``RULE_CACHE_SIZE`` (w, nodes, grid) rules are
-    kept, read-only, and only the first call pays for them.
+    grid axis over the half axis b+, shape (N, 2n).  The orbits are the
+    ``numerics.radial_orbits`` of the node mesh: its n (n + 1) / 2 distinct
+    radii and the index that gathers them back to the (2n, 2n) mesh.  None
+    of them depends on a state, so the last ``RULE_CACHE_SIZE`` (w, nodes,
+    grid) rules are kept, read-only, and only the first call pays for them.
+    Returns (nodes, weights, table, radii, inverse).
     """
     bp, wb = gauss_nodes_1d(0.0, w, nodes_per_panel)
     tw = tri(bp / w) * wb / math.pi
@@ -323,9 +333,11 @@ def _filter_rule(w: float, nodes_per_panel: int, grid: PhaseGrid):
     twb = np.concatenate([tw[::-1], tw])
     weights = twb[:, None] * twb[None, :]
     table = _cos_sin(grid.axis(), bp)
-    for arr in (nodes, weights, table):
+    radii, inverse = radial_orbits(nodes)
+    rule = (nodes, weights, table, radii, inverse)
+    for arr in rule:
         arr.flags.writeable = False
-    return nodes, weights, table
+    return rule
 
 
 def _filtered_raw(state: State, w: float, grid: PhaseGrid,
@@ -333,24 +345,29 @@ def _filtered_raw(state: State, w: float, grid: PhaseGrid,
     """Split tensor Gauss rule for the filtered transform on the grid [x, p].
 
     The panels of each axis meet at 0, where the tri factor has a kink.  Phi
-    is evaluated at the (2n)^2 nodes of ``_filter_rule``'s cached mesh and
+    is evaluated at the (2n)^2 nodes of ``_filter_rule``'s cached mesh, or
+    for a radial state once per distinct node radius and gathered back, and
     times its cached weight table gives W; only Phi and that product are
     computed per state.  The sum is the inverse transform's, so W folds
     onto the real core [Re K | Im K] of ``numerics._folded_core`` (the
     even node axis has no centre node) and ``numerics._separable_product``
-    of Re K with the rule's table gives the real field.  The imaginary
-    field is the same product of Im K; it is only formed when sum |Im K|
-    exceeds the roundoff floor ``ROUNDOFF_FACTOR`` * eps * sum |W|, and
-    otherwise sum |Im K|, a bound on |Im P| since the table's entries are
-    at most 1, stands for its maximum.
+    of Re K with the rule's table gives the real field.  When W is even in
+    both axes (a radial Phi: the nodes are exact mirrors), the odd blocks
+    EO, OE and OO of the core are exactly zero, and the product takes the
+    EE block and the cos half of the table alone.  The imaginary field is
+    the same product of Im K; it is only formed when sum |Im K| exceeds the
+    roundoff floor ``ROUNDOFF_FACTOR`` * eps * sum |W|, and otherwise
+    sum |Im K|, a bound on |Im P| since the table's entries are at most 1,
+    stands for its maximum.
 
     Returns the real field, that imaginary residue and sum |W|, the scale of
     the field's roundoff.  Raises RangeError when Phi is not finite at some
     node, since no finer rule can repair that.
     """
-    nodes, weights, table = _filter_rule(w, nodes_per_panel, grid)
+    nodes, weights, table, radii, inverse = _filter_rule(w, nodes_per_panel, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        phi = np.asarray(char_fn(state, nodes), dtype=complex)
+        phi = np.asarray(char_fn(state, radii)[inverse] if state.radial
+                         else char_fn(state, nodes), dtype=complex)
     bad = int(np.count_nonzero(~np.isfinite(phi)))
     if bad:
         raise RangeError(
@@ -359,7 +376,13 @@ def _filtered_raw(state: State, w: float, grid: PhaseGrid,
         )
     weighted = phi * weights
     abs_sum = float(np.sum(np.abs(weighted)))
-    k_re, k_im = np.hsplit(_folded_core(weighted), 2)
+    core = _folded_core(weighted)
+    h = core.shape[0] // 2
+    if core[h:].any() or core[:h, h:2 * h].any() or core[:h, 3 * h:].any():
+        k_re, k_im = np.hsplit(core, 2)
+    else:  # only EE: cos rows, the real and imaginary parts of EE
+        table = table[:, :h]
+        k_re, k_im = core[:h, :h], core[:h, 2 * h:3 * h]
     field = _separable_product(k_re, table, table)
     residue = float(np.sum(np.abs(k_im)))
     if residue > ROUNDOFF_FACTOR * _EPS * abs_sum:
@@ -385,8 +408,9 @@ def filtered_p_numeric(state: State, w: float, grid: PhaseGrid) -> PhaseField:
     differences that are only roundoff.  Each rule's node mesh, weight table
     and real cos/sin kernel table come from ``_filter_rule``, built once per
     (w, nodes, grid) and cached; the state's Phi at all (2n)^2 nodes is
-    computed afresh, and ``_filtered_raw`` sums it on the folded core of the
-    ``numerics`` transforms, in real arithmetic.
+    computed afresh (once per distinct node radius for a radial state), and
+    ``_filtered_raw`` sums it on the folded core of the ``numerics``
+    transforms, in real arithmetic.  The field's ``values`` are real.
 
     The larger of the accepted difference and the roundoff floor is stored
     as ``quad_error`` on the field, an estimate of its absolute error at
@@ -419,6 +443,20 @@ def filtered_p_numeric(state: State, w: float, grid: PhaseGrid) -> PhaseField:
             )
         coarse, n = fine, n_fine
     del coarse  # at most two full-grid fields are held at a time
-    return PhaseField(side="alpha", grid=grid, values=fine.astype(complex),
-                      imag_residue=residue,
+    return PhaseField(side="alpha", grid=grid, values=fine, imag_residue=residue,
                       quad_error=max(err, floor))
+
+
+def filtered_p(state: State, w: float, grid: PhaseGrid) -> PhaseField:
+    """Box-filtered distribution of a state on a grid, by the route its Phi allows.
+
+    A state with a ``gaussian_xp`` takes the closed form of
+    ``filtered_p_gaussian_grid``, translated to its displacement, with no
+    quadrature error; any other state ``filtered_p_numeric``.  ``classify``
+    and ``gsphase filtered`` both take this choice.  Raises as the route
+    taken does.
+    """
+    if state.gaussian_xp is not None:
+        return filtered_p_gaussian_grid(state.gaussian_xp, w, grid,
+                                        centre=complex(state.spec.displacement))
+    return filtered_p_numeric(state, w, grid)

@@ -108,6 +108,33 @@ def pointwise(f: Callable[[np.ndarray], np.ndarray], points, *, real: bool = Fal
     return np.asarray(f(arr.reshape(1))).reshape(-1)[0].item()
 
 
+def mesh_axes(points) -> tuple[np.ndarray, np.ndarray] | None:
+    """The real and imaginary axes of a tensor mesh, or None for other points.
+
+    A tensor mesh is a non-empty 2-D array whose real part is constant along
+    rows and whose imaginary part is constant along columns, laid out like
+    ``PhaseGrid.mesh()``: points[i, j] = x[i] + i p[j].  A function that
+    separates in x and p evaluates on such a mesh from its two rows.
+    """
+    t = np.asarray(points)
+    if (t.ndim == 2 and t.size and np.all(t.real == t.real[:, :1])
+            and np.all(t.imag == t.imag[:1, :])):
+        return t.real[:, 0], t.imag[0, :]
+    return None
+
+
+def radial_orbits(points) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct radii |points|, ascending, and the index that gathers them back.
+
+    radii[inverse] equals np.abs(points) bit for bit, in the shape of the
+    points, so a function of |beta| alone is evaluated once per orbit of the
+    points under rotations and reflections.
+    """
+    r = np.abs(points)
+    radii, inverse = np.unique(r, return_inverse=True)
+    return radii, inverse.reshape(r.shape)  # numpy releases differ on its shape
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """Uniform Cartesian grid, symmetric about the origin.
@@ -166,15 +193,16 @@ class PhaseGrid:
 
 @dataclass
 class PhaseField:
-    """A complex-valued function over the phase plane (alpha or beta side).
+    """A function over the phase plane (alpha or beta side), complex or real.
 
     A closed-form vectorized evaluator ``fn``, samples ``values`` over a
     ``grid``, or both; when both exist they agree at the nodes by
     construction.  A transform's output carries the transform's evaluator,
     and with ``out_grid`` its samples there.
 
-    ``imag_residue`` is the largest imaginary part dropped from a field
-    expected to be real; where ``filters.filtered_p_numeric`` finds a bound
+    A filtered field (``filters``) is real: its ``values`` are a float
+    array.  ``imag_residue`` is the largest imaginary part dropped from a
+    field expected to be real; where ``filters.filtered_p_numeric`` finds a bound
     on that part below its roundoff floor, it stores the bound instead.
     ``quad_error`` is the estimated absolute error of the sampled values
     from the quadrature that produced them (the last refinement difference
@@ -370,13 +398,19 @@ def _folded_core(weighted: np.ndarray) -> np.ndarray:
     letter u, second v), and the sum is C(b) K C(a)^T with the real rows
     C(t) = [cos(2 t h) | sin(2 t h)] of ``_cos_sin`` and
     K = [[EE, -i EO], [i OE, OO]].  Returns the real (2H, 4H) array
-    [Re K | Im K].
+    [Re K | Im K], its blocks written into one preallocated array.
     """
     eu, ou = _fold(weighted)
     ee, eo = (part.T for part in _fold(eu.T))
     oe, oo = (part.T for part in _fold(ou.T))
-    return np.block([[ee.real, eo.imag, ee.imag, -eo.real],
-                     [-oe.imag, oo.real, oe.real, oo.imag]])
+    h = ee.shape[0]
+    core = np.empty((2 * h, 4 * h))
+    top, bottom = core[:h], core[h:]
+    top[:, :h], top[:, h:2 * h], top[:, 2 * h:3 * h] = ee.real, eo.imag, ee.imag
+    np.negative(eo.real, out=top[:, 3 * h:])
+    np.negative(oe.imag, out=bottom[:, :h])
+    bottom[:, h:2 * h], bottom[:, 2 * h:3 * h], bottom[:, 3 * h:] = oo.real, oe.real, oo.imag
+    return core
 
 
 def _cos_sin(t: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -407,9 +441,8 @@ def _transform_eval(h: np.ndarray, core: np.ndarray, grid: PhaseGrid):
 
     Both transform directions share the kernel exp(2i Im(t) u - 2i Re(t) v)
     with t the target and (u, v) the sampled plane; they differ only in the
-    1/pi^2 prefactor of the inverse, which the core carries.  A 2-D target
-    array whose real part is constant along rows and whose imaginary part
-    is constant along columns (any ``PhaseGrid.mesh()``) takes the two GEMMs
+    1/pi^2 prefactor of the inverse, which the core carries.  A tensor mesh
+    of targets (``mesh_axes``; any ``PhaseGrid.mesh()``) takes the two GEMMs
     of ``_separable_product``.  Other targets go in blocks of
     ``_TARGET_CHUNK``: one real GEMM of the imaginary-part rows against the
     core, then one dot per target with its real-part row.
@@ -425,10 +458,9 @@ def _transform_eval(h: np.ndarray, core: np.ndarray, grid: PhaseGrid):
             raise ResolutionError(
                 f"requested frequency exceeds the grid Nyquist band |2 Re/Im| <= {nyq:g}"
             )
-        if (t.ndim == 2 and t.size and np.all(t.real == t.real[:, :1])
-                and np.all(t.imag == t.imag[:1, :])):
-            return _separable_product(core, _cos_sin(t.real[:, 0], h),
-                                      _cos_sin(t.imag[0, :], h))
+        axes = mesh_axes(t)
+        if axes is not None:
+            return _separable_product(core, _cos_sin(axes[0], h), _cos_sin(axes[1], h))
         flat = t.ravel()
         out = np.empty(flat.shape, dtype=complex)
         for i0 in range(0, flat.size, _TARGET_CHUNK):

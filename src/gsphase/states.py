@@ -295,7 +295,7 @@ def fock_phi(rho: np.ndarray) -> Callable:
     dcol = ds[:, None].astype(float)
 
     def block(b):
-        x = b.real ** 2 + b.imag ** 2
+        x = np.abs(b) ** 2
         logx = np.log(np.maximum(x, np.finfo(float).tiny))  # x^0 = 1 also at x = 0
         prev, cur = np.zeros((ds.size, b.size)), np.exp(0.5 * dcol * logx - half_lg)
         s = coef[:, :1] * cur
@@ -361,6 +361,13 @@ class State:
     regular_p_closed: Callable | None = None
     #: weight of an explicit point mass of rho at spec.displacement (cauchy_lorentz_ncl)
     atom_weight: float = 0.0
+    #: True when Phi depends on |beta| alone: a centred state that is diagonal
+    #: in Fock space (thermal, vacuum, p_max, spats, photon_vacuum_mix,
+    #: fock_element with m == n, fock_mixture, both Lorentz kinds, a diagonal
+    #: explicit matrix).  A rotation keeps it and leaves phi_closed as it is; a
+    #: displacement clears it.  The scans and the numeric filter then evaluate
+    #: Phi once per distinct |beta| of their meshes (``numerics.radial_orbits``).
+    radial: bool = False
     #: analytic truncation loss sum_{k > K} rho_c[k, k], when a formula exists
     _tail_loss: Callable[[int], float] | None = None
 
@@ -417,6 +424,8 @@ def _gaussian(lam: float, kap: float) -> dict:
     def phi(beta):
         b = np.asarray(beta, dtype=complex)
         with np.errstate(over="ignore"):  # lam x^2 = inf near MAX_SQUEEZING; exp(-inf) = 0
+            if lam == kap:  # circular: a function of |beta| alone, as every radial Phi
+                return np.exp(-lam * np.abs(b) ** 2)
             return np.exp(-lam * b.real ** 2 - kap * b.imag ** 2)
 
     a, n = (kap - lam) / 4.0, (lam + kap) / 2.0
@@ -432,7 +441,8 @@ def _gaussian(lam: float, kap: float) -> dict:
                 table[k::2, k::2] += np.outer(ratio / f[k], ratio) * a ** np.add.outer(j, j) * n ** k
         return table.astype(complex)
 
-    return {"gaussian_xp": (lam, kap), "phi_closed": phi, "moments": moments}
+    return {"gaussian_xp": (lam, kap), "phi_closed": phi, "moments": moments,
+            "radial": lam == kap}
 
 
 def _geometric_diag(nbar: float, cutoff: int) -> np.ndarray:
@@ -523,8 +533,13 @@ def _lorentz_phi(t: float):
 
     Radial Fourier transform of the heavy-tailed density; cross-checked by
     quadrature in the test suite.  Phi depends on |beta| only, so it is
-    evaluated once per distinct radius and the values are gathered back to
-    the input's shape.  An integer t in 1.._K_RECURRENCE_MAX takes
+    evaluated once per distinct radius.  Input radii that are already
+    distinct and ascending are taken as they are: the orbit radii of the
+    cached scan mesh and filter rules (``charfn._scan_mesh``,
+    ``filters._filter_rule``), which the scans and the numeric filter pass
+    for this radial state.  Any other points, such as the centred part of a
+    displaced state, are deduplicated by ``numerics.radial_orbits`` and the
+    values gathered back to their shape.  An integer t in 1.._K_RECURRENCE_MAX takes
     ``_lorentz_phi_recurrence`` from k0 and k1, a quarter to a sixth of the
     cost of kv at integer order and more accurate; every other t
     (half-integer, generic, or an integer above the bound) takes kv.
@@ -532,9 +547,7 @@ def _lorentz_phi(t: float):
     lg = math.lgamma(t)
     n = int(t) if float(t).is_integer() and 1 <= t <= _K_RECURRENCE_MAX else 0
 
-    def phi(beta):
-        b = np.abs(np.asarray(beta, dtype=complex))
-        radii, inv = np.unique(b, return_inverse=True)
+    def per_radius(radii):
         out = np.ones(radii.shape, dtype=complex)
         nz = radii > 0
         with np.errstate(invalid="ignore"):  # 0 * inf past kv's range: nan, refused by the scans
@@ -542,7 +555,14 @@ def _lorentz_phi(t: float):
                 out[nz] = _lorentz_phi_recurrence(n, radii[nz])
             else:
                 out[nz] = 2.0 * np.exp(t * np.log(radii[nz]) - lg) * kv(t, 2.0 * radii[nz])
-        return out[inv.reshape(b.shape)]  # numpy releases differ on inv's shape
+        return out
+
+    def phi(beta):
+        b = np.abs(np.asarray(beta, dtype=complex))
+        if b.ndim == 1 and np.all(b[1:] > b[:-1]):
+            return per_radius(b)
+        radii, inv = numerics.radial_orbits(b)
+        return per_radius(radii)[inv]
 
     return phi
 
@@ -625,7 +645,7 @@ def make_state(spec: StateSpec) -> State:
         # <:n^k:> = k! nbar^(k-1) (k nbar + nbar + k)
         moments = _diagonal_moments(
             lambda k, nb=nbar: np.exp(gammaln(k + 1.0) + k * math.log(nb)) * (k + 1.0 + k / nb))
-        st = State(spec=spec, physical=True, phi_closed=phi, moments=moments,
+        st = State(spec=spec, physical=True, phi_closed=phi, moments=moments, radial=True,
                    regular_p_closed=preg, centred_vacuum=0.0,
                    _base_fock_builder=lambda K, nb=nbar: _spats_diag(nb, K),
                    _tail_loss=lambda K, q=nbar / (nbar + 1.0):
@@ -639,7 +659,7 @@ def make_state(spec: StateSpec) -> State:
 
         rho = np.diag([1.0 - eta, eta])
         st = State(spec=spec, physical=True, phi_closed=phi, moments=_finite_moments(rho),
-                   centred_vacuum=1.0 - eta, _base_fock_builder=_embedded(rho),
+                   radial=True, centred_vacuum=1.0 - eta, _base_fock_builder=_embedded(rho),
                    _tail_loss=lambda K, eta=eta: 0.0 if K >= 1 else eta)
     elif kind == "fock_element":
         _require("m" in p and "n" in p, "fock_element requires m, n >= 0")
@@ -649,7 +669,7 @@ def make_state(spec: StateSpec) -> State:
         st = State(spec=spec, physical=(m == n),
                    **(_gaussian(0.0, 0.0) if m == n == 0 else
                       {"phi_closed": lambda b, m=m, n=n: char_fn_fock_element(m, n, b),
-                       "moments": _finite_moments(unit)}),
+                       "moments": _finite_moments(unit), "radial": m == n}),
                    centred_vacuum=float(m == n == 0),
                    _base_fock_builder=_embedded(unit),
                    _tail_loss=lambda K, m=m, n=n: 0.0 if K >= max(m, n) else 1.0)
@@ -664,14 +684,14 @@ def make_state(spec: StateSpec) -> State:
         _require(max(weights) <= _MAX_FOCK_INDEX, _FOCK_INDEX_LIMIT)
 
         diag = np.diag([weights.get(k, 0.0) for k in range(max(weights) + 1)])
-        st = State(spec=spec, physical=True, phi_closed=fock_phi(diag),
+        st = State(spec=spec, physical=True, phi_closed=fock_phi(diag), radial=True,
                    moments=_finite_moments(diag), centred_vacuum=weights.get(0, 0.0),
                    _base_fock_builder=_embedded(diag),
                    _tail_loss=lambda K, ws=weights: sum(v for k, v in ws.items() if k > K))
     elif kind == "cauchy_lorentz":
         t = p.get("t")
         _require(t is not None and t > 0, "cauchy_lorentz requires t > 0")
-        st = State(spec=spec, physical=True, phi_closed=_lorentz_phi(t),
+        st = State(spec=spec, physical=True, phi_closed=_lorentz_phi(t), radial=True,
                    moments=_lorentz_moments(t), regular_p_closed=_lorentz_radial_density(t),
                    centred_vacuum=vacuum_overlap_normalizer(t),
                    _base_fock_builder=lambda K, t=t: _lorentz_fock_diag(t, K))
@@ -692,6 +712,7 @@ def make_state(spec: StateSpec) -> State:
             return d * scale
 
         st = State(spec=spec, physical=True, phi_closed=phi, moments=_lorentz_moments(t, scale),
+                   radial=True,
                    regular_p_closed=lambda a, dens=dens, scale=scale: dens(a) * scale,
                    atom_weight=-norm * scale,
                    centred_vacuum=0.0, _base_fock_builder=fock)
@@ -723,10 +744,12 @@ def _apply_modifiers(st: State) -> State:
     the tail loss), multiplies the moment table T[q, r] by
     exp(i phi (q - r)), as it does rho[m, n] by exp(i phi (m - n)), and keeps
     a Gaussian characteristic function only when it is circular (lam == kap,
-    the generator).  A displacement D(alpha0) only translates the P
-    function: it multiplies Phi by exp(beta conj(alpha0) - conj(beta) alpha0)
-    and moves the regular density and its point mass to alpha0.  Every other
-    field keeps describing the rotated, undisplaced state (``State``).
+    the generator).  It leaves the Phi and the density of a radial state as
+    they are.  A displacement D(alpha0) only translates the P function: it
+    multiplies Phi by the phase of ``_displacement_phase``, moves the
+    regular density and its point mass to alpha0, and clears ``radial``.
+    Every other field keeps describing the rotated, undisplaced state
+    (``State``).
     """
     phi0, a0 = st.spec.rotation, complex(st.spec.displacement)
     base_phi, base_p, builder = st.phi_closed, st.regular_p_closed, st._base_fock_builder
@@ -746,20 +769,41 @@ def _apply_modifiers(st: State) -> State:
 
         circular = st.gaussian_xp is not None and st.gaussian_xp[0] == st.gaussian_xp[1]
         st = replace(st, gaussian_xp=st.gaussian_xp if circular else None, moments=moments,
-                     phi_closed=lambda b: base_phi(rot * np.asarray(b, dtype=complex)),
-                     regular_p_closed=None if base_p is None else
-                     lambda a: base_p(rot * np.asarray(a, dtype=complex)),
                      _base_fock_builder=fock)
+        if not st.radial:
+            st = replace(st, phi_closed=lambda b: base_phi(rot * np.asarray(b, dtype=complex)),
+                         regular_p_closed=None if base_p is None else
+                         lambda a: base_p(rot * np.asarray(a, dtype=complex)))
     if a0 == 0:
         return st
     phi_c, p_c = st.phi_closed, st.regular_p_closed
 
     def phi_closed(beta):
         b = np.asarray(beta, dtype=complex)
-        return np.exp(b * np.conj(a0) - np.conj(b) * a0) * phi_c(b)
+        return _displacement_phase(a0, b) * phi_c(b)
 
-    return replace(st, phi_closed=phi_closed, regular_p_closed=None if p_c is None else
+    return replace(st, phi_closed=phi_closed, radial=False,
+                   regular_p_closed=None if p_c is None else
                    lambda a: p_c(np.asarray(a, dtype=complex) - a0))
+
+
+def _displacement_phase(a0: complex, beta: np.ndarray) -> np.ndarray:
+    """exp(beta conj(a0) - conj(beta) a0) = exp(-2i Im(a0) x) exp(2i Re(a0) p).
+
+    With beta = x + i p the phase separates, and it is formed as that product
+    of two exps at every input.  On a tensor mesh (``numerics.mesh_axes``)
+    each exp is taken once per row or column and the phase is their outer
+    product, element for element the same product, so a mesh and its points
+    one at a time give the same bits.
+    """
+    def row(c, t):
+        return np.exp(1j * (c * t))
+
+    cx, cp = -2.0 * a0.imag, 2.0 * a0.real
+    axes = numerics.mesh_axes(beta)
+    if axes is not None:
+        return np.outer(row(cx, axes[0]), row(cp, axes[1]))
+    return row(cx, beta.real) * row(cp, beta.imag)
 
 
 def from_fock_matrix(matrix, *, physical: bool = True) -> State:
@@ -783,6 +827,7 @@ def from_fock_matrix(matrix, *, physical: bool = True) -> State:
 
     return State(spec=StateSpec(kind="explicit_fock"), physical=physical, phi_closed=phi,
                  moments=_finite_moments(fm.matrix),
+                 radial=bool(np.count_nonzero(fm.matrix) == np.count_nonzero(fm.matrix.diagonal())),
                  phi_roundoff=PHI_ROUNDOFF_FACTOR * fm.matrix.shape[0] * np.finfo(float).eps
                  * float(np.abs(fm.matrix).sum()),
                  centred_vacuum=float(fm.matrix[0, 0].real),

@@ -19,7 +19,7 @@ from scipy.special import comb, gammaln
 from . import charfn
 from .deltaseries import TaylorField, _check_order
 from .errors import ComplexResidueError, ParameterError
-from .filters import _check_width, filtered_p_gaussian_grid, filtered_p_numeric
+from .filters import _check_width, filtered_p
 from .numerics import PhaseField, PhaseGrid
 from .states import State, overlap_cutoff
 
@@ -369,8 +369,8 @@ def classify(state: State, *, w: float = 2.0,
     the scan's argmax (nonzero for an explicit Fock matrix only).  The
     filtered minimum certifies only below -(margin + quad_error), with
     quad_error the field's quadrature error estimate (0 on the analytic
-    Gaussian route, which every state with a ``gaussian_xp`` takes, centred
-    at its displacement).  A vacuum probability or moment that is not finite
+    Gaussian route of ``filters.filtered_p``, which every state with a
+    ``gaussian_xp`` takes, centred at its displacement).  A vacuum probability or moment that is not finite
     makes its criterion inapplicable.  Raises ParameterError, before any
     criterion runs, for a filter width w that is not a finite positive real, a
     margin that is not finite and >= 0, or a moment order that is not an
@@ -410,11 +410,7 @@ def classify(state: State, *, w: float = 2.0,
 
     report.entries.append(moment_matrix_test(state, moment_order, margin=margin))
 
-    if state.gaussian_xp is not None:
-        fld = filtered_p_gaussian_grid(state.gaussian_xp, w, grid,
-                                       centre=complex(state.spec.displacement))
-    else:
-        fld = filtered_p_numeric(state, w, grid)
+    fld = filtered_p(state, w, grid)
     min_val, loc = negativity_scan(fld)
     report.entries.append(CriterionEntry(
         "filtered_negativity",

@@ -146,10 +146,15 @@ class TestCharFn:
         StateSpec("cauchy_lorentz", {"t": 1.5}, displacement=0.4 - 0.3j),
         StateSpec("cauchy_lorentz_ncl", {"t": 1.0}),
         StateSpec("cauchy_lorentz_ncl", {"t": 3.0}, displacement=-0.2j, rotation=-1.1),
-    ], ids=["centered", "rotated", "displaced", "ncl_centered", "ncl_rotated_displaced"])
+        StateSpec("spats", {"nbar": 1.0}, displacement=0.4 - 0.3j),
+        StateSpec("thermal", {"nbar": 0.5}, displacement=-0.6 + 0.2j),
+        StateSpec("fock_mixture", {"w0": 0.2, "w1": 0.5, "w3": 0.3}, displacement=0.3j),
+    ], ids=["centered", "rotated", "displaced", "ncl_centered", "ncl_rotated_displaced",
+            "spats_displaced", "thermal_displaced", "fock_mixture_displaced"])
     def test_bessel_k_array_equals_scalar_bitwise(self, spec):
-        # Phi is evaluated once per distinct radius and gathered back; every
-        # node must carry exactly the value of its own scalar evaluation
+        # Phi is evaluated once per distinct radius and gathered back, and a
+        # displacement phase once per row and column of a mesh; every node
+        # must carry exactly the value of its own scalar evaluation
         st = make_state(spec)
         mesh = PhaseGrid(extent=3.0, resolution=31).mesh()  # beta = 0 at [15, 15]
         line = np.concatenate([mesh[15], mesh[:, 15], [0j, 1.25, -1.25j]])

@@ -1,6 +1,7 @@
 """Tests for the filter kernels and regularized distributions."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -25,7 +26,7 @@ from gsphase.filters import (
     _filter_rule,
 )
 from gsphase.numerics import PhaseGrid, gauss_nodes_1d
-from gsphase.states import StateSpec, make_state, regular_p
+from gsphase.states import StateSpec, from_fock_matrix, make_state, regular_p
 from gsphase.witness import classify, negativity_scan
 
 RNG = np.random.default_rng(11)
@@ -518,7 +519,8 @@ class TestCachedKernelTable:
     @pytest.mark.parametrize("spec", [
         StateSpec("spats", {"nbar": 1.0}, displacement=0.5 - 0.3j),
         StateSpec("fock_element", {"m": 1, "n": 3}, displacement=0.4 + 0.2j),
-    ], ids=["spats-displaced", "fock-1-3-displaced"])
+        StateSpec("spats", {"nbar": 1.0}),
+    ], ids=["spats-displaced", "fock-1-3-displaced", "spats-centred"])
     def test_equals_two_exp_tables(self, spec, grid):
         # both states converge at 64 nodes per panel for w = 2; the folded
         # real sums round differently from the complex products, by 2-6
@@ -538,8 +540,9 @@ class TestCachedKernelTable:
 
     def test_rule_arrays_are_read_only(self):
         for n in (32, 64):
-            nodes, weights, table = _filter_rule(2.0, n, GRID)
-            for arr in (nodes, weights, table):
+            rule = _filter_rule(2.0, n, GRID)
+            nodes, weights, table, radii, inverse = rule
+            for arr in rule:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
@@ -554,10 +557,96 @@ class TestCachedKernelTable:
             assert weights.tobytes() == (twb[:, None] * twb[None, :]).tobytes()
             assert table.tobytes() == np.concatenate([np.cos(phase), np.sin(phase)],
                                                      axis=1).tobytes()
+            # the orbits: n (n + 1) / 2 distinct radii, ascending, that gather
+            # back to |nodes| bit for bit
+            assert radii.size == n * (n + 1) // 2 and np.all(np.diff(radii) > 0)
+            assert inverse.shape == nodes.shape
+            assert radii[inverse].tobytes() == np.abs(nodes).tobytes()
+        # the cached scan mesh and its orbits, on an odd and an even grid
+        for grid in (PhaseGrid(4.0, 161), PhaseGrid(3.0, 100)):
+            cached = charfn._scan_mesh(grid)
+            mesh, radii, inverse = cached
+            for arr in cached:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+            assert charfn._scan_mesh(grid) is cached
+            assert mesh.tobytes() == grid.mesh().tobytes()
+            assert np.all(np.diff(radii) > 0) and inverse.shape == mesh.shape
+            assert radii[inverse].tobytes() == np.abs(mesh).tobytes()
 
     def test_cache_is_bounded(self):
         assert RULE_CACHE_SIZE == 4
         assert _filter_rule.cache_info().maxsize == RULE_CACHE_SIZE
+        assert charfn._scan_mesh.cache_info().maxsize == charfn.SCAN_CACHE_SIZE == 4
+
+
+ORBIT_STATES = {
+    "thermal": lambda: make_state(StateSpec("thermal", {"nbar": 0.7})),
+    "vacuum": lambda: make_state(StateSpec("fock_element", {"m": 0, "n": 0})),
+    "p_max": lambda: make_state(StateSpec("p_max")),
+    "spats": lambda: make_state(StateSpec("spats", {"nbar": 1.3})),
+    "photon_vacuum_mix": lambda: make_state(StateSpec("photon_vacuum_mix", {"eta": 0.4})),
+    "fock-2-2-rotated": lambda: make_state(StateSpec("fock_element", {"m": 2, "n": 2},
+                                                     rotation=0.9)),
+    "fock_mixture": lambda: make_state(StateSpec("fock_mixture", {"w0": 0.2, "w2": 0.5,
+                                                                  "w5": 0.3})),
+    "lorentz-kv": lambda: make_state(StateSpec("cauchy_lorentz", {"t": 2.3})),
+    "lorentz-recurrence": lambda: make_state(StateSpec("cauchy_lorentz", {"t": 3.0},
+                                                       rotation=0.9)),
+    "lorentz_ncl": lambda: make_state(StateSpec("cauchy_lorentz_ncl", {"t": 1.5})),
+    "explicit-diagonal": lambda: from_fock_matrix(np.diag([0.3, 0.5, 0.0, 0.2])),
+}
+
+
+class TestOrbitRoute:
+    """A radial state's Phi once per mesh orbit equals its Phi at every node."""
+
+    @pytest.mark.parametrize("make", ORBIT_STATES.values(), ids=ORBIT_STATES)
+    def test_scans_equal_the_full_mesh_route(self, make):
+        st = make()
+        full = replace(st, radial=False)
+        assert st.radial
+        grid = PhaseGrid(4.0, 161)
+        for scan in (charfn.classicality_violation, charfn.quantum_bound_check):
+            orbit, every = scan(st, grid), scan(full, grid)
+            assert abs(orbit.value - every.value) <= 1e-14 * max(1.0, abs(every.value))
+            assert orbit.location == every.location
+
+    @pytest.mark.parametrize("make", ORBIT_STATES.values(), ids=ORBIT_STATES)
+    def test_filter_equals_the_full_mesh_route(self, make, monkeypatch):
+        st = make()
+        full = replace(st, radial=False)
+        points = []
+        monkeypatch.setattr(filters, "char_fn",
+                            lambda s, b: points.append(np.size(b)) or char_fn(s, b))
+        orbit = filtered_p_numeric(st, 2.0, GRID)
+        n_orbit, points[:] = list(points), []
+        every = filtered_p_numeric(full, 2.0, GRID)
+        # n (n + 1) / 2 radii per rule instead of (2n)^2 nodes
+        rules = (32, 64, 128, 200)[:len(points)]
+        assert n_orbit == [n * (n + 1) // 2 for n in rules]
+        assert points == [(2 * n) ** 2 for n in rules]
+        scale = float(np.max(np.abs(every.values)))
+        assert np.max(np.abs(orbit.values - every.values)) <= 1e-14 * scale
+        assert orbit.quad_error == pytest.approx(every.quad_error, rel=1e-14, abs=0.0)
+        assert orbit.imag_residue == pytest.approx(every.imag_residue, rel=1e-14, abs=0.0)
+        assert orbit.values.dtype == float
+
+    def test_cos_only_product_equals_the_separable_product(self):
+        # an even field folds onto EE alone: its odd blocks are exactly zero,
+        # and the cos half of the table gives the whole sum
+        nodes, weights, table, radii, inverse = _filter_rule(2.0, 64, GRID)
+        st = make_state(StateSpec("spats", {"nbar": 1.3}))
+        weighted = char_fn(st, radii)[inverse] * weights
+        core = numerics._folded_core(weighted)
+        h = core.shape[0] // 2
+        assert not (core[h:].any() or core[:h, h:2 * h].any() or core[:h, 3 * h:].any())
+        cos = table[:, :h]
+        even = numerics._separable_product(core[:h, :h], cos, cos)
+        general = numerics._separable_product(core[:, :2 * h], table, table)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(even - general)) <= 8 * eps * float(np.sum(np.abs(weighted)))
 
 
 class TestNonFinitePhi:

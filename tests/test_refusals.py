@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from gsphase.charfn import char_fn_fock_element
+from gsphase.charfn import char_fn_fock_element, char_fn_s
 from gsphase.deltaseries import TaylorField, exp_laplace_series, fock_diagonal, series_from_fock
 from gsphase.errors import GsphaseError
 from gsphase.filters import (filtered_p_gaussian_grid, tri, tri_gaussian_ft,
@@ -39,6 +39,9 @@ REFUSALS = {
     "fock_element m=n=1.5": lambda: make_state(StateSpec.from_json(
         '{"kind": "fock_element", "params": {"m": 1.5, "n": 1.5}}')),
     "char_fn_fock_element m=1.5": lambda: char_fn_fock_element(1.5, 1, 0.5),
+    # the ordering parameter of char_fn_s
+    "char_fn_s s nan": lambda: char_fn_s(_thermal(), 0.5, math.nan),
+    "char_fn_s s 'x'": lambda: char_fn_s(_thermal(), 0.5, "x"),
     # orders
     "normal_moment order 1.5": lambda: normal_moment(_thermal(), 1.5),
     "fock_diagonal k_max 2.5": lambda: fock_diagonal(exp_laplace_series(-0.5, 400), 2.5),

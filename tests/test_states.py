@@ -328,8 +328,38 @@ MODIFIERS = {
 }
 
 
+#: kinds whose centred state is diagonal in Fock space at every parameter
+DIAGONAL_KINDS = {"thermal", "spats", "photon_vacuum_mix", "fock_mixture", "cauchy_lorentz",
+                  "cauchy_lorentz_ncl", "p_max"}
+
+
 class TestModifierInvariants:
     """Every invariant a modified state keeps must still hold for it."""
+
+    @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
+    @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)
+    def test_radial_truth_table(self, spec, mod):
+        # radial: a centred state diagonal in Fock space, whatever its rotation;
+        # squeezed, |0><2| and every displaced state are not
+        st = make_state(replace(spec, **mod))
+        diagonal = spec.kind in DIAGONAL_KINDS or (
+            spec.kind == "fock_element" and spec.params["m"] == spec.params["n"])
+        assert st.radial is (diagonal and "displacement" not in mod)
+        if not st.radial:
+            return
+        mesh = PhaseGrid(extent=4.0, resolution=161).mesh()
+        phi = st.phi_closed(mesh)
+        assert np.all(np.abs(phi - st.phi_closed(np.abs(mesh)))
+                      <= 1e-15 * np.maximum(1.0, np.abs(phi)))
+        # a rotation leaves the Phi of a radial state as it is
+        np.testing.assert_array_equal(phi, make_state(spec).phi_closed(mesh))
+
+    @pytest.mark.parametrize("matrix,radial", [
+        (np.diag([0.5, 0.2, 0.3]), True),
+        (np.array([[0.5, 0.1], [0.1, 0.5]]), False),
+    ], ids=["diagonal", "coherence"])
+    def test_explicit_state_is_radial_when_diagonal(self, matrix, radial):
+        assert from_fock_matrix(matrix).radial is radial
 
     @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
     @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import betaln, ive
 
-from gsphase import charfn, witness
+from gsphase import charfn, filters, witness
 from gsphase.deltaseries import TaylorField, exp_laplace_series, pair
 from gsphase.errors import ComplexResidueError, NonConvergenceError, ParameterError, RangeError
 from gsphase.filters import filtered_p_gaussian_grid, filtered_p_numeric
@@ -558,7 +558,7 @@ class TestClassify:
         def fake_filter(state, kernel, grid):
             return PhaseField("alpha", grid=grid, values=values, quad_error=quad_error)
 
-        monkeypatch.setattr(witness, "filtered_p_numeric", fake_filter)
+        monkeypatch.setattr(filters, "filtered_p_numeric", fake_filter)
         st = make_state(StateSpec("spats", {"nbar": 1.0}))
         rep = classify(st, grid=grid, beta_grid=PhaseGrid(extent=4.0, resolution=21))
         entry = rep.entry("filtered_negativity")
