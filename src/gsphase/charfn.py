@@ -40,6 +40,16 @@ def char_fn(state: State, beta):
     return pointwise(lambda b: np.asarray(state.phi_closed(b), dtype=complex), beta)
 
 
+def char_fn_centred(state: State, beta):
+    """Characteristic function Phi_c of the undisplaced state rho_c.
+
+    ``char_fn`` without the displacement phase, which has modulus 1: the
+    scans read |Phi| = |Phi_c| from it, and the numeric filter filters
+    rho_c and translates the result.  Equal to ``char_fn`` at a0 = 0.
+    """
+    return pointwise(lambda b: np.asarray(state.phi_centred(b), dtype=complex), beta)
+
+
 def char_fn_s(state: State, beta, s: float):
     """Ordering-parametrized characteristic function exp(-(1-s)|b|^2/2) Phi(b).
 
@@ -95,13 +105,15 @@ def _scan_mesh(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _scan(state: State, grid: PhaseGrid, excess) -> ScanReport:
     """Max over the scan mesh of excess(|Phi(beta)|, |beta|) and its first location.
 
-    A radial state's Phi is evaluated once per distinct |beta| of the
-    cached mesh and the excess gathered back to the nodes; any other
-    state's Phi at every node.  Raises RangeError when Phi is not finite at
-    some node: a nan maximum would read as no excess.
+    A displacement multiplies Phi by a phase of modulus 1, so |Phi| is read
+    from the centred Phi_c (``char_fn_centred``) and no phase is formed.
+    For a radial rho_c, displaced or not, Phi_c is evaluated once per
+    distinct |beta| of the cached mesh and the excess gathered back to the
+    nodes; for any other state at every node.  Raises RangeError when Phi is
+    not finite at some node: a nan maximum would read as no excess.
     """
     mesh, radii, inverse = _scan_mesh(grid)
-    mod = np.abs(char_fn(state, radii if state.radial else mesh))
+    mod = np.abs(char_fn_centred(state, radii if state.radial else mesh))
     bad_at = ~np.isfinite(mod)
     bad = int(np.count_nonzero(bad_at[inverse] if state.radial else bad_at))
     if bad:

@@ -10,15 +10,16 @@ density.  Convolution with that kernel preserves the sign structure of the
 underlying distribution, which is what makes the regularized output a
 faithful nonclassicality witness.
 
-A Gaussian Phi exp(-lam x^2 - kap p^2) has a closed-form filtered profile
-in its pair (lam, kap), the ``State.gaussian_xp`` of its state
-(``filtered_p_gaussian*``).  The pair describes the undisplaced state: a
-displacement a0 multiplies Phi by exp(beta conj(a0) - conj(beta) a0), and
-since the box filter acts on beta alone, the filtered profile of the
-displaced state is the same profile translated by a0 (the ``centre`` of
-``filtered_p_gaussian_grid``).  Any other Phi is filtered by quadrature
-(``filtered_p_numeric``); ``filtered_p`` makes that choice for a state.
-Filtered fields are real: their ``values`` are float arrays.
+A displacement a0 multiplies Phi by exp(beta conj(a0) - conj(beta) a0), and
+since the box filter acts on beta alone, the filtered field of
+rho = D(a0) rho_c D(a0)^dag is the field of rho_c at alpha - a0.  Both
+routes filter rho_c and translate the result by a0.  A Gaussian Phi_c
+exp(-lam x^2 - kap p^2) has a closed-form filtered profile in its pair
+(lam, kap), the ``State.gaussian_xp`` of its state (``filtered_p_gaussian*``),
+translated by the ``centre`` of ``filtered_p_gaussian_grid``.  Any other
+Phi_c is filtered by quadrature (``filtered_p_numeric``), whose output axes
+are translated.  ``filtered_p`` makes that choice for a state.  Filtered
+fields are real: their ``values`` are float arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import sici
 
-from .charfn import char_fn
+from .charfn import char_fn_centred
 from .errors import NonConvergenceError, ParameterError, RangeError
 from .numerics import (
     PhaseField,
@@ -340,34 +341,62 @@ def _filter_rule(w: float, nodes_per_panel: int, grid: PhaseGrid):
     return rule
 
 
+def _translated_rows(table: np.ndarray, half_axis: np.ndarray, c: float,
+                     cos_only: bool) -> np.ndarray:
+    """The ``numerics._cos_sin`` rows of the targets t - c, from those of t.
+
+    By angle addition, cos(2(t - c)h) = cos(2th) cos(2ch) + sin(2th) sin(2ch)
+    and sin(2(t - c)h) = sin(2th) cos(2ch) - cos(2th) sin(2ch), so a shift
+    costs the one row cos(2ch), sin(2ch) over the half axis h and a few
+    products with the cached table, not a new table of trig.  At c = 0 the
+    cached rows are returned as they are.  ``cos_only`` gives the cos half.
+    """
+    n = half_axis.size
+    if c == 0.0:
+        return table[:, :n] if cos_only else table
+    cos, sin = table[:, :n], table[:, n:]
+    cc, sc = np.hsplit(_cos_sin(np.array([c]), half_axis)[0], 2)
+    out = np.empty((table.shape[0], n if cos_only else 2 * n))
+    np.multiply(cos, cc, out=out[:, :n])
+    out[:, :n] += sin * sc
+    if not cos_only:
+        np.multiply(sin, cc, out=out[:, n:])
+        out[:, n:] -= cos * sc
+    return out
+
+
 def _filtered_raw(state: State, w: float, grid: PhaseGrid,
                   nodes_per_panel: int) -> tuple[np.ndarray, float, float]:
     """Split tensor Gauss rule for the filtered transform on the grid [x, p].
 
-    The panels of each axis meet at 0, where the tri factor has a kink.  Phi
-    is evaluated at the (2n)^2 nodes of ``_filter_rule``'s cached mesh, or
-    for a radial state once per distinct node radius and gathered back, and
-    times its cached weight table gives W; only Phi and that product are
-    computed per state.  The sum is the inverse transform's, so W folds
-    onto the real core [Re K | Im K] of ``numerics._folded_core`` (the
-    even node axis has no centre node) and ``numerics._separable_product``
-    of Re K with the rule's table gives the real field.  When W is even in
-    both axes (a radial Phi: the nodes are exact mirrors), the odd blocks
-    EO, OE and OO of the core are exactly zero, and the product takes the
-    EE block and the cos half of the table alone.  The imaginary field is
-    the same product of Im K; it is only formed when sum |Im K| exceeds the
-    roundoff floor ``ROUNDOFF_FACTOR`` * eps * sum |W|, and otherwise
-    sum |Im K|, a bound on |Im P| since the table's entries are at most 1,
-    stands for its maximum.
+    The panels of each axis meet at 0, where the tri factor has a kink.  The
+    rule filters rho_c: Phi_c (``charfn.char_fn_centred``) is evaluated at
+    the (2n)^2 nodes of ``_filter_rule``'s cached mesh, or for a radial
+    rho_c once per distinct node radius and gathered back, and times its
+    cached weight table gives W; only Phi_c and that product are computed
+    per state.  The sum is the inverse transform's, so W folds onto the
+    real core [Re K | Im K] of ``numerics._folded_core`` (the even node
+    axis has no centre node) and ``numerics._separable_product`` of Re K
+    with the rule's table gives the real field.  When W is even in both
+    axes (a radial Phi_c: the nodes are exact mirrors), the odd blocks EO,
+    OE and OO of the core are exactly zero, and the product takes the EE
+    block and the cos half of the table alone.  The displacement a0 enters
+    here only: the field of rho is that of rho_c at alpha - a0, so the
+    table's rows are translated by Re a0 on the x axis and Im a0 on the p
+    axis (``_translated_rows``); at a0 = 0 the cached rows serve as they
+    are.  The imaginary field is the same product of Im K; it is only
+    formed when sum |Im K| exceeds the roundoff floor ``ROUNDOFF_FACTOR`` *
+    eps * sum |W|, and otherwise sum |Im K|, a bound on |Im P| since the
+    table's entries are at most 1, stands for its maximum.
 
     Returns the real field, that imaginary residue and sum |W|, the scale of
-    the field's roundoff.  Raises RangeError when Phi is not finite at some
-    node, since no finer rule can repair that.
+    the field's roundoff.  Raises RangeError when Phi_c is not finite at
+    some node, since no finer rule can repair that.
     """
     nodes, weights, table, radii, inverse = _filter_rule(w, nodes_per_panel, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        phi = np.asarray(char_fn(state, radii)[inverse] if state.radial
-                         else char_fn(state, nodes), dtype=complex)
+        phi = np.asarray(char_fn_centred(state, radii)[inverse] if state.radial
+                         else char_fn_centred(state, nodes), dtype=complex)
     bad = int(np.count_nonzero(~np.isfinite(phi)))
     if bad:
         raise RangeError(
@@ -378,15 +407,19 @@ def _filtered_raw(state: State, w: float, grid: PhaseGrid,
     abs_sum = float(np.sum(np.abs(weighted)))
     core = _folded_core(weighted)
     h = core.shape[0] // 2
-    if core[h:].any() or core[:h, h:2 * h].any() or core[:h, 3 * h:].any():
-        k_re, k_im = np.hsplit(core, 2)
-    else:  # only EE: cos rows, the real and imaginary parts of EE
-        table = table[:, :h]
+    cos_only = not (core[h:].any() or core[:h, h:2 * h].any() or core[:h, 3 * h:].any())
+    if cos_only:  # only EE: the real and imaginary parts of EE
         k_re, k_im = core[:h, :h], core[:h, 2 * h:3 * h]
-    field = _separable_product(k_re, table, table)
+    else:
+        k_re, k_im = np.hsplit(core, 2)
+    a0 = complex(state.spec.displacement)
+    half_axis = nodes[h:, 0].real  # b+, the positive panel's nodes
+    rows_x = _translated_rows(table, half_axis, a0.real, cos_only)
+    rows_p = _translated_rows(table, half_axis, a0.imag, cos_only)
+    field = _separable_product(k_re, rows_x, rows_p)
     residue = float(np.sum(np.abs(k_im)))
     if residue > ROUNDOFF_FACTOR * _EPS * abs_sum:
-        residue = float(np.max(np.abs(_separable_product(k_im, table, table))))
+        residue = float(np.max(np.abs(_separable_product(k_im, rows_x, rows_p))))
     return field, residue, abs_sum
 
 
@@ -407,10 +440,13 @@ def filtered_p_numeric(state: State, w: float, grid: PhaseGrid) -> PhaseField:
     Phi (p_max or strong squeezing at a large w) is not refused for
     differences that are only roundoff.  Each rule's node mesh, weight table
     and real cos/sin kernel table come from ``_filter_rule``, built once per
-    (w, nodes, grid) and cached; the state's Phi at all (2n)^2 nodes is
-    computed afresh (once per distinct node radius for a radial state), and
-    ``_filtered_raw`` sums it on the folded core of the ``numerics``
-    transforms, in real arithmetic.  The field's ``values`` are real.
+    (w, nodes, grid) and cached.  A displacement a0 only translates the
+    field, P(alpha) = P_c(alpha - a0), so the rule filters rho_c: its Phi_c
+    at all (2n)^2 nodes is computed afresh (once per distinct node radius
+    for a radial rho_c, displaced or not), ``_filtered_raw`` sums it on the
+    folded core of the ``numerics`` transforms, in real arithmetic, and the
+    kernel table's rows are translated by a0 (the cached rows as they are
+    at a0 = 0).  The field's ``values`` are real.
 
     The larger of the accepted difference and the roundoff floor is stored
     as ``quad_error`` on the field, an estimate of its absolute error at
@@ -451,10 +487,10 @@ def filtered_p(state: State, w: float, grid: PhaseGrid) -> PhaseField:
     """Box-filtered distribution of a state on a grid, by the route its Phi allows.
 
     A state with a ``gaussian_xp`` takes the closed form of
-    ``filtered_p_gaussian_grid``, translated to its displacement, with no
-    quadrature error; any other state ``filtered_p_numeric``.  ``classify``
-    and ``gsphase filtered`` both take this choice.  Raises as the route
-    taken does.
+    ``filtered_p_gaussian_grid``, with no quadrature error; any other state
+    ``filtered_p_numeric``.  Both routes filter rho_c and translate the
+    field to the displacement.  ``classify`` and ``gsphase filtered`` both
+    take this choice.  Raises as the route taken does.
     """
     if state.gaussian_xp is not None:
         return filtered_p_gaussian_grid(state.gaussian_xp, w, grid,

@@ -3,12 +3,13 @@
 Every state is rho = D(a0) rho_c D(a0)^dag with a0 = ``spec.displacement``
 and rho_c the rotated, undisplaced state, and has one shape (``State``).  A
 displacement only translates the Glauber-Sudarshan P function, so the state
-carries the characteristic function and the regular phase-space density of
-rho (for a Fock mixture or an explicit Fock matrix, Phi is one Laguerre
-recurrence per diagonal offset), and everything else of rho_c: the table of
-its normally ordered moments <a^dag^r a^q>, its vacuum probability, the
+carries the regular phase-space density of rho and everything else of
+rho_c: its characteristic function Phi_c (for a Fock mixture or an explicit
+Fock matrix, one Laguerre recurrence per diagonal offset), the table of its
+normally ordered moments <a^dag^r a^q>, its vacuum probability, the
 coefficients of its Gaussian characteristic function when it has one, and
-its truncated Fock matrix, built per cutoff.
+its truncated Fock matrix, built per cutoff.  The Phi of rho is Phi_c times
+the displacement phase (``State.phi_closed``).
 
 The moment table of each kind comes from one closed form:
 
@@ -335,13 +336,14 @@ class State:
 
     ``phi_closed``, ``phi_roundoff``, ``regular_p_closed`` and
     ``atom_weight`` describe rho; every other field describes the rotated,
-    undisplaced rho_c, which a displacement only translates.
+    undisplaced rho_c, which a displacement only translates.  ``phi_closed``
+    is not given: it is built from ``phi_centred`` here, and only here.
     """
 
     spec: StateSpec
     physical: bool
-    #: the characteristic function Phi(beta) of rho at an array of beta
-    phi_closed: Callable
+    #: the characteristic function Phi_c(beta) of rho_c at an array of beta
+    phi_centred: Callable
     #: order -> the table T[q, r] = <a^dag^r a^q> of rho_c for q, r <= order,
     #: cut before the first divergent diagonal order
     moments: Callable[[int], np.ndarray]
@@ -349,7 +351,7 @@ class State:
     centred_vacuum: float
     #: n -> the Fock matrix of rho_c truncated at cutoff n
     _base_fock_builder: Callable[[int], np.ndarray]
-    #: |roundoff of phi_closed(beta)| <= phi_roundoff * exp(|beta|^2/2); the
+    #: |roundoff of phi_centred(beta)| <= phi_roundoff * exp(|beta|^2/2); the
     #: catalog closed forms carry none
     phi_roundoff: float = 0.0
     #: (lam, kap) when the Phi of rho_c is the Gaussian exp(-lam x^2 - kap p^2)
@@ -361,15 +363,31 @@ class State:
     regular_p_closed: Callable | None = None
     #: weight of an explicit point mass of rho at spec.displacement (cauchy_lorentz_ncl)
     atom_weight: float = 0.0
-    #: True when Phi depends on |beta| alone: a centred state that is diagonal
-    #: in Fock space (thermal, vacuum, p_max, spats, photon_vacuum_mix,
-    #: fock_element with m == n, fock_mixture, both Lorentz kinds, a diagonal
-    #: explicit matrix).  A rotation keeps it and leaves phi_closed as it is; a
-    #: displacement clears it.  The scans and the numeric filter then evaluate
-    #: Phi once per distinct |beta| of their meshes (``numerics.radial_orbits``).
+    #: True when Phi_c depends on |beta| alone: rho_c is diagonal in Fock
+    #: space (thermal, vacuum, p_max, spats, photon_vacuum_mix, fock_element
+    #: with m == n, fock_mixture, both Lorentz kinds, a diagonal explicit
+    #: matrix).  A rotation keeps it and leaves phi_centred as it is, and a
+    #: displacement keeps it too.  The scans and the numeric filter then
+    #: evaluate Phi_c once per distinct |beta| of their meshes
+    #: (``numerics.radial_orbits``).
     radial: bool = False
     #: analytic truncation loss sum_{k > K} rho_c[k, k], when a formula exists
     _tail_loss: Callable[[int], float] | None = None
+    #: the characteristic function Phi(beta) of rho at an array of beta:
+    #: phi_centred times ``_displacement_phase``, phi_centred itself at a0 = 0
+    phi_closed: Callable = field(init=False)
+
+    def __post_init__(self):
+        a0, phi_c = complex(self.spec.displacement), self.phi_centred
+        if a0 == 0:
+            self.phi_closed = phi_c
+            return
+
+        def phi_closed(beta):
+            b = np.asarray(beta, dtype=complex)
+            return _displacement_phase(a0, b) * phi_c(b)
+
+        self.phi_closed = phi_closed
 
     def describe(self) -> str:
         parts = [self.spec.kind]
@@ -441,7 +459,7 @@ def _gaussian(lam: float, kap: float) -> dict:
                 table[k::2, k::2] += np.outer(ratio / f[k], ratio) * a ** np.add.outer(j, j) * n ** k
         return table.astype(complex)
 
-    return {"gaussian_xp": (lam, kap), "phi_closed": phi, "moments": moments,
+    return {"gaussian_xp": (lam, kap), "phi_centred": phi, "moments": moments,
             "radial": lam == kap}
 
 
@@ -537,9 +555,9 @@ def _lorentz_phi(t: float):
     distinct and ascending are taken as they are: the orbit radii of the
     cached scan mesh and filter rules (``charfn._scan_mesh``,
     ``filters._filter_rule``), which the scans and the numeric filter pass
-    for this radial state.  Any other points, such as the centred part of a
-    displaced state, are deduplicated by ``numerics.radial_orbits`` and the
-    values gathered back to their shape.  An integer t in 1.._K_RECURRENCE_MAX takes
+    for this radial state, displaced or not.  Any other points are
+    deduplicated by ``numerics.radial_orbits`` and the values gathered back
+    to their shape.  An integer t in 1.._K_RECURRENCE_MAX takes
     ``_lorentz_phi_recurrence`` from k0 and k1, a quarter to a sixth of the
     cost of kv at integer order and more accurate; every other t
     (half-integer, generic, or an integer above the bound) takes kv.
@@ -645,7 +663,7 @@ def make_state(spec: StateSpec) -> State:
         # <:n^k:> = k! nbar^(k-1) (k nbar + nbar + k)
         moments = _diagonal_moments(
             lambda k, nb=nbar: np.exp(gammaln(k + 1.0) + k * math.log(nb)) * (k + 1.0 + k / nb))
-        st = State(spec=spec, physical=True, phi_closed=phi, moments=moments, radial=True,
+        st = State(spec=spec, physical=True, phi_centred=phi, moments=moments, radial=True,
                    regular_p_closed=preg, centred_vacuum=0.0,
                    _base_fock_builder=lambda K, nb=nbar: _spats_diag(nb, K),
                    _tail_loss=lambda K, q=nbar / (nbar + 1.0):
@@ -658,7 +676,7 @@ def make_state(spec: StateSpec) -> State:
             return 1.0 - eta * np.abs(np.asarray(beta, dtype=complex)) ** 2
 
         rho = np.diag([1.0 - eta, eta])
-        st = State(spec=spec, physical=True, phi_closed=phi, moments=_finite_moments(rho),
+        st = State(spec=spec, physical=True, phi_centred=phi, moments=_finite_moments(rho),
                    radial=True, centred_vacuum=1.0 - eta, _base_fock_builder=_embedded(rho),
                    _tail_loss=lambda K, eta=eta: 0.0 if K >= 1 else eta)
     elif kind == "fock_element":
@@ -668,7 +686,7 @@ def make_state(spec: StateSpec) -> State:
         unit[m, n] = 1.0
         st = State(spec=spec, physical=(m == n),
                    **(_gaussian(0.0, 0.0) if m == n == 0 else
-                      {"phi_closed": lambda b, m=m, n=n: char_fn_fock_element(m, n, b),
+                      {"phi_centred": lambda b, m=m, n=n: char_fn_fock_element(m, n, b),
                        "moments": _finite_moments(unit), "radial": m == n}),
                    centred_vacuum=float(m == n == 0),
                    _base_fock_builder=_embedded(unit),
@@ -684,14 +702,14 @@ def make_state(spec: StateSpec) -> State:
         _require(max(weights) <= _MAX_FOCK_INDEX, _FOCK_INDEX_LIMIT)
 
         diag = np.diag([weights.get(k, 0.0) for k in range(max(weights) + 1)])
-        st = State(spec=spec, physical=True, phi_closed=fock_phi(diag), radial=True,
+        st = State(spec=spec, physical=True, phi_centred=fock_phi(diag), radial=True,
                    moments=_finite_moments(diag), centred_vacuum=weights.get(0, 0.0),
                    _base_fock_builder=_embedded(diag),
                    _tail_loss=lambda K, ws=weights: sum(v for k, v in ws.items() if k > K))
     elif kind == "cauchy_lorentz":
         t = p.get("t")
         _require(t is not None and t > 0, "cauchy_lorentz requires t > 0")
-        st = State(spec=spec, physical=True, phi_closed=_lorentz_phi(t), radial=True,
+        st = State(spec=spec, physical=True, phi_centred=_lorentz_phi(t), radial=True,
                    moments=_lorentz_moments(t), regular_p_closed=_lorentz_radial_density(t),
                    centred_vacuum=vacuum_overlap_normalizer(t),
                    _base_fock_builder=lambda K, t=t: _lorentz_fock_diag(t, K))
@@ -711,7 +729,7 @@ def make_state(spec: StateSpec) -> State:
             d[0, 0] -= norm
             return d * scale
 
-        st = State(spec=spec, physical=True, phi_closed=phi, moments=_lorentz_moments(t, scale),
+        st = State(spec=spec, physical=True, phi_centred=phi, moments=_lorentz_moments(t, scale),
                    radial=True,
                    regular_p_closed=lambda a, dens=dens, scale=scale: dens(a) * scale,
                    atom_weight=-norm * scale,
@@ -740,19 +758,19 @@ def _apply_modifiers(st: State) -> State:
     """Apply alpha -> exp(i phi) alpha + alpha0 to a catalog state.
 
     This is where the invariants are decided.  A rotation keeps whatever
-    depends only on the photon-number diagonal (the vacuum probability and
-    the tail loss), multiplies the moment table T[q, r] by
+    depends only on the photon-number diagonal (the vacuum probability, the
+    tail loss and ``radial``), multiplies the moment table T[q, r] by
     exp(i phi (q - r)), as it does rho[m, n] by exp(i phi (m - n)), and keeps
     a Gaussian characteristic function only when it is circular (lam == kap,
-    the generator).  It leaves the Phi and the density of a radial state as
+    the generator).  It leaves the Phi_c and the density of a radial state as
     they are.  A displacement D(alpha0) only translates the P function: it
-    multiplies Phi by the phase of ``_displacement_phase``, moves the
-    regular density and its point mass to alpha0, and clears ``radial``.
-    Every other field keeps describing the rotated, undisplaced state
-    (``State``).
+    moves the regular density and its point mass to alpha0, and every other
+    field keeps describing the rotated, undisplaced state, ``phi_centred``
+    and ``radial`` included.  The Phi of the displaced state, Phi_c times
+    the phase of ``_displacement_phase``, is built by ``State`` itself.
     """
     phi0, a0 = st.spec.rotation, complex(st.spec.displacement)
-    base_phi, base_p, builder = st.phi_closed, st.regular_p_closed, st._base_fock_builder
+    base_phi, base_p, builder = st.phi_centred, st.regular_p_closed, st._base_fock_builder
     if phi0:
         rot = np.exp(-1j * phi0)
         base_moments = st.moments
@@ -771,20 +789,13 @@ def _apply_modifiers(st: State) -> State:
         st = replace(st, gaussian_xp=st.gaussian_xp if circular else None, moments=moments,
                      _base_fock_builder=fock)
         if not st.radial:
-            st = replace(st, phi_closed=lambda b: base_phi(rot * np.asarray(b, dtype=complex)),
+            st = replace(st, phi_centred=lambda b: base_phi(rot * np.asarray(b, dtype=complex)),
                          regular_p_closed=None if base_p is None else
                          lambda a: base_p(rot * np.asarray(a, dtype=complex)))
-    if a0 == 0:
+    p_c = st.regular_p_closed
+    if a0 == 0 or p_c is None:
         return st
-    phi_c, p_c = st.phi_closed, st.regular_p_closed
-
-    def phi_closed(beta):
-        b = np.asarray(beta, dtype=complex)
-        return _displacement_phase(a0, b) * phi_c(b)
-
-    return replace(st, phi_closed=phi_closed, radial=False,
-                   regular_p_closed=None if p_c is None else
-                   lambda a: p_c(np.asarray(a, dtype=complex) - a0))
+    return replace(st, regular_p_closed=lambda a: p_c(np.asarray(a, dtype=complex) - a0))
 
 
 def _displacement_phase(a0: complex, beta: np.ndarray) -> np.ndarray:
@@ -825,7 +836,7 @@ def from_fock_matrix(matrix, *, physical: bool = True) -> State:
             raise TruncationError(f"Fock route needs truncation loss < 1e-6; got {loss:.3e}")
         return laguerre(beta)
 
-    return State(spec=StateSpec(kind="explicit_fock"), physical=physical, phi_closed=phi,
+    return State(spec=StateSpec(kind="explicit_fock"), physical=physical, phi_centred=phi,
                  moments=_finite_moments(fm.matrix),
                  radial=bool(np.count_nonzero(fm.matrix) == np.count_nonzero(fm.matrix.diagonal())),
                  phi_roundoff=PHI_ROUNDOFF_FACTOR * fm.matrix.shape[0] * np.finfo(float).eps

@@ -18,7 +18,7 @@ from scipy.special import comb, gammaln
 
 from . import charfn
 from .deltaseries import TaylorField, _check_order
-from .errors import ComplexResidueError, ParameterError
+from .errors import ComplexResidueError, NonConvergenceError, ParameterError, RangeError
 from .filters import _check_width, filtered_p
 from .numerics import PhaseField, PhaseGrid
 from .states import State, overlap_cutoff
@@ -354,6 +354,41 @@ def analytic_divergence_demo(c: float, n_terms: int) -> DivergenceDemo:
 # the aggregated battery
 # ---------------------------------------------------------------------------
 
+def _phi_excess_entry(state: State, beta_grid: PhaseGrid, margin: float) -> CriterionEntry:
+    scan = charfn.classicality_violation(state, beta_grid)
+    # |beta|^2 capped where math.exp would overflow; the bound is huge there anyway
+    roundoff = state.phi_roundoff * math.exp(0.5 * min(abs(scan.location) ** 2, 1400.0))
+    return CriterionEntry(
+        "characteristic_function",
+        VERDICT_CERTIFIED if scan.value > margin + roundoff else VERDICT_CONSISTENT,
+        scan.value, scan.location,
+        detail="max |Phi(beta)| - 1 over the scan grid",
+    )
+
+
+def _vacuum_entry(state: State) -> CriterionEntry:
+    vp = vacuum_probability(state)
+    if not math.isfinite(vp):
+        return CriterionEntry("vacuum_probability", VERDICT_INAPPLICABLE, None,
+                              detail="<vac|rho|vac> is not finite")
+    certified = state.physical and state.spec.displacement == 0 and state.centred_vacuum == 0.0
+    return CriterionEntry(
+        "vacuum_probability", VERDICT_CERTIFIED if certified else VERDICT_CONSISTENT,
+        vp, detail="<vac|rho|vac>; zero overlap certifies nonclassicality",
+    )
+
+
+def _filtered_entry(state: State, w: float, grid: PhaseGrid, margin: float) -> CriterionEntry:
+    fld = filtered_p(state, w, grid)
+    min_val, loc = negativity_scan(fld)
+    return CriterionEntry(
+        "filtered_negativity",
+        VERDICT_CERTIFIED if min_val < -(margin + fld.quad_error) else VERDICT_CONSISTENT,
+        min_val, loc,
+        detail=f"min of the filtered distribution at w={w:g}",
+    )
+
+
 def classify(state: State, *, w: float = 2.0,
              grid: PhaseGrid | None = None,
              beta_grid: PhaseGrid | None = None,
@@ -362,60 +397,40 @@ def classify(state: State, *, w: float = 2.0,
     """Run the criteria battery and aggregate the verdicts.
 
     Any single certification makes the state nonclassical-certified; the
-    battery never claims classicality.  Criteria run in a fixed order:
-    characteristic-function excess, vacuum probability, diagonal moment
-    matrix, and the negativity of the filter-regularized distribution.  The
-    excess certifies only above margin + the state's Phi roundoff bound at
-    the scan's argmax (nonzero for an explicit Fock matrix only).  The
-    filtered minimum certifies only below -(margin + quad_error), with
-    quad_error the field's quadrature error estimate (0 on the analytic
-    Gaussian route of ``filters.filtered_p``, which every state with a
-    ``gaussian_xp`` takes, centred at its displacement).  A vacuum probability or moment that is not finite
-    makes its criterion inapplicable.  Raises ParameterError, before any
-    criterion runs, for a filter width w that is not a finite positive real, a
-    margin that is not finite and >= 0, or a moment order that is not an
-    integer >= 0; and NonConvergenceError when the numeric filter cannot
-    resolve the grid at width w.
+    battery never claims classicality.  Criteria run in a fixed order, each
+    on its own: characteristic-function excess, vacuum probability,
+    diagonal moment matrix, and the negativity of the filter-regularized
+    distribution.  The excess certifies only above margin + the state's Phi
+    roundoff bound at the scan's argmax (nonzero for an explicit Fock matrix
+    only).  The filtered minimum certifies only below -(margin +
+    quad_error), with quad_error the field's quadrature error estimate (0 on
+    the analytic Gaussian route of ``filters.filtered_p``, which every state
+    with a ``gaussian_xp`` takes, centred at its displacement).  A vacuum
+    probability or moment that is not finite makes its criterion
+    inapplicable, and so do numerics that fail: a criterion whose Phi is
+    not finite (RangeError) or whose filter rule does not converge
+    (NonConvergenceError) is an inapplicable entry whose detail names the
+    error, and the other criteria still give their verdicts.  Raises
+    ParameterError, before any criterion runs, for a filter width w that is
+    not a finite positive real, a margin that is not finite and >= 0, or a
+    moment order that is not an integer >= 0; and ComplexResidueError for a
+    non-Hermitian input, whose filtered field is not real.
     """
     _check_width(w)
     _check_margin_order(margin, moment_order)
     grid = grid or PhaseGrid(extent=4.0, resolution=321)
     beta_grid = beta_grid or PhaseGrid(extent=4.0, resolution=161)
     report = NonclassicalityReport(state=state.describe())
-
-    scan = charfn.classicality_violation(state, beta_grid)
-    # |beta|^2 capped where math.exp would overflow; the bound is huge there anyway
-    roundoff = state.phi_roundoff * math.exp(0.5 * min(abs(scan.location) ** 2, 1400.0))
-    report.entries.append(CriterionEntry(
-        "characteristic_function",
-        VERDICT_CERTIFIED if scan.value > margin + roundoff else VERDICT_CONSISTENT,
-        scan.value, scan.location,
-        detail="max |Phi(beta)| - 1 over the scan grid",
-    ))
-
-    vp = vacuum_probability(state)
-    if math.isfinite(vp):
-        vp_certified = (state.physical and state.spec.displacement == 0
-                        and state.centred_vacuum == 0.0)
-        report.entries.append(CriterionEntry(
-            "vacuum_probability",
-            VERDICT_CERTIFIED if vp_certified else VERDICT_CONSISTENT,
-            vp, detail="<vac|rho|vac>; zero overlap certifies nonclassicality",
-        ))
-    else:
-        report.entries.append(CriterionEntry(
-            "vacuum_probability", VERDICT_INAPPLICABLE, None,
-            detail="<vac|rho|vac> is not finite",
-        ))
-
-    report.entries.append(moment_matrix_test(state, moment_order, margin=margin))
-
-    fld = filtered_p(state, w, grid)
-    min_val, loc = negativity_scan(fld)
-    report.entries.append(CriterionEntry(
-        "filtered_negativity",
-        VERDICT_CERTIFIED if min_val < -(margin + fld.quad_error) else VERDICT_CONSISTENT,
-        min_val, loc,
-        detail=f"min of the filtered distribution at w={w:g}",
-    ))
+    criteria = [
+        ("characteristic_function", lambda: _phi_excess_entry(state, beta_grid, margin)),
+        ("vacuum_probability", lambda: _vacuum_entry(state)),
+        ("moment_matrix", lambda: moment_matrix_test(state, moment_order, margin=margin)),
+        ("filtered_negativity", lambda: _filtered_entry(state, w, grid, margin)),
+    ]
+    for name, entry in criteria:
+        try:
+            report.entries.append(entry())
+        except (NonConvergenceError, RangeError) as exc:
+            report.entries.append(CriterionEntry(name, VERDICT_INAPPLICABLE, None,
+                                                 detail=f"{type(exc).__name__}: {exc}"))
     return report

@@ -341,12 +341,12 @@ class TestConfigErrors:
         assert "Traceback" not in res.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["filtered", "classify"])
+    @pytest.mark.parametrize("command", ["filtered"])
     def test_unresolved_filter_is_an_error(self, runner, tmp_path, command):
         # w = 40 on extent 10 is beyond 200 Gauss nodes per panel; the fixed
-        # rule certified the coherent state as nonclassical.  Both commands
-        # take the numeric filter for the displaced Lorentz state only: the
-        # coherent state's filter is the translated closed form
+        # rule certified the coherent state as nonclassical.  The numeric
+        # filter serves the displaced Lorentz state only: the coherent
+        # state's filter is the translated closed form
         out = tmp_path / "x.out"
         res = runner.invoke(main, [command, "--state", DISPLACED_LORENTZ, "--w", "40",
                                    "--grid", "10,161", "--out", str(out)])
@@ -354,6 +354,20 @@ class TestConfigErrors:
         assert "Error:" in res.output and "did not converge" in res.output
         assert "Traceback" not in res.output
         assert not out.exists()
+
+    def test_unresolved_filter_leaves_classify_a_verdict(self, runner, tmp_path):
+        # the same state and width: the filter entry is inapplicable, the
+        # report is written, and nothing certifies the classical state
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["classify", "--state", DISPLACED_LORENTZ, "--w", "40",
+                                   "--grid", "10,161", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        report = json.loads(out.read_text())
+        assert report["overall"] == "consistent-with-classical"
+        entry = report["entries"][3]
+        assert entry["criterion"] == "filtered_negativity"
+        assert entry["verdict"] == "inapplicable/diverged"
+        assert entry["detail"].startswith("NonConvergenceError: filtered transform at w=40 ")
 
     def test_complex_field_is_refused(self, runner, tmp_path):
         # |0><2| is not Hermitian: its filtered field's imaginary part reaches 0.167
@@ -366,7 +380,7 @@ class TestConfigErrors:
         assert "Traceback" not in res.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["filtered", "classify"])
+    @pytest.mark.parametrize("command", ["filtered"])
     @pytest.mark.parametrize("kind", ["cauchy_lorentz", "cauchy_lorentz_ncl"])
     def test_non_finite_phi_is_an_error(self, runner, tmp_path, command, kind):
         out = tmp_path / "x.out"
@@ -378,17 +392,30 @@ class TestConfigErrors:
         assert "Traceback" not in res.output
         assert not out.exists()
 
-    def test_nan_scan_is_an_error(self, runner, tmp_path):
-        # at t = 1e5 Phi is nan on the scan grid itself, before any filter runs
+    @pytest.mark.parametrize("kind,overall", [
+        ("cauchy_lorentz", "consistent-with-classical"),
+        ("cauchy_lorentz_ncl", "nonclassical-certified"),
+    ])
+    @pytest.mark.parametrize("t", ["100", "1e5"])
+    def test_non_finite_phi_leaves_classify_a_verdict(self, runner, tmp_path, kind, overall, t):
+        # kv overflows at the filter's small nodes from t = 100, and at
+        # t = 1e5 Phi is nan on the scan grid too: those entries are
+        # inapplicable, and the vacuum criterion still certifies the ncl state
         out = tmp_path / "x.json"
         res = runner.invoke(main, ["classify", "--state",
-                                   '{"kind": "cauchy_lorentz", "params": {"t": 1e5}}',
+                                   f'{{"kind": "{kind}", "params": {{"t": {t}}}}}',
                                    "--out", str(out)])
-        assert res.exit_code == 1, res.output
-        assert "Error: Phi of cauchy_lorentz t=100000 is not finite at" in res.output
-        assert "of the scan grid" in res.output
-        assert "Traceback" not in res.output
-        assert not out.exists()
+        assert res.exit_code == 0, res.output
+        report = json.loads(out.read_text())
+        assert report["overall"] == overall
+        entries = {e["criterion"]: e for e in report["entries"]}
+        failed = ["filtered_negativity"] + (["characteristic_function"] if t == "1e5" else [])
+        for name in failed:
+            assert entries[name]["verdict"] == "inapplicable/diverged"
+            assert entries[name]["detail"].startswith(f"RangeError: Phi of {kind} t={float(t):g} "
+                                                      "is not finite at ")
+        if t == "1e5":
+            assert entries["characteristic_function"]["detail"].endswith("of the scan grid")
 
     @pytest.mark.parametrize("command", ["classify", "charfn", "filtered"])
     @pytest.mark.parametrize("state", [

@@ -1,5 +1,6 @@
 """Tests for the filter kernels and regularized distributions."""
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from gsphase import charfn, filters, numerics
-from gsphase.charfn import char_fn
+from gsphase import charfn, filters, numerics, states
+from gsphase.charfn import char_fn, char_fn_centred
 from gsphase.errors import NonConvergenceError, ParameterError, RangeError
 from gsphase.filters import (
     QUAD_TOLERANCE,
@@ -618,8 +619,8 @@ class TestOrbitRoute:
         st = make()
         full = replace(st, radial=False)
         points = []
-        monkeypatch.setattr(filters, "char_fn",
-                            lambda s, b: points.append(np.size(b)) or char_fn(s, b))
+        monkeypatch.setattr(filters, "char_fn_centred",
+                            lambda s, b: points.append(np.size(b)) or char_fn_centred(s, b))
         orbit = filtered_p_numeric(st, 2.0, GRID)
         n_orbit, points[:] = list(points), []
         every = filtered_p_numeric(full, 2.0, GRID)
@@ -647,6 +648,94 @@ class TestOrbitRoute:
         general = numerics._separable_product(core[:, :2 * h], table, table)
         eps = np.finfo(float).eps
         assert np.max(np.abs(even - general)) <= 8 * eps * float(np.sum(np.abs(weighted)))
+
+
+TRANSLATED_STATES = {
+    # radial rho_c
+    "spats": StateSpec("spats", {"nbar": 1.3}),
+    "fock-2-2": StateSpec("fock_element", {"m": 2, "n": 2}),
+    "fock_mixture": StateSpec("fock_mixture", {"w0": 0.2, "w2": 0.5, "w5": 0.3}),
+    "lorentz": StateSpec("cauchy_lorentz", {"t": 2.3}),
+    "lorentz_ncl": StateSpec("cauchy_lorentz_ncl", {"t": 1.5}),
+    "photon_vacuum_mix": StateSpec("photon_vacuum_mix", {"eta": 0.4}),
+    "thermal": StateSpec("thermal", {"nbar": 0.7}),
+    # non-radial rho_c
+    "squeezed-rotated": StateSpec("squeezed", {"xi": 0.4}, rotation=0.7),
+    "fock-1-2": StateSpec("fock_element", {"m": 1, "n": 2}),
+    "explicit-coherence": None,
+}
+
+#: |a0| in {0.3, 3} at three angles, and a0 = 0
+DISPLACEMENTS = [0j] + [r * cmath.exp(1j * phi) for r in (0.3, 3.0) for phi in (0.4, 2.1, -1.3)]
+
+
+def _displaced(name, a0):
+    spec = TRANSLATED_STATES[name]
+    if spec is None:  # an explicit matrix carries its displacement in its spec
+        st = from_fock_matrix(np.array([[0.5, 0.2 - 0.1j, 0.0],
+                                        [0.2 + 0.1j, 0.3, 0.05],
+                                        [0.0, 0.05, 0.2]]))
+        return replace(st, spec=replace(st.spec, displacement=a0))
+    return make_state(replace(spec, displacement=a0))
+
+
+def _phase_route_field(st, n):
+    """The filtered field of the full Phi, displacement phase included, on the
+    untranslated tables: char_fn times the weights, folded, all four blocks."""
+    nodes, weights, table, radii, inverse = _filter_rule(2.0, n, GRID)
+    core = numerics._folded_core(char_fn(st, nodes) * weights)
+    h = core.shape[0] // 2
+    return numerics._separable_product(core[:, :2 * h], table, table)
+
+
+class TestTranslatedRoute:
+    """A displaced state is filtered and scanned through its centred Phi_c."""
+
+    @pytest.mark.parametrize("a0", DISPLACEMENTS, ids=lambda a: f"{a:.2f}")
+    @pytest.mark.parametrize("name", TRANSLATED_STATES)
+    def test_filter_equals_the_phase_route(self, name, a0):
+        st = _displaced(name, a0)
+        for n in (32, 64):
+            field, _, _ = filters._filtered_raw(st, 2.0, GRID, n)
+            oracle = _phase_route_field(st, n)
+            assert np.max(np.abs(field - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("a0", DISPLACEMENTS, ids=lambda a: f"{a:.2f}")
+    @pytest.mark.parametrize("name", TRANSLATED_STATES)
+    def test_scans_equal_the_phase_route(self, name, a0):
+        st = _displaced(name, a0)
+        grid = PhaseGrid(4.0, 161)
+        mesh = grid.mesh()
+        mod = np.abs(char_fn(st, mesh))
+        for scan, oracle in ((charfn.classicality_violation, mod - 1.0),
+                             (charfn.quantum_bound_check, mod * np.exp(-0.5 * np.abs(mesh) ** 2))):
+            value = scan(st, grid).value
+            assert abs(value - oracle.max()) <= 1e-14 * max(1.0, abs(oracle.max()))
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec("spats", {"nbar": 1.3}, displacement=0.6 - 0.35j),
+        StateSpec("fock_mixture", {"w0": 0.2, "w3": 0.8}, displacement=-2.0 + 1.0j),
+        StateSpec("cauchy_lorentz_ncl", {"t": 2.5}, displacement=0.4j, rotation=0.9),
+    ], ids=["spats", "fock_mixture", "lorentz_ncl-rotated"])
+    def test_classify_forms_no_displacement_phase(self, spec, monkeypatch):
+        def refuse(a0, beta):
+            raise AssertionError("the displacement phase was formed")
+
+        monkeypatch.setattr(states, "_displacement_phase", refuse)
+        st = make_state(spec)
+        with pytest.raises(AssertionError, match="phase was formed"):
+            st.phi_closed(np.array([0.5j]))
+        assert st.radial
+        classify(st)
+
+    def test_filter_evaluates_phi_c_once_per_orbit(self, monkeypatch):
+        st = make_state(StateSpec("spats", {"nbar": 1.3}, displacement=0.6 - 0.35j))
+        points = []
+        monkeypatch.setattr(filters, "char_fn_centred",
+                            lambda s, b: points.append(np.size(b)) or char_fn_centred(s, b))
+        filtered_p_numeric(st, 2.0, GRID)
+        rules = (32, 64, 128, 200)[:len(points)]
+        assert len(points) >= 2 and points == [n * (n + 1) // 2 for n in rules]
 
 
 class TestNonFinitePhi:

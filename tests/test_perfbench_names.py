@@ -8,9 +8,14 @@ here first.
 import importlib
 import importlib.util
 import pathlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
 
 import gsphase
 import gsphase.cli
+from gsphase.states import StateSpec, make_state
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -33,3 +38,31 @@ def test_traced_names_resolve():
 
 def test_exported_names_resolve():
     assert [n for n in gsphase.__all__ if not hasattr(gsphase, n)] == []
+
+
+#: one state of each catalog kind
+KINDS = [
+    StateSpec("fock_element", {"m": 1, "n": 2}),
+    StateSpec("thermal", {"nbar": 0.5}),
+    StateSpec("squeezed", {"xi": 0.4}),
+    StateSpec("spats", {"nbar": 1.0}),
+    StateSpec("photon_vacuum_mix", {"eta": 0.6}),
+    StateSpec("cauchy_lorentz", {"t": 2.5}),
+    StateSpec("cauchy_lorentz_ncl", {"t": 2.5}),
+    StateSpec("p_max"),
+    StateSpec("fock_mixture", {"w0": 0.5, "w2": 0.5}),
+]
+
+MODIFIERS = {"none": {}, "rotation": {"rotation": 0.9}, "displacement": {"displacement": 0.4 - 0.3j},
+             "both": {"rotation": 0.9, "displacement": 0.4 - 0.3j}}
+
+
+@pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
+@pytest.mark.parametrize("spec", KINDS, ids=[s.kind for s in KINDS])
+def test_traced_char_fn_route_reads_phi_closed(spec, mod):
+    # the traced run labels every char_fn call by the route
+    # ``spans._char_fn_route`` reads off ``State.phi_closed``
+    st = make_state(replace(spec, **mod))
+    assert callable(st.phi_closed)
+    assert np.all(np.isfinite(st.phi_closed(np.array([0.3 - 0.2j]))))
+    assert _load_spans()._char_fn_route(st) == "closed"

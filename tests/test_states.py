@@ -339,20 +339,20 @@ class TestModifierInvariants:
     @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
     @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)
     def test_radial_truth_table(self, spec, mod):
-        # radial: a centred state diagonal in Fock space, whatever its rotation;
-        # squeezed, |0><2| and every displaced state are not
+        # radial: rho_c diagonal in Fock space, whatever the rotation and the
+        # displacement; squeezed and |0><2| are not
         st = make_state(replace(spec, **mod))
         diagonal = spec.kind in DIAGONAL_KINDS or (
             spec.kind == "fock_element" and spec.params["m"] == spec.params["n"])
-        assert st.radial is (diagonal and "displacement" not in mod)
+        assert st.radial is diagonal
         if not st.radial:
             return
         mesh = PhaseGrid(extent=4.0, resolution=161).mesh()
-        phi = st.phi_closed(mesh)
-        assert np.all(np.abs(phi - st.phi_closed(np.abs(mesh)))
+        phi = st.phi_centred(mesh)
+        assert np.all(np.abs(phi - st.phi_centred(np.abs(mesh)))
                       <= 1e-15 * np.maximum(1.0, np.abs(phi)))
-        # a rotation leaves the Phi of a radial state as it is
-        np.testing.assert_array_equal(phi, make_state(spec).phi_closed(mesh))
+        # a rotation and a displacement leave the Phi_c of a radial state as it is
+        np.testing.assert_array_equal(phi, make_state(spec).phi_centred(mesh))
 
     @pytest.mark.parametrize("matrix,radial", [
         (np.diag([0.5, 0.2, 0.3]), True),

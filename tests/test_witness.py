@@ -530,14 +530,36 @@ class TestClassify:
         assert rep.entry("vacuum_probability").verdict == VERDICT_CERTIFIED
         assert rep.entry("moment_matrix").verdict == VERDICT_INAPPLICABLE
 
-    def test_unresolved_filter_raises_instead_of_certifying(self):
+    def test_unresolved_filter_is_inapplicable_not_certified(self):
         # w = 40 on extent 10 is beyond 200 Gauss nodes per panel; this
         # classical state takes the numeric filter, which must refuse to
         # give a verdict (the fixed 200-node rule certified the coherent
-        # state with a filtered minimum of -34.8)
+        # state with a filtered minimum of -34.8).  The other criteria
+        # still give theirs
         st = make_state(StateSpec("cauchy_lorentz", {"t": 3.0}, displacement=0.3))
         with pytest.raises(NonConvergenceError):
-            classify(st, w=40.0, grid=PhaseGrid(extent=10.0, resolution=161))
+            filtered_p_numeric(st, 40.0, PhaseGrid(extent=10.0, resolution=161))
+        rep = classify(st, w=40.0, grid=PhaseGrid(extent=10.0, resolution=161))
+        assert rep.overall == VERDICT_CONSISTENT
+        entry = rep.entry("filtered_negativity")
+        assert entry.verdict == VERDICT_INAPPLICABLE
+        assert entry.witness_value is None and entry.location is None
+        assert entry.detail.startswith("NonConvergenceError: filtered transform at w=40 ")
+        assert VERDICT_CERTIFIED not in [e.verdict for e in rep.entries]
+
+    @pytest.mark.parametrize("xi,excess", [(6.0, 2.234e5), (10.0, 0.0)])
+    def test_rotated_strong_squeezing_gets_a_report(self, xi, excess):
+        # the filter rule does not converge on either rotated Gaussian.  At
+        # xi = 6 the excess of |Phi| over 1 certifies the state; at xi = 10
+        # the anti-squeezed ridge exp(-2.4e8 x'^2) passes between the scan
+        # nodes, and the scan reads 0 at the origin
+        rep = classify(make_state(StateSpec("squeezed", {"xi": xi}, rotation=0.7)))
+        scan = rep.entry("characteristic_function")
+        assert scan.witness_value == pytest.approx(excess, rel=0.01, abs=0.0)
+        assert rep.certified is (excess > 0) and scan.verdict == rep.overall
+        entry = rep.entry("filtered_negativity")
+        assert entry.verdict == VERDICT_INAPPLICABLE
+        assert entry.detail.startswith("NonConvergenceError: filtered transform at w=2 ")
 
     def test_coherent_state_takes_the_analytic_filter_at_any_width(self):
         # the translated closed form needs no quadrature, so w = 40 on extent
@@ -575,12 +597,20 @@ class TestClassify:
             classify(make_state(spec))
 
     @pytest.mark.parametrize("kind", ["cauchy_lorentz", "cauchy_lorentz_ncl"])
-    def test_non_finite_phi_raises_range_error(self, kind):
-        # kv(100, 2|beta|) overflows at the filter's small nodes; t = 50 does not
+    def test_non_finite_phi_makes_the_filter_inapplicable(self, kind):
+        # kv(100, 2|beta|) overflows at the filter's small nodes; t = 50 does
+        # not.  The vacuum criterion still certifies the ncl state, and
+        # nothing certifies the classical one
         expected = VERDICT_CONSISTENT if kind == "cauchy_lorentz" else VERDICT_CERTIFIED
         assert classify(make_state(StateSpec(kind, {"t": 50.0}))).overall == expected
+        st = make_state(StateSpec(kind, {"t": 100.0}))
         with pytest.raises(RangeError, match=f"Phi of {kind} t=100 is not finite"):
-            classify(make_state(StateSpec(kind, {"t": 100.0})))
+            filtered_p_numeric(st, 2.0, PhaseGrid(extent=4.0, resolution=321))
+        rep = classify(st)
+        assert rep.overall == expected
+        entry = rep.entry("filtered_negativity")
+        assert entry.verdict == VERDICT_INAPPLICABLE and entry.witness_value is None
+        assert entry.detail.startswith(f"RangeError: Phi of {kind} t=100 is not finite at ")
 
     def test_fock_50_is_certified(self):
         # every criterion fires; the numeric filter converges on L_50(|beta|^2),
