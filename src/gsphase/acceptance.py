@@ -28,7 +28,7 @@ from .filters import (
     tri_gaussian_ft,
     tri_gaussian_ft_line_integral,
 )
-from .numerics import Cartesian, PhaseGrid, gauss_nodes_1d, quad2d, radial_integral
+from .numerics import PhaseGrid, gauss_nodes_1d, radial_integral
 from .states import StateSpec, creation_exponential, make_state
 from .witness import (
     DIVERGED,
@@ -141,11 +141,8 @@ def criterion_2() -> CriterionResult:
         series = exp_laplace_series(nbar, 400)
         val = float(np.real(pair(series, TaylorField.from_exp_quadratic(-1.0 / sigma_sq)).value))
         closed = sigma_sq / (sigma_sq + nbar)
-        reg = quad2d(
-            lambda al: np.exp(-np.abs(al) ** 2 / nbar) / (math.pi * nbar)
-            * np.exp(-np.abs(al) ** 2 / sigma_sq),
-            Cartesian.square(9.0), tol=1e-12,
-        ).real
+        reg = radial_integral(
+            lambda r: np.exp(-r ** 2 / nbar) / (math.pi * nbar) * np.exp(-r ** 2 / sigma_sq))
         err = max(abs(val - closed), abs(val - reg))
         ok = ok and err < 1e-8
         details.append(f"nbar={nbar:g} sigma^2={sigma_sq:g}: pairing={val!r} "

@@ -11,18 +11,24 @@ coefficients of its Gaussian characteristic function when it has one, and
 its truncated Fock matrix, built per cutoff.  The Phi of rho is Phi_c times
 the displacement phase (``State.phi_closed``).
 
-The moment table of each kind comes from one closed form:
+Most kinds are members of three families, each built by one constructor:
 
-- thermal, squeezed, p_max and the vacuum (Gaussian Phi): the
-  coefficients of exp(A u^2 + A v^2 + N u v), a finite sum;
-- spats: <:n^k:> = k! nbar^(k-1) (k nbar + nbar + k);
-- cauchy_lorentz: <:n^k:> = t B(k+1, t-k) for k < t, divergent from k >= t;
-  cauchy_lorentz_ncl scales it by 1/(1 - N_t) and keeps the trace 1;
-- fock_element, fock_mixture, photon_vacuum_mix and explicit matrices: the
-  k-resummation of the matrix over all its rows.
+- the generator family exp(gamma d_alpha d_alpha*) delta(alpha)
+  (``_generator``): thermal at gamma = nbar, the vacuum at 0 and p_max at
+  -1/2, with Gaussian Phi, the geometric Fock diagonal and its tail;
+- finite Fock matrices (``_finite``): fock_element other than the vacuum,
+  fock_mixture, photon_vacuum_mix and explicit matrices, whose moments are
+  the k-resummation of the matrix over all its rows;
+- the Lorentz pair (``_lorentz``): cauchy_lorentz, with
+  <:n^k:> = t B(k+1, t-k) for k < t, divergent from k >= t, and
+  cauchy_lorentz_ncl, which drops its vacuum weight N_t and scales by
+  1/(1 - N_t).
 
-A rotation multiplies the table by a phase; the moments of rho are the
-binomial recentring of the table at a0 (``witness.normal_moment``).
+squeezed (a Gaussian, exp(A u^2 + A v^2 + N u v)) and spats
+(<:n^k:> = k! nbar^(k-1) (k nbar + nbar + k)) are built on their own.  A
+rotation multiplies the moment table of a non-radial state by a phase and
+leaves a radial one alone; the moments of rho are the binomial recentring
+of the table at a0 (``witness.normal_moment``).
 
 Catalog kinds and parameters (JSON wire format ``{"kind": ..., "params": {...}}``):
 
@@ -53,7 +59,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import betaln, eval_genlaguerre, factorial, gammaln, k0, k1, kv
+from scipy.special import betaln, eval_genlaguerre, factorial, gammaln, k0, k1, kv, xlogy
 
 from . import numerics
 from .errors import (NoRegularFormError, ParameterError, TruncationError, TruncationWarning,
@@ -366,9 +372,9 @@ class State:
     #: True when Phi_c depends on |beta| alone: rho_c is diagonal in Fock
     #: space (thermal, vacuum, p_max, spats, photon_vacuum_mix, fock_element
     #: with m == n, fock_mixture, both Lorentz kinds, a diagonal explicit
-    #: matrix).  A rotation keeps it and leaves phi_centred as it is, and a
-    #: displacement keeps it too.  The scans and the numeric filter then
-    #: evaluate Phi_c once per distinct |beta| of their meshes
+    #: matrix).  A rotation leaves a radial state as it is, and a
+    #: displacement keeps ``radial`` too.  The scans and the numeric filter
+    #: then evaluate Phi_c once per distinct |beta| of their meshes
     #: (``numerics.radial_orbits``).
     radial: bool = False
     #: analytic truncation loss sum_{k > K} rho_c[k, k], when a formula exists
@@ -463,20 +469,47 @@ def _gaussian(lam: float, kap: float) -> dict:
             "radial": lam == kap}
 
 
-def _geometric_diag(nbar: float, cutoff: int) -> np.ndarray:
-    q = nbar / (nbar + 1.0)
-    return np.diag(q ** np.arange(cutoff + 1) / (nbar + 1.0)).astype(complex)
+def _generator(spec: StateSpec, gamma: float, *, physical: bool = True, **fields) -> State:
+    """A member of the generator family exp(gamma d_alpha d_alpha*) delta(alpha).
+
+    Phi = exp(-gamma |beta|^2), and rho_c is diag(q^k / (1 + gamma)) with
+    q = gamma / (1 + gamma): thermal at gamma = nbar, the vacuum at 0 and
+    the p_max pseudo-state at -1/2.  The tail past cutoff K is q^(K+1).
+    """
+    q = gamma / (1.0 + gamma)
+
+    def fock(K):
+        return np.diag(q ** np.arange(K + 1) / (1.0 + gamma)).astype(complex)
+
+    return State(spec=spec, physical=physical, **_gaussian(gamma, gamma),
+                 centred_vacuum=1.0 / (1.0 + gamma), _base_fock_builder=fock,
+                 _tail_loss=lambda K: q ** (K + 1), **fields)
+
+
+def _finite(spec: StateSpec, rho: np.ndarray, *, physical: bool = True,
+            phi: Callable | None = None, **fields) -> State:
+    """A state whose rho_c is the finite Fock matrix ``rho``.
+
+    Its moments, Fock builder, vacuum probability and ``radial`` all come
+    from ``rho``, and so does Phi_c (``fock_phi``) unless ``phi`` gives a
+    closed form.
+    """
+    return State(spec=spec, physical=physical, phi_centred=fock_phi(rho) if phi is None else phi,
+                 moments=_finite_moments(rho), centred_vacuum=float(np.real(rho[0, 0])),
+                 radial=bool(np.count_nonzero(rho) == np.count_nonzero(rho.diagonal())),
+                 _base_fock_builder=_embedded(rho), **fields)
 
 
 def _squeezed_amplitudes(xi: float, cutoff: int) -> np.ndarray:
-    """Fock amplitudes of exp(-(tanh xi / 2) a^dag^2)|vac> / sqrt(cosh xi)."""
+    """Fock amplitudes of exp(-(tanh xi / 2) a^dag^2)|vac> / sqrt(cosh xi).
+
+    c[2j] = (-tanh/2)^j sqrt((2j)!)/j!, assembled in log space; xlogy keeps
+    c = e_0 where tanh xi / 2 underflows to 0.
+    """
     c = np.zeros(cutoff + 1)
-    half_t = math.tanh(xi) / 2.0
-    norm = 1.0 / math.sqrt(math.cosh(xi))
-    for j in range(0, cutoff // 2 + 1):
-        # (-tanh/2)^j sqrt((2j)!)/j!, assembled in log space
-        lg = 0.5 * gammaln(2 * j + 1) - gammaln(j + 1) + j * math.log(half_t) if half_t > 0 else (-math.inf if j else 0.0)
-        c[2 * j] = norm * ((-1.0) ** j) * math.exp(lg)
+    j = np.arange(cutoff // 2 + 1)
+    lg = 0.5 * gammaln(2 * j + 1) - gammaln(j + 1) + xlogy(j, math.tanh(xi) / 2.0)
+    c[::2] = 1.0 / math.sqrt(math.cosh(xi)) * np.where(j % 2, -1.0, 1.0) * np.exp(lg)
     return c
 
 
@@ -550,37 +583,24 @@ def _lorentz_phi(t: float):
     """Characteristic function (2/Gamma(t)) |beta|^t K_t(2|beta|).
 
     Radial Fourier transform of the heavy-tailed density; cross-checked by
-    quadrature in the test suite.  Phi depends on |beta| only, so it is
-    evaluated once per distinct radius.  Input radii that are already
-    distinct and ascending are taken as they are: the orbit radii of the
-    cached scan mesh and filter rules (``charfn._scan_mesh``,
-    ``filters._filter_rule``), which the scans and the numeric filter pass
-    for this radial state, displaced or not.  Any other points are
-    deduplicated by ``numerics.radial_orbits`` and the values gathered back
-    to their shape.  An integer t in 1.._K_RECURRENCE_MAX takes
-    ``_lorentz_phi_recurrence`` from k0 and k1, a quarter to a sixth of the
-    cost of kv at integer order and more accurate; every other t
+    quadrature in the test suite.  An integer t in 1.._K_RECURRENCE_MAX
+    takes ``_lorentz_phi_recurrence`` from k0 and k1, a quarter to a sixth
+    of the cost of kv at integer order and more accurate; every other t
     (half-integer, generic, or an integer above the bound) takes kv.
     """
     lg = math.lgamma(t)
     n = int(t) if float(t).is_integer() and 1 <= t <= _K_RECURRENCE_MAX else 0
 
-    def per_radius(radii):
-        out = np.ones(radii.shape, dtype=complex)
-        nz = radii > 0
+    def phi(beta):
+        r = np.abs(np.asarray(beta, dtype=complex))
+        out = np.ones(r.shape, dtype=complex)
+        nz = r > 0
         with np.errstate(invalid="ignore"):  # 0 * inf past kv's range: nan, refused by the scans
             if n:
-                out[nz] = _lorentz_phi_recurrence(n, radii[nz])
+                out[nz] = _lorentz_phi_recurrence(n, r[nz])
             else:
-                out[nz] = 2.0 * np.exp(t * np.log(radii[nz]) - lg) * kv(t, 2.0 * radii[nz])
+                out[nz] = 2.0 * np.exp(t * np.log(r[nz]) - lg) * kv(t, 2.0 * r[nz])
         return out
-
-    def phi(beta):
-        b = np.abs(np.asarray(beta, dtype=complex))
-        if b.ndim == 1 and np.all(b[1:] > b[:-1]):
-            return per_radius(b)
-        radii, inv = numerics.radial_orbits(b)
-        return per_radius(radii)[inv]
 
     return phi
 
@@ -612,6 +632,28 @@ def vacuum_overlap_normalizer(t: float) -> float:
     return float(_lorentz_fock_diag(t, 0)[0, 0].real)
 
 
+def _lorentz(spec: StateSpec, t: float, *, vacuum_free: bool) -> State:
+    """cauchy_lorentz, or with ``vacuum_free`` its companion cauchy_lorentz_ncl.
+
+    The companion takes N_t = rho[0, 0] off the Lorentz state, as a point
+    mass -N_t at the centre, and rescales by 1/(1 - N_t) to keep the trace.
+    """
+    norm = vacuum_overlap_normalizer(t)
+    drop, scale = (norm, 1.0 / (1.0 - norm)) if vacuum_free else (0.0, 1.0)
+    phi_cl, dens = _lorentz_phi(t), _lorentz_radial_density(t)
+
+    def fock(K):
+        d = _lorentz_fock_diag(t, K)
+        d[0, 0] -= drop
+        return d * scale
+
+    return State(spec=spec, physical=True, phi_centred=lambda b: (phi_cl(b) - drop) * scale,
+                 moments=_lorentz_moments(t, scale), radial=True,
+                 regular_p_closed=lambda a: dens(a) * scale,
+                 atom_weight=0.0 - drop * scale,  # +0.0, not -0.0, without a point mass
+                 centred_vacuum=(norm - drop) * scale, _base_fock_builder=fock)
+
+
 def make_state(spec: StateSpec) -> State:
     """Build a catalog state with every available closed form attached."""
     kind, p = spec.kind, dict(spec.params)
@@ -625,13 +667,8 @@ def make_state(spec: StateSpec) -> State:
     if kind == "thermal":
         nbar = p.get("nbar")
         _require(nbar is not None and nbar > 0, "thermal requires nbar > 0")
-        st = State(
-            spec=spec, physical=True, **_gaussian(nbar, nbar),
-            regular_p_closed=lambda a, nb=nbar: np.exp(-np.abs(np.asarray(a, dtype=complex)) ** 2 / nb) / (math.pi * nb),
-            centred_vacuum=1.0 / (nbar + 1.0),
-            _base_fock_builder=lambda K, nb=nbar: _geometric_diag(nb, K),
-            _tail_loss=lambda K, q=nbar / (nbar + 1.0): q ** (K + 1),
-        )
+        st = _generator(spec, nbar, regular_p_closed=lambda a: np.exp(
+            -np.abs(np.asarray(a, dtype=complex)) ** 2 / nbar) / (math.pi * nbar))
     elif kind == "squeezed":
         xi = p.get("xi")
         _require(xi is not None and xi > 0, "squeezed requires xi > 0")
@@ -671,26 +708,18 @@ def make_state(spec: StateSpec) -> State:
     elif kind == "photon_vacuum_mix":
         eta = p.get("eta")
         _require(eta is not None and 0 < eta <= 1, "photon_vacuum_mix requires 0 < eta <= 1")
-
-        def phi(beta, eta=eta):
-            return 1.0 - eta * np.abs(np.asarray(beta, dtype=complex)) ** 2
-
-        rho = np.diag([1.0 - eta, eta])
-        st = State(spec=spec, physical=True, phi_centred=phi, moments=_finite_moments(rho),
-                   radial=True, centred_vacuum=1.0 - eta, _base_fock_builder=_embedded(rho),
-                   _tail_loss=lambda K, eta=eta: 0.0 if K >= 1 else eta)
+        st = _finite(spec, np.diag([1.0 - eta, eta]),
+                     phi=lambda b: 1.0 - eta * np.abs(np.asarray(b, dtype=complex)) ** 2)
     elif kind == "fock_element":
         _require("m" in p and "n" in p, "fock_element requires m, n >= 0")
         m, n = _fock_index(p["m"]), _fock_index(p["n"])
-        unit = np.zeros((max(m, n) + 1,) * 2)
-        unit[m, n] = 1.0
-        st = State(spec=spec, physical=(m == n),
-                   **(_gaussian(0.0, 0.0) if m == n == 0 else
-                      {"phi_centred": lambda b, m=m, n=n: char_fn_fock_element(m, n, b),
-                       "moments": _finite_moments(unit), "radial": m == n}),
-                   centred_vacuum=float(m == n == 0),
-                   _base_fock_builder=_embedded(unit),
-                   _tail_loss=lambda K, m=m, n=n: 0.0 if K >= max(m, n) else 1.0)
+        if m == n == 0:
+            st = _generator(spec, 0.0)
+        else:
+            unit = np.zeros((max(m, n) + 1,) * 2)
+            unit[m, n] = 1.0
+            st = _finite(spec, unit, physical=m == n,
+                         phi=lambda b: char_fn_fock_element(m, n, b))
     elif kind == "fock_mixture":
         keys = [k for k in p if k.startswith("w")]
         _require(all(k[1:].isdigit() for k in keys),
@@ -701,45 +730,13 @@ def make_state(spec: StateSpec) -> State:
         _require(abs(sum(weights.values()) - 1.0) < 1.0e-9, "fock_mixture weights must sum to 1")
         _require(max(weights) <= _MAX_FOCK_INDEX, _FOCK_INDEX_LIMIT)
 
-        diag = np.diag([weights.get(k, 0.0) for k in range(max(weights) + 1)])
-        st = State(spec=spec, physical=True, phi_centred=fock_phi(diag), radial=True,
-                   moments=_finite_moments(diag), centred_vacuum=weights.get(0, 0.0),
-                   _base_fock_builder=_embedded(diag),
-                   _tail_loss=lambda K, ws=weights: sum(v for k, v in ws.items() if k > K))
-    elif kind == "cauchy_lorentz":
+        st = _finite(spec, np.diag([weights.get(k, 0.0) for k in range(max(weights) + 1)]))
+    elif kind in ("cauchy_lorentz", "cauchy_lorentz_ncl"):
         t = p.get("t")
-        _require(t is not None and t > 0, "cauchy_lorentz requires t > 0")
-        st = State(spec=spec, physical=True, phi_centred=_lorentz_phi(t), radial=True,
-                   moments=_lorentz_moments(t), regular_p_closed=_lorentz_radial_density(t),
-                   centred_vacuum=vacuum_overlap_normalizer(t),
-                   _base_fock_builder=lambda K, t=t: _lorentz_fock_diag(t, K))
-    elif kind == "cauchy_lorentz_ncl":
-        t = p.get("t")
-        _require(t is not None and t > 0, "cauchy_lorentz_ncl requires t > 0")
-        norm = vacuum_overlap_normalizer(t)
-        scale = 1.0 / (1.0 - norm)
-        phi_cl = _lorentz_phi(t)
-        dens = _lorentz_radial_density(t)
-
-        def phi(beta, phi_cl=phi_cl, norm=norm, scale=scale):
-            return (phi_cl(beta) - norm) * scale
-
-        def fock(K, t=t, norm=norm, scale=scale):
-            d = _lorentz_fock_diag(t, K)
-            d[0, 0] -= norm
-            return d * scale
-
-        st = State(spec=spec, physical=True, phi_centred=phi, moments=_lorentz_moments(t, scale),
-                   radial=True,
-                   regular_p_closed=lambda a, dens=dens, scale=scale: dens(a) * scale,
-                   atom_weight=-norm * scale,
-                   centred_vacuum=0.0, _base_fock_builder=fock)
+        _require(t is not None and t > 0, f"{kind} requires t > 0")
+        st = _lorentz(spec, t, vacuum_free=kind == "cauchy_lorentz_ncl")
     elif kind == "p_max":
-        st = State(
-            spec=spec, physical=False, **_gaussian(-0.5, -0.5),
-            centred_vacuum=2.0,
-            _base_fock_builder=_pmax_fock_diag,
-        )
+        st = _generator(spec, -0.5, physical=False)
     else:
         raise ParameterError(f"unknown state kind {kind!r}")
 
@@ -748,32 +745,24 @@ def make_state(spec: StateSpec) -> State:
     return st
 
 
-def _pmax_fock_diag(cutoff: int) -> np.ndarray:
-    # diagonal gamma^k/(1+gamma)^(k+1) at gamma = -1/2; not a density operator
-    k = np.arange(cutoff + 1)
-    return np.diag(2.0 * (-1.0) ** k).astype(complex)
-
-
 def _apply_modifiers(st: State) -> State:
     """Apply alpha -> exp(i phi) alpha + alpha0 to a catalog state.
 
-    This is where the invariants are decided.  A rotation keeps whatever
-    depends only on the photon-number diagonal (the vacuum probability, the
-    tail loss and ``radial``), multiplies the moment table T[q, r] by
-    exp(i phi (q - r)), as it does rho[m, n] by exp(i phi (m - n)), and keeps
-    a Gaussian characteristic function only when it is circular (lam == kap,
-    the generator).  It leaves the Phi_c and the density of a radial state as
-    they are.  A displacement D(alpha0) only translates the P function: it
-    moves the regular density and its point mass to alpha0, and every other
-    field keeps describing the rotated, undisplaced state, ``phi_centred``
-    and ``radial`` included.  The Phi of the displaced state, Phi_c times
-    the phase of ``_displacement_phase``, is built by ``State`` itself.
+    This is where the invariants are decided.  A radial state is invariant
+    under a rotation, which it keeps only in its spec.  A non-radial one
+    (squeezed, |m><n| with m != n) gets the rotated Phi_c, the moment table
+    T[q, r] times exp(i phi (q - r)) and rho[m, n] times exp(i phi (m - n)),
+    and loses ``gaussian_xp``; none of these kinds has a regular density.
+    A displacement D(alpha0) only translates the P function: it moves the
+    regular density and its point mass to alpha0, and every other field
+    keeps describing the rotated, undisplaced state, ``phi_centred`` and
+    ``radial`` included.  The Phi of the displaced state, Phi_c times the
+    phase of ``_displacement_phase``, is built by ``State`` itself.
     """
     phi0, a0 = st.spec.rotation, complex(st.spec.displacement)
-    base_phi, base_p, builder = st.phi_centred, st.regular_p_closed, st._base_fock_builder
-    if phi0:
+    if phi0 and not st.radial:
+        base_phi, base_moments, builder = st.phi_centred, st.moments, st._base_fock_builder
         rot = np.exp(-1j * phi0)
-        base_moments = st.moments
 
         def fock(K):
             ph = np.exp(1j * phi0 * np.arange(K + 1))
@@ -785,13 +774,8 @@ def _apply_modifiers(st: State) -> State:
             with np.errstate(invalid="ignore"):  # inf * (1 + 0j) has a nan imaginary part
                 return table * np.exp(1j * phi0 * np.subtract.outer(q, q))
 
-        circular = st.gaussian_xp is not None and st.gaussian_xp[0] == st.gaussian_xp[1]
-        st = replace(st, gaussian_xp=st.gaussian_xp if circular else None, moments=moments,
-                     _base_fock_builder=fock)
-        if not st.radial:
-            st = replace(st, phi_centred=lambda b: base_phi(rot * np.asarray(b, dtype=complex)),
-                         regular_p_closed=None if base_p is None else
-                         lambda a: base_p(rot * np.asarray(a, dtype=complex)))
+        st = replace(st, gaussian_xp=None, moments=moments, _base_fock_builder=fock,
+                     phi_centred=lambda b: base_phi(rot * np.asarray(b, dtype=complex)))
     p_c = st.regular_p_closed
     if a0 == 0 or p_c is None:
         return st
@@ -836,21 +820,19 @@ def from_fock_matrix(matrix, *, physical: bool = True) -> State:
             raise TruncationError(f"Fock route needs truncation loss < 1e-6; got {loss:.3e}")
         return laguerre(beta)
 
-    return State(spec=StateSpec(kind="explicit_fock"), physical=physical, phi_centred=phi,
-                 moments=_finite_moments(fm.matrix),
-                 radial=bool(np.count_nonzero(fm.matrix) == np.count_nonzero(fm.matrix.diagonal())),
-                 phi_roundoff=PHI_ROUNDOFF_FACTOR * fm.matrix.shape[0] * np.finfo(float).eps
-                 * float(np.abs(fm.matrix).sum()),
-                 centred_vacuum=float(fm.matrix[0, 0].real),
-                 _base_fock_builder=_embedded(fm.matrix))
+    return _finite(StateSpec(kind="explicit_fock"), fm.matrix, physical=physical, phi=phi,
+                   phi_roundoff=PHI_ROUNDOFF_FACTOR * fm.matrix.shape[0] * np.finfo(float).eps
+                   * float(np.abs(fm.matrix).sum()))
 
 
 def fock_matrix(state: State, cutoff: int = DEFAULT_CUTOFF) -> FockMatrix:
     """Truncated Fock matrix with its reported truncation loss.
 
-    Physical states report loss = 1 - trace of the truncation; a loss above
-    1e-6 triggers a TruncationWarning.  The p_max pseudo-state is exempt
-    from the loss accounting (its diagonal is not summable).  Raises
+    Physical states report the weight of rho_c past the cutoff: the
+    analytic tail for the generator family and spats, 1 - trace of the
+    truncation for every other kind.  A loss above 1e-6 triggers a
+    TruncationWarning.  The p_max pseudo-state is exempt from the loss
+    accounting (its diagonal is not summable).  Raises
     ParameterError, before anything is built, unless the cutoff is an
     integer from 0 to ``MAX_CUTOFF`` (889), and UnsupportedError for a
     displaced state, whose builder gives the Fock matrix of rho_c only.

@@ -1,5 +1,6 @@
 """Tests for the state catalog: Fock matrices, regular densities, modifiers."""
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -444,6 +445,80 @@ class TestModifierInvariants:
                             lambda s, K: calls.append(K) or fock_matrix(s, K))
         classify(st, grid=PhaseGrid(2.0, 21))
         assert calls == []
+
+
+#: the catalog states whose rho_c is diagonal in Fock space
+RADIAL_CATALOG = [s for s in CATALOG if make_state(s).radial]
+
+
+class TestStateFamilies:
+    """The catalog is built from its families, and their invariants hold."""
+
+    @pytest.mark.parametrize("spec,gamma", [
+        (StateSpec("thermal", {"nbar": 0.5}), 0.5),
+        (StateSpec("thermal", {"nbar": 2.0}), 2.0),
+        (StateSpec("fock_element", {"m": 0, "n": 0}), 0.0),
+        (StateSpec("p_max"), -0.5),
+    ], ids=["thermal0.5", "thermal2", "vacuum", "p_max"])
+    def test_generator_family(self, spec, gamma):
+        # exp(gamma d d*) delta: rho_c[k, k] = gamma^k/(1+gamma)^(k+1), tail q^(K+1)
+        st, K = make_state(spec), 12
+        q = gamma / (1.0 + gamma)
+        k = np.arange(K + 1)
+        np.testing.assert_allclose(np.diag(st._base_fock_builder(K)).real,
+                                   gamma ** k / (1.0 + gamma) ** (k + 1), rtol=1e-14, atol=0)
+        assert st._tail_loss(K) == pytest.approx(q ** (K + 1), rel=1e-14, abs=0)
+        assert st.centred_vacuum == 1.0 / (1.0 + gamma)
+        assert st.gaussian_xp == (gamma, gamma) and st.radial
+
+    @pytest.mark.parametrize("mod", [{"rotation": 0.9},
+                                     {"rotation": 0.9, "displacement": 0.5 + 0.3j}],
+                             ids=["rotation", "both"])
+    @pytest.mark.parametrize("spec", RADIAL_CATALOG, ids=_spec_id)
+    def test_rotation_leaves_a_radial_state_alone(self, spec, mod):
+        # a Fock-diagonal state is rotation-invariant: every field equals the
+        # unrotated twin's bit for bit
+        st = make_state(replace(spec, **mod))
+        twin = make_state(replace(spec, **{**mod, "rotation": 0.0}))
+        np.testing.assert_array_equal(st.moments(4), twin.moments(4))
+        if not st.spec.displacement:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                np.testing.assert_array_equal(fock_matrix(st, 12).matrix,
+                                              fock_matrix(twin, 12).matrix)
+        assert vacuum_probability(st) == vacuum_probability(twin)
+        mesh = PhaseGrid(extent=4.0, resolution=161).mesh()
+        np.testing.assert_array_equal(st.phi_centred(mesh), twin.phi_centred(mesh))
+
+        def report(s):
+            d = classify(s).to_dict()
+            del d["state"]
+            return json.dumps(d, sort_keys=True)
+
+        assert report(st) == report(twin)
+
+    def test_explicit_diagonal_matrix_is_the_fock_mixture(self):
+        w = [0.2, 0.0, 0.5, 0.3]
+        mix = make_state(StateSpec("fock_mixture", {f"w{k}": v for k, v in enumerate(w)}))
+        explicit = from_fock_matrix(np.diag(w))
+        mesh = PhaseGrid(extent=4.0, resolution=41).mesh()
+        np.testing.assert_array_equal(explicit.moments(6), mix.moments(6))
+        np.testing.assert_array_equal(explicit._base_fock_builder(9), mix._base_fock_builder(9))
+        assert explicit.centred_vacuum == mix.centred_vacuum
+        assert explicit.radial and mix.radial
+        np.testing.assert_array_equal(explicit.phi_centred(mesh), mix.phi_centred(mesh))
+
+    def test_finite_state_loss_is_the_missing_trace(self):
+        eta = 0.6
+        st = make_state(StateSpec("photon_vacuum_mix", {"eta": eta}))
+        with pytest.warns(TruncationWarning):
+            fm = fock_matrix(st, 0)
+        assert fm.truncation_loss == pytest.approx(eta, rel=1e-15)
+        mix = make_state(StateSpec("fock_mixture", {"w0": 0.1, "w3": 0.2, "w7": 0.7}))
+        for K in (7, 8, 20):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TruncationWarning)
+                assert fock_matrix(mix, K).truncation_loss <= 1e-9
 
 
 class TestExplicitFock:
