@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, RangeError
-from .numerics import PhaseGrid, pointwise, radial_orbits
+from .numerics import PhaseGrid, check_grid, pointwise, radial_orbits
 # char_fn_fock_element lives with the catalog and stays importable from here
 from .states import State, char_fn_fock_element  # noqa: F401
 
@@ -110,9 +110,10 @@ def _scan(state: State, grid: PhaseGrid, excess) -> ScanReport:
     For a radial rho_c, displaced or not, Phi_c is evaluated once per
     distinct |beta| of the cached mesh and the excess gathered back to the
     nodes; for any other state at every node.  Raises RangeError when Phi is
-    not finite at some node: a nan maximum would read as no excess.
+    not finite at some node: a nan maximum would read as no excess, and
+    ParameterError for a grid that is not a ``PhaseGrid``.
     """
-    mesh, radii, inverse = _scan_mesh(grid)
+    mesh, radii, inverse = _scan_mesh(check_grid(grid))
     mod = np.abs(char_fn_centred(state, radii if state.radial else mesh))
     bad_at = ~np.isfinite(mod)
     bad = int(np.count_nonzero(bad_at[inverse] if state.radial else bad_at))
@@ -129,7 +130,8 @@ def quantum_bound_check(state: State, grid: PhaseGrid) -> ScanReport:
 
     For every physical state the result is <= 1 (up to grid rounding);
     report-only, no exception is raised on violation.  Raises RangeError
-    when Phi is not finite at some node.
+    when Phi is not finite at some node, and ParameterError for a grid that
+    is not a ``PhaseGrid``.
     """
     return _scan(state, grid, lambda mod, r: mod * np.exp(-0.5 * r ** 2))
 
@@ -139,6 +141,6 @@ def classicality_violation(state: State, grid: PhaseGrid) -> ScanReport:
 
     A positive value certifies nonclassicality; a non-positive value on a
     finite grid is inconclusive.  Raises RangeError when Phi is not finite
-    at some node.
+    at some node, and ParameterError for a grid that is not a ``PhaseGrid``.
     """
     return _scan(state, grid, lambda mod, r: mod - 1.0)

@@ -18,8 +18,12 @@ exp(-lam x^2 - kap p^2) has a closed-form filtered profile in its pair
 (lam, kap), the ``State.gaussian_xp`` of its state (``filtered_p_gaussian*``),
 translated by the ``centre`` of ``filtered_p_gaussian_grid``.  Any other
 Phi_c is filtered by quadrature (``filtered_p_numeric``), whose output axes
-are translated.  ``filtered_p`` makes that choice for a state.  Filtered
-fields are real: their ``values`` are float arrays.
+are translated.  A radial rho_c's weighted Phi_c is an exact mirror image
+in both axes, so the quadrature forms it on one quadrant of the node mesh,
+with no parity fold, and the centred field, even in x and in p, on one
+quadrant of the output grid.
+``filtered_p`` makes that choice for a state.  Filtered fields are real:
+their ``values`` are float arrays.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .numerics import (
     _cos_sin,
     _folded_core,
     _separable_product,
+    check_grid,
     erfcx_complex,
     gauss_nodes_1d,
     mesh_axes,
@@ -292,10 +297,11 @@ def filtered_p_gaussian_grid(xp: tuple[float, float] | None, w: float,
     tri-Gaussian rows, one per axis shifted by Re a0 or Im a0, and their
     outer product, real values; the field also carries the translated
     ``filtered_p_gaussian`` as its evaluator.  Raises as
-    ``filtered_p_gaussian`` does, and ParameterError for a centre that is
-    not a finite number.
+    ``filtered_p_gaussian`` does, and ParameterError for a grid that is not
+    a ``PhaseGrid`` or a centre that is not a finite number.
     """
     lam, kap = _check_gaussian(xp, w)
+    check_grid(grid)
     if not (isinstance(centre, numbers.Complex) and cmath.isfinite(centre)):
         raise ParameterError(f"the centre must be a finite number (got {centre!r})")
     ax = grid.axis()
@@ -319,13 +325,16 @@ def _filter_rule(w: float, nodes_per_panel: int, grid: PhaseGrid):
     and share their weights tri(b+/w) wb / pi (the 1/pi^2 prefactor, split
     over the axes).  With b = -b+ reversed, then b+, and tb its weights, the
     rule is the complex node mesh b[i] + i b[j] and the 2-D weight table
-    tb[i] tb[j], both (2n, 2n).  The table is ``numerics._cos_sin`` of the
-    grid axis over the half axis b+, shape (N, 2n).  The orbits are the
+    tb[i] tb[j], both (2n, 2n), exact mirror images in both axes; their
+    positive quadrant is [n:, n:].  The table is ``numerics._cos_sin`` of
+    the grid axis over the half axis b+, shape (N, 2n); its rows N // 2
+    onward are the grid's non-negative half axis.  The orbits are the
     ``numerics.radial_orbits`` of the node mesh: its n (n + 1) / 2 distinct
-    radii and the index that gathers them back to the (2n, 2n) mesh.  None
-    of them depends on a state, so the last ``RULE_CACHE_SIZE`` (w, nodes,
-    grid) rules are kept, read-only, and only the first call pays for them.
-    Returns (nodes, weights, table, radii, inverse).
+    radii, all of which occur in the positive quadrant, and the index that
+    gathers them back to the (2n, 2n) mesh.  None of them depends on a
+    state, so the last ``RULE_CACHE_SIZE`` (w, nodes, grid) rules are kept,
+    read-only, and only the first call pays for them.  Returns (nodes,
+    weights, table, radii, inverse).
     """
     bp, wb = gauss_nodes_1d(0.0, w, nodes_per_panel)
     tw = tri(bp / w) * wb / math.pi
@@ -370,52 +379,60 @@ def _filtered_raw(state: State, w: float, grid: PhaseGrid,
     """Split tensor Gauss rule for the filtered transform on the grid [x, p].
 
     The panels of each axis meet at 0, where the tri factor has a kink.  The
-    rule filters rho_c: Phi_c (``charfn.char_fn_centred``) is evaluated at
-    the (2n)^2 nodes of ``_filter_rule``'s cached mesh, or for a radial
-    rho_c once per distinct node radius and gathered back, and times its
-    cached weight table gives W; only Phi_c and that product are computed
-    per state.  The sum is the inverse transform's, so W folds onto the
-    real core [Re K | Im K] of ``numerics._folded_core`` (the even node
+    rule filters rho_c: Phi_c (``charfn.char_fn_centred``) times the cached
+    weights of ``_filter_rule`` gives W, and only Phi_c and that product are
+    computed per state.  The sum is the inverse transform's, so W folds onto
+    the real core [Re K | Im K] of ``numerics._folded_core`` (the even node
     axis has no centre node) and ``numerics._separable_product`` of Re K
-    with the rule's table gives the real field.  When W is even in both
-    axes (a radial Phi_c: the nodes are exact mirrors), the odd blocks EO,
-    OE and OO of the core are exactly zero, and the product takes the EE
-    block and the cos half of the table alone.  The displacement a0 enters
-    here only: the field of rho is that of rho_c at alpha - a0, so the
-    table's rows are translated by Re a0 on the x axis and Im a0 on the p
-    axis (``_translated_rows``); at a0 = 0 the cached rows serve as they
-    are.  The imaginary field is the same product of Im K; it is only
-    formed when sum |Im K| exceeds the roundoff floor ``ROUNDOFF_FACTOR`` *
-    eps * sum |W|, and otherwise sum |Im K|, a bound on |Im P| since the
-    table's entries are at most 1, stands for its maximum.
+    with the rule's table gives the real field.  A radial rho_c
+    (``state.radial``) skips the fold: its W is an exact mirror image in
+    both axes (the nodes are exact mirrors and Phi_c is gathered from the
+    node radii), so the odd blocks of the core are zero and the even block
+    EE is 4 W_q, bit for bit, with W_q the positive quadrant.  Phi_c is
+    gathered onto that quadrant only, once per distinct node radius, and
+    the product takes 4 W_q and the cos half of the table.  The
+    displacement a0 enters here only: the field of rho is that of rho_c at
+    alpha - a0, so the table's rows are translated by Re a0 on the x axis
+    and Im a0 on the p axis (``_translated_rows``).  At a0 = 0 a radial
+    field is even in x and in p, and it is returned on the grid's
+    non-negative quadrant alone, rows and columns N // 2 onward, which
+    ``filtered_p_numeric`` mirrors out; any other field is returned on the
+    whole grid.  The imaginary field is the same product of Im K; it is
+    only formed when sum |Im K| exceeds the roundoff floor
+    ``ROUNDOFF_FACTOR`` * eps * sum |W|, and otherwise sum |Im K|, a bound
+    on |Im P| since the table's entries are at most 1, stands for its
+    maximum.
 
-    Returns the real field, that imaginary residue and sum |W|, the scale of
-    the field's roundoff.  Raises RangeError when Phi_c is not finite at
-    some node, since no finer rule can repair that.
+    Returns the real field, that imaginary residue and sum |W| over the
+    (2n)^2 nodes, the scale of the field's roundoff.  Raises RangeError
+    when Phi_c is not finite at some node, since no finer rule can repair
+    that.
     """
     nodes, weights, table, radii, inverse = _filter_rule(w, nodes_per_panel, grid)
+    n, radial = nodes_per_panel, state.radial
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        phi = np.asarray(char_fn_centred(state, radii)[inverse] if state.radial
+        phi = np.asarray(char_fn_centred(state, radii)[inverse[n:, n:]] if radial
                          else char_fn_centred(state, nodes), dtype=complex)
+    mirrors = 4 if radial else 1  # a quadrant node stands for its four mirrors
     bad = int(np.count_nonzero(~np.isfinite(phi)))
     if bad:
         raise RangeError(
-            f"Phi of {state.describe()} is not finite at {bad} of {phi.size} nodes "
-            f"of the w={w:g} filter rule"
+            f"Phi of {state.describe()} is not finite at {mirrors * bad} of "
+            f"{mirrors * phi.size} nodes of the w={w:g} filter rule"
         )
-    weighted = phi * weights
-    abs_sum = float(np.sum(np.abs(weighted)))
-    core = _folded_core(weighted)
-    h = core.shape[0] // 2
-    cos_only = not (core[h:].any() or core[:h, h:2 * h].any() or core[:h, 3 * h:].any())
-    if cos_only:  # only EE: the real and imaginary parts of EE
-        k_re, k_im = core[:h, :h], core[:h, 2 * h:3 * h]
+    weighted = phi * (weights[n:, n:] if radial else weights)
+    abs_sum = mirrors * float(np.sum(np.abs(weighted)))
+    if radial:  # EE = 4 W_q; the odd blocks are zero
+        k_re, k_im = 4.0 * weighted.real, 4.0 * weighted.imag
     else:
-        k_re, k_im = np.hsplit(core, 2)
+        k_re, k_im = np.hsplit(_folded_core(weighted), 2)
     a0 = complex(state.spec.displacement)
-    half_axis = nodes[h:, 0].real  # b+, the positive panel's nodes
-    rows_x = _translated_rows(table, half_axis, a0.real, cos_only)
-    rows_p = _translated_rows(table, half_axis, a0.imag, cos_only)
+    if radial and a0 == 0:
+        rows_x = rows_p = table[grid.resolution // 2:, :n]
+    else:
+        half_axis = nodes[n:, 0].real  # b+, the positive panel's nodes
+        rows_x = _translated_rows(table, half_axis, a0.real, radial)
+        rows_p = _translated_rows(table, half_axis, a0.imag, radial)
     field = _separable_product(k_re, rows_x, rows_p)
     residue = float(np.sum(np.abs(k_im)))
     if residue > ROUNDOFF_FACTOR * _EPS * abs_sum:
@@ -441,12 +458,18 @@ def filtered_p_numeric(state: State, w: float, grid: PhaseGrid) -> PhaseField:
     differences that are only roundoff.  Each rule's node mesh, weight table
     and real cos/sin kernel table come from ``_filter_rule``, built once per
     (w, nodes, grid) and cached.  A displacement a0 only translates the
-    field, P(alpha) = P_c(alpha - a0), so the rule filters rho_c: its Phi_c
-    at all (2n)^2 nodes is computed afresh (once per distinct node radius
-    for a radial rho_c, displaced or not), ``_filtered_raw`` sums it on the
-    folded core of the ``numerics`` transforms, in real arithmetic, and the
-    kernel table's rows are translated by a0 (the cached rows as they are
-    at a0 = 0).  The field's ``values`` are real.
+    field, P(alpha) = P_c(alpha - a0), so the rule filters rho_c:
+    ``_filtered_raw`` sums its Phi_c on the folded core of the ``numerics``
+    transforms, in real arithmetic, and the kernel table's rows are
+    translated by a0 (the cached rows as they are at a0 = 0).  A radial
+    rho_c, displaced or not, is summed on the positive quadrant of the node
+    mesh with no fold, its Phi_c evaluated once per distinct node radius.
+    At a0 = 0 its field is even in x and in p, so the rules are compared on
+    the grid's non-negative quadrant, where max |P_2n - P_n| and the
+    imaginary residue equal their full-grid values, and the accepted field
+    is mirrored out once, through the index |2i - (N - 1)| // 2 of each
+    axis, for odd and even N alike: the values are exact mirror images.
+    The field's ``values`` are real.
 
     The larger of the accepted difference and the roundoff floor is stored
     as ``quad_error`` on the field, an estimate of its absolute error at
@@ -457,9 +480,11 @@ def filtered_p_numeric(state: State, w: float, grid: PhaseGrid) -> PhaseField:
     rules at 200 nodes per panel and the one before still disagree by more
     than the tolerance (a width too large for the grid extent, for
     instance), so an unresolved field never reaches a verdict.  Raises
-    ParameterError first for a width that is not a finite positive real.
+    ParameterError first for a width that is not a finite positive real or
+    a grid that is not a ``PhaseGrid``.
     """
     _check_width(w)
+    check_grid(grid)
     n = _FIRST_NODES_PER_PANEL
     coarse, _, _ = _filtered_raw(state, w, grid, n)
     while True:
@@ -479,6 +504,10 @@ def filtered_p_numeric(state: State, w: float, grid: PhaseGrid) -> PhaseField:
             )
         coarse, n = fine, n_fine
     del coarse  # at most two full-grid fields are held at a time
+    size = grid.resolution
+    if fine.shape[0] != size:  # the non-negative quadrant of a centred radial field
+        mirror = np.abs(2 * np.arange(size) - (size - 1)) // 2
+        fine = fine[np.ix_(mirror, mirror)]
     return PhaseField(side="alpha", grid=grid, values=fine, imag_residue=residue,
                       quad_error=max(err, floor))
 

@@ -191,6 +191,13 @@ class PhaseGrid:
         return math.pi / self.spacing
 
 
+def check_grid(grid) -> PhaseGrid:
+    """The grid itself; ParameterError unless it is a ``PhaseGrid``."""
+    if not isinstance(grid, PhaseGrid):
+        raise ParameterError(f"the grid must be a PhaseGrid (got {grid!r})")
+    return grid
+
+
 @dataclass
 class PhaseField:
     """A function over the phase plane (alpha or beta side), complex or real.

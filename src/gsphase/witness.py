@@ -20,7 +20,7 @@ from . import charfn
 from .deltaseries import TaylorField, _check_order
 from .errors import ComplexResidueError, NonConvergenceError, ParameterError, RangeError
 from .filters import _check_width, filtered_p
-from .numerics import PhaseField, PhaseGrid
+from .numerics import PhaseField, PhaseGrid, check_grid
 from .states import State, overlap_cutoff
 
 #: default certification margin; an order below quadrature tolerances
@@ -227,8 +227,13 @@ def real_values(fld: PhaseField) -> np.ndarray:
 def negativity_scan(fld: PhaseField):
     """Minimum of a sampled real field with its grid location.
 
-    Ties are broken toward the lexicographically smallest (x, p).  The field
-    passes ``real_values`` first.
+    Ties are broken toward the lexicographically smallest (x, p).  The
+    filtered field of a centred radial state is an exact mirror image in x
+    and in p (``filters.filtered_p_numeric``), so its minimum ties with its
+    mirror nodes and is reported at x <= 0, p <= 0.  Other near-ties, such
+    as the x <-> p swap of a radial field or the mirror nodes of a field on
+    the Gaussian route, are still decided by roundoff.  The field passes
+    ``real_values`` first.
     """
     vals = real_values(fld)
     i, j = divmod(int(np.argmin(vals)), vals.shape[1])
@@ -411,15 +416,20 @@ def classify(state: State, *, w: float = 2.0,
     not finite (RangeError) or whose filter rule does not converge
     (NonConvergenceError) is an inapplicable entry whose detail names the
     error, and the other criteria still give their verdicts.  Raises
-    ParameterError, before any criterion runs, for a filter width w that is
-    not a finite positive real, a margin that is not finite and >= 0, or a
-    moment order that is not an integer >= 0; and ComplexResidueError for a
-    non-Hermitian input, whose filtered field is not real.
+    ParameterError, before any criterion runs, for a state that is not a
+    ``State``, a filter width w that is not a finite positive real, a margin
+    that is not finite and >= 0, a moment order that is not an integer >= 0,
+    or a grid or beta_grid that is neither None nor a ``PhaseGrid``; and
+    ComplexResidueError for a non-Hermitian input, whose filtered field is
+    not real.
     """
+    if not isinstance(state, State):
+        raise ParameterError(f"classify needs a State (got {state!r})")
     _check_width(w)
     _check_margin_order(margin, moment_order)
-    grid = grid or PhaseGrid(extent=4.0, resolution=321)
-    beta_grid = beta_grid or PhaseGrid(extent=4.0, resolution=161)
+    grid = PhaseGrid(extent=4.0, resolution=321) if grid is None else check_grid(grid)
+    beta_grid = (PhaseGrid(extent=4.0, resolution=161) if beta_grid is None
+                 else check_grid(beta_grid))
     report = NonclassicalityReport(state=state.describe())
     criteria = [
         ("characteristic_function", lambda: _phi_excess_entry(state, beta_grid, margin)),

@@ -600,6 +600,10 @@ ORBIT_STATES = {
 }
 
 
+def _refuse_fold(weighted):
+    raise AssertionError("a radial state's weights were folded")
+
+
 class TestOrbitRoute:
     """A radial state's Phi once per mesh orbit equals its Phi at every node."""
 
@@ -614,25 +618,33 @@ class TestOrbitRoute:
             assert abs(orbit.value - every.value) <= 1e-14 * max(1.0, abs(every.value))
             assert orbit.location == every.location
 
+    @pytest.mark.parametrize("grid", [GRID, PhaseGrid(3.0, 100), PhaseGrid(2.0, 21)],
+                             ids=["4-321", "3-100", "2-21"])
     @pytest.mark.parametrize("make", ORBIT_STATES.values(), ids=ORBIT_STATES)
-    def test_filter_equals_the_full_mesh_route(self, make, monkeypatch):
+    def test_filter_equals_the_full_mesh_route(self, make, grid, monkeypatch):
+        # a radial state's Phi_c is summed on one quadrant of the node mesh
+        # with no parity fold, and its centred field on the grid's
+        # non-negative quadrant, mirrored out
         st = make()
         full = replace(st, radial=False)
         points = []
         monkeypatch.setattr(filters, "char_fn_centred",
                             lambda s, b: points.append(np.size(b)) or char_fn_centred(s, b))
-        orbit = filtered_p_numeric(st, 2.0, GRID)
-        n_orbit, points[:] = list(points), []
-        every = filtered_p_numeric(full, 2.0, GRID)
+        every = filtered_p_numeric(full, 2.0, grid)
+        n_every, points[:] = list(points), []
+        monkeypatch.setattr(filters, "_folded_core", _refuse_fold)
+        orbit = filtered_p_numeric(st, 2.0, grid)
         # n (n + 1) / 2 radii per rule instead of (2n)^2 nodes
         rules = (32, 64, 128, 200)[:len(points)]
-        assert n_orbit == [n * (n + 1) // 2 for n in rules]
-        assert points == [(2 * n) ** 2 for n in rules]
+        assert points == [n * (n + 1) // 2 for n in rules]
+        assert n_every == [(2 * n) ** 2 for n in rules]
+        v = orbit.values
+        assert v.shape == (grid.resolution,) * 2 and v.dtype == float
+        assert np.array_equal(v, v[::-1]) and np.array_equal(v, v[:, ::-1])
         scale = float(np.max(np.abs(every.values)))
-        assert np.max(np.abs(orbit.values - every.values)) <= 1e-14 * scale
+        assert np.max(np.abs(v - every.values)) <= 1e-14 * scale
         assert orbit.quad_error == pytest.approx(every.quad_error, rel=1e-14, abs=0.0)
         assert orbit.imag_residue == pytest.approx(every.imag_residue, rel=1e-14, abs=0.0)
-        assert orbit.values.dtype == float
 
     def test_cos_only_product_equals_the_separable_product(self):
         # an even field folds onto EE alone: its odd blocks are exactly zero,
@@ -665,8 +677,10 @@ TRANSLATED_STATES = {
     "explicit-coherence": None,
 }
 
-#: |a0| in {0.3, 3} at three angles, and a0 = 0
-DISPLACEMENTS = [0j] + [r * cmath.exp(1j * phi) for r in (0.3, 3.0) for phi in (0.4, 2.1, -1.3)]
+#: |a0| in {0.3, 3} at three angles, a0 = 0, and a0 on each axis, where one
+#: axis of the field is untranslated
+DISPLACEMENTS = [0j] + [r * cmath.exp(1j * phi) for r in (0.3, 3.0) for phi in (0.4, 2.1, -1.3)] \
+    + [0.3j, -3.0 + 0j]
 
 
 def _displaced(name, a0):
@@ -677,6 +691,14 @@ def _displaced(name, a0):
                                         [0.0, 0.05, 0.2]]))
         return replace(st, spec=replace(st.spec, displacement=a0))
     return make_state(replace(spec, displacement=a0))
+
+
+def _mirrored(field, grid):
+    """A field on the grid, from itself or from its non-negative quadrant,
+    which ``_filtered_raw`` returns for a centred radial state."""
+    size = grid.resolution
+    mirror = np.abs(2 * np.arange(size) - (size - 1)) // 2
+    return field if field.shape[0] == size else field[np.ix_(mirror, mirror)]
 
 
 def _phase_route_field(st, n):
@@ -693,10 +715,12 @@ class TestTranslatedRoute:
 
     @pytest.mark.parametrize("a0", DISPLACEMENTS, ids=lambda a: f"{a:.2f}")
     @pytest.mark.parametrize("name", TRANSLATED_STATES)
-    def test_filter_equals_the_phase_route(self, name, a0):
+    def test_filter_equals_the_phase_route(self, name, a0, monkeypatch):
         st = _displaced(name, a0)
+        if st.radial:  # the oracle folds through numerics, the filter must not
+            monkeypatch.setattr(filters, "_folded_core", _refuse_fold)
         for n in (32, 64):
-            field, _, _ = filters._filtered_raw(st, 2.0, GRID, n)
+            field = _mirrored(filters._filtered_raw(st, 2.0, GRID, n)[0], GRID)
             oracle = _phase_route_field(st, n)
             assert np.max(np.abs(field - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
@@ -748,7 +772,10 @@ class TestNonFinitePhi:
         original = filters._filtered_raw
         monkeypatch.setattr(filters, "_filtered_raw",
                             lambda *a: rules.append(a[3]) or original(*a))
-        with pytest.raises(RangeError, match=f"Phi of {kind} t=.* is not finite at"):
+        # a radial state's quadrant still reports over the (2n)^2 = 4096 nodes
+        bad = 16 if t == 100.0 else 4096
+        with pytest.raises(RangeError, match=f"Phi of {kind} t=.* is not finite at "
+                                             f"{bad} of 4096 nodes of the w=2 filter rule"):
             filtered_p_numeric(st, 2.0, GRID)
         assert rules == [32]
 

@@ -10,16 +10,18 @@ import math
 
 import pytest
 
-from gsphase.charfn import char_fn_fock_element, char_fn_s
+from gsphase.charfn import (char_fn_fock_element, char_fn_s, classicality_violation,
+                            quantum_bound_check)
 from gsphase.deltaseries import TaylorField, exp_laplace_series, fock_diagonal, series_from_fock
 from gsphase.errors import GsphaseError
-from gsphase.filters import (filtered_p_gaussian_grid, tri, tri_gaussian_ft,
-                             tri_gaussian_ft_line_integral)
+from gsphase.filters import (filtered_p, filtered_p_gaussian_grid, filtered_p_numeric, tri,
+                             tri_gaussian_ft, tri_gaussian_ft_line_integral)
 from gsphase.numerics import PhaseGrid, erf_complex, erfcx_complex, radial_integral
 from gsphase.states import StateSpec, fock_matrix, make_state
 from gsphase.witness import (
     admissible_check,
     analytic_divergence_demo,
+    classify,
     normal_moment,
     pmax_pairing_bound,
     radius_estimate,
@@ -29,6 +31,10 @@ from gsphase.witness import (
 
 def _thermal():
     return make_state(StateSpec("thermal", {"nbar": 0.5}))
+
+
+def _spats():
+    return make_state(StateSpec("spats", {"nbar": 1.3}))
 
 
 REFUSALS = {
@@ -74,6 +80,23 @@ REFUSALS = {
         (0.5, 0.5), 2.0, PhaseGrid(2.0, 5), centre="x"),
     "filtered_p_gaussian_grid centre nan": lambda: filtered_p_gaussian_grid(
         (0.5, 0.5), 2.0, PhaseGrid(2.0, 5), centre=complex(math.nan, 0.0)),
+    # grids that are not a PhaseGrid, on both filter routes, the scans and
+    # the battery; classify's default grid is for None alone
+    "filtered_p grid None": lambda: filtered_p(_spats(), 2.0, None),
+    "filtered_p grid tuple (Gaussian route)": lambda: filtered_p(_thermal(), 2.0, (4.0, 321)),
+    "filtered_p_numeric grid tuple": lambda: filtered_p_numeric(_spats(), 2.0, (4.0, 321)),
+    "filtered_p_numeric grid 'x'": lambda: filtered_p_numeric(_spats(), 2.0, "4,321"),
+    "filtered_p_gaussian_grid grid None": lambda: filtered_p_gaussian_grid(
+        (0.5, 0.5), 2.0, None),
+    "filtered_p_gaussian_grid grid 'x'": lambda: filtered_p_gaussian_grid(
+        (0.5, 0.5), 2.0, "4,321"),
+    "classicality_violation grid None": lambda: classicality_violation(_thermal(), None),
+    "classicality_violation grid tuple": lambda: classicality_violation(_thermal(), (4.0, 161)),
+    "quantum_bound_check grid 'x'": lambda: quantum_bound_check(_thermal(), "4,161"),
+    "classify grid tuple": lambda: classify(_spats(), grid=(4.0, 321)),
+    "classify grid 0": lambda: classify(_spats(), grid=0),
+    "classify beta_grid 'x'": lambda: classify(_spats(), beta_grid="4,161"),
+    "classify state None": lambda: classify(None),
     # state parameters and modifiers given through the Python API
     "make_state nbar 'x'": lambda: make_state(StateSpec("thermal", {"nbar": "x"})),
     "make_state rotation 'x'": lambda: make_state(StateSpec("thermal", {"nbar": 0.5},

@@ -374,6 +374,26 @@ class TestNegativityScan:
                 math.copysign(1, mesh[idx].real), math.copysign(1, mesh[idx].imag))
         assert loc == grid.mesh()[n // 3, n - 2]
 
+    @pytest.mark.parametrize("grid", [PhaseGrid(4.0, 321), PhaseGrid(3.0, 100),
+                                      PhaseGrid(2.0, 21)], ids=["4,321", "3,100", "2,21"])
+    @pytest.mark.parametrize("spec", [
+        StateSpec("fock_element", {"m": 1, "n": 1}),
+        StateSpec("spats", {"nbar": 1.3}),
+        StateSpec("cauchy_lorentz_ncl", {"t": 1.5}),
+    ], ids=["fock-1", "spats", "lorentz_ncl"])
+    def test_centred_radial_minimum_at_non_positive_x_and_p(self, spec, grid):
+        # the filtered field of a centred radial state is an exact mirror
+        # image in x and in p, so its minimum ties with its mirror nodes and
+        # the first row-major node of the tie set has x <= 0 and p <= 0; at
+        # w = 1 the minimum is away from the axes
+        fld = filtered_p_numeric(make_state(spec), 1.0, grid)
+        val, loc = negativity_scan(fld)
+        assert loc.real < 0 and loc.imag < 0
+        n = grid.resolution
+        i, j = (int(np.argmin(np.abs(grid.axis() - t))) for t in (loc.real, loc.imag))
+        mirrors = fld.values[[i, n - 1 - i, i, n - 1 - i], [j, j, n - 1 - j, n - 1 - j]]
+        assert np.all(mirrors == val)
+
 
 class TestAdmissibility:
     def test_gaussian_threshold(self):
