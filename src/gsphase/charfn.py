@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, RangeError
-from .numerics import PhaseGrid, check_grid, pointwise, radial_orbits
+from .numerics import PhaseGrid, check_grid, mirror_quadrant, pointwise, radial_orbits
 # char_fn_fock_element lives with the catalog and stays importable from here
 from .states import State, char_fn_fock_element  # noqa: F401
 
@@ -76,8 +76,13 @@ class ScanReport:
 
 
 def _argmax_lexicographic(values: np.ndarray, mesh: np.ndarray) -> complex:
-    # row-major argmax; numpy returns the first flat index, which is the
-    # lexicographically smallest (x, p) among exact ties
+    """The node of the largest value, the lexicographically smallest (x, p)
+    among exact ties: numpy's argmax returns the first row-major index.
+
+    A radial scan's values are exact mirror images in x and in p and equal
+    under the x <-> p swap (``_scan``), so its location is at x <= 0,
+    p <= 0; any other state's ties are decided by roundoff.
+    """
     idx = int(np.argmax(values))
     return complex(mesh.ravel()[idx])
 
@@ -88,15 +93,18 @@ SCAN_CACHE_SIZE = 4
 
 @lru_cache(maxsize=SCAN_CACHE_SIZE)
 def _scan_mesh(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scan mesh of a grid, its distinct radii and their gather index.
+    """The scan mesh of a grid, and the distinct radii of its non-negative
+    quadrant with their gather index.
 
-    ``grid.mesh()`` and the ``numerics.radial_orbits`` of it: radii[inverse]
-    is |mesh| bit for bit (5,542 radii for the 25,921 nodes of 4,161).  None
-    depends on a state, so the last ``SCAN_CACHE_SIZE`` grids are kept,
-    read-only, and only the first scan of a grid pays for them.
+    ``grid.mesh()`` and the ``numerics.radial_orbits`` of its quadrant
+    mesh[N // 2:, N // 2:]: radii[inverse] is |quadrant| bit for bit (3,002
+    radii for the 6,561 quadrant nodes of 4,161).  None depends on a state,
+    so the last ``SCAN_CACHE_SIZE`` grids are kept, read-only, and only the
+    first scan of a grid pays for them.
     """
     mesh = grid.mesh()
-    radii, inverse = radial_orbits(mesh)
+    half = grid.resolution // 2
+    radii, inverse = radial_orbits(mesh[half:, half:])
     for arr in (mesh, radii, inverse):
         arr.flags.writeable = False
     return mesh, radii, inverse
@@ -108,20 +116,27 @@ def _scan(state: State, grid: PhaseGrid, excess) -> ScanReport:
     A displacement multiplies Phi by a phase of modulus 1, so |Phi| is read
     from the centred Phi_c (``char_fn_centred``) and no phase is formed.
     For a radial rho_c, displaced or not, Phi_c is evaluated once per
-    distinct |beta| of the cached mesh and the excess gathered back to the
-    nodes; for any other state at every node.  Raises RangeError when Phi is
-    not finite at some node: a nan maximum would read as no excess, and
-    ParameterError for a grid that is not a ``PhaseGrid``.
+    distinct |beta| of the cached non-negative quadrant, the excess is
+    gathered onto the quadrant and mirrored out to the mesh
+    (``numerics.mirror_quadrant``): mirror nodes and x <-> p swaps carry
+    bit-identical values, and the location is at x <= 0, p <= 0.  Any other
+    state is evaluated at every node.  Raises RangeError when Phi is not
+    finite at some node, counted over the whole mesh: a nan maximum would
+    read as no excess, and ParameterError for a grid that is not a
+    ``PhaseGrid``.
     """
     mesh, radii, inverse = _scan_mesh(check_grid(grid))
     mod = np.abs(char_fn_centred(state, radii if state.radial else mesh))
     bad_at = ~np.isfinite(mod)
-    bad = int(np.count_nonzero(bad_at[inverse] if state.radial else bad_at))
-    if bad:
-        raise RangeError(
-            f"Phi of {state.describe()} is not finite at {bad} of {mesh.size} nodes of the scan grid"
-        )
-    vals = excess(mod, radii)[inverse] if state.radial else excess(mod, radii[inverse])
+    if bad_at.any():
+        if state.radial:
+            bad_at = mirror_quadrant(bad_at[inverse], grid.resolution)
+        raise RangeError(f"Phi of {state.describe()} is not finite at "
+                         f"{int(np.count_nonzero(bad_at))} of {mesh.size} nodes of the scan grid")
+    if state.radial:
+        vals = mirror_quadrant(excess(mod, radii)[inverse], grid.resolution)
+    else:
+        vals = excess(mod, np.abs(mesh))
     return ScanReport(float(vals.max()), _argmax_lexicographic(vals, mesh))
 
 

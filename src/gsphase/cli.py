@@ -27,7 +27,7 @@ from . import __version__
 from .acceptance import default_workers, report_payload, run_with_determinism_check
 from .charfn import char_fn, char_fn_s
 from .deltaseries import exp_laplace_series, fock_diagonal
-from .errors import GsphaseError, ParameterError
+from .errors import GsphaseError, ParameterError, RangeError
 from .filters import filtered_p, filtered_p_gaussian
 from .numerics import MAX_GRID_RESOLUTION, PhaseGrid, write_field_csv  # noqa: F401
 from .states import StateSpec, make_state
@@ -122,7 +122,11 @@ def charfn(state_json, grid_text, s_param, out_path):
     st = make_state(spec)
     config = {"command": "charfn", "state": spec.to_json(), "grid": grid_text, "s": s_param}
     vals = char_fn_s(st, grid.mesh(), s_param) if s_param != 1.0 else char_fn(st, grid.mesh())
-    write_field_csv(out_path, grid, np.asarray(vals), comments=_provenance("charfn", config))
+    bad = int(np.count_nonzero(~np.isfinite(vals)))
+    if bad:  # as the scans and the filter refuse it, rather than write nan rows
+        raise RangeError(
+            f"Phi of {st.describe()} is not finite at {bad} of {vals.size} nodes of the grid")
+    write_field_csv(out_path, grid, vals, comments=_provenance("charfn", config))
     click.echo(f"wrote {out_path} (config {config_hash(config)})")
 
 

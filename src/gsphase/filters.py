@@ -21,7 +21,7 @@ Phi_c is filtered by quadrature (``filtered_p_numeric``), whose output axes
 are translated.  A radial rho_c's weighted Phi_c is an exact mirror image
 in both axes, so the quadrature forms it on one quadrant of the node mesh,
 with no parity fold, and the centred field, even in x and in p, on one
-quadrant of the output grid.
+quadrant of the output grid, mirrored out by ``numerics.mirror_quadrant``.
 ``filtered_p`` makes that choice for a state.  Filtered fields are real:
 their ``values`` are float arrays.
 """
@@ -49,6 +49,7 @@ from .numerics import (
     erfcx_complex,
     gauss_nodes_1d,
     mesh_axes,
+    mirror_quadrant,
     pointwise,
     radial_orbits,
 )
@@ -467,8 +468,8 @@ def filtered_p_numeric(state: State, w: float, grid: PhaseGrid) -> PhaseField:
     At a0 = 0 its field is even in x and in p, so the rules are compared on
     the grid's non-negative quadrant, where max |P_2n - P_n| and the
     imaginary residue equal their full-grid values, and the accepted field
-    is mirrored out once, through the index |2i - (N - 1)| // 2 of each
-    axis, for odd and even N alike: the values are exact mirror images.
+    is mirrored out once (``numerics.mirror_quadrant``, for odd and even N
+    alike): its values are exact mirror images.
     The field's ``values`` are real.
 
     The larger of the accepted difference and the roundoff floor is stored
@@ -504,10 +505,8 @@ def filtered_p_numeric(state: State, w: float, grid: PhaseGrid) -> PhaseField:
             )
         coarse, n = fine, n_fine
     del coarse  # at most two full-grid fields are held at a time
-    size = grid.resolution
-    if fine.shape[0] != size:  # the non-negative quadrant of a centred radial field
-        mirror = np.abs(2 * np.arange(size) - (size - 1)) // 2
-        fine = fine[np.ix_(mirror, mirror)]
+    if fine.shape[0] != grid.resolution:  # the non-negative quadrant of a centred radial field
+        fine = mirror_quadrant(fine, grid.resolution)
     return PhaseField(side="alpha", grid=grid, values=fine, imag_residue=residue,
                       quad_error=max(err, floor))
 

@@ -135,6 +135,19 @@ def radial_orbits(points) -> tuple[np.ndarray, np.ndarray]:
     return radii, inverse.reshape(r.shape)  # numpy releases differ on its shape
 
 
+def mirror_quadrant(quadrant: np.ndarray, size: int) -> np.ndarray:
+    """The size x size array, even in both axes, whose rows and columns
+    size // 2 onward are the given non-negative quadrant.
+
+    Each axis is the quadrant's reversal followed by itself; an odd size
+    has a centre node, which the reversal leaves out.  Node i of an axis
+    reads quadrant index |2i - (size - 1)| // 2, so mirror nodes carry
+    bit-identical values.
+    """
+    rows = np.concatenate((quadrant[size % 2:][::-1], quadrant), axis=0)
+    return np.concatenate((rows[:, size % 2:][:, ::-1], rows), axis=1)
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """Uniform Cartesian grid, symmetric about the origin.
@@ -238,6 +251,10 @@ class PhaseField:
         return pointwise(lambda z: np.asarray(self.fn(z), dtype=complex), points)
 
     def sampled_on(self, grid: PhaseGrid) -> np.ndarray:
+        """The field's values on a grid: its samples on its own grid, else
+        its evaluator on the grid's mesh.  ParameterError for a grid that is
+        not a ``PhaseGrid``, or a purely sampled field on another grid."""
+        check_grid(grid)
         if self.values is not None and self.grid == grid:
             return self.values
         if self.fn is None:
@@ -497,7 +514,7 @@ def _transform_grid(h: np.ndarray, core: np.ndarray, grid: PhaseGrid,
 def _prepare_samples(f: PhaseField, grid: PhaseGrid | None, tol: float, prefactor: float):
     """Trapezoid-weighted samples of f times the prefactor, the half axis h
     of their grid (its nodes >= 0) and that grid, checked for a transform."""
-    g = grid or f.grid or PhaseGrid()
+    g = grid if grid is not None else f.grid or PhaseGrid()
     vals = np.asarray(f.sampled_on(g), dtype=complex)
     if vals.shape != (g.resolution, g.resolution):
         raise ParameterError(f"transform samples of shape {vals.shape} do not match the "
@@ -524,6 +541,8 @@ def _transform(f: PhaseField, side: str, prefactor: float, grid: PhaseGrid | Non
     ``_transform_eval`` over that core; with ``out_grid`` its ``values``
     are the sum on that grid, from the same core.
     """
+    if out_grid is not None:
+        check_grid(out_grid)  # before any sampling; ``sampled_on`` checks ``grid``
     weighted, h, g = _prepare_samples(f, grid, boundary_tol, prefactor)
     core = _folded_core(weighted)
     out = PhaseField(side=side, fn=_transform_eval(h, core, g))
@@ -543,8 +562,9 @@ def fourier_forward(f: PhaseField, *, grid: PhaseGrid | None = None,
     transform at any targets, and with ``out_grid`` also holds its values
     on that grid.  Raises RangeError for a non-finite sample,
     TruncationError when the samples on the grid boundary exceed
-    ``boundary_tol``, and ResolutionError for ``out_grid`` or targets past
-    the grid's Nyquist band.
+    ``boundary_tol``, ResolutionError for ``out_grid`` or targets past
+    the grid's Nyquist band, and ParameterError for a ``grid`` or
+    ``out_grid`` that is neither None nor a ``PhaseGrid``.
     """
     if f.side != "alpha":
         raise ParameterError("fourier_forward expects an alpha-side field")
@@ -616,8 +636,10 @@ def write_field_csv(path, grid: PhaseGrid, values: np.ndarray,
     ``inf`` included).  A real ``values`` array writes the literal ``0.0``
     in the ``im`` column, the bytes its complex twin would give, without
     formatting a zero per node.  The body is written one grid row at a time
-    and is never held in memory whole.
+    and is never held in memory whole.  ParameterError for a grid that is
+    not a ``PhaseGrid`` or values of another shape.
     """
+    check_grid(grid)
     vals = np.asarray(values)
     if vals.shape != (grid.resolution, grid.resolution):
         raise ParameterError("values shape does not match the grid")

@@ -374,8 +374,8 @@ class State:
     #: with m == n, fock_mixture, both Lorentz kinds, a diagonal explicit
     #: matrix).  A rotation leaves a radial state as it is, and a
     #: displacement keeps ``radial`` too.  The scans and the numeric filter
-    #: then evaluate Phi_c once per distinct |beta| of their meshes
-    #: (``numerics.radial_orbits``).
+    #: then evaluate Phi_c once per distinct |beta| of one quadrant of their
+    #: meshes (``numerics.radial_orbits``).
     radial: bool = False
     #: analytic truncation loss sum_{k > K} rho_c[k, k], when a formula exists
     _tail_loss: Callable[[int], float] | None = None

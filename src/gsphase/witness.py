@@ -229,10 +229,14 @@ def negativity_scan(fld: PhaseField):
 
     Ties are broken toward the lexicographically smallest (x, p).  The
     filtered field of a centred radial state is an exact mirror image in x
-    and in p (``filters.filtered_p_numeric``), so its minimum ties with its
-    mirror nodes and is reported at x <= 0, p <= 0.  Other near-ties, such
-    as the x <-> p swap of a radial field or the mirror nodes of a field on
-    the Gaussian route, are still decided by roundoff.  The field passes
+    and in p (``filters.filtered_p_numeric``), so its minimum ties exactly
+    with its mirror nodes and is reported at x <= 0, p <= 0, as a radial
+    state's Phi scans are (``charfn.classicality_violation``), whose x <-> p
+    swaps tie exactly too.  Two near-ties of a filtered field are still
+    decided by roundoff: the x <-> p swap of a radial field, whose axes
+    take separate matrix products, and the mirror nodes of a field on the
+    Gaussian route, whose ``tri_gaussian_ft`` rows are taken on the
+    ``linspace`` axis, not an exact mirror.  The field passes
     ``real_values`` first.
     """
     vals = real_values(fld)

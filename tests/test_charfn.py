@@ -419,6 +419,18 @@ class TestBounds:
         with pytest.raises(RangeError, match="Phi of cauchy_lorentz t=100000 is not finite at"):
             scan(st, PhaseGrid(extent=4.0, resolution=161))
 
+    @pytest.mark.parametrize("grid,count", [(PhaseGrid(4.0, 161), "25920 of 25921"),
+                                            (PhaseGrid(3.0, 100), "10000 of 10000")],
+                             ids=["4-161", "3-100"])
+    @pytest.mark.parametrize("kind", ["cauchy_lorentz", "cauchy_lorentz_ncl"])
+    @pytest.mark.parametrize("scan", [classicality_violation, quantum_bound_check])
+    def test_non_finite_count_is_over_the_whole_mesh(self, scan, kind, grid, count):
+        # Phi is finite only at beta = 0, a node of the odd grid alone; a
+        # radial scan counts every node of the mesh, not its distinct radii
+        st = make_state(StateSpec(kind, {"t": 1e5}))
+        with pytest.raises(RangeError, match=f"is not finite at {count} nodes of the scan grid"):
+            scan(st, grid)
+
     def test_finite_rank_states_violate_on_large_grid(self):
         grid = PhaseGrid(extent=6.0, resolution=121)
         m = np.zeros((5, 5), dtype=complex)

@@ -65,6 +65,20 @@ class TestCharfnCommand:
         assert vals[0, 5] == 0.0 and vals[5, 5] == 1.0
         assert vals[5, 0].real == pytest.approx(math.exp(8.0), rel=1e-14)
 
+    @pytest.mark.parametrize("s_args", [[], ["--s", "0"]], ids=["s-1", "s-0"])
+    def test_non_finite_phi_is_an_error(self, runner, tmp_path, s_args):
+        # kv overflows where |beta|^t / Gamma(t) underflows: Phi is nan at
+        # every node but the origin, as the scans and the filter refuse it
+        out = tmp_path / "phi.csv"
+        res = runner.invoke(main, ["charfn", "--state",
+                                   '{"kind": "cauchy_lorentz", "params": {"t": 1e5}}',
+                                   "--grid", "4,5", "--out", str(out)] + s_args)
+        assert res.exit_code == 1, res.output
+        assert ("Error: Phi of cauchy_lorentz t=100000 is not finite at 24 of 25 nodes "
+                "of the grid") in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
 
 class TestFilteredCommand:
     def test_grid_output(self, runner, tmp_path):

@@ -563,8 +563,9 @@ class TestCachedKernelTable:
             assert radii.size == n * (n + 1) // 2 and np.all(np.diff(radii) > 0)
             assert inverse.shape == nodes.shape
             assert radii[inverse].tobytes() == np.abs(nodes).tobytes()
-        # the cached scan mesh and its orbits, on an odd and an even grid
-        for grid in (PhaseGrid(4.0, 161), PhaseGrid(3.0, 100)):
+        # the cached scan mesh and the orbits of its non-negative quadrant,
+        # on an odd and an even grid
+        for grid, quadrant in ((PhaseGrid(4.0, 161), 81), (PhaseGrid(3.0, 100), 50)):
             cached = charfn._scan_mesh(grid)
             mesh, radii, inverse = cached
             for arr in cached:
@@ -573,8 +574,9 @@ class TestCachedKernelTable:
                     arr[0] = 0.0
             assert charfn._scan_mesh(grid) is cached
             assert mesh.tobytes() == grid.mesh().tobytes()
-            assert np.all(np.diff(radii) > 0) and inverse.shape == mesh.shape
-            assert radii[inverse].tobytes() == np.abs(mesh).tobytes()
+            assert np.all(np.diff(radii) > 0) and inverse.shape == (quadrant, quadrant)
+            half = grid.resolution // 2
+            assert radii[inverse].tobytes() == np.abs(mesh[half:, half:]).tobytes()
 
     def test_cache_is_bounded(self):
         assert RULE_CACHE_SIZE == 4
@@ -613,10 +615,33 @@ class TestOrbitRoute:
         full = replace(st, radial=False)
         assert st.radial
         grid = PhaseGrid(4.0, 161)
-        for scan in (charfn.classicality_violation, charfn.quantum_bound_check):
+        mesh = grid.mesh()
+        mod = np.abs(char_fn_centred(st, mesh))
+        for scan, every_vals in ((charfn.classicality_violation, mod - 1.0),
+                                 (charfn.quantum_bound_check,
+                                  mod * np.exp(-0.5 * np.abs(mesh) ** 2))):
             orbit, every = scan(st, grid), scan(full, grid)
-            assert abs(orbit.value - every.value) <= 1e-14 * max(1.0, abs(every.value))
-            assert orbit.location == every.location
+            tol = 1e-14 * max(1.0, abs(every.value))
+            assert abs(orbit.value - every.value) <= tol
+            # the full-mesh route's ties are decided by roundoff: p_max's
+            # quantum bound is 1 + 2.2e-16 at hundreds of nodes, and the
+            # orbit route may report any node of that tie set
+            ties = mesh[every_vals >= every.value - tol]
+            assert every.location in ties and orbit.location in ties
+
+    @pytest.mark.parametrize("grid,radii", [(PhaseGrid(4.0, 161), 3002),
+                                            (PhaseGrid(3.0, 100), 1151)], ids=["4-161", "3-100"])
+    @pytest.mark.parametrize("a0", [0j, 0.6 - 0.35j], ids=["centred", "displaced"])
+    def test_scans_evaluate_phi_c_once_per_quadrant_radius(self, a0, grid, radii, monkeypatch):
+        # the distinct radii of mesh[N // 2:, N // 2:], not the 5,542 and
+        # 1,775 of the whole mesh, whose mirror nodes differ by an ulp
+        st = make_state(StateSpec("cauchy_lorentz", {"t": 2.3}, displacement=a0))
+        points = []
+        monkeypatch.setattr(charfn, "char_fn_centred",
+                            lambda s, b: points.append(np.size(b)) or char_fn_centred(s, b))
+        charfn.classicality_violation(st, grid)
+        charfn.quantum_bound_check(st, grid)
+        assert points == [radii, radii]
 
     @pytest.mark.parametrize("grid", [GRID, PhaseGrid(3.0, 100), PhaseGrid(2.0, 21)],
                              ids=["4-321", "3-100", "2-21"])
@@ -735,6 +760,30 @@ class TestTranslatedRoute:
                              (charfn.quantum_bound_check, mod * np.exp(-0.5 * np.abs(mesh) ** 2))):
             value = scan(st, grid).value
             assert abs(value - oracle.max()) <= 1e-14 * max(1.0, abs(oracle.max()))
+
+    @pytest.mark.parametrize("grid", [PhaseGrid(4.0, 161), PhaseGrid(3.0, 100)],
+                             ids=["4-161", "3-100"])
+    @pytest.mark.parametrize("a0", [0j, DISPLACEMENTS[1], -3.0 + 0j], ids=lambda a: f"{a:.2f}")
+    @pytest.mark.parametrize("name", [n for n, spec in TRANSLATED_STATES.items()
+                                      if spec is not None and make_state(spec).radial])
+    def test_radial_scans_are_mirror_exact(self, name, a0, grid, monkeypatch):
+        # the excess is mirrored out from the non-negative quadrant: mirror
+        # nodes and x <-> p swaps tie exactly, so the first maximum is at
+        # x <= 0, p <= 0
+        st = _displaced(name, a0)
+        assert st.radial
+        seen = []
+        argmax = charfn._argmax_lexicographic
+        monkeypatch.setattr(charfn, "_argmax_lexicographic",
+                            lambda v, mesh: seen.append(v) or argmax(v, mesh))
+        for scan in (charfn.classicality_violation, charfn.quantum_bound_check):
+            report = scan(st, grid)
+            v = seen.pop()
+            assert v.shape == (grid.resolution,) * 2
+            assert np.array_equal(v, v[::-1]) and np.array_equal(v, v[:, ::-1])
+            assert np.array_equal(v, v.T)
+            assert report.value == v.max()
+            assert report.location.real <= 0 and report.location.imag <= 0
 
     @pytest.mark.parametrize("spec", [
         StateSpec("spats", {"nbar": 1.3}, displacement=0.6 - 0.35j),

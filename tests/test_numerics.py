@@ -23,6 +23,7 @@ from gsphase.numerics import (
     erfcx_complex,
     fourier_forward,
     fourier_inverse,
+    mirror_quadrant,
     quad2d,
     radial_integral,
     read_field_csv,
@@ -345,6 +346,20 @@ class TestPhaseGridMesh:
         for i in range(0, n, 256):   # the reference in row blocks, to bound memory
             x, p = np.meshgrid(ax[i:i + 256], ax, indexing="ij")
             assert mesh[i:i + 256].tobytes() == (x + 1j * p).tobytes()
+
+
+class TestMirrorQuadrant:
+    @pytest.mark.parametrize("dtype", [float, bool])
+    @pytest.mark.parametrize("size", [2, 3, 21, 100, 321])
+    def test_equals_the_index_gather(self, size, dtype):
+        # node i of each axis reads quadrant index |2i - (N - 1)| // 2
+        quadrant = RNG.standard_normal((size - size // 2,) * 2).astype(dtype)
+        mirror = np.abs(2 * np.arange(size) - (size - 1)) // 2
+        expected = quadrant[np.ix_(mirror, mirror)]
+        full = mirror_quadrant(quadrant, size)
+        assert full.shape == expected.shape and full.dtype == expected.dtype
+        assert full.tobytes() == expected.tobytes()
+        assert full[size // 2:, size // 2:].tobytes() == quadrant.tobytes()
 
 
 class TestQuad2d:

@@ -7,7 +7,9 @@ numpy's or Python's own exception.  Every one must now raise a
 """
 
 import math
+import os
 
+import numpy as np
 import pytest
 
 from gsphase.charfn import (char_fn_fock_element, char_fn_s, classicality_violation,
@@ -16,7 +18,8 @@ from gsphase.deltaseries import TaylorField, exp_laplace_series, fock_diagonal, 
 from gsphase.errors import GsphaseError
 from gsphase.filters import (filtered_p, filtered_p_gaussian_grid, filtered_p_numeric, tri,
                              tri_gaussian_ft, tri_gaussian_ft_line_integral)
-from gsphase.numerics import PhaseGrid, erf_complex, erfcx_complex, radial_integral
+from gsphase.numerics import (PhaseField, PhaseGrid, erf_complex, erfcx_complex,
+                              fourier_forward, fourier_inverse, radial_integral, write_field_csv)
 from gsphase.states import StateSpec, fock_matrix, make_state
 from gsphase.witness import (
     admissible_check,
@@ -35,6 +38,10 @@ def _thermal():
 
 def _spats():
     return make_state(StateSpec("spats", {"nbar": 1.3}))
+
+
+def _gaussian_field(side):
+    return PhaseField(side=side, fn=lambda a: np.exp(-np.abs(a) ** 2))
 
 
 REFUSALS = {
@@ -80,8 +87,9 @@ REFUSALS = {
         (0.5, 0.5), 2.0, PhaseGrid(2.0, 5), centre="x"),
     "filtered_p_gaussian_grid centre nan": lambda: filtered_p_gaussian_grid(
         (0.5, 0.5), 2.0, PhaseGrid(2.0, 5), centre=complex(math.nan, 0.0)),
-    # grids that are not a PhaseGrid, on both filter routes, the scans and
-    # the battery; classify's default grid is for None alone
+    # grids that are not a PhaseGrid, on both filter routes, the scans, the
+    # transforms, the CSV writer and the battery; classify's default grid is
+    # for None alone
     "filtered_p grid None": lambda: filtered_p(_spats(), 2.0, None),
     "filtered_p grid tuple (Gaussian route)": lambda: filtered_p(_thermal(), 2.0, (4.0, 321)),
     "filtered_p_numeric grid tuple": lambda: filtered_p_numeric(_spats(), 2.0, (4.0, 321)),
@@ -93,6 +101,15 @@ REFUSALS = {
     "classicality_violation grid None": lambda: classicality_violation(_thermal(), None),
     "classicality_violation grid tuple": lambda: classicality_violation(_thermal(), (4.0, 161)),
     "quantum_bound_check grid 'x'": lambda: quantum_bound_check(_thermal(), "4,161"),
+    "fourier_forward grid tuple": lambda: fourier_forward(_gaussian_field("alpha"),
+                                                          grid=(6.0, 33)),
+    "fourier_forward out_grid 'x'": lambda: fourier_forward(_gaussian_field("alpha"),
+                                                            out_grid="x"),
+    "fourier_inverse grid tuple": lambda: fourier_inverse(_gaussian_field("beta"),
+                                                          grid=(6.0, 33)),
+    "write_field_csv grid tuple": lambda: write_field_csv(os.devnull, (4.0, 5),
+                                                          np.zeros((5, 5))),
+    "PhaseField.sampled_on grid tuple": lambda: _gaussian_field("alpha").sampled_on((4.0, 5)),
     "classify grid tuple": lambda: classify(_spats(), grid=(4.0, 321)),
     "classify grid 0": lambda: classify(_spats(), grid=0),
     "classify beta_grid 'x'": lambda: classify(_spats(), beta_grid="4,161"),
