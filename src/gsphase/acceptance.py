@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .charfn import char_fn, char_fn_fock_element, quantum_bound_check
 from .deltaseries import TaylorField, exp_laplace_series, fock_diagonal, pair
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError
 from .filters import (
     filtered_p_gaussian_grid,
     filtered_p_numeric,
@@ -372,22 +371,8 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9, criterion_10]
 
 
-def default_workers() -> int:
-    env = os.environ.get("PHASESPACE_THREADS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ParameterError(f"PHASESPACE_THREADS must be a positive integer (got {env!r})")
-        return workers
-    return min(4, os.cpu_count() or 1)
-
-
-def run_all(max_workers: int | None = None) -> list[CriterionResult]:
-    """Run criteria 1-10, in parallel when allowed, in deterministic order."""
-    workers = max_workers or default_workers()
+def run_all(workers: int = 1) -> list[CriterionResult]:
+    """Run criteria 1-10, on that many threads, in deterministic order."""
     if workers <= 1:
         return [fn() for fn in CRITERIA]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -406,10 +391,10 @@ def canonical_bytes(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def run_with_determinism_check(max_workers: int | None = None):
+def run_with_determinism_check(workers: int = 1):
     """Run the battery twice and append the byte-identity criterion."""
-    first = run_all(max_workers)
-    second = run_all(max_workers)
+    first = run_all(workers)
+    second = run_all(workers)
     identical = canonical_bytes(report_payload(first)) == canonical_bytes(report_payload(second))
     det = CriterionResult(11, "byte-identical reports across repeated runs", identical,
                           ["two full runs serialized identically" if identical

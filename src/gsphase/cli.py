@@ -9,9 +9,8 @@ regularized profiles at w=2 as plot-ready cut files), and ``verify``
 
 All outputs are deterministic byte-for-byte for a given configuration;
 every CSV carries a header row and a provenance comment with the hash of
-the canonicalized configuration.  The environment variable
-PHASESPACE_THREADS caps worker parallelism; when set it must be a positive
-integer.
+the canonicalized configuration.  ``verify --threads`` sets how many
+threads run the battery (default 1); the report does not depend on it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .acceptance import default_workers, report_payload, run_with_determinism_check
+from .acceptance import report_payload, run_with_determinism_check
 from .charfn import char_fn, char_fn_s
 from .deltaseries import exp_laplace_series, fock_diagonal
 from .errors import GsphaseError, ParameterError, RangeError
@@ -237,13 +236,12 @@ def figure1(width, grid_text, out_dir):
 @main.command()
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False),
               help="Write the full JSON report here as well.")
-@click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="Worker cap; defaults to PHASESPACE_THREADS or 4.")
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Threads that run the criteria.")
 @click.pass_context
 def verify(ctx, out_path, threads):
     """Run the acceptance suite; exit 1 if any criterion fails."""
-    workers = threads or default_workers()
-    results = run_with_determinism_check(workers)
+    results = run_with_determinism_check(threads)
     for r in results:
         click.echo(f"{'PASS' if r.passed else 'FAIL'}  {r.number:2d}  {r.name}")
     payload = report_payload(results)

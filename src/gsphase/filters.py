@@ -16,9 +16,10 @@ rho = D(a0) rho_c D(a0)^dag is the field of rho_c at alpha - a0.  Both
 routes filter rho_c and translate the result by a0.  A Gaussian Phi_c
 exp(-lam x^2 - kap p^2) has a closed-form filtered profile in its pair
 (lam, kap), the ``State.gaussian_xp`` of its state (``filtered_p_gaussian*``),
-translated by the ``centre`` of ``filtered_p_gaussian_grid``.  Any other
-Phi_c is filtered by quadrature (``filtered_p_numeric``), whose output axes
-are translated.  A radial rho_c's weighted Phi_c is an exact mirror image
+translated by the ``centre`` of ``filtered_p_gaussian_grid``, which at
+centre 0 forms one quadrant and mirrors it out.  Any other Phi_c is
+filtered by quadrature (``filtered_p_numeric``), whose output axes are
+translated.  A radial rho_c's weighted Phi_c is an exact mirror image
 in both axes, so the quadrature forms it on one quadrant of the node mesh,
 with no parity fold, and the centred field, even in x and in p, on one
 quadrant of the output grid, mirrored out by ``numerics.mirror_quadrant``.
@@ -297,18 +298,28 @@ def filtered_p_gaussian_grid(xp: tuple[float, float] | None, w: float,
     its undisplaced Gaussian Phi at alpha - a0.  It stays separable: two
     tri-Gaussian rows, one per axis shifted by Re a0 or Im a0, and their
     outer product, real values; the field also carries the translated
-    ``filtered_p_gaussian`` as its evaluator.  Raises as
-    ``filtered_p_gaussian`` does, and ParameterError for a grid that is not
-    a ``PhaseGrid`` or a centre that is not a finite number.
+    ``filtered_p_gaussian`` as its evaluator.  At centre 0 the field is even
+    in x and in p (T is even in y), so both rows are taken on the grid's
+    non-negative half axis, nodes N // 2 onward, and the quadrant is
+    mirrored out (``numerics.mirror_quadrant``): mirror nodes carry
+    bit-identical values, and so do x <-> p swaps of a circular Gaussian,
+    whose two rows are the same.  Raises as ``filtered_p_gaussian`` does,
+    and ParameterError for a grid that is not a ``PhaseGrid`` or a centre
+    that is not a finite number.
     """
     lam, kap = _check_gaussian(xp, w)
     check_grid(grid)
     if not (isinstance(centre, numbers.Complex) and cmath.isfinite(centre)):
         raise ParameterError(f"the centre must be a finite number (got {centre!r})")
     ax = grid.axis()
-    tx = tri_gaussian_ft(-w * (ax - centre.real), w * w * kap)
-    tp = tri_gaussian_ft(w * (ax - centre.imag), w * w * lam)
-    return PhaseField(side="alpha", grid=grid, values=(w * w) * np.outer(tx, tp),
+    if centre == 0:  # an even field: its non-negative quadrant, mirrored out below
+        yx = yp = w * ax[grid.resolution // 2:]
+    else:
+        yx, yp = -w * (ax - centre.real), w * (ax - centre.imag)
+    values = (w * w) * np.outer(tri_gaussian_ft(yx, w * w * kap), tri_gaussian_ft(yp, w * w * lam))
+    if centre == 0:
+        values = mirror_quadrant(values, grid.resolution)
+    return PhaseField(side="alpha", grid=grid, values=values,
                       fn=lambda a: np.asarray(filtered_p_gaussian(xp, w, a - centre),
                                               dtype=complex))
 

@@ -2,14 +2,15 @@
 
 Every state is rho = D(a0) rho_c D(a0)^dag with a0 = ``spec.displacement``
 and rho_c the rotated, undisplaced state, and has one shape (``State``).  A
-displacement only translates the Glauber-Sudarshan P function, so the state
-carries the regular phase-space density of rho and everything else of
-rho_c: its characteristic function Phi_c (for a Fock mixture or an explicit
-Fock matrix, one Laguerre recurrence per diagonal offset), the table of its
-normally ordered moments <a^dag^r a^q>, its vacuum probability, the
-coefficients of its Gaussian characteristic function when it has one, and
-its truncated Fock matrix, built per cutoff.  The Phi of rho is Phi_c times
-the displacement phase (``State.phi_closed``).
+displacement only translates the Glauber-Sudarshan P function, so every
+field a state stores describes rho_c: its characteristic function Phi_c
+(for a Fock mixture or an explicit Fock matrix, one Laguerre recurrence per
+diagonal offset), its regular phase-space density about the origin, the
+table of its normally ordered moments <a^dag^r a^q>, the coefficients of its
+Gaussian characteristic function when it has one, and its truncated Fock
+matrix, built per cutoff, whose [0, 0] entry is its vacuum weight.  The Phi
+of rho, Phi_c times the displacement phase, and its density, rho_c's at
+alpha - a0, are derived (``State.phi_closed``, ``State.regular_p_closed``).
 
 Most kinds are members of three families, each built by one constructor:
 
@@ -142,9 +143,13 @@ class FockMatrix:
     truncation_loss: float = 0.0
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ParameterError("Fock matrix must be square")
+        try:
+            self.matrix = np.asarray(self.matrix, dtype=complex)
+        except (TypeError, ValueError) as exc:  # a ragged or non-numeric input
+            raise ParameterError(f"Fock matrix must be a numeric array: {exc}") from exc
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1] \
+                or not self.matrix.size:
+            raise ParameterError("Fock matrix must be square, with at least one row")
 
     @property
     def cutoff(self) -> int:
@@ -340,10 +345,11 @@ def fock_phi(rho: np.ndarray) -> Callable:
 class State:
     """A state rho = D(a0) rho_c D(a0)^dag with a0 = ``spec.displacement``.
 
-    ``phi_closed``, ``phi_roundoff``, ``regular_p_closed`` and
-    ``atom_weight`` describe rho; every other field describes the rotated,
-    undisplaced rho_c, which a displacement only translates.  ``phi_closed``
-    is not given: it is built from ``phi_centred`` here, and only here.
+    Every stored field describes the rotated, undisplaced rho_c, which a
+    displacement only translates; ``atom_weight`` and ``phi_roundoff`` hold
+    for rho and rho_c alike.  The Phi and the regular density of rho,
+    ``phi_closed`` and ``regular_p_closed``, are derived from rho_c's and
+    the displacement here, and only here.
     """
 
     spec: StateSpec
@@ -353,9 +359,8 @@ class State:
     #: order -> the table T[q, r] = <a^dag^r a^q> of rho_c for q, r <= order,
     #: cut before the first divergent diagonal order
     moments: Callable[[int], np.ndarray]
-    #: rho_c[0, 0], the vacuum probability of the undisplaced state
-    centred_vacuum: float
-    #: n -> the Fock matrix of rho_c truncated at cutoff n
+    #: n -> the Fock matrix of rho_c truncated at cutoff n; its [0, 0] entry,
+    #: the vacuum weight of rho_c, does not depend on n
     _base_fock_builder: Callable[[int], np.ndarray]
     #: |roundoff of phi_centred(beta)| <= phi_roundoff * exp(|beta|^2/2); the
     #: catalog closed forms carry none
@@ -364,10 +369,10 @@ class State:
     #: (x = Re beta, p = Im beta); when lam == kap, lam is the generator gamma
     #: of the singular series
     gaussian_xp: tuple[float, float] | None = None
-    #: closed-form regular phase-space density of rho (None: no regular
-    #: form), radially symmetric about spec.displacement
-    regular_p_closed: Callable | None = None
-    #: weight of an explicit point mass of rho at spec.displacement (cauchy_lorentz_ncl)
+    #: closed-form regular phase-space density of rho_c (None: no regular
+    #: form), radially symmetric about the origin
+    regular_p_centred: Callable | None = None
+    #: weight of an explicit point mass at the centre (cauchy_lorentz_ncl)
     atom_weight: float = 0.0
     #: True when Phi_c depends on |beta| alone: rho_c is diagonal in Fock
     #: space (thermal, vacuum, p_max, spats, photon_vacuum_mix, fock_element
@@ -379,21 +384,29 @@ class State:
     radial: bool = False
     #: analytic truncation loss sum_{k > K} rho_c[k, k], when a formula exists
     _tail_loss: Callable[[int], float] | None = None
-    #: the characteristic function Phi(beta) of rho at an array of beta:
-    #: phi_centred times ``_displacement_phase``, phi_centred itself at a0 = 0
-    phi_closed: Callable = field(init=False)
 
-    def __post_init__(self):
+    @property
+    def phi_closed(self) -> Callable:
+        """The characteristic function Phi(beta) of rho at an array of beta:
+        ``phi_centred`` times ``_displacement_phase``, itself at a0 = 0."""
         a0, phi_c = complex(self.spec.displacement), self.phi_centred
         if a0 == 0:
-            self.phi_closed = phi_c
-            return
+            return phi_c
 
-        def phi_closed(beta):
+        def phi(beta):
             b = np.asarray(beta, dtype=complex)
             return _displacement_phase(a0, b) * phi_c(b)
 
-        self.phi_closed = phi_closed
+        return phi
+
+    @property
+    def regular_p_closed(self) -> Callable | None:
+        """The regular density of rho, ``regular_p_centred`` at alpha - a0
+        (None when rho_c has no regular form)."""
+        a0, p_c = complex(self.spec.displacement), self.regular_p_centred
+        if a0 == 0 or p_c is None:
+            return p_c
+        return lambda a: p_c(np.asarray(a, dtype=complex) - a0)
 
     def describe(self) -> str:
         parts = [self.spec.kind]
@@ -482,20 +495,18 @@ def _generator(spec: StateSpec, gamma: float, *, physical: bool = True, **fields
         return np.diag(q ** np.arange(K + 1) / (1.0 + gamma)).astype(complex)
 
     return State(spec=spec, physical=physical, **_gaussian(gamma, gamma),
-                 centred_vacuum=1.0 / (1.0 + gamma), _base_fock_builder=fock,
-                 _tail_loss=lambda K: q ** (K + 1), **fields)
+                 _base_fock_builder=fock, _tail_loss=lambda K: q ** (K + 1), **fields)
 
 
 def _finite(spec: StateSpec, rho: np.ndarray, *, physical: bool = True,
             phi: Callable | None = None, **fields) -> State:
     """A state whose rho_c is the finite Fock matrix ``rho``.
 
-    Its moments, Fock builder, vacuum probability and ``radial`` all come
-    from ``rho``, and so does Phi_c (``fock_phi``) unless ``phi`` gives a
-    closed form.
+    Its moments, Fock builder and ``radial`` all come from ``rho``, and so
+    does Phi_c (``fock_phi``) unless ``phi`` gives a closed form.
     """
     return State(spec=spec, physical=physical, phi_centred=fock_phi(rho) if phi is None else phi,
-                 moments=_finite_moments(rho), centred_vacuum=float(np.real(rho[0, 0])),
+                 moments=_finite_moments(rho),
                  radial=bool(np.count_nonzero(rho) == np.count_nonzero(rho.diagonal())),
                  _base_fock_builder=_embedded(rho), **fields)
 
@@ -605,31 +616,37 @@ def _lorentz_phi(t: float):
     return phi
 
 
-def _lorentz_fock_diag(t: float, cutoff: int) -> np.ndarray:
-    """rho[k, k] = (t/k!) Int_0^inf e^(-u) u^k (1+u)^(-1-t) du, u = |alpha|^2.
+def _lorentz_fock_rule(t: float) -> Callable[[int], np.ndarray]:
+    """K -> diag(rho[k, k]) for k <= K of cauchy_lorentz, from one rule.
 
+    rho[k, k] = (t/k!) Int_0^inf e^(-u) u^k (1+u)^(-1-t) du, u = |alpha|^2.
     One 16-node Gauss rule in u serves every k, on the dyadic shells
     [2^j, 2^(j+1)] down to 2^-(log2(1+t) + 2), the scale of (1+u)^(-1-t);
     above u = 1 each shell is cut into panels about 2 sqrt(u) wide, the
     width of the peak of e^(-u) u^k at u = k.  The rule reaches past
-    k = max(cutoff, overlap_cutoff(MAX_DISPLACEMENT)), so up to that
-    cutoff an entry does not depend on the cutoff.
+    k = overlap_cutoff(MAX_DISPLACEMENT) = ``MAX_CUTOFF``, the largest
+    cutoff built, so it is built once per state, with the k-free part
+    log t - u - (1 + t) log1p u of each exponent.  The vacuum weight N_t =
+    rho[0, 0] is that rule's k = 0 sum on its own, and it is the [0, 0]
+    entry at every cutoff: the one product over all k rounds its first row
+    differently as the row count changes.
     """
-    top = max(cutoff, overlap_cutoff(MAX_DISPLACEMENT))
     edges = [0.0] + [2.0 ** j for j in range(-math.ceil(math.log2(1.0 + t)) - 2, 1)]
-    while edges[-1] < top + 10.0 * math.sqrt(top) + 50.0:
+    while edges[-1] < MAX_CUTOFF + 10.0 * math.sqrt(MAX_CUTOFF) + 50.0:
         a, m = edges[-1], math.ceil(math.sqrt(edges[-1]) / 2.0)
         edges += [a + a * i / m for i in range(1, m + 1)]
     e = np.array(edges)[:, None]
     u, w = (v.ravel() for v in numerics.gauss_nodes_1d(e[:-1], e[1:], 16))
-    k = np.arange(cutoff + 1)[:, None]
-    logs = math.log(t) - u - (1.0 + t) * np.log1p(u) + k * np.log(u) - gammaln(k + 1)
-    return np.diag(np.exp(logs) @ w).astype(complex)
+    base, log_u = math.log(t) - u - (1.0 + t) * np.log1p(u), np.log(u)
+    vacuum = float(np.exp(base) @ w)
 
+    def fock(K):
+        k = np.arange(K + 1)[:, None]
+        d = np.exp(base + k * log_u - gammaln(k + 1)) @ w
+        d[0] = vacuum
+        return np.diag(d).astype(complex)
 
-def vacuum_overlap_normalizer(t: float) -> float:
-    """N_t = Int d^2alpha P_cl(alpha; t) exp(-|alpha|^2) = rho[0, 0] of cauchy_lorentz."""
-    return float(_lorentz_fock_diag(t, 0)[0, 0].real)
+    return fock
 
 
 def _lorentz(spec: StateSpec, t: float, *, vacuum_free: bool) -> State:
@@ -638,20 +655,21 @@ def _lorentz(spec: StateSpec, t: float, *, vacuum_free: bool) -> State:
     The companion takes N_t = rho[0, 0] off the Lorentz state, as a point
     mass -N_t at the centre, and rescales by 1/(1 - N_t) to keep the trace.
     """
-    norm = vacuum_overlap_normalizer(t)
+    diag = _lorentz_fock_rule(t)
+    norm = float(diag(0)[0, 0].real)
     drop, scale = (norm, 1.0 / (1.0 - norm)) if vacuum_free else (0.0, 1.0)
     phi_cl, dens = _lorentz_phi(t), _lorentz_radial_density(t)
 
     def fock(K):
-        d = _lorentz_fock_diag(t, K)
+        d = diag(K)
         d[0, 0] -= drop
         return d * scale
 
     return State(spec=spec, physical=True, phi_centred=lambda b: (phi_cl(b) - drop) * scale,
                  moments=_lorentz_moments(t, scale), radial=True,
-                 regular_p_closed=lambda a: dens(a) * scale,
+                 regular_p_centred=lambda a: dens(a) * scale,
                  atom_weight=0.0 - drop * scale,  # +0.0, not -0.0, without a point mass
-                 centred_vacuum=(norm - drop) * scale, _base_fock_builder=fock)
+                 _base_fock_builder=fock)
 
 
 def make_state(spec: StateSpec) -> State:
@@ -667,7 +685,7 @@ def make_state(spec: StateSpec) -> State:
     if kind == "thermal":
         nbar = p.get("nbar")
         _require(nbar is not None and nbar > 0, "thermal requires nbar > 0")
-        st = _generator(spec, nbar, regular_p_closed=lambda a: np.exp(
+        st = _generator(spec, nbar, regular_p_centred=lambda a: np.exp(
             -np.abs(np.asarray(a, dtype=complex)) ** 2 / nbar) / (math.pi * nbar))
     elif kind == "squeezed":
         xi = p.get("xi")
@@ -681,7 +699,6 @@ def make_state(spec: StateSpec) -> State:
 
         st = State(spec=spec, physical=True,
                    **_gaussian((math.exp(2 * xi) - 1.0) / 2.0, -(1.0 - math.exp(-2 * xi)) / 2.0),
-                   centred_vacuum=1.0 / math.cosh(xi),
                    _base_fock_builder=fock)
     elif kind == "spats":
         nbar = p.get("nbar")
@@ -701,7 +718,7 @@ def make_state(spec: StateSpec) -> State:
         moments = _diagonal_moments(
             lambda k, nb=nbar: np.exp(gammaln(k + 1.0) + k * math.log(nb)) * (k + 1.0 + k / nb))
         st = State(spec=spec, physical=True, phi_centred=phi, moments=moments, radial=True,
-                   regular_p_closed=preg, centred_vacuum=0.0,
+                   regular_p_centred=preg,
                    _base_fock_builder=lambda K, nb=nbar: _spats_diag(nb, K),
                    _tail_loss=lambda K, q=nbar / (nbar + 1.0):
                        q**K * ((K + 1) * (1.0 - q) + q))
@@ -740,46 +757,39 @@ def make_state(spec: StateSpec) -> State:
     else:
         raise ParameterError(f"unknown state kind {kind!r}")
 
-    if spec.displacement != 0 or spec.rotation != 0.0:
-        st = _apply_modifiers(st)
-    return st
+    return _apply_modifiers(st)
 
 
 def _apply_modifiers(st: State) -> State:
-    """Apply alpha -> exp(i phi) alpha + alpha0 to a catalog state.
+    """Apply the rotation alpha -> exp(i phi) alpha to a catalog state.
 
     This is where the invariants are decided.  A radial state is invariant
     under a rotation, which it keeps only in its spec.  A non-radial one
     (squeezed, |m><n| with m != n) gets the rotated Phi_c, the moment table
     T[q, r] times exp(i phi (q - r)) and rho[m, n] times exp(i phi (m - n)),
     and loses ``gaussian_xp``; none of these kinds has a regular density.
-    A displacement D(alpha0) only translates the P function: it moves the
-    regular density and its point mass to alpha0, and every other field
-    keeps describing the rotated, undisplaced state, ``phi_centred`` and
-    ``radial`` included.  The Phi of the displaced state, Phi_c times the
-    phase of ``_displacement_phase``, is built by ``State`` itself.
+    A displacement changes no field: every field describes rho_c, and the
+    Phi and the density of rho are derived from them and the spec by
+    ``State`` itself.
     """
-    phi0, a0 = st.spec.rotation, complex(st.spec.displacement)
-    if phi0 and not st.radial:
-        base_phi, base_moments, builder = st.phi_centred, st.moments, st._base_fock_builder
-        rot = np.exp(-1j * phi0)
-
-        def fock(K):
-            ph = np.exp(1j * phi0 * np.arange(K + 1))
-            return builder(K) * np.outer(ph, ph.conj())
-
-        def moments(order):
-            table = base_moments(order)
-            q = np.arange(table.shape[0])
-            with np.errstate(invalid="ignore"):  # inf * (1 + 0j) has a nan imaginary part
-                return table * np.exp(1j * phi0 * np.subtract.outer(q, q))
-
-        st = replace(st, gaussian_xp=None, moments=moments, _base_fock_builder=fock,
-                     phi_centred=lambda b: base_phi(rot * np.asarray(b, dtype=complex)))
-    p_c = st.regular_p_closed
-    if a0 == 0 or p_c is None:
+    phi0 = st.spec.rotation
+    if not phi0 or st.radial:
         return st
-    return replace(st, regular_p_closed=lambda a: p_c(np.asarray(a, dtype=complex) - a0))
+    base_phi, base_moments, builder = st.phi_centred, st.moments, st._base_fock_builder
+    rot = np.exp(-1j * phi0)
+
+    def fock(K):
+        ph = np.exp(1j * phi0 * np.arange(K + 1))
+        return builder(K) * np.outer(ph, ph.conj())
+
+    def moments(order):
+        table = base_moments(order)
+        q = np.arange(table.shape[0])
+        with np.errstate(invalid="ignore"):  # inf * (1 + 0j) has a nan imaginary part
+            return table * np.exp(1j * phi0 * np.subtract.outer(q, q))
+
+    return replace(st, gaussian_xp=None, moments=moments, _base_fock_builder=fock,
+                   phi_centred=lambda b: base_phi(rot * np.asarray(b, dtype=complex)))
 
 
 def _displacement_phase(a0: complex, beta: np.ndarray) -> np.ndarray:
@@ -807,10 +817,13 @@ def from_fock_matrix(matrix, *, physical: bool = True) -> State:
     Phi is the Laguerre sum of ``fock_phi`` over the whole matrix.  Evaluating
     it raises TruncationError when the matrix of a physical state misses
     more than 1e-6 of the trace.  ``phi_roundoff`` carries the roundoff
-    bound of the recurrence.
+    bound of the recurrence.  Raises ParameterError for a matrix that is
+    empty, ragged, not numeric, not square, larger than 401 rows, not
+    finite or not Hermitian.
     """
     fm = FockMatrix(matrix)
     _require(fm.cutoff <= _MAX_FOCK_INDEX, _FOCK_INDEX_LIMIT)
+    _require(bool(np.all(np.isfinite(fm.matrix))), "explicit Fock matrix must be finite")
     _require(fm.is_hermitian(1.0e-9), "explicit Fock matrix must be Hermitian")
     loss = max(0.0, 1.0 - fm.trace()) if physical else 0.0
     laguerre = fock_phi(fm.matrix)
@@ -862,9 +875,9 @@ def regular_p(state: State, alpha):
     For ``cauchy_lorentz_ncl`` this is the continuous part only; the point
     mass at the displacement is reported separately in ``state.atom_weight``.
     """
-    if state.regular_p_closed is None:
+    p = state.regular_p_closed
+    if p is None:
         raise NoRegularFormError(
             f"state kind {state.spec.kind!r} has no regular phase-space density"
         )
-    return pointwise(lambda a: np.real(np.real_if_close(state.regular_p_closed(a), tol=1000)),
-                     alpha)
+    return pointwise(lambda a: np.real(np.real_if_close(p(a), tol=1000)), alpha)

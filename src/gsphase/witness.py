@@ -54,17 +54,18 @@ DIVERGED = Diverged()
 def vacuum_probability(state: State) -> float:
     """<vac|rho|vac> of rho = D(a0) rho_c D(a0)^dag.
 
-    ``State.centred_vacuum`` at a0 = 0; otherwise <-a0|rho_c|-a0>, the Fock
-    matrix of rho_c summed to overlap_cutoff(a0), past the Poisson weights
-    of <n|-a0> = exp(-|a0|^2/2) (-a0)^n / sqrt(n!).  Every classical state
-    has strictly positive vacuum overlap, but a classical overlap can be
+    The Fock matrix of rho_c (the state's builder) read at a cutoff: at
+    a0 = 0 its entry rho_c[0, 0] at cutoff 0, and otherwise <-a0|rho_c|-a0>,
+    the matrix summed to overlap_cutoff(a0), past the Poisson weights of
+    <n|-a0> = exp(-|a0|^2/2) (-a0)^n / sqrt(n!).  Every classical state has
+    strictly positive vacuum overlap, but a classical overlap can be
     arbitrarily small (exp(-|a0|^2) for a coherent state), so ``classify``
     certifies only a structural zero: an undisplaced physical state whose
-    ``centred_vacuum`` is exactly 0.0.
+    value is exactly 0.0.
     """
     a0 = complex(state.spec.displacement)
     if a0 == 0:
-        return float(state.centred_vacuum)
+        return float(state._base_fock_builder(0)[0, 0].real)
     n = np.arange(overlap_cutoff(a0) + 1)
     amp = np.exp(-0.5 * abs(a0) ** 2 + n * np.log(-a0) - 0.5 * gammaln(n + 1))
     return float(np.real(np.conj(amp) @ state._base_fock_builder(n[-1]) @ amp))
@@ -227,17 +228,16 @@ def real_values(fld: PhaseField) -> np.ndarray:
 def negativity_scan(fld: PhaseField):
     """Minimum of a sampled real field with its grid location.
 
-    Ties are broken toward the lexicographically smallest (x, p).  The
-    filtered field of a centred radial state is an exact mirror image in x
-    and in p (``filters.filtered_p_numeric``), so its minimum ties exactly
-    with its mirror nodes and is reported at x <= 0, p <= 0, as a radial
-    state's Phi scans are (``charfn.classicality_violation``), whose x <-> p
-    swaps tie exactly too.  Two near-ties of a filtered field are still
-    decided by roundoff: the x <-> p swap of a radial field, whose axes
-    take separate matrix products, and the mirror nodes of a field on the
-    Gaussian route, whose ``tri_gaussian_ft`` rows are taken on the
-    ``linspace`` axis, not an exact mirror.  The field passes
-    ``real_values`` first.
+    Ties are broken toward the lexicographically smallest (x, p).  Two
+    filtered fields are exact mirror images in x and in p: a centred radial
+    state's on the numeric route (``filters.filtered_p_numeric``) and every
+    centred one on the Gaussian route (``filters.filtered_p_gaussian_grid``,
+    exact under x <-> p too for a circular Gaussian).  Their minimum ties
+    exactly with its mirror nodes and is reported at x <= 0, p <= 0, as a
+    radial state's Phi scans are (``charfn.classicality_violation``), whose
+    x <-> p swaps tie exactly too.  The x <-> p swap of a numeric radial
+    field is still decided by roundoff, since its axes take separate matrix
+    products.  The field passes ``real_values`` first.
     """
     vals = real_values(fld)
     i, j = divmod(int(np.argmin(vals)), vals.shape[1])
@@ -380,7 +380,7 @@ def _vacuum_entry(state: State) -> CriterionEntry:
     if not math.isfinite(vp):
         return CriterionEntry("vacuum_probability", VERDICT_INAPPLICABLE, None,
                               detail="<vac|rho|vac> is not finite")
-    certified = state.physical and state.spec.displacement == 0 and state.centred_vacuum == 0.0
+    certified = state.physical and state.spec.displacement == 0 and vp == 0.0
     return CriterionEntry(
         "vacuum_probability", VERDICT_CERTIFIED if certified else VERDICT_CONSISTENT,
         vp, detail="<vac|rho|vac>; zero overlap certifies nonclassicality",
@@ -411,10 +411,13 @@ def classify(state: State, *, w: float = 2.0,
     diagonal moment matrix, and the negativity of the filter-regularized
     distribution.  The excess certifies only above margin + the state's Phi
     roundoff bound at the scan's argmax (nonzero for an explicit Fock matrix
-    only).  The filtered minimum certifies only below -(margin +
-    quad_error), with quad_error the field's quadrature error estimate (0 on
-    the analytic Gaussian route of ``filters.filtered_p``, which every state
-    with a ``gaussian_xp`` takes, centred at its displacement).  A vacuum
+    only).  The vacuum probability certifies only as a structural zero: a
+    physical, undisplaced state whose reported value, rho_c[0, 0] read from
+    its Fock builder, is exactly 0.0.  The filtered minimum certifies only
+    below -(margin + quad_error), with quad_error the field's quadrature
+    error estimate (0 on the analytic Gaussian route of
+    ``filters.filtered_p``, which every state with a ``gaussian_xp`` takes,
+    centred at its displacement).  A vacuum
     probability or moment that is not finite makes its criterion
     inapplicable, and so do numerics that fail: a criterion whose Phi is
     not finite (RangeError) or whose filter rule does not converge

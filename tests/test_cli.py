@@ -464,16 +464,6 @@ class TestConfigErrors:
         assert "Error:" in res.output
         assert "Traceback" not in res.output
 
-    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
-    def test_bad_thread_variable_is_a_usage_error(self, runner, monkeypatch, threads):
-        # rejected before the battery starts, so the test stays cheap
-        monkeypatch.setenv("PHASESPACE_THREADS", threads)
-        res = runner.invoke(main, ["verify"])
-        assert res.exit_code == 2, res.output
-        assert isinstance(res.exception, SystemExit)
-        assert "PHASESPACE_THREADS must be a positive integer" in res.output
-        assert "PASS" not in res.output
-
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_non_positive_threads_option_is_a_usage_error(self, runner, threads):
         # rejected while parsing, before the battery starts

@@ -20,7 +20,7 @@ from gsphase.filters import (filtered_p, filtered_p_gaussian_grid, filtered_p_nu
                              tri_gaussian_ft, tri_gaussian_ft_line_integral)
 from gsphase.numerics import (PhaseField, PhaseGrid, erf_complex, erfcx_complex,
                               fourier_forward, fourier_inverse, radial_integral, write_field_csv)
-from gsphase.states import StateSpec, fock_matrix, make_state
+from gsphase.states import StateSpec, fock_matrix, from_fock_matrix, make_state
 from gsphase.witness import (
     admissible_check,
     analytic_divergence_demo,
@@ -114,6 +114,12 @@ REFUSALS = {
     "classify grid 0": lambda: classify(_spats(), grid=0),
     "classify beta_grid 'x'": lambda: classify(_spats(), beta_grid="4,161"),
     "classify state None": lambda: classify(None),
+    # explicit Fock matrices that are empty, ragged, not numeric or not finite
+    "from_fock_matrix empty": lambda: from_fock_matrix(np.zeros((0, 0))),
+    "from_fock_matrix 'abc'": lambda: from_fock_matrix("abc"),
+    "from_fock_matrix ragged": lambda: from_fock_matrix([[1.0], [0.0, 1.0]]),
+    "from_fock_matrix nan": lambda: from_fock_matrix([[math.nan]]),
+    "from_fock_matrix inf": lambda: from_fock_matrix([[math.inf]]),
     # state parameters and modifiers given through the Python API
     "make_state nbar 'x'": lambda: make_state(StateSpec("thermal", {"nbar": "x"})),
     "make_state rotation 'x'": lambda: make_state(StateSpec("thermal", {"nbar": 0.5},
@@ -127,3 +133,10 @@ REFUSALS = {
 def test_bad_input_raises_a_typed_error(call):
     with pytest.raises(GsphaseError):
         call()
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_non_finite_fock_matrix_is_refused_as_such(entry):
+    # a non-finite entry is the fault, not a failed Hermitian check
+    with pytest.raises(GsphaseError, match="must be finite"):
+        from_fock_matrix([[0.5, 0.0], [0.0, entry]])

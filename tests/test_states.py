@@ -27,7 +27,6 @@ from gsphase.states import (
     overlap_cutoff,
     regular_p,
     resummed_coefficients,
-    vacuum_overlap_normalizer,
 )
 from gsphase.witness import classify, vacuum_probability
 
@@ -77,7 +76,7 @@ class TestMakeState:
     def test_ncl_normalizer_against_1d_oracle(self):
         # N_t = t Int_0^inf e^{-u} (1+u)^{-(t+1)} du
         t = 3.0
-        n2d = vacuum_overlap_normalizer(t)
+        n2d = vacuum_probability(make_state(StateSpec("cauchy_lorentz", {"t": t})))
         u, w = gauss_nodes_1d(0.0, 60.0, 400)
         oracle = t * float(np.sum(w * np.exp(-u) * (1.0 + u) ** (-(t + 1.0))))
         assert abs(n2d - oracle) < 1e-8
@@ -106,7 +105,8 @@ class TestMakeState:
         oracle = sum(quad(lambda u: t * math.exp(-u - (1.0 + t) * math.log1p(u)), a, b,
                           epsabs=0.0, epsrel=1e-13, limit=200)[0]
                      for a, b in zip(edges[:-1], edges[1:]))
-        assert vacuum_overlap_normalizer(t) == pytest.approx(oracle, rel=1e-12)
+        st = make_state(StateSpec("cauchy_lorentz", {"t": t}))
+        assert vacuum_probability(st) == pytest.approx(oracle, rel=1e-12)
 
     def test_lorentz_truncation_loss_at_the_default_cutoff(self):
         st = make_state(StateSpec("cauchy_lorentz", {"t": 3.0}))
@@ -381,15 +381,13 @@ class TestModifierInvariants:
     @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
     @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)
     def test_exact_vacuum_probability_matches_fock_matrix(self, spec, mod):
-        # centred_vacuum is rho_c[0, 0] of the undisplaced twin
-        st = make_state(replace(spec, **mod))
+        # the centred twin's vacuum probability is rho_c[0, 0], bit for bit
         twin = make_state(replace(spec, **{**mod, "displacement": 0j}))
         with warnings.catch_warnings():
             # entry [0, 0] does not depend on the cutoff
             warnings.simplefilter("ignore", TruncationWarning)
             rho00 = fock_matrix(twin, 12).matrix[0, 0]
-        assert rho00 == pytest.approx(st.centred_vacuum, abs=1e-12)
-        assert twin.centred_vacuum == st.centred_vacuum
+        assert vacuum_probability(twin) == rho00.real
 
     @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
     @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)
@@ -398,6 +396,24 @@ class TestModifierInvariants:
         betas = np.array([[0j, 0.3 - 0.2j], [-1.1j, 0.8]])
         phi = np.asarray(st.phi_closed(betas))
         assert phi.shape == betas.shape and np.all(np.isfinite(phi))
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec("thermal", {"nbar": 0.5}),
+        StateSpec("spats", {"nbar": 1.0}),
+        StateSpec("cauchy_lorentz", {"t": 3.0}),
+        StateSpec("cauchy_lorentz_ncl", {"t": 3.0}),
+    ], ids=_spec_id)
+    def test_a_displacement_in_the_spec_alone_moves_the_state(self, spec):
+        # every stored field describes rho_c, so a state moved by its spec
+        # alone is make_state's at that displacement, density included
+        a0 = 1.0 + 0.5j
+        st = make_state(spec)
+        moved = replace(st, spec=replace(st.spec, displacement=a0))
+        built = make_state(replace(spec, displacement=a0))
+        points = np.array([a0, 0j, 0.3 - 1.2j, 2.0 + 0.7j])
+        np.testing.assert_array_equal(regular_p(moved, points), regular_p(built, points))
+        np.testing.assert_array_equal(char_fn(moved, points), char_fn(built, points))
+        assert vacuum_probability(moved) == vacuum_probability(built)
 
     @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
     @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)
@@ -429,7 +445,7 @@ class TestModifierInvariants:
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             classify(st)
-        assert calls == []
+        assert calls == [0]  # the vacuum weight rho_c[0, 0] alone
 
     @pytest.mark.parametrize("make", [
         lambda: from_fock_matrix(np.diag([0.5, 0.2, 0.3])),
@@ -437,14 +453,15 @@ class TestModifierInvariants:
         lambda: make_state(StateSpec("squeezed", {"xi": 1.0}, rotation=0.7)),
     ], ids=["explicit", "rotated-fock_mixture", "rotated-squeezed"])
     def test_classify_builds_no_fock_matrix(self, make, monkeypatch):
-        # every moment table comes from State.moments, not from a Fock cutoff
+        # every moment table comes from State.moments, not from a Fock
+        # cutoff; the builder is read once, at cutoff 0, for the vacuum weight
         st, calls = make(), []
         builder = st._base_fock_builder
         st._base_fock_builder = lambda K: calls.append(K) or builder(K)
         monkeypatch.setattr(states, "fock_matrix",
                             lambda s, K: calls.append(K) or fock_matrix(s, K))
         classify(st, grid=PhaseGrid(2.0, 21))
-        assert calls == []
+        assert calls == [0]
 
 
 #: the catalog states whose rho_c is diagonal in Fock space
@@ -468,7 +485,7 @@ class TestStateFamilies:
         np.testing.assert_allclose(np.diag(st._base_fock_builder(K)).real,
                                    gamma ** k / (1.0 + gamma) ** (k + 1), rtol=1e-14, atol=0)
         assert st._tail_loss(K) == pytest.approx(q ** (K + 1), rel=1e-14, abs=0)
-        assert st.centred_vacuum == 1.0 / (1.0 + gamma)
+        assert vacuum_probability(st) == 1.0 / (1.0 + gamma)
         assert st.gaussian_xp == (gamma, gamma) and st.radial
 
     @pytest.mark.parametrize("mod", [{"rotation": 0.9},
@@ -504,7 +521,7 @@ class TestStateFamilies:
         mesh = PhaseGrid(extent=4.0, resolution=41).mesh()
         np.testing.assert_array_equal(explicit.moments(6), mix.moments(6))
         np.testing.assert_array_equal(explicit._base_fock_builder(9), mix._base_fock_builder(9))
-        assert explicit.centred_vacuum == mix.centred_vacuum
+        assert vacuum_probability(explicit) == vacuum_probability(mix)
         assert explicit.radial and mix.radial
         np.testing.assert_array_equal(explicit.phi_centred(mesh), mix.phi_centred(mesh))
 

@@ -16,7 +16,7 @@ from gsphase.errors import ComplexResidueError, NonConvergenceError, ParameterEr
 from gsphase.filters import filtered_p_gaussian_grid, filtered_p_numeric
 from gsphase.numerics import PhaseField, PhaseGrid
 from gsphase.states import (StateSpec, fock_matrix, from_fock_matrix, make_state,
-                            resummed_coefficients, vacuum_overlap_normalizer)
+                            resummed_coefficients)
 from gsphase.witness import (
     CERTIFICATION_MARGIN,
     DIVERGED,
@@ -216,7 +216,8 @@ class TestMomentTables:
     def test_finite_lorentz_cells_against_quad(self, kind, t):
         # <:n^k:> = Int_0^inf t u^k (1 + u)^(-1-t) du, u = |alpha|^2, for k < t
         st = make_state(StateSpec(kind, {"t": t}))
-        scale = 1.0 if kind == "cauchy_lorentz" else 1.0 / (1.0 - vacuum_overlap_normalizer(t))
+        norm = vacuum_probability(make_state(StateSpec("cauchy_lorentz", {"t": t})))
+        scale = 1.0 if kind == "cauchy_lorentz" else 1.0 / (1.0 - norm)
         assert normal_moment(st, 0) == 1.0
         for k in range(1, 4):
             if k >= t:
@@ -373,6 +374,29 @@ class TestNegativityScan:
             assert (math.copysign(1, loc.real), math.copysign(1, loc.imag)) == (
                 math.copysign(1, mesh[idx].real), math.copysign(1, mesh[idx].imag))
         assert loc == grid.mesh()[n // 3, n - 2]
+
+    @pytest.mark.parametrize("grid", [PhaseGrid(4.0, 321), PhaseGrid(4.0, 481),
+                                      PhaseGrid(4.0, 101), PhaseGrid(3.0, 100)],
+                             ids=["4,321", "4,481", "4,101", "3,100"])
+    @pytest.mark.parametrize("spec", [
+        StateSpec("p_max"),
+        StateSpec("squeezed", {"xi": 0.7}),
+        StateSpec("squeezed", {"xi": 1.4}),
+        StateSpec("thermal", {"nbar": 0.5}),
+    ], ids=["p_max", "squeezed0.7", "squeezed1.4", "thermal"])
+    def test_centred_gaussian_field_is_a_mirror_image(self, spec, grid):
+        # at centre 0 the Gaussian route mirrors its non-negative quadrant
+        # out, so the field is exact under x -> -x and p -> -p, and under
+        # x <-> p for a circular Gaussian; the minimum lands at x <= 0, p <= 0
+        st = make_state(spec)
+        fld = filtered_p_gaussian_grid(st.gaussian_xp, 2.0, grid)
+        v = fld.values
+        np.testing.assert_array_equal(v, v[::-1])
+        np.testing.assert_array_equal(v, v[:, ::-1])
+        if st.radial:
+            np.testing.assert_array_equal(v, v.T)
+        _, loc = negativity_scan(fld)
+        assert loc.real <= 0 and loc.imag <= 0
 
     @pytest.mark.parametrize("grid", [PhaseGrid(4.0, 321), PhaseGrid(3.0, 100),
                                       PhaseGrid(2.0, 21)], ids=["4,321", "3,100", "2,21"])
@@ -804,7 +828,7 @@ class TestDisplacedClassicalStates:
     @pytest.mark.parametrize("a0", DISPLACEMENTS, ids=DISPLACEMENT_IDS)
     def test_displaced_ncl_moments_count_the_atom(self, a0):
         t = 3.0
-        norm = vacuum_overlap_normalizer(t)
+        norm = vacuum_probability(make_state(StateSpec("cauchy_lorentz", {"t": t})))
         st = make_state(StateSpec("cauchy_lorentz_ncl", {"t": t}, displacement=a0, rotation=0.9))
         assert normal_moment(st, 1) == pytest.approx(
             1.0 / ((1.0 - norm) * (t - 1.0)) + abs(a0) ** 2, rel=1e-10)
