@@ -139,10 +139,14 @@ def sinc2_kernel(alpha, w: float):
 def _check_gaussian(xp: tuple[float, float] | None, w: float) -> tuple[float, float]:
     """(lam, kap) = xp, a ``State.gaussian_xp``, once the width w passes
     ``_check_width``; ParameterError for xp None (the undisplaced state has
-    no Gaussian Phi)."""
+    no Gaussian Phi) and for a width whose w^2 lam or w^2 kap overflows."""
     _check_width(w)
     if xp is None:
         raise ParameterError("the state has no centred Gaussian characteristic function")
+    lam, kap = xp
+    if not (math.isfinite(w * w * lam) and math.isfinite(w * w * kap)):
+        raise ParameterError(f"filter width w={w:g} is too large for the Gaussian Phi with "
+                             f"(lam, kap) = ({lam:g}, {kap:g}): w^2 lam or w^2 kap overflows")
     return xp
 
 
@@ -282,8 +286,9 @@ def filtered_p_gaussian(xp: tuple[float, float] | None, w: float,
     w^2 T(w Im alpha; w^2 lam) T(-w Re alpha; w^2 kap) with T the
     tri-Gaussian transform; the Im-alpha axis pairs with lam (the Re-beta
     coefficient) under the Fourier convention, with no axis swap.  Raises
-    ParameterError for a width that is not a finite positive real and for
-    xp None (an undisplaced state with no Gaussian Phi).
+    ParameterError for a width that is not a finite positive real or whose
+    w^2 lam or w^2 kap overflows, and for xp None (an undisplaced state with
+    no Gaussian Phi).
     """
     lam, kap = _check_gaussian(xp, w)
     return pointwise(lambda a: (w * w) * tri_gaussian_ft(w * a.imag, w * w * lam)
@@ -488,7 +493,8 @@ def filtered_p_numeric(state: State, w: float, grid: PhaseGrid) -> PhaseField:
     every grid node.  ``imag_residue`` is the accepted rule's largest
     imaginary part, or, when a bound on it is below the roundoff floor, that
     bound; the values are the real part.  Raises RangeError at the first
-    rule when Phi is not finite at a node, and NonConvergenceError when the
+    rule when Phi is not finite at a node, and at the first comparison
+    when a rule's field is not finite, and NonConvergenceError when the
     rules at 200 nodes per panel and the one before still disagree by more
     than the tolerance (a width too large for the grid extent, for
     instance), so an unresolved field never reaches a verdict.  Raises
@@ -505,6 +511,9 @@ def filtered_p_numeric(state: State, w: float, grid: PhaseGrid) -> PhaseField:
         # |P_2n - P_n| in place: the coarse field is not needed past here
         np.abs(np.subtract(fine, coarse, out=coarse), out=coarse)
         err = float(coarse.max())
+        if not math.isfinite(err):  # a field that is not finite, which no finer rule repairs
+            raise RangeError(f"the filtered field of {state.describe()} at w={w:g} is not finite: "
+                             f"the rules of {n} and {n_fine} nodes per panel differ by {err}")
         floor = ROUNDOFF_FACTOR * _EPS * abs_sum
         tol = max(QUAD_TOLERANCE, floor)
         if err <= tol:
@@ -529,9 +538,17 @@ def filtered_p(state: State, w: float, grid: PhaseGrid) -> PhaseField:
     ``filtered_p_gaussian_grid``, with no quadrature error; any other state
     ``filtered_p_numeric``.  Both routes filter rho_c and translate the
     field to the displacement.  ``classify`` and ``gsphase filtered`` both
-    take this choice.  Raises as the route taken does.
+    take this choice.  Raises as the route taken does, and RangeError when
+    the Gaussian route's field is not finite at some grid node (at
+    w = 1e-300, w^2 underflows and its g = 0 form is 0/0), as the numeric
+    route refuses its own; so no such field reaches a verdict or a CSV.
     """
-    if state.gaussian_xp is not None:
-        return filtered_p_gaussian_grid(state.gaussian_xp, w, grid,
-                                        centre=complex(state.spec.displacement))
-    return filtered_p_numeric(state, w, grid)
+    if state.gaussian_xp is None:
+        return filtered_p_numeric(state, w, grid)
+    fld = filtered_p_gaussian_grid(state.gaussian_xp, w, grid,
+                                   centre=complex(state.spec.displacement))
+    bad = int(np.count_nonzero(~np.isfinite(fld.values)))
+    if bad:
+        raise RangeError(f"the filtered field of {state.describe()} at w={w:g} is not finite "
+                         f"at {bad} of {fld.values.size} grid nodes")
+    return fld

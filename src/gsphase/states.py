@@ -1,16 +1,23 @@
 """Catalog of states and pseudo-states with their closed-form representations.
 
-Every state is rho = D(a0) rho_c D(a0)^dag with a0 = ``spec.displacement``
-and rho_c the rotated, undisplaced state, and has one shape (``State``).  A
-displacement only translates the Glauber-Sudarshan P function, so every
-field a state stores describes rho_c: its characteristic function Phi_c
-(for a Fock mixture or an explicit Fock matrix, one Laguerre recurrence per
-diagonal offset), its regular phase-space density about the origin, the
-table of its normally ordered moments <a^dag^r a^q>, the coefficients of its
-Gaussian characteristic function when it has one, and its truncated Fock
-matrix, built per cutoff, whose [0, 0] entry is its vacuum weight.  The Phi
-of rho, Phi_c times the displacement phase, and its density, rho_c's at
-alpha - a0, are derived (``State.phi_closed``, ``State.regular_p_closed``).
+Every state is rho = D(a0) R(phi) rho_u R(phi)^dag D(a0)^dag with
+a0 = ``spec.displacement``, R(phi) the rotation alpha -> exp(i phi) alpha at
+phi = ``spec.rotation``, and rho_u the unrotated, undisplaced state, and has
+one shape (``State``).  Every field a state stores describes rho_u: its
+characteristic function Phi_u (for a Fock mixture or an explicit Fock
+matrix, one Laguerre recurrence per diagonal offset), its regular
+phase-space density about the origin, the table of its normally ordered
+moments <a^dag^r a^q>, the coefficients of its Gaussian characteristic
+function when it has one, and its truncated Fock matrix, built per cutoff,
+whose [0, 0] entry is its vacuum weight.  The rotated, undisplaced
+rho_c = R(phi) rho_u R(phi)^dag is derived from them: Phi_c(beta) =
+Phi_u(exp(-i phi) beta), and the moment table and the Fock matrix both take
+the one phase exp(i phi (q - r)) on entry [q, r] (``State.phi_centred``,
+``State.moments``, ``State.fock``, ``State.gaussian_xp``).  A displacement
+only translates the Glauber-Sudarshan P function: the Phi of rho is Phi_c
+times the displacement phase, and its density rho_c's at alpha - a0
+(``State.phi_closed``, ``State.regular_p_closed``).  A radial state is
+invariant under a rotation, so it takes phi = 0 everywhere.
 
 Most kinds are members of three families, each built by one constructor:
 
@@ -26,10 +33,9 @@ Most kinds are members of three families, each built by one constructor:
   1/(1 - N_t).
 
 squeezed (a Gaussian, exp(A u^2 + A v^2 + N u v)) and spats
-(<:n^k:> = k! nbar^(k-1) (k nbar + nbar + k)) are built on their own.  A
-rotation multiplies the moment table of a non-radial state by a phase and
-leaves a radial one alone; the moments of rho are the binomial recentring
-of the table at a0 (``witness.normal_moment``).
+(<:n^k:> = k! nbar^(k-1) (k nbar + nbar + k)) are built on their own.  The
+moments of rho are the binomial recentring of rho_c's table at a0
+(``witness.normal_moment``).
 
 Catalog kinds and parameters (JSON wire format ``{"kind": ..., "params": {...}}``):
 
@@ -45,8 +51,8 @@ p_max                     maximally singular pseudo-state, not physical
 fock_mixture              w0, w1, ...: weights of |k><k| (sum to 1)
 ========================  =========================================
 
-Optional spec modifiers implement alpha -> exp(i phi) alpha + alpha0 on the
-closed forms (identity by default).
+The optional spec modifiers, ``rotation`` and ``displacement``, give
+alpha -> exp(i phi) alpha + a0 (identity by default).
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -119,16 +125,20 @@ class StateSpec:
             raise ParameterError(f"invalid state JSON: {exc}") from exc
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ParameterError("state JSON must be an object with a 'kind' field")
-        disp = obj.get("displacement", {"re": 0.0, "im": 0.0})
+        params, disp = obj.get("params", {}), obj.get("displacement", {})
+        _require(isinstance(params, dict) and all(map(_is_number, params.values())),
+                 "state JSON field 'params' must be an object of numbers, as {\"nbar\": 0.5}")
+        _require(isinstance(disp, dict) and set(disp) <= {"re", "im"}
+                 and all(map(_is_number, disp.values())),
+                 "state JSON field 'displacement' must be an object {\"re\": number, "
+                 "\"im\": number}")
+        _require(_is_number(obj.get("rotation", 0.0)), "state JSON field 'rotation' must be a number")
         try:
-            return cls(
-                kind=obj["kind"],
-                params={k: float(v) for k, v in obj.get("params", {}).items()},
-                displacement=complex(disp.get("re", 0.0), disp.get("im", 0.0)),
-                rotation=float(obj.get("rotation", 0.0)),
-            )
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ParameterError(f"invalid state JSON field: {exc}") from exc
+            return cls(kind=obj["kind"], params={k: float(v) for k, v in params.items()},
+                       displacement=complex(disp.get("re", 0.0), disp.get("im", 0.0)),
+                       rotation=float(obj.get("rotation", 0.0)))
+        except OverflowError as exc:  # an integer literal past the float range
+            raise ParameterError(f"state JSON numbers must fit a float: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -343,47 +353,94 @@ def fock_phi(rho: np.ndarray) -> Callable:
 
 @dataclass
 class State:
-    """A state rho = D(a0) rho_c D(a0)^dag with a0 = ``spec.displacement``.
+    """A state rho = D(a0) R(phi) rho_u R(phi)^dag D(a0)^dag.
 
-    Every stored field describes the rotated, undisplaced rho_c, which a
-    displacement only translates; ``atom_weight`` and ``phi_roundoff`` hold
-    for rho and rho_c alike.  The Phi and the regular density of rho,
-    ``phi_closed`` and ``regular_p_closed``, are derived from rho_c's and
-    the displacement here, and only here.
+    a0 = ``spec.displacement`` and phi = ``spec.rotation``; R(phi) maps
+    alpha -> exp(i phi) alpha.  Every stored field describes the unrotated,
+    undisplaced rho_u; ``atom_weight`` and ``phi_roundoff`` hold for rho,
+    rho_c and rho_u alike.  The rotated, undisplaced rho_c =
+    R(phi) rho_u R(phi)^dag, which a displacement only translates, is
+    derived here, and only here: its Phi (``phi_centred``), its moment
+    table (``moments``), its Fock matrix (``fock``) and its Gaussian pair
+    (``gaussian_xp``).  So are the Phi and the regular density of rho,
+    ``phi_closed`` and ``regular_p_closed``.  A radial state takes the
+    rotation 0 everywhere: a rotation leaves it as it is.
     """
 
     spec: StateSpec
     physical: bool
-    #: the characteristic function Phi_c(beta) of rho_c at an array of beta
-    phi_centred: Callable
-    #: order -> the table T[q, r] = <a^dag^r a^q> of rho_c for q, r <= order,
+    #: the characteristic function Phi_u(beta) of rho_u at an array of beta
+    phi_unrotated: Callable
+    #: order -> the table T[q, r] = <a^dag^r a^q> of rho_u for q, r <= order,
     #: cut before the first divergent diagonal order
-    moments: Callable[[int], np.ndarray]
-    #: n -> the Fock matrix of rho_c truncated at cutoff n; its [0, 0] entry,
-    #: the vacuum weight of rho_c, does not depend on n
+    moments_unrotated: Callable[[int], np.ndarray]
+    #: n -> the Fock matrix of rho_u truncated at cutoff n; its [0, 0] entry,
+    #: the vacuum weight of rho_u and rho_c, does not depend on n
     _base_fock_builder: Callable[[int], np.ndarray]
-    #: |roundoff of phi_centred(beta)| <= phi_roundoff * exp(|beta|^2/2); the
-    #: catalog closed forms carry none
+    #: |roundoff of phi_unrotated(beta)| <= phi_roundoff * exp(|beta|^2/2);
+    #: the catalog closed forms carry none
     phi_roundoff: float = 0.0
-    #: (lam, kap) when the Phi of rho_c is the Gaussian exp(-lam x^2 - kap p^2)
+    #: (lam, kap) when Phi_u is the Gaussian exp(-lam x^2 - kap p^2)
     #: (x = Re beta, p = Im beta); when lam == kap, lam is the generator gamma
     #: of the singular series
-    gaussian_xp: tuple[float, float] | None = None
-    #: closed-form regular phase-space density of rho_c (None: no regular
-    #: form), radially symmetric about the origin
+    _xp: tuple[float, float] | None = None
+    #: closed-form regular phase-space density of rho_u (None: no regular
+    #: form), radially symmetric about the origin, so rho_c's too
     regular_p_centred: Callable | None = None
     #: weight of an explicit point mass at the centre (cauchy_lorentz_ncl)
     atom_weight: float = 0.0
-    #: True when Phi_c depends on |beta| alone: rho_c is diagonal in Fock
+    #: True when Phi_u depends on |beta| alone: rho_u is diagonal in Fock
     #: space (thermal, vacuum, p_max, spats, photon_vacuum_mix, fock_element
     #: with m == n, fock_mixture, both Lorentz kinds, a diagonal explicit
-    #: matrix).  A rotation leaves a radial state as it is, and a
-    #: displacement keeps ``radial`` too.  The scans and the numeric filter
-    #: then evaluate Phi_c once per distinct |beta| of one quadrant of their
-    #: meshes (``numerics.radial_orbits``).
+    #: matrix).  Then rho_c = rho_u, and a displacement keeps ``radial``
+    #: too.  The scans and the numeric filter then evaluate Phi_c once per
+    #: distinct |beta| of one quadrant of their meshes
+    #: (``numerics.radial_orbits``).
     radial: bool = False
-    #: analytic truncation loss sum_{k > K} rho_c[k, k], when a formula exists
+    #: analytic truncation loss sum_{k > K} rho_u[k, k], when a formula
+    #: exists; a rotation keeps the diagonal, so it is rho_c's too
     _tail_loss: Callable[[int], float] | None = None
+
+    @property
+    def _rotation(self) -> float:
+        """The phi of rho_c = R(phi) rho_u R(phi)^dag: 0 for a radial state."""
+        return 0.0 if self.radial else self.spec.rotation
+
+    def _rotated(self, table: np.ndarray) -> np.ndarray:
+        """A [q, r] table of rho_u times exp(i phi (q - r)): rho_c's.
+
+        The one rotation formula: a -> exp(i phi) a multiplies the moment
+        <a^dag^r a^q> and the Fock entry rho[q, r] alike, and leaves the
+        diagonal exactly as it is.  At phi = 0 the table is returned as it is.
+        """
+        phi, q = self._rotation, np.arange(table.shape[0])
+        if not phi:
+            return table
+        with np.errstate(invalid="ignore"):  # inf * (1 + 0j) has a nan imaginary part
+            return table * np.exp(1j * phi * np.subtract.outer(q, q))
+
+    @property
+    def phi_centred(self) -> Callable:
+        """The characteristic function Phi_c(beta) = Phi_u(exp(-i phi) beta)
+        of rho_c at an array of beta: ``phi_unrotated`` itself at phi = 0."""
+        phi_u, rot = self.phi_unrotated, np.exp(-1j * self._rotation)
+        return (lambda b: phi_u(rot * np.asarray(b, dtype=complex))) if self._rotation else phi_u
+
+    def moments(self, order: int) -> np.ndarray:
+        """The table T[q, r] = <a^dag^r a^q> of rho_c for q, r <= order, cut
+        before the first divergent diagonal order."""
+        return self._rotated(self.moments_unrotated(order))
+
+    def fock(self, cutoff: int) -> np.ndarray:
+        """The Fock matrix of rho_c truncated at ``cutoff``; its [0, 0] entry,
+        the vacuum weight of rho_c, does not depend on the cutoff."""
+        return self._rotated(self._base_fock_builder(cutoff))
+
+    @property
+    def gaussian_xp(self) -> tuple[float, float] | None:
+        """(lam, kap) when Phi_c is the Gaussian exp(-lam x^2 - kap p^2);
+        None when rho_u has none or a rotation tilts its axes."""
+        return None if self._rotation else self._xp
 
     @property
     def phi_closed(self) -> Callable:
@@ -402,7 +459,7 @@ class State:
     @property
     def regular_p_closed(self) -> Callable | None:
         """The regular density of rho, ``regular_p_centred`` at alpha - a0
-        (None when rho_c has no regular form)."""
+        (None when rho_u has no regular form)."""
         a0, p_c = complex(self.spec.displacement), self.regular_p_centred
         if a0 == 0 or p_c is None:
             return p_c
@@ -421,6 +478,11 @@ class State:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ParameterError(msg)
+
+
+def _is_number(v, kind: type = numbers.Real) -> bool:
+    """True for a number of ``kind`` that is not a bool (True is a numbers.Real)."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def _embedded(m: np.ndarray) -> Callable[[int], np.ndarray]:
@@ -478,14 +540,14 @@ def _gaussian(lam: float, kap: float) -> dict:
                 table[k::2, k::2] += np.outer(ratio / f[k], ratio) * a ** np.add.outer(j, j) * n ** k
         return table.astype(complex)
 
-    return {"gaussian_xp": (lam, kap), "phi_centred": phi, "moments": moments,
+    return {"_xp": (lam, kap), "phi_unrotated": phi, "moments_unrotated": moments,
             "radial": lam == kap}
 
 
 def _generator(spec: StateSpec, gamma: float, *, physical: bool = True, **fields) -> State:
     """A member of the generator family exp(gamma d_alpha d_alpha*) delta(alpha).
 
-    Phi = exp(-gamma |beta|^2), and rho_c is diag(q^k / (1 + gamma)) with
+    Phi = exp(-gamma |beta|^2), and rho_u is diag(q^k / (1 + gamma)) with
     q = gamma / (1 + gamma): thermal at gamma = nbar, the vacuum at 0 and
     the p_max pseudo-state at -1/2.  The tail past cutoff K is q^(K+1).
     """
@@ -500,13 +562,13 @@ def _generator(spec: StateSpec, gamma: float, *, physical: bool = True, **fields
 
 def _finite(spec: StateSpec, rho: np.ndarray, *, physical: bool = True,
             phi: Callable | None = None, **fields) -> State:
-    """A state whose rho_c is the finite Fock matrix ``rho``.
+    """A state whose rho_u is the finite Fock matrix ``rho``.
 
     Its moments, Fock builder and ``radial`` all come from ``rho``, and so
-    does Phi_c (``fock_phi``) unless ``phi`` gives a closed form.
+    does Phi_u (``fock_phi``) unless ``phi`` gives a closed form.
     """
-    return State(spec=spec, physical=physical, phi_centred=fock_phi(rho) if phi is None else phi,
-                 moments=_finite_moments(rho),
+    return State(spec=spec, physical=physical, phi_unrotated=fock_phi(rho) if phi is None else phi,
+                 moments_unrotated=_finite_moments(rho),
                  radial=bool(np.count_nonzero(rho) == np.count_nonzero(rho.diagonal())),
                  _base_fock_builder=_embedded(rho), **fields)
 
@@ -665,8 +727,8 @@ def _lorentz(spec: StateSpec, t: float, *, vacuum_free: bool) -> State:
         d[0, 0] -= drop
         return d * scale
 
-    return State(spec=spec, physical=True, phi_centred=lambda b: (phi_cl(b) - drop) * scale,
-                 moments=_lorentz_moments(t, scale), radial=True,
+    return State(spec=spec, physical=True, phi_unrotated=lambda b: (phi_cl(b) - drop) * scale,
+                 moments_unrotated=_lorentz_moments(t, scale), radial=True,
                  regular_p_centred=lambda a: dens(a) * scale,
                  atom_weight=0.0 - drop * scale,  # +0.0, not -0.0, without a point mass
                  _base_fock_builder=fock)
@@ -675,9 +737,10 @@ def _lorentz(spec: StateSpec, t: float, *, vacuum_free: bool) -> State:
 def make_state(spec: StateSpec) -> State:
     """Build a catalog state with every available closed form attached."""
     kind, p = spec.kind, dict(spec.params)
-    _require(all(isinstance(v, numbers.Real) for v in [*p.values(), spec.rotation])
-             and isinstance(spec.displacement, numbers.Complex),
-             "state parameters and rotation must be real numbers and the displacement a number")
+    _require(all(map(_is_number, [*p.values(), spec.rotation]))
+             and _is_number(spec.displacement, numbers.Complex),
+             "state parameters and rotation must be real numbers and the displacement a number "
+             "(not bools)")
     a0 = complex(spec.displacement)
     _require(all(math.isfinite(v) for v in [*p.values(), a0.real, a0.imag, spec.rotation]),
              "state parameters, displacement and rotation must be finite")
@@ -685,7 +748,7 @@ def make_state(spec: StateSpec) -> State:
     if kind == "thermal":
         nbar = p.get("nbar")
         _require(nbar is not None and nbar > 0, "thermal requires nbar > 0")
-        st = _generator(spec, nbar, regular_p_centred=lambda a: np.exp(
+        return _generator(spec, nbar, regular_p_centred=lambda a: np.exp(
             -np.abs(np.asarray(a, dtype=complex)) ** 2 / nbar) / (math.pi * nbar))
     elif kind == "squeezed":
         xi = p.get("xi")
@@ -697,9 +760,9 @@ def make_state(spec: StateSpec) -> State:
             c = _squeezed_amplitudes(xi, K)
             return np.outer(c, c).astype(complex)
 
-        st = State(spec=spec, physical=True,
-                   **_gaussian((math.exp(2 * xi) - 1.0) / 2.0, -(1.0 - math.exp(-2 * xi)) / 2.0),
-                   _base_fock_builder=fock)
+        return State(spec=spec, physical=True,
+                     **_gaussian((math.exp(2 * xi) - 1.0) / 2.0, -(1.0 - math.exp(-2 * xi)) / 2.0),
+                     _base_fock_builder=fock)
     elif kind == "spats":
         nbar = p.get("nbar")
         _require(nbar is not None and nbar > 0, "spats requires nbar > 0")
@@ -717,26 +780,24 @@ def make_state(spec: StateSpec) -> State:
         # <:n^k:> = k! nbar^(k-1) (k nbar + nbar + k)
         moments = _diagonal_moments(
             lambda k, nb=nbar: np.exp(gammaln(k + 1.0) + k * math.log(nb)) * (k + 1.0 + k / nb))
-        st = State(spec=spec, physical=True, phi_centred=phi, moments=moments, radial=True,
-                   regular_p_centred=preg,
-                   _base_fock_builder=lambda K, nb=nbar: _spats_diag(nb, K),
-                   _tail_loss=lambda K, q=nbar / (nbar + 1.0):
-                       q**K * ((K + 1) * (1.0 - q) + q))
+        return State(spec=spec, physical=True, phi_unrotated=phi, moments_unrotated=moments,
+                     radial=True, regular_p_centred=preg,
+                     _base_fock_builder=lambda K, nb=nbar: _spats_diag(nb, K),
+                     _tail_loss=lambda K, q=nbar / (nbar + 1.0):
+                         q**K * ((K + 1) * (1.0 - q) + q))
     elif kind == "photon_vacuum_mix":
         eta = p.get("eta")
         _require(eta is not None and 0 < eta <= 1, "photon_vacuum_mix requires 0 < eta <= 1")
-        st = _finite(spec, np.diag([1.0 - eta, eta]),
-                     phi=lambda b: 1.0 - eta * np.abs(np.asarray(b, dtype=complex)) ** 2)
+        return _finite(spec, np.diag([1.0 - eta, eta]),
+                       phi=lambda b: 1.0 - eta * np.abs(np.asarray(b, dtype=complex)) ** 2)
     elif kind == "fock_element":
         _require("m" in p and "n" in p, "fock_element requires m, n >= 0")
         m, n = _fock_index(p["m"]), _fock_index(p["n"])
         if m == n == 0:
-            st = _generator(spec, 0.0)
-        else:
-            unit = np.zeros((max(m, n) + 1,) * 2)
-            unit[m, n] = 1.0
-            st = _finite(spec, unit, physical=m == n,
-                         phi=lambda b: char_fn_fock_element(m, n, b))
+            return _generator(spec, 0.0)
+        unit = np.zeros((max(m, n) + 1,) * 2)
+        unit[m, n] = 1.0
+        return _finite(spec, unit, physical=m == n, phi=lambda b: char_fn_fock_element(m, n, b))
     elif kind == "fock_mixture":
         keys = [k for k in p if k.startswith("w")]
         _require(all(k[1:].isdigit() for k in keys),
@@ -747,49 +808,15 @@ def make_state(spec: StateSpec) -> State:
         _require(abs(sum(weights.values()) - 1.0) < 1.0e-9, "fock_mixture weights must sum to 1")
         _require(max(weights) <= _MAX_FOCK_INDEX, _FOCK_INDEX_LIMIT)
 
-        st = _finite(spec, np.diag([weights.get(k, 0.0) for k in range(max(weights) + 1)]))
+        return _finite(spec, np.diag([weights.get(k, 0.0) for k in range(max(weights) + 1)]))
     elif kind in ("cauchy_lorentz", "cauchy_lorentz_ncl"):
         t = p.get("t")
         _require(t is not None and t > 0, f"{kind} requires t > 0")
-        st = _lorentz(spec, t, vacuum_free=kind == "cauchy_lorentz_ncl")
+        return _lorentz(spec, t, vacuum_free=kind == "cauchy_lorentz_ncl")
     elif kind == "p_max":
-        st = _generator(spec, -0.5, physical=False)
+        return _generator(spec, -0.5, physical=False)
     else:
         raise ParameterError(f"unknown state kind {kind!r}")
-
-    return _apply_modifiers(st)
-
-
-def _apply_modifiers(st: State) -> State:
-    """Apply the rotation alpha -> exp(i phi) alpha to a catalog state.
-
-    This is where the invariants are decided.  A radial state is invariant
-    under a rotation, which it keeps only in its spec.  A non-radial one
-    (squeezed, |m><n| with m != n) gets the rotated Phi_c, the moment table
-    T[q, r] times exp(i phi (q - r)) and rho[m, n] times exp(i phi (m - n)),
-    and loses ``gaussian_xp``; none of these kinds has a regular density.
-    A displacement changes no field: every field describes rho_c, and the
-    Phi and the density of rho are derived from them and the spec by
-    ``State`` itself.
-    """
-    phi0 = st.spec.rotation
-    if not phi0 or st.radial:
-        return st
-    base_phi, base_moments, builder = st.phi_centred, st.moments, st._base_fock_builder
-    rot = np.exp(-1j * phi0)
-
-    def fock(K):
-        ph = np.exp(1j * phi0 * np.arange(K + 1))
-        return builder(K) * np.outer(ph, ph.conj())
-
-    def moments(order):
-        table = base_moments(order)
-        q = np.arange(table.shape[0])
-        with np.errstate(invalid="ignore"):  # inf * (1 + 0j) has a nan imaginary part
-            return table * np.exp(1j * phi0 * np.subtract.outer(q, q))
-
-    return replace(st, gaussian_xp=None, moments=moments, _base_fock_builder=fock,
-                   phi_centred=lambda b: base_phi(rot * np.asarray(b, dtype=complex)))
 
 
 def _displacement_phase(a0: complex, beta: np.ndarray) -> np.ndarray:
@@ -841,20 +868,21 @@ def from_fock_matrix(matrix, *, physical: bool = True) -> State:
 def fock_matrix(state: State, cutoff: int = DEFAULT_CUTOFF) -> FockMatrix:
     """Truncated Fock matrix with its reported truncation loss.
 
-    Physical states report the weight of rho_c past the cutoff: the
-    analytic tail for the generator family and spats, 1 - trace of the
-    truncation for every other kind.  A loss above 1e-6 triggers a
-    TruncationWarning.  The p_max pseudo-state is exempt from the loss
-    accounting (its diagonal is not summable).  Raises
+    The matrix is ``State.fock``: rho_u's, rotated to rho_c.  Physical
+    states report the weight of rho_c past the cutoff, which a rotation
+    leaves as rho_u's: the analytic tail for the generator family and
+    spats, 1 - trace of the truncation for every other kind.  A loss above
+    1e-6 triggers a TruncationWarning.  The p_max pseudo-state is exempt
+    from the loss accounting (its diagonal is not summable).  Raises
     ParameterError, before anything is built, unless the cutoff is an
     integer from 0 to ``MAX_CUTOFF`` (889), and UnsupportedError for a
-    displaced state, whose builder gives the Fock matrix of rho_c only.
+    displaced state, whose ``State.fock`` is the Fock matrix of rho_c only.
     """
     _require(isinstance(cutoff, numbers.Integral) and 0 <= cutoff <= MAX_CUTOFF,
              f"cutoff must be an integer from 0 to {MAX_CUTOFF} (got {cutoff!r})")
     if state.spec.displacement != 0:
         raise UnsupportedError("no Fock construction for a displaced state")
-    rho = state._base_fock_builder(cutoff)
+    rho = state.fock(cutoff)
     if not state.physical:
         loss = 0.0
     elif state._tail_loss is not None:

@@ -19,7 +19,7 @@ from scipy.special import comb, gammaln
 from . import charfn
 from .deltaseries import TaylorField, _check_order
 from .errors import ComplexResidueError, NonConvergenceError, ParameterError, RangeError
-from .filters import _check_width, filtered_p
+from .filters import _check_gaussian, _check_width, filtered_p
 from .numerics import PhaseField, PhaseGrid, check_grid
 from .states import State, overlap_cutoff
 
@@ -54,8 +54,8 @@ DIVERGED = Diverged()
 def vacuum_probability(state: State) -> float:
     """<vac|rho|vac> of rho = D(a0) rho_c D(a0)^dag.
 
-    The Fock matrix of rho_c (the state's builder) read at a cutoff: at
-    a0 = 0 its entry rho_c[0, 0] at cutoff 0, and otherwise <-a0|rho_c|-a0>,
+    The Fock matrix of rho_c (``State.fock``) read at a cutoff: at a0 = 0
+    its entry rho_c[0, 0] at cutoff 0, and otherwise <-a0|rho_c|-a0>,
     the matrix summed to overlap_cutoff(a0), past the Poisson weights of
     <n|-a0> = exp(-|a0|^2/2) (-a0)^n / sqrt(n!).  Every classical state has
     strictly positive vacuum overlap, but a classical overlap can be
@@ -65,10 +65,10 @@ def vacuum_probability(state: State) -> float:
     """
     a0 = complex(state.spec.displacement)
     if a0 == 0:
-        return float(state._base_fock_builder(0)[0, 0].real)
+        return float(state.fock(0)[0, 0].real)
     n = np.arange(overlap_cutoff(a0) + 1)
     amp = np.exp(-0.5 * abs(a0) ** 2 + n * np.log(-a0) - 0.5 * gammaln(n + 1))
-    return float(np.real(np.conj(amp) @ state._base_fock_builder(n[-1]) @ amp))
+    return float(np.real(np.conj(amp) @ state.fock(n[-1]) @ amp))
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +91,11 @@ def normal_moment(state: State, n: int):
 
     Centred and displaced states share one route: the binomial expansion
     of <(a^dag + conj a0)^n (a + a0)^n> over the moment table of the
-    undisplaced state, ``State.moments``, closed form or finite-rank
-    resummation.  The order-0 moment is the trace (0 for |m><n| with
-    m != n).  Diverged is a value, not an exception; a moment past the
-    float range is inf or nan.  Raises ParameterError unless n is an
-    integer >= 0.
+    rotated, undisplaced rho_c, ``State.moments`` (rho_u's closed form or
+    finite-rank resummation, times the rotation phase).  The order-0
+    moment is the trace (0 for |m><n| with m != n).  Diverged is a value,
+    not an exception; a moment past the float range is inf or nan.  Raises
+    ParameterError unless n is an integer >= 0.
     """
     _check_order(n, "moment order")
     return _displaced_moment(state.moments(n), complex(state.spec.displacement), n)
@@ -413,26 +413,30 @@ def classify(state: State, *, w: float = 2.0,
     roundoff bound at the scan's argmax (nonzero for an explicit Fock matrix
     only).  The vacuum probability certifies only as a structural zero: a
     physical, undisplaced state whose reported value, rho_c[0, 0] read from
-    its Fock builder, is exactly 0.0.  The filtered minimum certifies only
+    ``State.fock``, is exactly 0.0.  The filtered minimum certifies only
     below -(margin + quad_error), with quad_error the field's quadrature
     error estimate (0 on the analytic Gaussian route of
     ``filters.filtered_p``, which every state with a ``gaussian_xp`` takes,
     centred at its displacement).  A vacuum
     probability or moment that is not finite makes its criterion
-    inapplicable, and so do numerics that fail: a criterion whose Phi is
-    not finite (RangeError) or whose filter rule does not converge
-    (NonConvergenceError) is an inapplicable entry whose detail names the
-    error, and the other criteria still give their verdicts.  Raises
-    ParameterError, before any criterion runs, for a state that is not a
-    ``State``, a filter width w that is not a finite positive real, a margin
-    that is not finite and >= 0, a moment order that is not an integer >= 0,
-    or a grid or beta_grid that is neither None nor a ``PhaseGrid``; and
-    ComplexResidueError for a non-Hermitian input, whose filtered field is
-    not real.
+    inapplicable, and so do numerics that fail: a criterion whose Phi or
+    filtered field is not finite (RangeError) or whose filter rule does not
+    converge (NonConvergenceError) is an inapplicable entry whose detail
+    names the error, and the other criteria still give their verdicts.
+    Raises ParameterError, before any criterion runs, for a state that is
+    not a ``State``, a filter width w that is not a finite positive real
+    (or, for a state with a ``gaussian_xp``, whose w^2 lam or w^2 kap
+    overflows), a margin that is not finite and >= 0, a moment order that
+    is not an integer >= 0, or a grid or beta_grid that is neither None nor
+    a ``PhaseGrid``; and ComplexResidueError for a non-Hermitian input,
+    whose filtered field is not real.
     """
     if not isinstance(state, State):
         raise ParameterError(f"classify needs a State (got {state!r})")
-    _check_width(w)
+    if state.gaussian_xp is None:
+        _check_width(w)
+    else:
+        _check_gaussian(state.gaussian_xp, w)
     _check_margin_order(margin, moment_order)
     grid = PhaseGrid(extent=4.0, resolution=321) if grid is None else check_grid(grid)
     beta_grid = (PhaseGrid(extent=4.0, resolution=161) if beta_grid is None

@@ -355,6 +355,44 @@ class TestConfigErrors:
         assert "Traceback" not in res.output
         assert not out.exists()
 
+    def test_underflowing_width_writes_no_nan_rows(self, runner, tmp_path):
+        # w^2 underflows at w = 1e-300: the Gaussian route's field was nan
+        # at 440 of 441 nodes, and the CSV was written with exit 0
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, ["filtered", "--state", THERMAL, "--w", "1e-300",
+                                   "--grid", "4,21", "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert ("Error: the filtered field of thermal nbar=0.5 at w=1e-300 is not finite "
+                "at 440 of 441 grid nodes") in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
+    def test_underflowing_width_leaves_classify_no_nan(self, runner, tmp_path):
+        # the filter entry was "witness_value": NaN with a consistent verdict
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["classify", "--state", THERMAL, "--w", "1e-300",
+                                   "--grid", "4,21", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        text = out.read_text()
+        assert "NaN" not in text
+        entry = json.loads(text)["entries"][3]
+        assert entry["criterion"] == "filtered_negativity"
+        assert entry["verdict"] == "inapplicable/diverged" and entry["witness_value"] is None
+        assert entry["detail"].startswith("RangeError: the filtered field of thermal nbar=0.5 ")
+
+    @pytest.mark.parametrize("command", ["filtered", "classify"])
+    def test_overflowing_width_is_a_usage_error_that_names_it(self, runner, tmp_path, command):
+        # w^2 lam = inf at w = 1e300 was refused as "tri_gaussian_ft needs a
+        # finite real g (got inf)"
+        out = tmp_path / "x.out"
+        res = runner.invoke(main, [command, "--state", THERMAL, "--w", "1e300",
+                                   "--grid", "4,21", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: filter width w=1e+300 is too large for the Gaussian Phi" in res.output
+        assert "tri_gaussian_ft" not in res.output and "Traceback" not in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["filtered"])
     def test_unresolved_filter_is_an_error(self, runner, tmp_path, command):
         # w = 40 on extent 10 is beyond 200 Gauss nodes per panel; the fixed
@@ -463,6 +501,29 @@ class TestConfigErrors:
         assert isinstance(res.exception, SystemExit)
         assert "Error:" in res.output
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("state,field", [
+        ('{"kind": "thermal", "params": {"nbar": 0.5}, "displacement": [0.5, 0.5]}',
+         "'displacement' must be an object"),
+        ('{"kind": "thermal", "params": {"nbar": 0.5}, "displacement": "0.5"}',
+         "'displacement' must be an object"),
+        ('{"kind": "thermal", "params": [1]}', "'params' must be an object of numbers"),
+        ('{"kind": "thermal", "params": {"nbar": true}}', "'params' must be an object of numbers"),
+        ('{"kind": "thermal", "params": {"nbar": 0.5}, "rotation": true}',
+         "'rotation' must be a number"),
+    ], ids=["displacement-list", "displacement-string", "params-list", "nbar-true",
+            "rotation-true"])
+    def test_malformed_state_json_names_its_field(self, runner, tmp_path, state, field):
+        # these gave Python's "'list' object has no attribute 'get'" or were
+        # read as 1
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["classify", "--state", state, "--grid", "2,11",
+                                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"state JSON field {field}" in res.output
+        assert "has no attribute" not in res.output and "Traceback" not in res.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_non_positive_threads_option_is_a_usage_error(self, runner, threads):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -373,6 +374,25 @@ class TestWidthCheck:
             box_autocorrelation(0.5j, w)
         with pytest.raises(ParameterError, match="filter width"):
             sinc2_kernel(0.5j, w)
+
+    @pytest.mark.parametrize("spec,w", [
+        (StateSpec("thermal", {"nbar": 0.5}), 1e300),
+        (StateSpec("squeezed", {"xi": 1.0}), 1e155),
+        (StateSpec("thermal", {"nbar": 1e308}), 2.0),
+    ], ids=["thermal-1e300", "squeezed-1e155", "thermal-nbar1e308"])
+    def test_gaussian_routes_name_a_width_whose_g_overflows(self, spec, w, monkeypatch):
+        # classify refuses it before any criterion runs, as any bad width
+        def no_scan(*args):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(charfn, "classicality_violation", no_scan)
+        st = make_state(spec)
+        for call in (lambda: filtered_p_gaussian(st.gaussian_xp, w, 0.5 + 0.5j),
+                     lambda: filtered_p_gaussian_grid(st.gaussian_xp, w, GRID),
+                     lambda: classify(st, w=w)):
+            with pytest.raises(ParameterError,
+                               match=re.escape(f"filter width w={w:g} is too large")):
+                call()
 
     @pytest.mark.parametrize("w", BAD_WIDTHS, ids=repr)
     def test_classify_refuses_before_any_criterion_runs(self, w, monkeypatch):
@@ -827,6 +847,32 @@ class TestNonFinitePhi:
                                              f"{bad} of 4096 nodes of the w=2 filter rule"):
             filtered_p_numeric(st, 2.0, GRID)
         assert rules == [32]
+
+    def test_gaussian_route_refuses_a_non_finite_field(self):
+        # w^2 underflows at w = 1e-300, and the g = 0 form is 0/0 off the origin
+        st = make_state(StateSpec("thermal", {"nbar": 0.5}))
+        with pytest.raises(RangeError, match="the filtered field of thermal nbar=0.5 at "
+                                             "w=1e-300 is not finite at 440 of 441 grid nodes"):
+            filters.filtered_p(st, 1e-300, PhaseGrid(4.0, 21))
+
+    @pytest.mark.parametrize("a0", [0j, 0.5 - 0.3j], ids=["centred", "displaced"])
+    def test_numeric_route_refuses_a_non_finite_field_at_once(self, a0, monkeypatch):
+        # a nan node in a rule's field: RangeError at the first comparison,
+        # not a NonConvergenceError after the 200-node rule
+        st = make_state(StateSpec("spats", {"nbar": 1.0}, displacement=a0))
+        original, rules = filters._filtered_raw, []
+
+        def raw(*args):
+            field, residue, abs_sum = original(*args)
+            field[3, 5] = math.nan
+            return rules.append(args[3]) or (field, residue, abs_sum)
+
+        monkeypatch.setattr(filters, "_filtered_raw", raw)
+        with pytest.raises(RangeError, match=r"the filtered field of spats .* at w=2 is not "
+                                             r"finite: the rules of 32 and 64 nodes per panel "
+                                             r"differ by nan"):
+            filters.filtered_p(st, 2.0, PhaseGrid(4.0, 21))
+        assert rules == [32, 64]
 
 
 class TestPointInputs:

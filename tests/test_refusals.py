@@ -126,6 +126,25 @@ REFUSALS = {
                                                             rotation="x")),
     "make_state displacement 'x'": lambda: make_state(StateSpec("thermal", {"nbar": 0.5},
                                                                 displacement="x")),
+    # booleans, which are numbers.Real, and state JSON fields of the wrong shape
+    "make_state nbar True": lambda: make_state(StateSpec("thermal", {"nbar": True})),
+    "make_state rotation True": lambda: make_state(StateSpec("thermal", {"nbar": 0.5},
+                                                             rotation=True)),
+    "make_state displacement True": lambda: make_state(StateSpec("thermal", {"nbar": 0.5},
+                                                                 displacement=True)),
+    "state JSON displacement list": lambda: StateSpec.from_json(
+        '{"kind": "thermal", "params": {"nbar": 0.5}, "displacement": [0.5, 0.5]}'),
+    "state JSON displacement string": lambda: StateSpec.from_json(
+        '{"kind": "thermal", "params": {"nbar": 0.5}, "displacement": "0.5"}'),
+    "state JSON displacement key 'x'": lambda: StateSpec.from_json(
+        '{"kind": "thermal", "params": {"nbar": 0.5}, "displacement": {"x": 0.5}}'),
+    "state JSON params list": lambda: StateSpec.from_json('{"kind": "thermal", "params": [1]}'),
+    "state JSON nbar true": lambda: StateSpec.from_json(
+        '{"kind": "thermal", "params": {"nbar": true}}'),
+    "state JSON rotation true": lambda: StateSpec.from_json(
+        '{"kind": "thermal", "params": {"nbar": 0.5}, "rotation": true}'),
+    "state JSON nbar 10**400": lambda: StateSpec.from_json(
+        '{"kind": "thermal", "params": {"nbar": 1' + "0" * 400 + '}}'),
 }
 
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+import re
 import warnings
 from dataclasses import replace
 
@@ -414,6 +416,61 @@ class TestModifierInvariants:
         np.testing.assert_array_equal(regular_p(moved, points), regular_p(built, points))
         np.testing.assert_array_equal(char_fn(moved, points), char_fn(built, points))
         assert vacuum_probability(moved) == vacuum_probability(built)
+
+    @staticmethod
+    def _assert_same_state(st, twin):
+        """Phi, moments, Fock matrix and Gaussian pair equal, bit for bit."""
+        mesh = PhaseGrid(extent=3.0, resolution=31).mesh()
+        np.testing.assert_array_equal(char_fn(st, mesh), char_fn(twin, mesh))
+        np.testing.assert_array_equal(st.moments(4), twin.moments(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            np.testing.assert_array_equal(fock_matrix(st, 12).matrix,
+                                          fock_matrix(twin, 12).matrix)
+        assert st.gaussian_xp == twin.gaussian_xp
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec("squeezed", {"xi": 1.0}),
+        StateSpec("fock_element", {"m": 1, "n": 3}),
+        StateSpec("thermal", {"nbar": 0.5}),
+    ], ids=_spec_id)
+    def test_a_rotation_in_the_spec_alone_turns_the_state(self, spec):
+        # every stored field describes rho_u, so a state turned by its spec
+        # alone is make_state's at that rotation
+        st = make_state(spec)
+        turned = replace(st, spec=replace(st.spec, rotation=0.7))
+        built = make_state(replace(spec, rotation=0.7))
+        self._assert_same_state(turned, built)
+        if spec.kind == "squeezed":  # the report reads the rotated state too
+            assert classify(turned).to_dict() == classify(built).to_dict()
+
+    def test_a_rotation_set_back_to_zero_unturns_the_state(self):
+        spec = StateSpec("squeezed", {"xi": 1.0})
+        st = make_state(replace(spec, rotation=0.7))
+        self._assert_same_state(replace(st, spec=replace(st.spec, rotation=0.0)),
+                                make_state(spec))
+
+    @pytest.mark.parametrize("rotation", [0.7, 2.9, -1.3])
+    @pytest.mark.parametrize("xi", [0.3, 1.0, 1.4])
+    def test_a_rotation_keeps_the_fock_diagonal_exactly(self, xi, rotation):
+        # exp(i phi (m - n)) is exactly 1 on the diagonal
+        spec = StateSpec("squeezed", {"xi": xi})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)  # xi = 1.4 loses 6.5e-5
+            turned = fock_matrix(make_state(replace(spec, rotation=rotation)), 64).matrix
+            still = fock_matrix(make_state(spec), 64).matrix
+        np.testing.assert_array_equal(np.diag(turned), np.diag(still))
+
+    def test_only_the_states_module_reads_private_state_fields(self):
+        # the frame of a state (rotation and displacement) is decided in
+        # states.py alone; every other module goes through State's accessors
+        private = re.compile(r"\.(_base_fock_builder|_tail_loss|_xp)\b")
+        src = pathlib.Path(states.__file__).parent
+        readers = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+                   if path.name != "states.py"
+                   for i, line in enumerate(path.read_text().splitlines(), 1)
+                   if private.search(line)]
+        assert readers == []
 
     @pytest.mark.parametrize("mod", MODIFIERS.values(), ids=MODIFIERS)
     @pytest.mark.parametrize("spec", CATALOG, ids=_spec_id)
