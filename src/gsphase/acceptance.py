@@ -3,9 +3,13 @@
 Each criterion is a pure function returning a :class:`CriterionResult`; the
 pytest acceptance module asserts them one by one and the CLI runs the whole
 battery, so both paths exercise the same code.  Every tolerance is pinned
-here.  Criterion 1's truncated-operator oracle is built here from matrix
-powers of the ladder operator (``states.creation_exponential``), not from
-the closed-form Fock elements it checks.
+here.  Criterion 1's operator oracle is built here from matrix powers of
+the ladder operator (``states.creation_exponential``), not from the
+closed-form Fock elements it checks.  It is exact, not a truncation: the
+normally ordered displacement e^(beta a^dag) e^(-conj(beta) a) is a lower
+triangular factor times an upper triangular one, so its [n, m] entry sums
+only the k <= min(m, n) terms, all of which the factors truncated at
+cutoff max(m, n) keep.
 """
 
 from __future__ import annotations
@@ -110,21 +114,39 @@ def _t_quadrature(y: np.ndarray, gs) -> np.ndarray:
 # criteria
 # ---------------------------------------------------------------------------
 
-def criterion_1() -> CriterionResult:
-    """Fock-element characteristic functions against the operator oracle."""
+#: criterion 1 checks <n| :D(beta): |m> for m, n up to this index
+_C1_MAX_INDEX = 10
+
+
+def _criterion_1_points() -> np.ndarray:
+    """Criterion 1's 50 seeded points, uniform on the |beta| <= 3 disk."""
     rng = np.random.default_rng(101)
     betas = np.empty(0, dtype=complex)
-    while betas.size < 50:  # uniform on the |beta| <= 3 disk by rejection
+    while betas.size < 50:  # by rejection
         cand = rng.uniform(-3, 3, 100) + 1j * rng.uniform(-3, 3, 100)
         betas = np.concatenate([betas, cand[np.abs(cand) <= 3.0]])
-    betas = betas[:50]
+    return betas[:50]
+
+
+def criterion_1() -> CriterionResult:
+    """Fock-element characteristic functions against the operator oracle.
+
+    :D(beta): = e^(beta a^dag) e^(-conj(beta) a).  The first factor is lower
+    triangular in the Fock basis and the second upper triangular, so entry
+    [n, m] of their product sums only the k <= min(m, n) terms
+    <n| e^(beta a^dag) |k><k| e^(-conj(beta) a) |m>.  The truncated
+    factors keep those entries exactly, so at cutoff max(m, n) =
+    ``_C1_MAX_INDEX`` the product of ``states.creation_exponential``
+    matrices is the untruncated operator's block, with no truncation error.
+    """
+    betas = _criterion_1_points()
     # <n| e^(beta a^dag) e^(-conj(beta) a) |m> from matrix powers of the
-    # truncated ladder operator, at every beta at once
-    oracle = (creation_exponential(betas, 60)
-              @ np.swapaxes(creation_exponential(-np.conj(betas), 60), -1, -2))
+    # ladder operator, at every beta at once; exact at this cutoff
+    oracle = (creation_exponential(betas, _C1_MAX_INDEX)
+              @ np.swapaxes(creation_exponential(-np.conj(betas), _C1_MAX_INDEX), -1, -2))
     worst = 0.0
-    for m in range(11):
-        for n in range(11):
+    for m in range(_C1_MAX_INDEX + 1):
+        for n in range(_C1_MAX_INDEX + 1):
             diff = np.abs(char_fn_fock_element(m, n, betas) - oracle[:, n, m])
             worst = max(worst, float(diff.max()))
     passed = worst < 1e-8

@@ -214,7 +214,8 @@ def figure1(width, grid_text, out_dir):
     """Emit the four reference regularized profiles as plot-ready cut CSVs.
 
     Cuts run along Im alpha = 0; the squeezed file also carries the
-    orthogonal (antisqueezed, Re alpha = 0) cut as a second column.
+    orthogonal (antisqueezed, Re alpha = 0) cut as a second column.  A cut
+    that is not finite (w = 1e-300) exits 1 before its file is written.
     """
     import os
     grid = _parse_grid(grid_text)
@@ -228,6 +229,10 @@ def figure1(width, grid_text, out_dir):
         columns = {"value": cut}
         if spec.kind == "squeezed":
             columns["value_antisqueezed"] = filtered_p_gaussian(st.gaussian_xp, width, 1j * ts)
+        bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in columns.values())
+        if bad:  # as filtered_p refuses a field that is not finite, before its file
+            raise RangeError(f"the filtered cut {name} of {st.describe()} at w={width:g} "
+                             f"is not finite at {bad} of {ts.size * len(columns)} nodes")
         path = os.path.join(out_dir, f"{name}.csv")
         _write_cut_csv(path, ts, columns, _provenance("figure1", config))
         click.echo(f"wrote {path}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_laguerre, gammaln
+from scipy.special import eval_genlaguerre, eval_laguerre, gammaln
 
 from .errors import DivergenceError, ParameterError, TruncationWarning, UnsupportedError
 from .numerics import PhaseField, radial_integral
@@ -145,55 +145,78 @@ def series_from_fock(fock: FockMatrix, order_cutoff: int) -> DeltaSeries:
 # test functions as origin derivative data
 # ---------------------------------------------------------------------------
 
-DiagLog = Callable[[int], tuple[float, float]]  # n -> (sign, log|a_n|)
+#: n -> (sign, log|a_n|) for an integer array n, arrays of n's shape; a zero
+#: entry has sign 0 (its log is then -inf)
+DiagLog = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+#: (m, n) -> a[m, n] for integer arrays m and n, at their broadcast shape
+CoeffFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass
 class TaylorField:
     """Derivative data a[m,n] = [d_alpha^m d_alpha*^n F](0) of a test function.
 
-    The diagonal is given once, as (sign, log magnitude) pairs, so
-    high-order pairings can be accumulated without overflow; the diagonal
-    coefficient a[n,n] is read from it.  ``coeff_fn``, when set, gives
-    every entry.
+    Both fields work on arrays.  The diagonal is given once, by
+    ``diag_log``, as (sign, log magnitude) arrays over an integer array of
+    orders, so high-order pairings can be accumulated without overflow; the
+    diagonal coefficient a[n,n] is read from it.  ``coeff_fn``, when set,
+    gives every entry at broadcast index arrays.  ``coefficient(m, n)``
+    reads one entry and ``coefficients(order)`` the (order+1)^2 table
+    a[m, n] for m, n <= order.
     """
 
     max_order: int
     diag_log: DiagLog
     label: str = ""
-    coeff_fn: Callable[[int, int], complex] | None = None
+    coeff_fn: CoeffFn | None = None
 
     def coefficient(self, m: int, n: int) -> complex:
-        if m > self.max_order or n > self.max_order:
+        return self._entries(np.asarray(m), np.asarray(n)).item()
+
+    def coefficients(self, order: int) -> np.ndarray:
+        """The table a[m, n] for m, n <= order."""
+        _check_order(order)
+        idx = np.arange(order + 1)
+        return self._entries(idx[:, None], idx[None, :])
+
+    def _entries(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """a[m, n] at broadcast index arrays; ParameterError past max_order."""
+        if max(m.max(), n.max()) > self.max_order:
             raise ParameterError(
                 f"derivative data only available to order {self.max_order}"
             )
         if self.coeff_fn is not None:
             return self.coeff_fn(m, n)
-        if m != n:
-            return 0.0
-        s, lg = self.diag_log(m)
-        return s * math.exp(lg) if s else 0.0
+        m, n = np.broadcast_arrays(m, n)
+        out = np.zeros(m.shape)
+        on = m == n
+        s, lg = self.diag_log(m[on])
+        with np.errstate(over="ignore"):
+            out[on] = s * np.exp(lg)
+        return out
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_exp_quadratic(cls, c: float, max_order: int = 200) -> "TaylorField":
         """F(alpha) = exp(c |alpha|^2), with a[n,n] = c^n n!."""
-        def diag_log(n: int) -> tuple[float, float]:
+        log_c = math.log(abs(c)) if c else 0.0
+
+        def diag_log(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if c == 0:
-                return (1.0, 0.0) if n == 0 else (0.0, -math.inf)
-            sign = 1.0 if c > 0 or n % 2 == 0 else -1.0
-            return sign, n * math.log(abs(c)) + gammaln(n + 1)
+                return (n == 0).astype(float), np.where(n == 0, 0.0, -math.inf)
+            sign = np.where((c > 0) | (n % 2 == 0), 1.0, -1.0)
+            return sign, n * log_c + gammaln(n + 1)
 
         return cls(max_order=max_order, diag_log=diag_log, label=f"exp({c:g}|a|^2)")
 
     @classmethod
     def constant(cls, value: float = 1.0, max_order: int = 200) -> "TaylorField":
-        def diag_log(n: int) -> tuple[float, float]:
-            if n == 0 and value != 0:
-                return math.copysign(1.0, value), math.log(abs(value))
-            return 0.0, -math.inf
+        sign = math.copysign(1.0, value) if value else 0.0
+        log_v = math.log(abs(value)) if value else -math.inf
+
+        def diag_log(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return np.where(n == 0, sign, 0.0), np.where(n == 0, log_v, -math.inf)
 
         return cls(max_order=max_order, diag_log=diag_log, label=f"constant {value:g}")
 
@@ -202,11 +225,11 @@ class TaylorField:
         """F_k(alpha) = exp(-|alpha|^2)|alpha|^(2k)/k!, the |k><k| symbol."""
         lgk = gammaln(k + 1)
 
-        def diag_log(n: int) -> tuple[float, float]:
-            if n < k:
-                return 0.0, -math.inf
-            sign = 1.0 if (n - k) % 2 == 0 else -1.0
-            return sign, 2.0 * gammaln(n + 1) - gammaln(n - k + 1) - lgk
+        def diag_log(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            live = n >= k
+            sign = np.where(live, np.where((n - k) % 2 == 0, 1.0, -1.0), 0.0)
+            lg = 2.0 * gammaln(n + 1) - gammaln(np.maximum(n - k, 0) + 1) - lgk
+            return sign, np.where(live, lg, -math.inf)
 
         return cls(max_order=max_order, diag_log=diag_log, label=f"|{k}><{k}| symbol")
 
@@ -224,47 +247,57 @@ class TaylorField:
                            amplitude: float = 1.0, max_order: int = 400) -> "TaylorField":
         """F(alpha) = A exp(-|alpha - a|^2 / s) for real center a and width s.
 
-        Diagonal data a[n,n] = A exp(-a^2/s) (-1/s)^n n! L_n(a^2/s) with L_n
-        the Laguerre polynomials; general entries by a finite double sum.
+        a[m,n] = A exp(-x) (-1/s)^k k! (a/s)^d L_k^(d)(x) with x = a^2/s,
+        k = min(m, n), d = |m - n| and L_k^(d) the generalized Laguerre
+        polynomials: the finite double sum over j of F's generating function
+        exp(-u v/s + (a/s)(u + v)) collected into one polynomial.  The
+        diagonal is d = 0.  Entries meet in log magnitude, so none
+        overflows before the value does.
         """
         a, s = float(center), float(width_sq)
         x = a * a / s
+        log_amp = math.log(abs(amplitude)) if amplitude else -math.inf
+        log_b = math.log(abs(a / s)) if a else -math.inf
 
-        def diag_log(n: int) -> tuple[float, float]:
-            ln = float(eval_laguerre(n, x))
-            if ln == 0.0 or amplitude == 0.0:
-                return 0.0, -math.inf
-            sign = math.copysign(1.0, ln) * (1.0 if n % 2 == 0 else -1.0)
-            sign *= math.copysign(1.0, amplitude)
-            return sign, (math.log(abs(amplitude)) - x + n * math.log(1.0 / s)
-                          + gammaln(n + 1) + math.log(abs(ln)))
+        def signed_log(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            k, d = np.minimum(m, n), np.abs(m - n)
+            lag = eval_genlaguerre(k, d, x)
+            sign = (math.copysign(1.0, amplitude) * np.where(k % 2 == 0, 1.0, -1.0)
+                    * np.where((d % 2 == 0) | (a >= 0), 1.0, -1.0) * np.sign(lag))
+            with np.errstate(divide="ignore", invalid="ignore"):  # log 0; 0 * log 0 at d = 0
+                lg = (log_amp - x + k * math.log(1.0 / s) + np.where(d > 0, d * log_b, 0.0)
+                      + gammaln(k + 1) + np.log(np.abs(lag)))
+            live = lg > -math.inf  # a zero entry's log is -inf
+            return np.where(live, sign, 0.0), np.where(live, lg, -math.inf)
 
-        def coeff(m: int, n: int) -> complex:
-            total = 0.0
-            for j in range(min(m, n) + 1):
-                lg = (gammaln(m + 1) + gammaln(n + 1) - gammaln(j + 1)
-                      - gammaln(m - j + 1) - gammaln(n - j + 1))
-                total += (-1.0 / s) ** j * (a / s) ** (m + n - 2 * j) * math.exp(lg)
-            return amplitude * math.exp(-x) * total
+        def diag_log(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return signed_log(n, n)
+
+        def coeff(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+            sign, lg = signed_log(m, n)
+            with np.errstate(over="ignore"):
+                return sign * np.exp(lg)
 
         return cls(max_order=max_order, diag_log=diag_log, coeff_fn=coeff,
                    label=f"gaussian bump at {a:g}")
 
     def perturbed(self, other: "TaylorField") -> "TaylorField":
         """Pointwise sum F + G at the level of derivative data."""
-        def coeff(m: int, n: int) -> complex:
-            return self.coefficient(m, n) + other.coefficient(m, n)
+        def coeff(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+            return self._entries(m, n) + other._entries(m, n)
 
-        def diag_log(n: int) -> tuple[float, float]:
+        def diag_log(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             s1, l1 = self.diag_log(n)
             s2, l2 = other.diag_log(n)
-            if s1 == 0 and s2 == 0:
-                return 0.0, -math.inf
-            hi = max(l1 if s1 else -math.inf, l2 if s2 else -math.inf)
-            val = (s1 * math.exp(l1 - hi) if s1 else 0.0) + (s2 * math.exp(l2 - hi) if s2 else 0.0)
-            if val == 0.0:
-                return 0.0, -math.inf
-            return math.copysign(1.0, val), hi + math.log(abs(val))
+            l1 = np.where(s1 != 0, l1, -math.inf)
+            l2 = np.where(s2 != 0, l2, -math.inf)
+            hi = np.maximum(l1, l2)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                val = (np.where(s1 != 0, s1 * np.exp(l1 - hi), 0.0)
+                       + np.where(s2 != 0, s2 * np.exp(l2 - hi), 0.0))
+                lg = hi + np.log(np.abs(val))
+            live = val != 0.0
+            return np.where(live, np.sign(val), 0.0), np.where(live, lg, -math.inf)
 
         return TaylorField(max_order=min(self.max_order, other.max_order),
                            coeff_fn=coeff, diag_log=diag_log,
@@ -289,54 +322,64 @@ class PairingResult:
 def pair(series: DeltaSeries, test_fn: TaylorField) -> PairingResult:
     """Apply a delta-derivative series to a test function.
 
-    Finite series reduce to a finite sum over the stored coefficients.
+    Finite series reduce to a finite sum over the stored coefficients,
+    read from one ``coefficients`` table.
     Generator series are summed along the diagonal to the smaller of the
     series' ``order`` and the test function's ``max_order``, with terms
-    assembled in log magnitude to avoid overflow.  A sum that stops at
-    ``max_order`` (series order >= max_order) stands for the series to all
-    orders, so it is held to a geometric-ratio convergence policy: the
-    magnitude ratio of consecutive non-zero terms must drop below 0.95
-    within the last ten ratios, and its last term must be at most
+    assembled in log magnitude to avoid overflow.  The sum stops at the
+    first order n > 2 whose non-zero term is below 1e-18 of the partial sum.
+    A sum that stops at ``max_order`` (series order >= max_order) stands for
+    the series to all orders, so it is held to a geometric-ratio convergence
+    policy: the magnitude ratio of consecutive non-zero terms must drop below
+    0.95 within the last ten ratios, and its last term must be at most
     ``_TAIL_TOLERANCE`` of the sum, else DivergenceError.  Any sum raises
-    DivergenceError when its terms cancel so far that the rounding bound
-    ``_CANCEL_FACTOR`` * eps * sum |term| exceeds ``_CANCEL_TOLERANCE`` of
-    the sum.
+    DivergenceError when a term summed reaches 1e100, and when its terms
+    cancel so far that the rounding bound ``_CANCEL_FACTOR`` * eps *
+    sum |term| exceeds ``_CANCEL_TOLERANCE`` of the sum.
+
+    The diagonal is read in one array pass, and the partial sums are one
+    sequential ``np.cumsum``, so the value is the one a loop over n adding
+    term by term gives, bit for bit.
     """
     if series.generator is None:
         total = 0.0 + 0.0j
-        for (q, r), c in series.coeffs.items():
-            total += c * (-1.0) ** (q + r) * test_fn.coefficient(q, r)
+        if series.coeffs:
+            table = test_fn.coefficients(max(max(qr) for qr in series.coeffs))
+            for (q, r), c in series.coeffs.items():
+                total += c * (-1.0) ** (q + r) * table[q, r].item()
         return PairingResult(total, 0.0)
 
     gamma = series.generator
     if gamma == 0.0:
         return PairingResult(complex(test_fn.coefficient(0, 0)), 0.0)
-    log_ag = math.log(abs(gamma))
-    sign_g = math.copysign(1.0, gamma)
-    total = abs_sum = 0.0
-    ratios: list[float] = []
-    last_mag = 0.0  # the last non-zero term
-    tail = 0.0      # the term at the last index summed, zero or not
     last = min(series.order, test_fn.max_order)
-    for n in range(last + 1):
-        s_a, log_a = test_fn.diag_log(n)
-        if s_a == 0.0:
-            tail = 0.0
-            continue
-        logmag = n * log_ag - gammaln(n + 1) + log_a
-        if logmag > 230.0:  # magnitude beyond 1e100: hopeless divergence
-            raise DivergenceError("diagonal pairing terms grow without bound")
-        mag = math.exp(logmag)
-        total += s_a * (sign_g**n) * mag
-        abs_sum += mag
-        if last_mag > 0.0:
-            ratios.append(mag / last_mag)
-            ratios = ratios[-_RATIO_WINDOW:]
-        last_mag = tail = mag
-        if mag < 1.0e-18 * max(abs(total), 1.0e-300) and n > 2:
-            break
+    orders = np.arange(last + 1)
+    s_a, log_a = test_fn.diag_log(orders)
+    live = s_a != 0.0  # a zero entry enters no sum, ratio or test
+    n = orders[live]
+    logmag = n * math.log(abs(gamma)) - gammaln(n + 1) + log_a[live]
+    over = np.flatnonzero(logmag > 230.0)  # magnitude beyond 1e100
+    stop = int(over[0]) if over.size else n.size
+    # math.exp, not np.exp: numpy's SIMD exp differs from libm's by an ulp on
+    # about 5% of arguments, and the reports print pairings to full precision
+    mags = np.fromiter(map(math.exp, logmag[:stop].tolist()), float, stop)
+    terms = s_a[live][:stop] * math.copysign(1.0, gamma) ** n[:stop] * mags
+    partial = np.cumsum(terms)
+    small = (mags < 1.0e-18 * np.maximum(np.abs(partial), 1.0e-300)) & (n[:stop] > 2)
+    hit = np.flatnonzero(small)
+    if not hit.size and over.size:
+        raise DivergenceError("diagonal pairing terms grow without bound")
+    end = int(hit[0]) + 1 if hit.size else stop
+    mags = mags[:end]
+    total = partial[end - 1] if end else 0.0
+    abs_sum = np.cumsum(mags)[-1] if end else 0.0
+    last_mag = mags[-1] if end else 0.0  # the last non-zero term
+    # the term at the last index summed, zero or not
+    tail = last_mag if hit.size or live[last] else 0.0
+    prev, cur = mags[:-1], mags[1:]
+    ratios = (cur[prev > 0.0] / prev[prev > 0.0])[-_RATIO_WINDOW:]
     cut_off = last == test_fn.max_order
-    if cut_off and len(ratios) == _RATIO_WINDOW and min(ratios) >= _RATIO_LIMIT:
+    if cut_off and ratios.size == _RATIO_WINDOW and ratios.min() >= _RATIO_LIMIT:
         raise DivergenceError(
             f"diagonal pairing fails the ratio policy (last ratios >= {_RATIO_LIMIT})"
         )

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import comb, gammaln
 
 from . import charfn
-from .deltaseries import TaylorField, _check_order
+from .deltaseries import _EPS, TaylorField, _check_order
 from .errors import ComplexResidueError, NonConvergenceError, ParameterError, RangeError
 from .filters import _check_gaussian, _check_width, filtered_p
 from .numerics import PhaseField, PhaseGrid, check_grid
@@ -25,6 +25,12 @@ from .states import State, overlap_cutoff
 
 #: default certification margin; an order below quadrature tolerances
 CERTIFICATION_MARGIN = 1.0e-9
+
+#: a Hankel matrix M certifies only past its own eigenvalue roundoff, this
+#: factor times dim * eps * max |eigenvalue of M| (``eigvalsh`` is backward
+#: stable, and by Weyl's inequality a perturbation E moves no eigenvalue by
+#: more than ||E||_2; Golub & Van Loan, Matrix Computations, section 8.1)
+EIGENVALUE_ERROR_FACTOR = 10.0
 
 #: largest imaginary residue a field expected to be real may carry
 RESIDUE_TOLERANCE = 1.0e-9
@@ -167,6 +173,13 @@ def _check_margin_order(margin: float, order: int) -> None:
     _check_order(order, "moment order")
 
 
+def _below_roundoff(eigs: np.ndarray, margin: float) -> bool:
+    """Whether the least of a symmetric matrix's eigenvalues is below
+    -(margin + its roundoff), ``EIGENVALUE_ERROR_FACTOR`` dim eps max |eig|."""
+    err = EIGENVALUE_ERROR_FACTOR * eigs.size * _EPS * float(np.abs(eigs).max())
+    return float(eigs.min()) < -(margin + err)
+
+
 def moment_matrix_test(state: State, order: int,
                        *, margin: float = CERTIFICATION_MARGIN) -> CriterionEntry:
     """Minimal eigenvalue of the Hankel matrix M[j,k] = <:n^(j+k):>.
@@ -179,10 +192,13 @@ def moment_matrix_test(state: State, order: int,
     the sign, is also below -margin: at large moments the unscaled
     eigenvalue carries roundoff (-3e-6 for a coherent state at |a0| = 19.5),
     and at small moments the rescaled one magnifies the error of a moment
-    table.  The moments are recentred from the table of the undisplaced
-    state (``State.moments``).  When any moment diverges or is not finite (a
-    table past the float range, such as squeezed xi = 354), the verdict is
-    inapplicable.
+    table.  In both matrices the margin is widened by the eigenvalues' own
+    roundoff (``_below_roundoff``): the Hankel matrix of a finite mixture of
+    coherent states is singular, and roundoff alone gave it -1.7e-8 at
+    0.999 |0><0| + 0.001 |30><30|.  The moments are recentred from the
+    table of the undisplaced state (``State.moments``).  When any moment
+    diverges or is not finite (a table past the float range, such as
+    squeezed xi = 354), the verdict is inapplicable.
     Raises ParameterError unless the margin is finite and >= 0 and the
     order an integer >= 0.
     """
@@ -201,9 +217,11 @@ def moment_matrix_test(state: State, order: int,
         moments.append(m)
     jk = np.add.outer(np.arange(order + 1), np.arange(order + 1))
     h = np.array(moments)[jk]
-    min_eig = float(np.linalg.eigvalsh(h).min())
+    eigs = np.linalg.eigvalsh(h)
+    min_eig = float(eigs.min())
     scale = np.clip(abs(moments[1]) if order else 1.0, 1.0e-30, 1.0e30)
-    certified = min_eig < -margin and np.linalg.eigvalsh(h / scale ** jk).min() < -margin
+    certified = (_below_roundoff(eigs, margin)
+                 and _below_roundoff(np.linalg.eigvalsh(h / scale ** jk), margin))
     verdict = VERDICT_CERTIFIED if certified else VERDICT_CONSISTENT
     return CriterionEntry("moment_matrix", verdict, min_eig,
                           detail=f"order {order} Hankel matrix of diagonal moments")
@@ -265,23 +283,29 @@ class AdmissibilityResult:
 def admissible_check(f: TaylorField, c: float, order: int) -> AdmissibilityResult:
     """Check |a[n,m]| <= (sqrt(2) C)^(n+m) sqrt(n! m!) for all n, m <= order.
 
-    Returns the first violating index pair in total-order-then-lexicographic
-    scan order, if any.  Raises ParameterError unless 0 <= C < 1 and the
-    order is an integer >= 0.
+    The whole table ``f.coefficients(order)`` is compared with the log
+    bound at once; the bound on a[0, 0] is 1 at every C, C = 0 included
+    (0^0 = 1).  Returns the first violating index pair in
+    total-order-then-lexicographic scan order, if any.  Raises
+    ParameterError unless 0 <= C < 1 and the order is an integer >= 0.
     """
     _check_admissibility_constant(c)
     _check_order(order)
     log_sqrt2c = math.log(math.sqrt(2.0) * c) if c > 0 else -math.inf
-    for total in range(0, 2 * order + 1):
-        for m in range(max(0, total - order), min(order, total) + 1):
-            n = total - m
-            a = f.coefficient(m, n)
-            if a == 0:
-                continue
-            log_bound = total * log_sqrt2c + 0.5 * (gammaln(m + 1) + gammaln(n + 1))
-            if math.log(abs(a)) > log_bound + 1.0e-12:
-                return AdmissibilityResult(False, (m, n), order)
-    return AdmissibilityResult(True, None, order)
+    idx = np.arange(order + 1)
+    lg = gammaln(idx + 1)
+    totals = np.add.outer(idx, idx)
+    with np.errstate(invalid="ignore"):  # 0 * -inf at total 0 when C = 0
+        log_bound = (np.where(totals > 0, totals * log_sqrt2c, 0.0)
+                     + 0.5 * np.add.outer(lg, lg))
+    mag = np.abs(f.coefficients(order))
+    live = mag != 0
+    log_a = np.log(mag, out=np.full(mag.shape, -math.inf), where=live)
+    ms, ns = np.nonzero(live & (log_a > log_bound + 1.0e-12))
+    if not ms.size:
+        return AdmissibilityResult(True, None, order)
+    first = np.lexsort((ms, ms + ns))[0]
+    return AdmissibilityResult(False, (int(ms[first]), int(ns[first])), order)
 
 
 def pmax_pairing_bound(c: float) -> float:

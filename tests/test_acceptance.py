@@ -101,3 +101,24 @@ def test_t_quadrature_rows_match_the_per_g_complex_form():
     assert rows.shape == (len(gs), ys.size)
     for g, row in zip(gs, rows):
         np.testing.assert_allclose(row, t_quadrature_per_g(ys, g), rtol=0, atol=1e-15)
+
+
+def test_criterion_1_oracle_is_the_cutoff_60_block():
+    # e^(beta a^dag) is lower triangular and e^(-conj(beta) a) upper
+    # triangular, so the [:11, :11] block of their cutoff-60 product sums
+    # the same k <= min(m, n) terms as the cutoff-10 product
+    betas = acceptance._criterion_1_points()
+    k = acceptance._C1_MAX_INDEX
+    lower = acceptance.creation_exponential(betas, 60)
+    upper = np.swapaxes(acceptance.creation_exponential(-np.conj(betas), 60), -1, -2)
+    small_lower = acceptance.creation_exponential(betas, k)
+    small_upper = np.swapaxes(acceptance.creation_exponential(-np.conj(betas), k), -1, -2)
+    assert np.array_equal(small_lower, lower[:, : k + 1, : k + 1])
+    assert np.array_equal(small_upper, upper[:, : k + 1, : k + 1])
+    assert not lower[:, : k + 1, k + 1:].any() and not upper[:, k + 1:, : k + 1].any()
+    block = (lower @ upper)[:, : k + 1, : k + 1]
+    small = small_lower @ small_upper
+    # relative to sum_k |L[n, k]| |U[k, m]|, the scale of either product's
+    # roundoff: the entries cancel, to 1.2e-10 of themselves at worst
+    scale = np.abs(small_lower) @ np.abs(small_upper)
+    assert np.all(np.abs(small - block) <= 1e-13 * scale)

@@ -269,6 +269,18 @@ class TestFigure1Command:
         header = [l for l in squeezed if l.startswith("t,")][0]
         assert header == "t,value,value_antisqueezed"
 
+    def test_underflowing_width_writes_no_nan_rows(self, runner, tmp_path):
+        # figure1 calls filtered_p_gaussian directly; at w = 1e-300 each of
+        # its four cut files held 20 nan rows, with exit 0
+        res = runner.invoke(main, ["figure1", "--w", "1e-300", "--grid", "4,21",
+                                   "--out-dir", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        assert ("Error: the filtered cut fig1a_vacuum of fock_element m=0 n=0 at w=1e-300 "
+                "is not finite at 20 of 21 nodes") in res.output
+        assert "Traceback" not in res.output
+        for path in tmp_path.glob("*.csv"):
+            assert "nan" not in path.read_text()
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, runner, tmp_path):

@@ -2,13 +2,21 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from gsphase.deltaseries import (
+    _CANCEL_FACTOR,
+    _CANCEL_TOLERANCE,
+    _EPS,
+    _RATIO_LIMIT,
+    _RATIO_WINDOW,
+    _TAIL_TOLERANCE,
     DeltaSeries,
+    PairingResult,
     TaylorField,
     classify_generator,
     exp_laplace_series,
@@ -17,7 +25,7 @@ from gsphase.deltaseries import (
     s_transform,
     series_from_fock,
 )
-from gsphase.errors import DivergenceError, TruncationWarning, UnsupportedError
+from gsphase.errors import DivergenceError, ParameterError, TruncationWarning, UnsupportedError
 from gsphase.numerics import Cartesian, quad2d
 from gsphase.states import StateSpec, fock_matrix, make_state
 
@@ -181,6 +189,178 @@ class TestPairing:
         assert delta_finite < 1e-9
         assert delta_gen == pytest.approx(leak, rel=1e-4)
         assert delta_gen > 100 * delta_finite
+
+
+def reference_pair(series: DeltaSeries, test_fn: TaylorField) -> PairingResult:
+    """The diagonal pairing of a generator series as a loop over n, one term
+    at a time: the reference the array pass must match bit for bit."""
+    gamma = series.generator
+    log_ag = math.log(abs(gamma))
+    sign_g = math.copysign(1.0, gamma)
+    total = abs_sum = 0.0
+    ratios: list[float] = []
+    last_mag = 0.0
+    tail = 0.0
+    last = min(series.order, test_fn.max_order)
+    for n in range(last + 1):
+        s, lg = test_fn.diag_log(np.array([n]))
+        s_a, log_a = float(s[0]), float(lg[0])
+        if s_a == 0.0:
+            tail = 0.0
+            continue
+        logmag = n * log_ag - gammaln(n + 1) + log_a
+        if logmag > 230.0:
+            raise DivergenceError("diagonal pairing terms grow without bound")
+        mag = math.exp(logmag)
+        total += s_a * (sign_g**n) * mag
+        abs_sum += mag
+        if last_mag > 0.0:
+            ratios.append(mag / last_mag)
+            ratios = ratios[-_RATIO_WINDOW:]
+        last_mag = tail = mag
+        if mag < 1.0e-18 * max(abs(total), 1.0e-300) and n > 2:
+            break
+    cut_off = last == test_fn.max_order
+    if cut_off and len(ratios) == _RATIO_WINDOW and min(ratios) >= _RATIO_LIMIT:
+        raise DivergenceError(
+            f"diagonal pairing fails the ratio policy (last ratios >= {_RATIO_LIMIT})")
+    if cut_off and tail > _TAIL_TOLERANCE * abs(total):
+        raise DivergenceError(
+            f"diagonal pairing is cut off at order {test_fn.max_order} while its last "
+            f"term is {tail:.3e} against a sum of {abs(total):.3e}")
+    if _CANCEL_FACTOR * _EPS * abs_sum > _CANCEL_TOLERANCE * abs(total):
+        raise DivergenceError(
+            f"diagonal pairing terms cancel: sum |term| = {abs_sum:.3e} against a sum "
+            f"of {abs(total):.3e}, below its rounding")
+    ratio = last_mag / abs(total) if cut_off and total != 0 else 0.0
+    return PairingResult(complex(total), float(ratio))
+
+
+def _outcome(fn, series, test_fn):
+    try:
+        res = fn(series, test_fn)
+    except DivergenceError as exc:
+        return "refused", str(exc)
+    return res.value, res.convergence_ratio
+
+
+#: every TaylorField constructor, at parameters where pairings converge,
+#: diverge, cancel and are cut off
+FIELDS = {
+    "exp-1": lambda: TaylorField.from_exp_quadratic(-1.0),
+    "exp-0.25": lambda: TaylorField.from_exp_quadratic(-0.25),
+    "exp+0.3": lambda: TaylorField.from_exp_quadratic(0.3),
+    "exp0": lambda: TaylorField.from_exp_quadratic(0.0),
+    "constant": lambda: TaylorField.constant(1.0),
+    "constant-2.5": lambda: TaylorField.constant(-2.5),
+    "constant0": lambda: TaylorField.constant(0.0),
+    "symbol0": lambda: TaylorField.vacuum_projector_symbol(0),
+    "symbol3": lambda: TaylorField.vacuum_projector_symbol(3),
+    "symbol10-1000": lambda: TaylorField.vacuum_projector_symbol(10, max_order=1000),
+    "symbol60": lambda: TaylorField.vacuum_projector_symbol(60),
+    "alternating": lambda: TaylorField.alternating(0.6, 0.9),
+    "alternating-2000": lambda: TaylorField.alternating(0.6, 0.999, max_order=2000),
+    "bump": lambda: TaylorField.displaced_gaussian(4.0, 1.0),
+    "bump-negative": lambda: TaylorField.displaced_gaussian(0.7, 1.3, amplitude=-2.0),
+    "perturbed": lambda: TaylorField.from_exp_quadratic(-1.0).perturbed(
+        TaylorField.displaced_gaussian(5.0, 1.0)),
+    "perturbed-cancel": lambda: TaylorField.constant(1.0).perturbed(
+        TaylorField.from_exp_quadratic(-0.5)),
+}
+
+
+class TestArrayPairing:
+    """The one-pass diagonal pairing is the term-by-term loop, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_bit_identical_to_the_loop(self, name):
+        f = FIELDS[name]()
+        seen = set()
+        for gamma in (-0.999, -0.9, -0.5, -0.3, 0.25, 0.5, 0.9, 0.999, 2.0, 5.0):
+            for order in (2, 5, 400, 1000):
+                series = exp_laplace_series(gamma, order)
+                got = _outcome(pair, series, f)
+                want = _outcome(reference_pair, series, f)
+                assert got == want, (gamma, order)
+                seen.add(got[0] == "refused")
+        assert False in seen
+
+    @pytest.mark.parametrize("gamma,field,match", [
+        (5.0, TaylorField.from_exp_quadratic(-1.0), "grow without bound"),
+        (0.999, TaylorField.from_exp_quadratic(-1.0), "ratio policy"),
+        (-0.9, TaylorField.vacuum_projector_symbol(10), "cut off at order 400"),
+        (0.3, TaylorField.vacuum_projector_symbol(60), "terms cancel"),
+    ], ids=["overflow", "ratio", "tail", "cancellation"])
+    def test_each_policy_refuses_as_the_loop_does(self, gamma, field, match):
+        series = exp_laplace_series(gamma, 400)
+        with pytest.raises(DivergenceError, match=match) as got:
+            pair(series, field)
+        with pytest.raises(DivergenceError) as want:
+            reference_pair(series, field)
+        assert str(got.value) == str(want.value)
+
+    def test_overflow_past_the_break_is_not_reached(self):
+        # a[n,n] = (-0.01)^n n! + 1e-40 (-100)^n n! against gamma = 0.5: the
+        # terms fall below 1e-18 of the sum at n = 8, and the second part's
+        # 1e-40 50^n passes 1e100 only from n = 83 on
+        series = exp_laplace_series(0.5, 400)
+        f = TaylorField.from_exp_quadratic(-0.01, max_order=400).perturbed(
+            TaylorField.displaced_gaussian(0.0, 0.01, amplitude=1e-40))
+        s_a, log_a = f.diag_log(np.arange(401))
+        assert (np.arange(401) * math.log(0.5) - gammaln(np.arange(1, 402)) + log_a).max() > 230
+        got = pair(series, f)
+        assert got.value == reference_pair(series, f).value
+        assert got.value == pytest.approx(1.0 / (1.0 + 0.005), rel=1e-15)
+
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_finite_series_reads_the_table_as_the_accessor(self, name):
+        f = FIELDS[name]()
+        rng = np.random.default_rng(5)
+        for order in (0, 3, 11):
+            coeffs = {(int(q), int(r)): complex(*rng.normal(size=2))
+                      for q, r in rng.integers(0, order + 1, size=(20, 2))}
+            want = 0.0 + 0.0j
+            for (q, r), c in coeffs.items():
+                want += c * (-1.0) ** (q + r) * f.coefficient(q, r)
+            assert pair(DeltaSeries(coeffs=coeffs, order=order), f).value == want
+
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_table_matches_the_scalar_accessor(self, name):
+        f = FIELDS[name]()
+        table = f.coefficients(12)
+        assert table.shape == (13, 13)
+        for m in range(13):
+            for n in range(13):
+                assert table[m, n] == f.coefficient(m, n)
+
+    def test_bump_table_against_the_double_sum(self):
+        # a[m, n] = A e^(-x) sum_j C(m, j) C(n, j) j! (-1/s)^j (a/s)^(m+n-2j),
+        # the generating function's double sum that the Laguerre form
+        # collects, summed exactly: in floats its alternating terms lose
+        # 1.6e-12 relative at a = -1.5, s = 0.5, where the table loses 2.9e-15
+        for a, s, amp in ((0.7, 1.3, -2.0), (-1.5, 0.5, 1.0), (0.0, 2.0, 1.0)):
+            table = TaylorField.displaced_gaussian(a, s, amplitude=amp).coefficients(12)
+            fa, fs = Fraction(a), Fraction(s)
+            for m in range(13):
+                for n in range(13):
+                    ref = sum(math.comb(m, j) * math.comb(n, j) * math.factorial(j)
+                              * (-1 / fs) ** j * (fa / fs) ** (m + n - 2 * j)
+                              for j in range(min(m, n) + 1))
+                    assert table[m, n] == pytest.approx(
+                        amp * math.exp(-a * a / s) * float(ref), rel=1e-13, abs=1e-300)
+
+    def test_bump_table_at_order_400_stays_finite_in_memory_and_sign(self):
+        # the entries pass the float range past order ~170, as inf, never nan
+        table = TaylorField.displaced_gaussian(2.0, 1.0).coefficients(400)
+        assert not np.isnan(table).any()
+        assert np.isinf(table).any() and np.isfinite(table[:40, :40]).all()
+
+    def test_orders_past_max_order_are_refused(self):
+        f = TaylorField.from_exp_quadratic(-1.0, max_order=5)
+        with pytest.raises(ParameterError):
+            f.coefficient(6, 0)
+        with pytest.raises(ParameterError):
+            f.coefficients(6)
 
 
 class TestPairingRefusals:

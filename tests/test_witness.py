@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
-from scipy.special import betaln, ive
+from scipy.special import betaln, gammaln, ive
 
 from gsphase import charfn, filters, witness
 from gsphase.deltaseries import TaylorField, exp_laplace_series, pair
 from gsphase.errors import ComplexResidueError, NonConvergenceError, ParameterError, RangeError
 from gsphase.filters import filtered_p_gaussian_grid, filtered_p_numeric
 from gsphase.numerics import PhaseField, PhaseGrid
-from gsphase.states import (StateSpec, fock_matrix, from_fock_matrix, make_state,
+from gsphase.states import (State, StateSpec, fock_matrix, from_fock_matrix, make_state,
                             resummed_coefficients)
 from gsphase.witness import (
     CERTIFICATION_MARGIN,
@@ -276,6 +276,71 @@ class TestMomentMatrix:
         assert entry.verdict == VERDICT_CERTIFIED
 
 
+def coherent_mixture(weights, points) -> State:
+    """sum_i w_i |a_i><a_i|, built by hand: Phi, moment table and Fock matrix.
+
+    T[q, r] = sum_i w_i a_i^q conj(a_i)^r.  Its Hankel matrices are those of
+    a finite point measure, singular past its number of points, so their
+    least eigenvalue is 0 up to roundoff.
+    """
+    w, a = np.asarray(weights, dtype=float), np.asarray(points, dtype=complex)
+
+    def phi(beta):
+        b = np.asarray(beta, dtype=complex)[..., None]
+        return np.sum(w * np.exp(b * np.conj(a) - np.conj(b) * a), axis=-1)
+
+    def moments(order):
+        q = np.arange(order + 1)
+        return np.einsum("i,iq,ir->qr", w, a[:, None] ** q, np.conj(a)[:, None] ** q)
+
+    def fock(cutoff):
+        k = np.arange(cutoff + 1)
+        amp = a[:, None] ** k * np.exp(-0.5 * np.abs(a)[:, None] ** 2 - 0.5 * gammaln(k + 1))
+        return np.einsum("i,iq,ir->qr", w, amp, np.conj(amp))
+
+    return State(spec=StateSpec("coherent_mixture", {}), physical=True,
+                 phi_unrotated=phi, moments_unrotated=moments, _base_fock_builder=fock)
+
+
+#: two- and three-point coherent mixtures with one heavy point; at the
+#: order-3 Hankel matrix 16 of them read below -1e-9 by roundoff alone
+MIXTURE_PROBES = (
+    [((wt, 1.0 - wt), pts) for wt in (0.999, 0.99, 0.9, 0.5)
+     for r in (1.0, 2.0, 4.0, 8.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+     for pts in ((0.0, r), (r * cmath.exp(0.7j), -0.5 * r))]
+    + [((wt, (1.0 - wt) / 2, (1.0 - wt) / 2), pts) for wt in (0.998, 0.98, 0.8, 1.0 / 3.0)
+       for r in (1.0, 2.0, 4.0, 8.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+       for pts in ((0.0, r, r * cmath.exp(2j * math.pi / 3)), (0.5, r, 0.5j * r))]
+)
+
+
+class TestMomentMatrixSoundness:
+    """A singular Hankel matrix certifies nothing through its roundoff."""
+
+    def test_two_point_mixture(self):
+        # 0.999 |0><0| + 0.001 |30><30|: the exact least eigenvalue is 0
+        st = coherent_mixture((0.999, 0.001), (0.0, 30.0))
+        assert abs(vacuum_probability(st) - (0.999 + 0.001 * math.exp(-900.0))) < 1e-15
+        for order, below in ((2, -1.0e-8), (3, -1.0e-3)):
+            entry = moment_matrix_test(st, order)
+            assert entry.witness_value < below
+            assert entry.verdict == VERDICT_CONSISTENT
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_no_mixture_certifies(self, order):
+        certified = [(w, a) for w, a in MIXTURE_PROBES
+                     if moment_matrix_test(coherent_mixture(w, a), order).verdict
+                     == VERDICT_CERTIFIED]
+        assert certified == []
+
+    def test_nonclassical_moments_still_certify(self):
+        # criterion 8's moment certifications, far past the roundoff term
+        for spec, orders in ((StateSpec("spats", {"nbar": 1.0}), (2, 3)),
+                             (StateSpec("photon_vacuum_mix", {"eta": 1.0}), (1, 2, 3))):
+            for order in orders:
+                assert moment_matrix_test(make_state(spec), order).verdict == VERDICT_CERTIFIED
+
+
 class TestMarginAndOrder:
     """A margin or moment order that breaks soundness is refused up front."""
 
@@ -454,6 +519,60 @@ class TestAdmissibility:
                 a = abs(f.coefficient(n, n))
                 bound = cprime ** (2 * n) * math.factorial(n) ** 2
                 assert a <= bound + 1e-9
+
+    @staticmethod
+    def reference_check(f, c, order):
+        """The scan entry by entry: total order, then m."""
+        log_sqrt2c = math.log(math.sqrt(2.0) * c)
+        for total in range(0, 2 * order + 1):
+            for m in range(max(0, total - order), min(order, total) + 1):
+                n = total - m
+                a = f.coefficient(m, n)
+                if a == 0:
+                    continue
+                log_bound = total * log_sqrt2c + 0.5 * (gammaln(m + 1) + gammaln(n + 1))
+                if math.log(abs(a)) > log_bound + 1.0e-12:
+                    return False, (m, n)
+        return True, None
+
+    @pytest.mark.parametrize("field", [
+        TaylorField.displaced_gaussian(0.7, 1.3),
+        TaylorField.displaced_gaussian(2.0, 0.5, amplitude=-3.0),
+        TaylorField.displaced_gaussian(4.0, 1.0),
+        TaylorField.from_exp_quadratic(-1.0).perturbed(TaylorField.displaced_gaussian(1.5, 2.0)),
+        TaylorField.from_exp_quadratic(-0.25).perturbed(TaylorField.constant(-2.0)),
+        TaylorField.from_exp_quadratic(-1.0),
+        TaylorField.from_exp_quadratic(1.0),
+        TaylorField.from_exp_quadratic(2.0),
+        TaylorField.alternating(0.6, 0.9),
+    ], ids=["bump-0.7", "bump-2-negative", "bump-4", "gauss+bump", "gauss+constant",
+            "exp-1", "exp+1", "exp+2", "alternating"])
+    @pytest.mark.parametrize("c", [0.3, 0.7, 1.0 / math.sqrt(2.0) - 1e-9,
+                                   1.0 / math.sqrt(2.0) + 1e-9, 0.95])
+    def test_table_matches_the_entry_scan(self, field, c):
+        # exp(-|alpha|^2) sits on its threshold C = 1/sqrt(2); the bumps
+        # violate at many entries, so the scan order decides the answer
+        for order in (0, 3, 30):
+            res = admissible_check(field, c, order)
+            assert (res.admissible, res.first_violation) == self.reference_check(field, c, order)
+
+    def test_the_first_violation_is_in_scan_order(self):
+        # a bump violates at many entries; the first is the least total
+        # order, then the least m
+        f = TaylorField.displaced_gaussian(4.0, 1.0)
+        table = np.abs(f.coefficients(20))
+        res = admissible_check(f, 0.3, 20)
+        m, n = res.first_violation
+        assert table[m, n] > (math.sqrt(2.0) * 0.3) ** (m + n) * math.sqrt(
+            math.factorial(m) * math.factorial(n))
+        assert m + n > 0
+
+    def test_origin_bound_at_zero_c(self):
+        # at C = 0 the bound on a[0, 0] is 0^0 = 1; the entry scan's
+        # 0 * log 0 was nan there, which no entry exceeds
+        assert not admissible_check(TaylorField.constant(-2.5), 0.0, 5).admissible
+        assert admissible_check(TaylorField.constant(-2.5), 0.0, 5).first_violation == (0, 0)
+        assert admissible_check(TaylorField.constant(-1.0), 0.0, 5).admissible
 
 
 class TestPairingBound:
