@@ -16,14 +16,12 @@ Modulus bounds implemented here:
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError, RangeError
+from .errors import RangeError, check_number
 from .numerics import PhaseGrid, check_grid, mirror_quadrant, pointwise, radial_orbits
 # char_fn_fock_element lives with the catalog and stays importable from here
 from .states import State, char_fn_fock_element  # noqa: F401
@@ -55,10 +53,9 @@ def char_fn_s(state: State, beta, s: float):
 
     s = 1 is the identity; s = 0 and s = -1 give the symmetric and
     antinormal orderings.  Values outside [-1, 1] are accepted; an s that is
-    not a finite real raises ParameterError.
+    not a finite real (a bool included) raises ParameterError.
     """
-    if not (isinstance(s, numbers.Real) and math.isfinite(s)):
-        raise ParameterError(f"the ordering parameter s must be a finite real (got {s!r})")
+    check_number(s, "the ordering parameter s")
     return pointwise(lambda b: np.exp(-0.5 * (1.0 - s) * np.abs(b) ** 2) * char_fn(state, b),
                      beta)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -24,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import eval_genlaguerre, eval_laguerre, gammaln
 
-from .errors import DivergenceError, ParameterError, TruncationWarning, UnsupportedError
+from .errors import DivergenceError, ParameterError, TruncationWarning, UnsupportedError, check_number
 from .numerics import PhaseField, radial_integral
 from .states import FockMatrix, resummed_coefficients
 
@@ -53,11 +52,8 @@ _EPS = float(np.finfo(float).eps)
 #: largest k whose <k| mu |k> ``fock_diagonal`` also takes by its transform oracle
 _ORACLE_K_MAX = 3
 
-
-def _check_order(order, what: str = "order", least: int = 0) -> None:
-    """Raise ParameterError unless ``order`` is an integer >= ``least``."""
-    if not (isinstance(order, numbers.Integral) and order >= least):
-        raise ParameterError(f"{what} must be an integer >= {least} (got {order!r})")
+#: ``max_order`` of the |k><k| symbols, and so the largest k_max of ``fock_diagonal``
+SYMBOL_MAX_ORDER = 400
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +100,10 @@ def exp_laplace_series(gamma: float, order: int) -> DeltaSeries:
     """Diagonal series with c[n,n] = gamma^n/n! for n <= order.
 
     Raises ParameterError unless gamma is a finite real and the order an
-    integer >= 0.
+    integer >= 0, a bool being neither.
     """
-    if not (isinstance(gamma, numbers.Real) and math.isfinite(gamma)):
-        raise ParameterError(f"generator gamma must be a finite real (got {gamma!r})")
-    _check_order(order)
+    check_number(gamma, "generator gamma")
+    check_number(order, "order", 0, integer=True)
     return DeltaSeries(order=order, generator=float(gamma))
 
 
@@ -117,13 +112,13 @@ def series_from_fock(fock: FockMatrix, order_cutoff: int) -> DeltaSeries:
 
     c[q,r] = sum_k rho[q+k, r+k] sqrt((q+k)!(r+k)!) (-1)^(q+r) / (k! q! r!),
     truncated at the matrix cutoff.  Warns when the last retained k-term
-    still contributes more than 1e-8 of a coefficient.
+    still contributes more than 1e-8 of a coefficient.  Raises
+    ParameterError unless ``order_cutoff`` is an integer from 0 to the
+    matrix cutoff and the matrix is Hermitian.
     """
-    _check_order(order_cutoff, "order_cutoff")
+    check_number(order_cutoff, "order_cutoff", 0, fock.cutoff, integer=True)
     if not fock.is_hermitian(1.0e-9):
         raise ParameterError("series_from_fock needs a Hermitian matrix")
-    if order_cutoff > fock.cutoff:
-        raise ParameterError("order_cutoff cannot exceed the Fock cutoff")
     d, last = resummed_coefficients(fock.matrix)
     n = order_cutoff + 1
     idx = np.arange(n)
@@ -162,7 +157,8 @@ class TaylorField:
     diagonal coefficient a[n,n] is read from it.  ``coeff_fn``, when set,
     gives every entry at broadcast index arrays.  ``coefficient(m, n)``
     reads one entry and ``coefficients(order)`` the (order+1)^2 table
-    a[m, n] for m, n <= order.
+    a[m, n] for m, n <= order.  Raises ParameterError unless ``max_order``
+    is an integer >= 0.
     """
 
     max_order: int
@@ -170,21 +166,26 @@ class TaylorField:
     label: str = ""
     coeff_fn: CoeffFn | None = None
 
+    def __post_init__(self):
+        check_number(self.max_order, "max_order", 0, integer=True)
+
     def coefficient(self, m: int, n: int) -> complex:
+        """a[m, n]; ParameterError unless m and n are integers from 0 to
+        ``max_order``."""
+        for index in (m, n):
+            check_number(index, "derivative index", 0, self.max_order, integer=True)
         return self._entries(np.asarray(m), np.asarray(n)).item()
 
     def coefficients(self, order: int) -> np.ndarray:
-        """The table a[m, n] for m, n <= order."""
-        _check_order(order)
+        """The table a[m, n] for m, n <= order; ParameterError, before the
+        table is built, unless the order is an integer from 0 to
+        ``max_order``."""
+        check_number(order, "order", 0, self.max_order, integer=True)
         idx = np.arange(order + 1)
         return self._entries(idx[:, None], idx[None, :])
 
     def _entries(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """a[m, n] at broadcast index arrays; ParameterError past max_order."""
-        if max(m.max(), n.max()) > self.max_order:
-            raise ParameterError(
-                f"derivative data only available to order {self.max_order}"
-            )
+        """a[m, n] at broadcast index arrays from 0 to ``max_order``."""
         if self.coeff_fn is not None:
             return self.coeff_fn(m, n)
         m, n = np.broadcast_arrays(m, n)
@@ -199,7 +200,12 @@ class TaylorField:
 
     @classmethod
     def from_exp_quadratic(cls, c: float, max_order: int = 200) -> "TaylorField":
-        """F(alpha) = exp(c |alpha|^2), with a[n,n] = c^n n!."""
+        """F(alpha) = exp(c |alpha|^2), with a[n,n] = c^n n!.
+
+        Raises ParameterError unless c is a finite real and ``max_order`` an
+        integer >= 0.
+        """
+        check_number(c, "exp-quadratic c")
         log_c = math.log(abs(c)) if c else 0.0
 
         def diag_log(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,6 +218,9 @@ class TaylorField:
 
     @classmethod
     def constant(cls, value: float = 1.0, max_order: int = 200) -> "TaylorField":
+        """F = value; ParameterError unless the value is a finite real and
+        ``max_order`` an integer >= 0."""
+        check_number(value, "constant value")
         sign = math.copysign(1.0, value) if value else 0.0
         log_v = math.log(abs(value)) if value else -math.inf
 
@@ -221,8 +230,15 @@ class TaylorField:
         return cls(max_order=max_order, diag_log=diag_log, label=f"constant {value:g}")
 
     @classmethod
-    def vacuum_projector_symbol(cls, k: int, max_order: int = 400) -> "TaylorField":
-        """F_k(alpha) = exp(-|alpha|^2)|alpha|^(2k)/k!, the |k><k| symbol."""
+    def vacuum_projector_symbol(cls, k: int, max_order: int = SYMBOL_MAX_ORDER) -> "TaylorField":
+        """F_k(alpha) = exp(-|alpha|^2)|alpha|^(2k)/k!, the |k><k| symbol.
+
+        Raises ParameterError unless ``max_order`` is an integer >= 0 and k
+        an integer from 0 to ``max_order``: past it the symbol's diagonal,
+        which starts at n = k, is not there to pair with.
+        """
+        check_number(max_order, "max_order", 0, integer=True)
+        check_number(k, "symbol index k", 0, max_order, integer=True)
         lgk = gammaln(k + 1)
 
         def diag_log(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +254,11 @@ class TaylorField:
         """a[n,n] = (-1)^n (2 c^2 theta)^n n!: saturates the pairing bound as theta->1.
 
         The test function exp(-2 c^2 theta |alpha|^2), under its own label.
+        Raises as ``from_exp_quadratic`` does, and ParameterError unless c
+        and theta are finite reals.
         """
+        check_number(c, "alternating C")
+        check_number(theta, "alternating theta")
         return replace(cls.from_exp_quadratic(-2.0 * c * c * theta, max_order),
                        label=f"alternating C={c:g} theta={theta:g}")
 
@@ -252,8 +272,13 @@ class TaylorField:
         polynomials: the finite double sum over j of F's generating function
         exp(-u v/s + (a/s)(u + v)) collected into one polynomial.  The
         diagonal is d = 0.  Entries meet in log magnitude, so none
-        overflows before the value does.
+        overflows before the value does.  Raises ParameterError unless the
+        center and amplitude are finite reals, the width s a finite positive
+        real and ``max_order`` an integer >= 0.
         """
+        check_number(center, "bump center")
+        check_number(width_sq, "bump width_sq", 0, above=True)
+        check_number(amplitude, "bump amplitude")
         a, s = float(center), float(width_sq)
         x = a * a / s
         log_amp = math.log(abs(amplitude)) if amplitude else -math.inf
@@ -427,9 +452,10 @@ def fock_diagonal(series: DeltaSeries, k_max: int) -> FockDiagonalReport:
     """<k| mu |k> for k <= k_max of a diagonal generator series.
 
     Requires |gamma| < 1 for the pairing route to converge, and k_max an
-    integer >= 0.
+    integer from 0 to ``SYMBOL_MAX_ORDER`` (400), the symbols' ``max_order``;
+    ParameterError otherwise, a bool included, before any pairing runs.
     """
-    _check_order(k_max, "k_max")
+    check_number(k_max, "k_max", 0, SYMBOL_MAX_ORDER, integer=True)
     if not series.is_generator:
         raise UnsupportedError("fock_diagonal needs a generator-form series")
     gamma = series.generator
@@ -484,8 +510,10 @@ def s_transform(series: DeltaSeries, s: float) -> STransformResult:
     The s-side characteristic function gains exp(-(1-s)|beta|^2/2), which
     shifts the generator.  Whenever the shifted generator gamma' is
     positive the same distribution is also the regular Gaussian
-    exp(-|alpha|^2/gamma') / (pi gamma'), returned alongside.
+    exp(-|alpha|^2/gamma') / (pi gamma'), returned alongside.  Raises
+    ParameterError unless s is a finite real.
     """
+    check_number(s, "the ordering parameter s")
     if not series.is_generator:
         raise UnsupportedError("s_transform is defined for generator-form series")
     gamma_new = series.generator + 0.5 * (1.0 - s)
@@ -513,8 +541,10 @@ def classify_generator(gamma: float) -> GeneratorClass:
     gamma > 0 is the smoothing (contractive) direction: the multiplier is
     bounded and the series has a regular Gaussian dual representation.
     gamma < 0 is expansive: the multiplier is unbounded and the series is
-    genuinely singular.  gamma = 0 is the identity.
+    genuinely singular.  gamma = 0 is the identity.  Raises ParameterError
+    unless gamma is a finite real.
     """
+    check_number(gamma, "generator gamma")
     samples = tuple(float(np.exp(-gamma * b * b)) for b in (1.0, 2.0, 4.0))
     bounded = all(v <= 1.0 + 1.0e-12 for v in samples)
     if gamma == 0:

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import sici
 
 from .charfn import char_fn_centred
-from .errors import NonConvergenceError, ParameterError, RangeError
+from .errors import NonConvergenceError, ParameterError, RangeError, check_number
 from .numerics import (
     PhaseField,
     PhaseGrid,
@@ -97,18 +97,24 @@ def tri(x) -> np.ndarray | float:
     return pointwise(window, x, real=True)
 
 
-def _check_width(w: float) -> None:
-    """Raise ParameterError unless the filter width w is a finite positive real."""
-    if not (isinstance(w, numbers.Real) and math.isfinite(w) and w > 0):
-        raise ParameterError(f"filter width must be finite and positive (got {w!r})")
+def check_width(w: float, xp: tuple[float, float] | None = None) -> None:
+    """Raise ParameterError unless the filter width w is a finite positive real
+    and, for the Gaussian Phi with xp = (lam, kap), neither w^2 lam nor
+    w^2 kap overflows."""
+    check_number(w, "filter width", 0, above=True)
+    if xp is not None and not (math.isfinite(w * w * xp[0]) and math.isfinite(w * w * xp[1])):
+        raise ParameterError(f"filter width w={w:g} is too large for the Gaussian Phi with "
+                             f"(lam, kap) = ({xp[0]:g}, {xp[1]:g}): w^2 lam or w^2 kap overflows")
 
 
 def box_autocorrelation(beta, w: float):
     """Normalized autocorrelation of the side-1 box window, scaled to width w.
 
-    Equals tri(Re beta / w) tri(Im beta / w); support [-w, w]^2.
+    Equals tri(Re beta / w) tri(Im beta / w); support [-w, w]^2.  Raises
+    ParameterError for a width that ``check_width`` refuses and for beta
+    that ``numerics.as_complex`` refuses.
     """
-    _check_width(w)
+    check_width(w)
     return pointwise(lambda b: tri(b.real / w) * tri(b.imag / w), beta)
 
 
@@ -119,9 +125,10 @@ def sinc2_kernel(alpha, w: float):
     singularities on the axes take the limit value sinc(0) = 1.  On a tensor
     mesh (``numerics.mesh_axes``) each sinc is taken once per row or
     column; the product keeps its left-to-right order, so the values are the
-    same bits as at the points one at a time.
+    same bits as at the points one at a time.  Raises ParameterError for a
+    width that ``check_width`` refuses.
     """
-    _check_width(w)
+    check_width(w)
 
     def kernel(a):
         axes = mesh_axes(a)
@@ -138,15 +145,11 @@ def sinc2_kernel(alpha, w: float):
 
 def _check_gaussian(xp: tuple[float, float] | None, w: float) -> tuple[float, float]:
     """(lam, kap) = xp, a ``State.gaussian_xp``, once the width w passes
-    ``_check_width``; ParameterError for xp None (the undisplaced state has
-    no Gaussian Phi) and for a width whose w^2 lam or w^2 kap overflows."""
-    _check_width(w)
+    ``check_width`` for it; ParameterError for xp None (the undisplaced
+    state has no Gaussian Phi)."""
+    check_width(w, xp)
     if xp is None:
         raise ParameterError("the state has no centred Gaussian characteristic function")
-    lam, kap = xp
-    if not (math.isfinite(w * w * lam) and math.isfinite(w * w * kap)):
-        raise ParameterError(f"filter width w={w:g} is too large for the Gaussian Phi with "
-                             f"(lam, kap) = ({lam:g}, {kap:g}): w^2 lam or w^2 kap overflows")
     return xp
 
 
@@ -183,13 +186,6 @@ def _tri_gaussian_ft_small_g(y: np.ndarray, g: float) -> np.ndarray:
     return (2.0 / math.pi) * total
 
 
-def _check_g(g, name: str) -> float:
-    """g as a float; ParameterError unless it is a finite real."""
-    if not (isinstance(g, numbers.Real) and math.isfinite(g)):
-        raise ParameterError(f"{name} needs a finite real g (got {g!r})")
-    return float(g)
-
-
 def tri_gaussian_ft(y, g: float):
     """(1/pi) Int dz exp(2iyz - g z^2) tri(z), in closed form.
 
@@ -200,9 +196,9 @@ def tri_gaussian_ft(y, g: float):
     analytically, validated against direct quadrature in the tests.  ``y``
     may be a number or 0-d array (float result) or an array (array result).
     Raises ParameterError for y that ``numerics.as_real`` refuses and for g
-    that is not a finite real.
+    that is not a finite real, a bool included.
     """
-    g = _check_g(g, "tri_gaussian_ft")
+    g = float(check_number(g, "tri_gaussian_ft g"))
 
     def transform(y):
         shape, y = y.shape, y.ravel()
@@ -260,9 +256,9 @@ def tri_gaussian_ft_line_integral(g: float) -> float:
     products with the kernel.  The sum is numpy's pairwise sum, not a BLAS
     dot, whose rounding changes with the BLAS thread count.  Returns a
     Python float whatever the type of g; raises ParameterError for g that is
-    not a finite real.
+    not a finite real, a bool included.
     """
-    g = _check_g(g, "tri_gaussian_ft_line_integral")
+    g = float(check_number(g, "tri_gaussian_ft_line_integral g"))
     # window part: (1/pi) Int_0^1 dz e^{-g z^2} tri(z) * 2 sin(2 r_cut z)/z
     z2, kernel = _line_window_rule()
     r_cut = _LINE_R_CUT
@@ -498,10 +494,10 @@ def filtered_p_numeric(state: State, w: float, grid: PhaseGrid) -> PhaseField:
     rules at 200 nodes per panel and the one before still disagree by more
     than the tolerance (a width too large for the grid extent, for
     instance), so an unresolved field never reaches a verdict.  Raises
-    ParameterError first for a width that is not a finite positive real or
-    a grid that is not a ``PhaseGrid``.
+    ParameterError first for a width that ``check_width`` refuses or a grid
+    that is not a ``PhaseGrid``.
     """
-    _check_width(w)
+    check_width(w)
     check_grid(grid)
     n = _FIRST_NODES_PER_PANEL
     coarse, _, _ = _filtered_raw(state, w, grid, n)

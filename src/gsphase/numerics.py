@@ -41,6 +41,7 @@ from .errors import (
     RangeError,
     ResolutionError,
     TruncationError,
+    check_number,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -65,7 +66,7 @@ def _as_numbers(value, kinds: str, number_type, cast):
         except ValueError:  # a ragged nesting
             return None
         return arr.astype(cast, copy=False) if arr.dtype.kind in kinds else None
-    if isinstance(value, (number_type, np.bool_)):
+    if isinstance(value, number_type) and not isinstance(value, bool):
         return cast(value)
     return None
 
@@ -73,9 +74,9 @@ def _as_numbers(value, kinds: str, number_type, cast):
 def as_complex(value) -> ComplexArray | complex:
     """A phase-plane point alpha = x + i*p, or an array of them, as complex:
     an ndarray, list or tuple of numbers becomes a complex array, a number a
-    Python complex.  Anything else (a string, None, a ragged or non-numeric
-    sequence) raises ParameterError."""
-    out = _as_numbers(value, "biufc", numbers.Number, complex)
+    Python complex.  Anything else (a string, None, a bool or an array of
+    them, a ragged or non-numeric sequence) raises ParameterError."""
+    out = _as_numbers(value, "iufc", numbers.Number, complex)
     if out is None:
         raise ParameterError(
             f"phase-plane points must be numbers or arrays of numbers (got {type(value).__name__})")
@@ -85,8 +86,8 @@ def as_complex(value) -> ComplexArray | complex:
 def as_real(value) -> np.ndarray | float:
     """The real-valued twin of ``as_complex``: an ndarray, list or tuple of real
     numbers becomes a float array, a real number a Python float, and anything
-    else (a complex value included) raises ParameterError."""
-    out = _as_numbers(value, "biuf", numbers.Real, float)
+    else (a complex value or a bool included) raises ParameterError."""
+    out = _as_numbers(value, "iuf", numbers.Real, float)
     if out is None:
         raise ParameterError(
             f"real coordinates must be real numbers or arrays of them (got {type(value).__name__})")
@@ -153,22 +154,18 @@ class PhaseGrid:
     """Uniform Cartesian grid, symmetric about the origin.
 
     With odd ``resolution`` the origin is a grid node.  The default covers
-    |alpha| <= 6 and resolves Gaussian densities with width >= 0.05.
+    |alpha| <= 6 and resolves Gaussian densities with width >= 0.05.  Raises
+    ParameterError unless the extent is finite and positive and the
+    resolution an integer from 2 to ``MAX_GRID_RESOLUTION``, a bool being
+    neither.
     """
 
     extent: float = 6.0
     resolution: int = 257
 
     def __post_init__(self):
-        if not (isinstance(self.extent, numbers.Real) and math.isfinite(self.extent)
-                and self.extent > 0):
-            raise ParameterError(f"grid extent must be finite and positive (got {self.extent!r})")
-        if not (isinstance(self.resolution, numbers.Integral)
-                and 2 <= self.resolution <= MAX_GRID_RESOLUTION):
-            raise ParameterError(
-                f"grid resolution must be an integer at least 2 and at most "
-                f"{MAX_GRID_RESOLUTION} (got {self.resolution!r})"
-            )
+        check_number(self.extent, "grid extent", 0, above=True)
+        check_number(self.resolution, "grid resolution", 2, MAX_GRID_RESOLUTION, integer=True)
 
     @property
     def spacing(self) -> float:
@@ -325,10 +322,12 @@ def quad2d(f, domain: Cartesian, *, tol: float = 1.0e-10) -> QuadResult:
     relative to max(1, |I|)); the reported error is the last inter-level
     difference, which bounds the true error on smooth integrands in
     practice.  Whole-plane integrals of radial functions take
-    ``radial_integral``.
+    ``radial_integral``.  Raises ParameterError for a domain that is not a
+    ``Cartesian`` or a tol that is not finite and >= 0.
     """
     if not isinstance(domain, Cartesian):
         raise ParameterError(f"unknown quadrature domain {domain!r}")
+    check_number(tol, "quadrature tolerance", 0)
     n = 24
     prev = _tensor_gauss(f, domain, n)
     for _ in range(_MAX_REFINE):
@@ -541,6 +540,7 @@ def _transform(f: PhaseField, side: str, prefactor: float, grid: PhaseGrid | Non
     ``_transform_eval`` over that core; with ``out_grid`` its ``values``
     are the sum on that grid, from the same core.
     """
+    check_number(boundary_tol, "boundary tolerance", 0)
     if out_grid is not None:
         check_grid(out_grid)  # before any sampling; ``sampled_on`` checks ``grid``
     weighted, h, g = _prepare_samples(f, grid, boundary_tol, prefactor)
@@ -564,7 +564,8 @@ def fourier_forward(f: PhaseField, *, grid: PhaseGrid | None = None,
     TruncationError when the samples on the grid boundary exceed
     ``boundary_tol``, ResolutionError for ``out_grid`` or targets past
     the grid's Nyquist band, and ParameterError for a ``grid`` or
-    ``out_grid`` that is neither None nor a ``PhaseGrid``.
+    ``out_grid`` that is neither None nor a ``PhaseGrid`` and for a
+    ``boundary_tol`` that is not finite and >= 0.
     """
     if f.side != "alpha":
         raise ParameterError("fourier_forward expects an alpha-side field")

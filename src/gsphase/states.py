@@ -57,6 +57,7 @@ alpha -> exp(i phi) alpha + a0 (identity by default).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import numbers
@@ -70,7 +71,7 @@ from scipy.special import betaln, eval_genlaguerre, factorial, gammaln, k0, k1, 
 
 from . import numerics
 from .errors import (NoRegularFormError, ParameterError, TruncationError, TruncationWarning,
-                     UnsupportedError)
+                     UnsupportedError, check_number)
 from .numerics import pointwise
 
 DEFAULT_CUTOFF = 64
@@ -247,10 +248,37 @@ _FOCK_INDEX_LIMIT = f"Fock indices above {_MAX_FOCK_INDEX} are not supported"
 
 
 def _fock_index(v) -> int:
-    """A Fock index, an integer-valued real from 0 to _MAX_FOCK_INDEX, as int."""
-    _require(isinstance(v, numbers.Real) and 0 <= v <= _MAX_FOCK_INDEX and float(v).is_integer(),
-             f"Fock indices must be integers from 0 to {_MAX_FOCK_INDEX} (got {v!r})")
+    """A Fock index, an integer-valued real from 0 to _MAX_FOCK_INDEX, as int.
+
+    A real such as 1.0 is accepted, since state JSON gives one.
+    """
+    check_number(v, "Fock index", 0, _MAX_FOCK_INDEX)
+    _require(float(v).is_integer(), f"Fock indices must be integers (got {v!r})")
     return int(v)
+
+
+def _fock_elements(m, n, beta: np.ndarray) -> np.ndarray:
+    """<n| :D(beta): |m> at integer index arrays m, n and points beta, broadcast.
+
+    The one body of ``char_fn_fock_element``, which documents the formula.
+    The indices keep their integer dtype, so SciPy takes its integer
+    Laguerre recurrence.  An entry with d = 0 is L_lo(|beta|^2) itself,
+    picked by ``np.where`` from the d > 0 expression, which is not finite
+    there at beta = 0.
+    """
+    lo, d = np.minimum(m, n), np.abs(m - n)
+    r = np.abs(beta)
+    lag = eval_genlaguerre(lo, d, r * r)
+    if not np.any(d):
+        return lag.astype(complex)
+    z = np.where(m > n, -np.conj(beta), beta)
+    # one exponent, so neither factor underflows alone; log 0 = -inf gives
+    # the exact 0 at beta = 0 when d > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(np.abs(lag)) + d * np.log(r)
+        off = np.sign(lag) * np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + d + 1)) + logs
+                                    + 1j * d * np.angle(z))
+    return np.where(d == 0, lag, off)
 
 
 def char_fn_fock_element(m: int, n: int, beta):
@@ -261,26 +289,12 @@ def char_fn_fock_element(m: int, n: int, beta):
     Rev. 177, 1857 (1969)).  The Laguerre polynomial comes from SciPy's
     recurrence, and its modulus meets the prefactor sqrt(lo!/hi!) |beta|^d
     in log space, so the value keeps its digits for m, n up to 400 wherever
-    it is a normal double.  Raises ParameterError unless m and n are integers
-    from 0 to 400.
+    it is a normal double.  The scalar-index form of ``_fock_elements``.
+    Raises ParameterError unless m and n are integer-valued reals from 0 to
+    400, a bool being none.
     """
     m, n = _fock_index(m), _fock_index(n)
-    lo, d = min(m, n), abs(m - n)
-
-    def element(b):
-        r = np.abs(b)
-        lag = eval_genlaguerre(lo, d, r * r)
-        if not d:
-            return lag.astype(complex)
-        z = -np.conj(b) if m > n else b
-        # one exponent, so neither factor underflows alone; log 0 = -inf
-        # gives the exact 0 at beta = 0
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.abs(lag)) + d * np.log(r)
-        return np.sign(lag) * np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + d + 1)) + logs
-                                     + 1j * d * np.angle(z))
-
-    return pointwise(element, beta)
+    return pointwise(lambda b: _fock_elements(m, n, b), beta)
 
 
 #: offsets times points per block of the Laguerre recurrence; bounds its working memory
@@ -735,24 +749,27 @@ def _lorentz(spec: StateSpec, t: float, *, vacuum_free: bool) -> State:
 
 
 def make_state(spec: StateSpec) -> State:
-    """Build a catalog state with every available closed form attached."""
+    """Build a catalog state with every available closed form attached.
+
+    Raises ParameterError for an unknown kind, for a parameter or rotation
+    that is not a finite real and a displacement that is not a finite
+    number (a bool is neither), and for a parameter missing or outside its
+    kind's range.
+    """
     kind, p = spec.kind, dict(spec.params)
-    _require(all(map(_is_number, [*p.values(), spec.rotation]))
-             and _is_number(spec.displacement, numbers.Complex),
-             "state parameters and rotation must be real numbers and the displacement a number "
-             "(not bools)")
+    for name, v in p.items():
+        check_number(v, f"state parameter {name}")
+    check_number(spec.rotation, "rotation")
+    _require(_is_number(spec.displacement, numbers.Complex) and cmath.isfinite(spec.displacement),
+             "the displacement must be a finite number (not a bool)")
     a0 = complex(spec.displacement)
-    _require(all(math.isfinite(v) for v in [*p.values(), a0.real, a0.imag, spec.rotation]),
-             "state parameters, displacement and rotation must be finite")
     _require(abs(a0) <= MAX_DISPLACEMENT, f"|displacement| must be at most {MAX_DISPLACEMENT:g}")
     if kind == "thermal":
-        nbar = p.get("nbar")
-        _require(nbar is not None and nbar > 0, "thermal requires nbar > 0")
+        nbar = check_number(p.get("nbar"), "thermal nbar", 0, above=True)
         return _generator(spec, nbar, regular_p_centred=lambda a: np.exp(
             -np.abs(np.asarray(a, dtype=complex)) ** 2 / nbar) / (math.pi * nbar))
     elif kind == "squeezed":
-        xi = p.get("xi")
-        _require(xi is not None and xi > 0, "squeezed requires xi > 0")
+        xi = check_number(p.get("xi"), "squeezed xi", 0, above=True)
         _require(xi <= MAX_SQUEEZING,
                  f"squeezed requires xi <= {MAX_SQUEEZING:.6f}, above which exp(2 xi) overflows")
 
@@ -764,8 +781,7 @@ def make_state(spec: StateSpec) -> State:
                      **_gaussian((math.exp(2 * xi) - 1.0) / 2.0, -(1.0 - math.exp(-2 * xi)) / 2.0),
                      _base_fock_builder=fock)
     elif kind == "spats":
-        nbar = p.get("nbar")
-        _require(nbar is not None and nbar > 0, "spats requires nbar > 0")
+        nbar = check_number(p.get("nbar"), "spats nbar", 0, above=True)
         _require(nbar <= MAX_SPATS_NBAR,
                  f"spats requires nbar <= {MAX_SPATS_NBAR:g}, above which pi nbar^3 overflows")
 
@@ -786,8 +802,7 @@ def make_state(spec: StateSpec) -> State:
                      _tail_loss=lambda K, q=nbar / (nbar + 1.0):
                          q**K * ((K + 1) * (1.0 - q) + q))
     elif kind == "photon_vacuum_mix":
-        eta = p.get("eta")
-        _require(eta is not None and 0 < eta <= 1, "photon_vacuum_mix requires 0 < eta <= 1")
+        eta = check_number(p.get("eta"), "photon_vacuum_mix eta", 0, 1, above=True)
         return _finite(spec, np.diag([1.0 - eta, eta]),
                        phi=lambda b: 1.0 - eta * np.abs(np.asarray(b, dtype=complex)) ** 2)
     elif kind == "fock_element":
@@ -810,8 +825,7 @@ def make_state(spec: StateSpec) -> State:
 
         return _finite(spec, np.diag([weights.get(k, 0.0) for k in range(max(weights) + 1)]))
     elif kind in ("cauchy_lorentz", "cauchy_lorentz_ncl"):
-        t = p.get("t")
-        _require(t is not None and t > 0, f"{kind} requires t > 0")
+        t = check_number(p.get("t"), f"{kind} t", 0, above=True)
         return _lorentz(spec, t, vacuum_free=kind == "cauchy_lorentz_ncl")
     elif kind == "p_max":
         return _generator(spec, -0.5, physical=False)
@@ -875,11 +889,11 @@ def fock_matrix(state: State, cutoff: int = DEFAULT_CUTOFF) -> FockMatrix:
     1e-6 triggers a TruncationWarning.  The p_max pseudo-state is exempt
     from the loss accounting (its diagonal is not summable).  Raises
     ParameterError, before anything is built, unless the cutoff is an
-    integer from 0 to ``MAX_CUTOFF`` (889), and UnsupportedError for a
-    displaced state, whose ``State.fock`` is the Fock matrix of rho_c only.
+    integer from 0 to ``MAX_CUTOFF`` (889), a bool being none, and
+    UnsupportedError for a displaced state, whose ``State.fock`` is the
+    Fock matrix of rho_c only.
     """
-    _require(isinstance(cutoff, numbers.Integral) and 0 <= cutoff <= MAX_CUTOFF,
-             f"cutoff must be an integer from 0 to {MAX_CUTOFF} (got {cutoff!r})")
+    check_number(cutoff, "cutoff", 0, MAX_CUTOFF, integer=True)
     if state.spec.displacement != 0:
         raise UnsupportedError("no Fock construction for a displaced state")
     rho = state.fock(cutoff)

@@ -10,16 +10,15 @@ battery can never certify classicality, so the aggregate verdict is either
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import comb, gammaln
 
 from . import charfn
-from .deltaseries import _EPS, TaylorField, _check_order
-from .errors import ComplexResidueError, NonConvergenceError, ParameterError, RangeError
-from .filters import _check_gaussian, _check_width, filtered_p
+from .deltaseries import _EPS, TaylorField
+from .errors import ComplexResidueError, NonConvergenceError, ParameterError, RangeError, check_number
+from .filters import check_width, filtered_p
 from .numerics import PhaseField, PhaseGrid, check_grid
 from .states import State, overlap_cutoff
 
@@ -34,6 +33,18 @@ EIGENVALUE_ERROR_FACTOR = 10.0
 
 #: largest imaginary residue a field expected to be real may carry
 RESIDUE_TOLERANCE = 1.0e-9
+
+#: largest order n of a normally ordered moment <:n^k:>, the Fock index cap;
+#: it bounds the (n + 1)^2 moment table built before any moment is read.  A
+#: Hankel matrix of order m reads the moments to 2m, so ``moment_matrix_test``
+#: and ``classify`` take m up to half of it
+MAX_MOMENT_ORDER = 400
+
+#: largest order k of ``radius_estimate``, which sums k + 1 terms
+MAX_RADIUS_ORDER = 10_000
+
+#: largest ``n_terms`` of ``analytic_divergence_demo``, which keeps every partial sum
+MAX_DEMO_TERMS = 10_000
 
 
 class Diverged:
@@ -101,9 +112,10 @@ def normal_moment(state: State, n: int):
     finite-rank resummation, times the rotation phase).  The order-0
     moment is the trace (0 for |m><n| with m != n).  Diverged is a value,
     not an exception; a moment past the float range is inf or nan.  Raises
-    ParameterError unless n is an integer >= 0.
+    ParameterError, before any table is built, unless n is an integer from
+    0 to ``MAX_MOMENT_ORDER``.
     """
-    _check_order(n, "moment order")
+    check_number(n, "moment order", 0, MAX_MOMENT_ORDER, integer=True)
     return _displaced_moment(state.moments(n), complex(state.spec.displacement), n)
 
 
@@ -164,15 +176,6 @@ class NonclassicalityReport:
         }
 
 
-def _check_margin_order(margin: float, order: int) -> None:
-    """Raise ParameterError unless the certification margin is finite and >= 0
-    and the moment order an integer >= 0: a negative margin certifies a
-    classical state at its roundoff, and a nan margin never certifies."""
-    if not (isinstance(margin, numbers.Real) and math.isfinite(margin) and margin >= 0):
-        raise ParameterError(f"certification margin must be finite and >= 0 (got {margin!r})")
-    _check_order(order, "moment order")
-
-
 def _below_roundoff(eigs: np.ndarray, margin: float) -> bool:
     """Whether the least of a symmetric matrix's eigenvalues is below
     -(margin + its roundoff), ``EIGENVALUE_ERROR_FACTOR`` dim eps max |eig|."""
@@ -199,10 +202,13 @@ def moment_matrix_test(state: State, order: int,
     table of the undisplaced state (``State.moments``).  When any moment
     diverges or is not finite (a table past the float range, such as
     squeezed xi = 354), the verdict is inapplicable.
-    Raises ParameterError unless the margin is finite and >= 0 and the
-    order an integer >= 0.
+    Raises ParameterError, before any moment is read, unless the margin is
+    finite and >= 0 (a negative margin certifies a classical state at its
+    roundoff, and a nan margin never certifies) and the order an integer
+    from 0 to ``MAX_MOMENT_ORDER // 2``.
     """
-    _check_margin_order(margin, order)
+    check_number(margin, "certification margin", 0)
+    check_number(order, "moment order", 0, MAX_MOMENT_ORDER // 2, integer=True)
     table = state.moments(2 * order)
     a0 = complex(state.spec.displacement)
     moments = []
@@ -267,12 +273,6 @@ def negativity_scan(fld: PhaseField):
 # admissible test functions and the worst-case pairing bound
 # ---------------------------------------------------------------------------
 
-def _check_admissibility_constant(c) -> None:
-    """Raise ParameterError unless c is a real with 0 <= C < 1 (nan fails too)."""
-    if not (isinstance(c, numbers.Real) and 0.0 <= c < 1.0):
-        raise ParameterError(f"admissibility constant must satisfy 0 <= C < 1 (got {c!r})")
-
-
 @dataclass(frozen=True)
 class AdmissibilityResult:
     admissible: bool
@@ -287,10 +287,11 @@ def admissible_check(f: TaylorField, c: float, order: int) -> AdmissibilityResul
     bound at once; the bound on a[0, 0] is 1 at every C, C = 0 included
     (0^0 = 1).  Returns the first violating index pair in
     total-order-then-lexicographic scan order, if any.  Raises
-    ParameterError unless 0 <= C < 1 and the order is an integer >= 0.
+    ParameterError, before any table is built, unless C is a real with
+    0 <= C < 1 and the order an integer from 0 to ``f.max_order``.
     """
-    _check_admissibility_constant(c)
-    _check_order(order)
+    check_number(c, "admissibility constant C", 0, 1, below=True)
+    check_number(order, "order", 0, f.max_order, integer=True)
     log_sqrt2c = math.log(math.sqrt(2.0) * c) if c > 0 else -math.inf
     idx = np.arange(order + 1)
     lg = gammaln(idx + 1)
@@ -309,8 +310,11 @@ def admissible_check(f: TaylorField, c: float, order: int) -> AdmissibilityResul
 
 
 def pmax_pairing_bound(c: float) -> float:
-    """Worst-case pairing bound 1/(1 - C^2) over the admissibility class."""
-    _check_admissibility_constant(c)
+    """Worst-case pairing bound 1/(1 - C^2) over the admissibility class.
+
+    Raises ParameterError unless C is a real with 0 <= C < 1.
+    """
+    check_number(c, "admissibility constant C", 0, 1, below=True)
     return 1.0 / (1.0 - c * c)
 
 
@@ -321,12 +325,13 @@ def radius_estimate(c: float, orders) -> list[float]:
     for each k in ``orders``; the sequence is eventually decreasing toward
     zero and is dominated by 2 C ((l-1)!)^(-1/(2l)), so the Taylor series of
     every admissible test function converges on the whole plane.  Raises
-    ParameterError unless 0 <= C < 1 and every order is an integer >= 1.
+    ParameterError, before any order is summed, unless C is a real with
+    0 <= C < 1 and every order an integer from 1 to ``MAX_RADIUS_ORDER``.
     """
-    _check_admissibility_constant(c)
+    check_number(c, "admissibility constant C", 0, 1, below=True)
+    orders = [check_number(k, "order", 1, MAX_RADIUS_ORDER, integer=True) for k in orders]
     out = []
     for k in orders:
-        _check_order(k, least=1)
         if c == 0.0:
             out.append(0.0)
             continue
@@ -339,9 +344,13 @@ def radius_estimate(c: float, orders) -> list[float]:
 
 
 def radius_estimate_bound(c: float, order: int) -> float:
-    """Majorant 2 C ((l-1)!)^(-1/(2l)) of the root-test sequence."""
-    _check_admissibility_constant(c)
-    _check_order(order, least=1)
+    """Majorant 2 C ((l-1)!)^(-1/(2l)) of the root-test sequence.
+
+    Raises ParameterError unless C is a real with 0 <= C < 1 and the order
+    an integer >= 1.
+    """
+    check_number(c, "admissibility constant C", 0, 1, below=True)
+    check_number(order, "order", 1, integer=True)
     return 2.0 * c * math.exp(-gammaln(order) / (2.0 * order))
 
 
@@ -360,9 +369,13 @@ class DivergenceDemo:
 
 
 def analytic_divergence_demo(c: float, n_terms: int) -> DivergenceDemo:
-    if not (isinstance(c, numbers.Real) and c >= 0):
-        raise ParameterError(f"C must be a non-negative real (got {c!r})")
-    _check_order(n_terms, "n_terms")
+    """The ``DivergenceDemo`` of C over n_terms terms.
+
+    Raises ParameterError unless C is a finite real >= 0 and n_terms an
+    integer from 0 to ``MAX_DEMO_TERMS``.
+    """
+    check_number(c, "C", 0)
+    check_number(n_terms, "n_terms", 0, MAX_DEMO_TERMS, integer=True)
     log_c2h = math.log(c * c / 2.0) if c > 0 else -math.inf
     log_sum = 0.0
     sums = [log_sum / math.log(10.0)]
@@ -451,17 +464,16 @@ def classify(state: State, *, w: float = 2.0,
     not a ``State``, a filter width w that is not a finite positive real
     (or, for a state with a ``gaussian_xp``, whose w^2 lam or w^2 kap
     overflows), a margin that is not finite and >= 0, a moment order that
-    is not an integer >= 0, or a grid or beta_grid that is neither None nor
-    a ``PhaseGrid``; and ComplexResidueError for a non-Hermitian input,
+    is not an integer from 0 to ``MAX_MOMENT_ORDER // 2``, or a grid or
+    beta_grid that is neither None nor a ``PhaseGrid``; a bool is never a
+    number here.  Raises ComplexResidueError for a non-Hermitian input,
     whose filtered field is not real.
     """
     if not isinstance(state, State):
         raise ParameterError(f"classify needs a State (got {state!r})")
-    if state.gaussian_xp is None:
-        _check_width(w)
-    else:
-        _check_gaussian(state.gaussian_xp, w)
-    _check_margin_order(margin, moment_order)
+    check_width(w, state.gaussian_xp)
+    check_number(margin, "certification margin", 0)
+    check_number(moment_order, "moment order", 0, MAX_MOMENT_ORDER // 2, integer=True)
     grid = PhaseGrid(extent=4.0, resolution=321) if grid is None else check_grid(grid)
     beta_grid = (PhaseGrid(extent=4.0, resolution=161) if beta_grid is None
                  else check_grid(beta_grid))

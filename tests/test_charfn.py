@@ -98,6 +98,16 @@ class TestFockElement:
         with pytest.raises(ParameterError):
             char_fn_fock_element(500, 2, 1.0)
 
+    def test_index_arrays_equal_the_scalar_form_bitwise(self):
+        # criterion 1 reads every element at once from integer index arrays
+        betas = np.concatenate([[0j, 1e-300 + 0j], RNG.uniform(-3, 3, 30)
+                                + 1j * RNG.uniform(-3, 3, 30)])
+        idx = np.arange(11)
+        table = states._fock_elements(idx[:, None, None], idx[:, None], betas)
+        for m in range(11):
+            for n in range(11):
+                assert table[m, n].tobytes() == char_fn_fock_element(m, n, betas).tobytes(), (m, n)
+
 
 class TestCharFn:
     def test_thermal_value(self):

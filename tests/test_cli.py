@@ -253,6 +253,16 @@ class TestFockdiagCommand:
         assert "--kmax" in res.output
         assert not out.exists()
 
+    def test_kmax_past_the_symbols_max_order_rejected(self, runner, tmp_path):
+        # the |k><k| symbols stop at order 400; 401 used to pair to 0j
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["fockdiag", "--kmax", "401", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "k_max must be an integer >= 0 and at most 400" in res.output
+        assert not out.exists()
+
 
 class TestFigure1Command:
     def test_emits_four_files_with_peak(self, runner, tmp_path):

@@ -1,9 +1,13 @@
 """Bad sizes, orders, constants and points fail with a typed error.
 
 Each case is an input that once slipped through: it allocated terabytes,
-built a state other than the one it reported, divided by zero, or raised
-numpy's or Python's own exception.  Every one must now raise a
-``GsphaseError`` subclass before any work is done.
+built a state other than the one it reported, divided by zero, ran a bool
+as 1 or 0, or raised numpy's or Python's own exception.  Every one must now
+raise a ``GsphaseError`` subclass before any work is done.  Every numeric
+argument passes ``errors.check_number``, whose rule the ``NUMBER_REFUSALS``
+pin as ``ParameterError``: a bool, a non-finite value, a Python int past
+the float range, and a size one past its cap, refused before anything is
+built.
 """
 
 import math
@@ -14,17 +18,24 @@ import pytest
 
 from gsphase.charfn import (char_fn_fock_element, char_fn_s, classicality_violation,
                             quantum_bound_check)
-from gsphase.deltaseries import TaylorField, exp_laplace_series, fock_diagonal, series_from_fock
-from gsphase.errors import GsphaseError
-from gsphase.filters import (filtered_p, filtered_p_gaussian_grid, filtered_p_numeric, tri,
-                             tri_gaussian_ft, tri_gaussian_ft_line_integral)
-from gsphase.numerics import (PhaseField, PhaseGrid, erf_complex, erfcx_complex,
-                              fourier_forward, fourier_inverse, radial_integral, write_field_csv)
+from gsphase.deltaseries import (TaylorField, classify_generator, exp_laplace_series,
+                                 fock_diagonal, pair, s_transform, series_from_fock)
+from gsphase.errors import GsphaseError, ParameterError, check_number
+from gsphase.filters import (box_autocorrelation, filtered_p, filtered_p_gaussian_grid,
+                             filtered_p_numeric, tri, tri_gaussian_ft,
+                             tri_gaussian_ft_line_integral)
+from gsphase.numerics import (Cartesian, PhaseField, PhaseGrid, erf_complex, erfcx_complex,
+                              fourier_forward, fourier_inverse, quad2d, radial_integral,
+                              write_field_csv)
 from gsphase.states import StateSpec, fock_matrix, from_fock_matrix, make_state
 from gsphase.witness import (
+    MAX_DEMO_TERMS,
+    MAX_MOMENT_ORDER,
+    MAX_RADIUS_ORDER,
     admissible_check,
     analytic_divergence_demo,
     classify,
+    moment_matrix_test,
     normal_moment,
     pmax_pairing_bound,
     radius_estimate,
@@ -145,6 +156,63 @@ REFUSALS = {
         '{"kind": "thermal", "params": {"nbar": 0.5}, "rotation": true}'),
     "state JSON nbar 10**400": lambda: StateSpec.from_json(
         '{"kind": "thermal", "params": {"nbar": 1' + "0" * 400 + '}}'),
+    # booleans at every other numeric argument: each once ran as 1 or 0
+    "classify w True": lambda: classify(_thermal(), w=True),
+    "fock_matrix cutoff True": lambda: fock_matrix(_thermal(), True),
+    "fock_diagonal k_max True": lambda: fock_diagonal(exp_laplace_series(-0.5, 400), True),
+    "char_fn_s s True": lambda: char_fn_s(_thermal(), 0.5, True),
+    "char_fn_fock_element m True": lambda: char_fn_fock_element(True, 1, 0.5),
+    "exp_laplace_series gamma True": lambda: exp_laplace_series(True, 3),
+    "exp_laplace_series order True": lambda: exp_laplace_series(0.5, True),
+    "tri_gaussian_ft g True": lambda: tri_gaussian_ft(0.5, True),
+    "admissible_check C False": lambda: admissible_check(TaylorField.constant(), False, 4),
+    "admissible_check order True": lambda: admissible_check(TaylorField.constant(), 0.5, True),
+    "box_autocorrelation w True": lambda: box_autocorrelation(0.5, True),
+    "PhaseGrid extent True": lambda: PhaseGrid(True, 5),
+    "tri True": lambda: tri(True),
+    "tri np.True_": lambda: tri(np.True_),
+    "tri [True, False]": lambda: tri([True, False]),
+}
+
+NUMBER_REFUSALS = {
+    # a Python int past the float range, once a bare OverflowError
+    "classify w 10**400": lambda: classify(_thermal(), w=10**400),
+    "make_state nbar 10**400": lambda: make_state(StateSpec("thermal", {"nbar": 10**400})),
+    # each size one past its cap, refused before anything is built
+    "fock_diagonal k_max 401": lambda: fock_diagonal(exp_laplace_series(-0.5, 400), 401),
+    "normal_moment order past the cap": lambda: normal_moment(_thermal(), MAX_MOMENT_ORDER + 1),
+    "moment_matrix_test order past the cap": lambda: moment_matrix_test(
+        _thermal(), MAX_MOMENT_ORDER // 2 + 1),
+    "classify moment_order past the cap": lambda: classify(
+        _thermal(), moment_order=MAX_MOMENT_ORDER // 2 + 1),
+    "radius_estimate order past the cap": lambda: radius_estimate(0.9, [5, MAX_RADIUS_ORDER + 1]),
+    "analytic_divergence_demo n_terms past the cap": lambda: analytic_divergence_demo(
+        0.5, MAX_DEMO_TERMS + 1),
+    # TaylorField constructors and indices
+    "displaced_gaussian width_sq 0": lambda: TaylorField.displaced_gaussian(1.0, 0.0),
+    "displaced_gaussian center inf": lambda: TaylorField.displaced_gaussian(math.inf, 1.0),
+    "displaced_gaussian amplitude nan": lambda: TaylorField.displaced_gaussian(
+        1.0, 1.0, amplitude=math.nan),
+    "from_exp_quadratic c nan": lambda: TaylorField.from_exp_quadratic(math.nan),
+    "constant value inf": lambda: TaylorField.constant(math.inf),
+    "alternating theta 'x'": lambda: TaylorField.alternating(0.5, "x"),
+    "vacuum_projector_symbol k -1": lambda: TaylorField.vacuum_projector_symbol(-1),
+    "vacuum_projector_symbol k 1.5": lambda: TaylorField.vacuum_projector_symbol(1.5),
+    "vacuum_projector_symbol k past max_order": lambda: pair(
+        exp_laplace_series(-0.5, 400), TaylorField.vacuum_projector_symbol(401)),
+    "from_exp_quadratic max_order -1": lambda: TaylorField.from_exp_quadratic(-1.0, -1),
+    "constant max_order 2.5": lambda: TaylorField.constant(1.0, 2.5),
+    "vacuum_projector_symbol max_order True": lambda: TaylorField.vacuum_projector_symbol(
+        0, True),
+    "TaylorField.coefficient index -1": lambda: TaylorField.from_exp_quadratic(-1.0).coefficient(
+        -1, 0),
+    # the other public numeric arguments
+    "s_transform s True": lambda: s_transform(exp_laplace_series(0.5, 3), True),
+    "classify_generator gamma 'x'": lambda: classify_generator("x"),
+    "quad2d tol nan": lambda: quad2d(lambda a: np.ones(a.shape), Cartesian.square(1.0),
+                                     tol=math.nan),
+    "fourier_forward boundary_tol nan": lambda: fourier_forward(
+        _gaussian_field("alpha"), grid=PhaseGrid(6.0, 33), boundary_tol=math.nan),
 }
 
 
@@ -152,6 +220,57 @@ REFUSALS = {
 def test_bad_input_raises_a_typed_error(call):
     with pytest.raises(GsphaseError):
         call()
+
+
+@pytest.mark.parametrize("call", NUMBER_REFUSALS.values(), ids=NUMBER_REFUSALS.keys())
+def test_bad_number_raises_a_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+@pytest.mark.parametrize("call", [lambda f: f.coefficients(6),
+                                  lambda f: admissible_check(f, 0.5, 6)],
+                         ids=["coefficients", "admissible_check"])
+def test_order_past_max_order_builds_no_index_table(call, monkeypatch):
+    f = TaylorField.from_exp_quadratic(-1.0, max_order=5)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("an index table was built before the order was checked")
+
+    monkeypatch.setattr(np, "arange", no_table)
+    with pytest.raises(ParameterError, match="at most 5"):
+        call(f)
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value,bounds,message", [
+        (0.0, dict(low=0, above=True), "w must be finite and positive (got 0.0)"),
+        (-1, dict(low=0), "w must be finite and >= 0 (got -1)"),
+        (1.0, dict(low=0, high=1, below=True), "w must be finite and >= 0 and below 1 (got 1.0)"),
+        (401, dict(low=0, high=400, integer=True), "w must be an integer >= 0 and at most 400"),
+        (2.0, dict(integer=True), "w must be an integer (got 2.0)"),
+        (math.nan, {}, "w must be finite (got nan)"),
+        (True, {}, "(got True)"),
+        (False, dict(integer=True), "(got False)"),
+        (np.True_, {}, "(got np.True_)"),
+        (10**400, {}, "w must be finite (got 1000"),
+        (10**400, dict(integer=True), "w must be an integer (got 1000"),
+        ("1", {}, "(got '1')"),
+        (None, {}, "(got None)"),
+        (0.5 + 0j, {}, "(got (0.5+0j))"),
+    ])
+    def test_refusal_names_the_argument_and_its_bounds(self, value, bounds, message):
+        with pytest.raises(ParameterError) as got:
+            check_number(value, "w", **bounds)
+        assert message in str(got.value)
+
+    @pytest.mark.parametrize("value,bounds", [
+        (0.5, dict(low=0, above=True)), (0, dict(low=0)), (np.int64(400), dict(high=400)),
+        (np.float32(-2.5), {}), (2, dict(integer=True, low=2, high=2)),
+        (0.0, dict(low=0, high=1, below=True)),
+    ])
+    def test_accepted_value_is_returned_as_it_is(self, value, bounds):
+        assert check_number(value, "w", **bounds) is value
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
