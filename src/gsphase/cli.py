@@ -28,7 +28,7 @@ from .charfn import char_fn, char_fn_s
 from .deltaseries import exp_laplace_series, fock_diagonal
 from .errors import GsphaseError, ParameterError, RangeError
 from .filters import filtered_p, filtered_p_gaussian
-from .numerics import MAX_GRID_RESOLUTION, PhaseGrid, write_field_csv  # noqa: F401
+from .numerics import MAX_GRID_RESOLUTION, PhaseGrid, float_reprs, write_field_csv  # noqa: F401
 from .states import StateSpec, make_state
 from .witness import classify as classify_state, real_values
 
@@ -76,12 +76,8 @@ class _LibraryErrors(click.Command):
 
 
 def _write_cut_csv(path, ts, columns: dict, comments) -> None:
-    names = ",".join(["t"] + list(columns))
-    lines = [f"# {c}" for c in comments]
-    lines.append(names)
-    for i, t in enumerate(ts):
-        row = [repr(float(t))] + [repr(float(v[i])) for v in columns.values()]
-        lines.append(",".join(row))
+    lines = [f"# {c}" for c in comments] + [",".join(["t", *columns])]
+    lines += map(",".join, zip(float_reprs(ts), *map(float_reprs, columns.values())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

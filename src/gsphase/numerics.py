@@ -263,12 +263,26 @@ class PhaseField:
 # Gauss-Legendre helpers
 # ---------------------------------------------------------------------------
 
+#: node doublings of ``quad2d`` after its first 24-node rule
+_MAX_REFINE = 7
+
+#: most nodes of one Gauss-Legendre rule, the finest rule of ``quad2d``;
+#: numpy builds an n x n companion matrix for it
+MAX_GAUSS_NODES = 24 << _MAX_REFINE
+
+
 @lru_cache(maxsize=64)
 def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
 def gauss_nodes_1d(a: float, b: float, n: int):
+    """The n-node Gauss-Legendre rule on [a, b]: nodes and weights.
+
+    ``a`` and ``b`` may be arrays, one interval per element.
+    ParameterError unless n is an integer from 1 to ``MAX_GAUSS_NODES``.
+    """
+    check_number(n, "Gauss node count", 1, MAX_GAUSS_NODES, integer=True)
     x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return half * x + 0.5 * (a + b), half * w
@@ -280,15 +294,23 @@ def gauss_nodes_1d(a: float, b: float, n: int):
 
 @dataclass(frozen=True)
 class Cartesian:
-    """Rectangular quadrature domain x in [xmin, xmax], p in [pmin, pmax]."""
+    """Rectangular quadrature domain x in [xmin, xmax], p in [pmin, pmax].
+
+    ParameterError for a bound that is not finite.
+    """
 
     xmin: float
     xmax: float
     pmin: float
     pmax: float
 
+    def __post_init__(self):
+        for name in ("xmin", "xmax", "pmin", "pmax"):
+            check_number(getattr(self, name), f"domain {name}")
+
     @classmethod
     def square(cls, half_width: float) -> "Cartesian":
+        check_number(half_width, "square half width", 0, above=True)
         return cls(-half_width, half_width, -half_width, half_width)
 
 
@@ -308,10 +330,6 @@ def _tensor_gauss(f, dom: Cartesian, n: int) -> complex:
     X, P = np.meshgrid(x, p, indexing="ij")
     vals = np.asarray(f(X + 1j * P))
     return complex(np.einsum("i,ij,j->", wx, vals, wp))
-
-
-#: node doublings of ``quad2d`` after its first 24-node rule
-_MAX_REFINE = 7
 
 
 def quad2d(f, domain: Cartesian, *, tol: float = 1.0e-10) -> QuadResult:
@@ -626,36 +644,67 @@ def erfcx_complex(z):
 # CSV serialization:  header "x,p,re,im", row-major over the grid
 # ---------------------------------------------------------------------------
 
+#: most nodes in one block of rows of ``write_field_csv``; the default 4,321
+#: grid (103,041 nodes) is one block
+_CSV_BLOCK_NODES = 1 << 17
+
+
+def float_reprs(values, end: str = "") -> list[str]:
+    """``repr(float(v)) + end`` for each v of ``values``, in row-major order.
+
+    ``repr`` runs once per distinct value.  Values are told apart by their
+    float64 bit patterns, not by float equality, so ``-0.0`` keeps its sign
+    next to ``0.0`` and each nan payload gets its own (equal) ``nan``.
+    Both CSV writers format their floats here.
+    """
+    a = np.ascontiguousarray(values, dtype=float).ravel()
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    table = np.array([f"{v!r}{end}" for v in bits.view(float).tolist()], dtype=object)
+    return table[inverse].tolist()
+
+
 def write_field_csv(path, grid: PhaseGrid, values: np.ndarray,
                     comments: Sequence[str] = ()) -> None:
     """Write a complex field on ``grid`` as CSV.
 
     The file holds one ``# <comment>`` line per comment, the header
     ``x,p,re,im``, then one row per node in row-major order (x outer, p
-    inner).  Every float is written as its Python ``repr``, so
-    ``read_field_csv`` recovers each value exactly (``-0.0``, ``nan`` and
-    ``inf`` included).  A real ``values`` array writes the literal ``0.0``
-    in the ``im`` column, the bytes its complex twin would give, without
-    formatting a zero per node.  The body is written one grid row at a time
-    and is never held in memory whole.  ParameterError for a grid that is
-    not a ``PhaseGrid`` or values of another shape.
+    inner).  Every float is written as its Python ``repr`` of the float64
+    value, so ``read_field_csv`` recovers each value exactly (``-0.0``,
+    ``nan`` and ``inf`` included).  A real ``values`` array writes the
+    literal ``0.0`` in the ``im`` column, the bytes its complex twin would
+    give.  The body is formatted and written in blocks of whole grid rows,
+    at most ``_CSV_BLOCK_NODES`` nodes each (at least one row): within a
+    block ``repr`` runs once per distinct value (``float_reprs``), and the
+    lines are one join over a list of pieces reused from block to block.
+    So the writer's own memory is bounded by one block, whatever the grid.
+    ParameterError for a grid that is not a ``PhaseGrid`` or values of
+    another shape.
     """
     check_grid(grid)
     vals = np.asarray(values)
-    if vals.shape != (grid.resolution, grid.resolution):
+    n = grid.resolution
+    if vals.shape != (n, n):
         raise ParameterError("values shape does not match the grid")
-    if np.iscomplexobj(vals):
-        im_rows = (map(repr, row) for row in vals.imag.tolist())
-    else:
-        vals = vals.astype(float, copy=False)
-        im_rows = itertools.repeat(["0.0"] * grid.resolution)
-    ax = [repr(x) for x in grid.axis().tolist()]
+    real = not np.iscomplexobj(vals)
+    ax = float_reprs(grid.axis(), ",")
+    rows = min(n, max(1, _CSV_BLOCK_NODES // n))
+    # x, p, re and im of each node of a block: x, p and re end in "," and im
+    # in "\n"; the p and (for a real field) im pieces never change
+    pieces = ["0.0\n"] * (4 * rows * n)
+    pieces[1::4] = ax * rows
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write("x,p,re,im\n")
-        for x, re_row, im_row in zip(ax, vals.real.tolist(), im_rows):
-            fh.write("".join([f"{x},{p},{re!r},{im}\n"
-                              for p, re, im in zip(ax, re_row, im_row)]))
+        for r0 in range(0, n, rows):
+            block = vals[r0:r0 + rows]
+            del pieces[4 * block.size:]  # a shorter last block
+            pieces[0::4] = list(itertools.chain.from_iterable(
+                itertools.repeat(x, n) for x in ax[r0:r0 + rows]))
+            pieces[2::4] = float_reprs(block.real, ",")
+            if not real:
+                pieces[3::4] = float_reprs(block.imag, "\n")
+            fh.write("".join(pieces))
 
 
 def read_field_csv(path) -> tuple[PhaseGrid, np.ndarray]:

@@ -93,8 +93,16 @@ def overlap_cutoff(alpha0: complex) -> int:
     return DEFAULT_CUTOFF + math.ceil(r * r + 8.0 * r)
 
 
-#: largest cutoff of ``fock_matrix``: the largest the library builds itself
+#: largest cutoff of ``fock_matrix``, ``State.fock`` and
+#: ``creation_exponential``: the largest the library builds itself
 MAX_CUTOFF = overlap_cutoff(MAX_DISPLACEMENT)
+
+#: largest order n of a normally ordered moment <:n^k:>, the Fock index cap;
+#: it bounds the (n + 1)^2 table of ``State.moments`` built before any moment
+#: is read.  A Hankel matrix of order m reads the moments to 2m, so
+#: ``witness.moment_matrix_test`` and ``witness.classify`` take m up to half
+#: of it
+MAX_MOMENT_ORDER = 400
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +197,11 @@ def resummed_coefficients(rho: np.ndarray, order: int | None = None) -> tuple[np
     Each term's exponent is 0.5 (R[k, q] + R[k, r]) - lg q! - lg r!, with the
     rising-factorial table R[k, q] = log((k+q)!/k!), the cumulative sum of
     log(k + i) for i = 1..q.  It stays small where q and r are, so the term
-    is not the difference of log-factorials near k log k.
+    is not the difference of log-factorials near k log k.  ParameterError
+    for an order that is not an integer >= 0.
     """
     K = rho.shape[0] - 1
-    o = K if order is None else min(order, K)
+    o = K if order is None else min(check_number(order, "order", 0, integer=True), K)
     lg = gammaln(np.arange(o + 1) + 1.0)
     rise = np.zeros((K + 1, o + 1))
     np.cumsum(np.log(np.add.outer(np.arange(K + 1.0), np.arange(1.0, o + 1))), axis=1,
@@ -228,7 +237,9 @@ def creation_exponential(z, cutoff: int) -> np.ndarray:
     before by one more application of a^dag; nothing is cached, so memory
     is z.size (cutoff + 1)^2 whatever cutoffs came before.  The result has
     shape z.shape + (n, n); exp(z a) is the transpose of exp(z a^dag).
+    ParameterError unless the cutoff is an integer from 0 to ``MAX_CUTOFF``.
     """
+    check_number(cutoff, "cutoff", 0, MAX_CUTOFF, integer=True)
     n = cutoff + 1
     z = np.asarray(z, dtype=complex)
     out = np.zeros(z.shape + (n, n), dtype=complex)
@@ -442,12 +453,17 @@ class State:
 
     def moments(self, order: int) -> np.ndarray:
         """The table T[q, r] = <a^dag^r a^q> of rho_c for q, r <= order, cut
-        before the first divergent diagonal order."""
+        before the first divergent diagonal order.  ParameterError unless
+        the order is an integer from 0 to ``MAX_MOMENT_ORDER``."""
+        check_number(order, "moment order", 0, MAX_MOMENT_ORDER, integer=True)
         return self._rotated(self.moments_unrotated(order))
 
     def fock(self, cutoff: int) -> np.ndarray:
         """The Fock matrix of rho_c truncated at ``cutoff``; its [0, 0] entry,
-        the vacuum weight of rho_c, does not depend on the cutoff."""
+        the vacuum weight of rho_c, does not depend on the cutoff.
+        ParameterError unless the cutoff is an integer from 0 to
+        ``MAX_CUTOFF``."""
+        check_number(cutoff, "cutoff", 0, MAX_CUTOFF, integer=True)
         return self._rotated(self._base_fock_builder(cutoff))
 
     @property

@@ -20,7 +20,7 @@ from .deltaseries import _EPS, TaylorField
 from .errors import ComplexResidueError, NonConvergenceError, ParameterError, RangeError, check_number
 from .filters import check_width, filtered_p
 from .numerics import PhaseField, PhaseGrid, check_grid
-from .states import State, overlap_cutoff
+from .states import MAX_MOMENT_ORDER, State, overlap_cutoff
 
 #: default certification margin; an order below quadrature tolerances
 CERTIFICATION_MARGIN = 1.0e-9
@@ -33,12 +33,6 @@ EIGENVALUE_ERROR_FACTOR = 10.0
 
 #: largest imaginary residue a field expected to be real may carry
 RESIDUE_TOLERANCE = 1.0e-9
-
-#: largest order n of a normally ordered moment <:n^k:>, the Fock index cap;
-#: it bounds the (n + 1)^2 moment table built before any moment is read.  A
-#: Hankel matrix of order m reads the moments to 2m, so ``moment_matrix_test``
-#: and ``classify`` take m up to half of it
-MAX_MOMENT_ORDER = 400
 
 #: largest order k of ``radius_estimate``, which sums k + 1 terms
 MAX_RADIUS_ORDER = 10_000

@@ -1,11 +1,14 @@
 """Tests for the phase-plane calculus: transforms, quadrature, error function."""
 
 import math
+import os
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from gsphase import numerics
 from gsphase.errors import (
     DivergenceError,
     NonConvergenceError,
@@ -21,6 +24,7 @@ from gsphase.numerics import (
     PhaseGrid,
     erf_complex,
     erfcx_complex,
+    float_reprs,
     fourier_forward,
     fourier_inverse,
     mirror_quadrant,
@@ -494,3 +498,82 @@ class TestCsv:
             a, b = getattr(back, part), getattr(vals, part)
             assert np.array_equal(a, b, equal_nan=True)
             assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    @staticmethod
+    def _complex(re, im):
+        out = np.empty(re.shape, dtype=complex)  # re + 1j*im would change signs and nans
+        out.real, out.imag = re, im
+        return out
+
+    @staticmethod
+    def _write(tmp_path, grid, vals, comments=("config 0",)):
+        path = tmp_path / "field.csv"
+        write_field_csv(path, grid, vals, comments=comments)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["mirror", "random"])
+    def test_grid_of_several_blocks_equals_reference(self, tmp_path, reference_field_csv, kind):
+        grid = PhaseGrid(extent=4.0, resolution=401)
+        assert grid.resolution ** 2 > numerics._CSV_BLOCK_NODES
+        rng = np.random.default_rng(401)
+        if kind == "mirror":
+            q = rng.standard_normal((201, 201))
+            vals = mirror_quadrant(q + q.T, 401)  # also x <-> p ties
+        else:
+            vals = rng.standard_normal((401, 401))
+        assert self._write(tmp_path, grid, vals) == reference_field_csv(
+            grid, vals, ["config 0"]).encode("utf-8")
+
+    def test_signed_zeros_at_mirror_nodes_keep_their_signs(self, tmp_path, reference_field_csv):
+        grid = PhaseGrid(extent=1.0, resolution=7)
+        vals = np.zeros((7, 7))
+        vals[:, :3] = -0.0  # the p < 0 half mirrors the p > 0 half of the same rows
+        vals = self._complex(vals, vals[::-1])
+        text = self._write(tmp_path, grid, vals)
+        assert text == reference_field_csv(grid, vals, ["config 0"]).encode("utf-8")
+        assert text.count(b",-0.0") == 2 * 21
+
+    def test_nans_of_different_payloads_all_write_nan(self, tmp_path, reference_field_csv):
+        grid = PhaseGrid(extent=1.0, resolution=3)
+        payloads = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                             0x7FF8000000000123, 0xFFFFFFFFFFFFFFFF, 0, 0x8000000000000000,
+                             0x7FF0000000000000, 0x3FF0000000000000], dtype=np.uint64)
+        vals = payloads.view(float).reshape(3, 3)
+        assert np.isnan(vals).sum() == 5
+        for v in (vals, self._complex(vals, vals[::-1, ::-1])):
+            assert self._write(tmp_path, grid, v) == reference_field_csv(
+                grid, v, ["config 0"]).encode("utf-8")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.int8, np.complex64])
+    def test_narrow_and_integer_input_write_the_float64_bytes(self, tmp_path, dtype):
+        grid = PhaseGrid(extent=2.0, resolution=5)
+        vals = (np.random.default_rng(5).standard_normal((5, 5)) * 100).astype(dtype)
+        assert self._write(tmp_path, grid, vals) == self._write(
+            tmp_path, grid, vals.astype(complex if dtype == np.complex64 else float))
+
+    def test_complex_field_with_symmetric_real_and_random_imaginary_part(
+            self, tmp_path, reference_field_csv):
+        grid = PhaseGrid(extent=3.0, resolution=41)
+        vals = self._complex(np.exp(-np.abs(grid.mesh()) ** 2),
+                             np.random.default_rng(41).standard_normal((41, 41)))
+        assert self._write(tmp_path, grid, vals) == reference_field_csv(
+            grid, vals, ["config 0"]).encode("utf-8")
+
+    def test_float_reprs_formats_each_value_as_its_python_repr(self):
+        vals = np.array([[0.1, -0.0, 0.0], [0.1, np.nan, -np.inf]])
+        assert float_reprs(vals, ";") == ["0.1;", "-0.0;", "0.0;", "0.1;", "nan;", "-inf;"]
+        assert float_reprs(np.array([], dtype=float)) == []
+
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        # the values are built before tracing: only the writer's own memory counts
+        peaks = {}
+        for n in (401, 801):
+            vals = mirror_quadrant(np.random.default_rng(n).standard_normal((n // 2 + 1,) * 2), n)
+            tracemalloc.start()
+            try:
+                write_field_csv(os.devnull, PhaseGrid(extent=4.0, resolution=n), vals)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 4 times the nodes; a writer holding the whole field takes about 4 times the memory
+        assert peaks[801] < 1.5 * peaks[401], peaks

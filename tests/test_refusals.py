@@ -24,10 +24,11 @@ from gsphase.errors import GsphaseError, ParameterError, check_number
 from gsphase.filters import (box_autocorrelation, filtered_p, filtered_p_gaussian_grid,
                              filtered_p_numeric, tri, tri_gaussian_ft,
                              tri_gaussian_ft_line_integral)
-from gsphase.numerics import (Cartesian, PhaseField, PhaseGrid, erf_complex, erfcx_complex,
-                              fourier_forward, fourier_inverse, quad2d, radial_integral,
-                              write_field_csv)
-from gsphase.states import StateSpec, fock_matrix, from_fock_matrix, make_state
+from gsphase.numerics import (MAX_GAUSS_NODES, Cartesian, PhaseField, PhaseGrid, erf_complex,
+                              erfcx_complex, fourier_forward, fourier_inverse, gauss_nodes_1d,
+                              quad2d, radial_integral, write_field_csv)
+from gsphase.states import (MAX_CUTOFF, StateSpec, creation_exponential, fock_matrix,
+                            from_fock_matrix, make_state, resummed_coefficients)
 from gsphase.witness import (
     MAX_DEMO_TERMS,
     MAX_MOMENT_ORDER,
@@ -213,6 +214,26 @@ NUMBER_REFUSALS = {
                                      tol=math.nan),
     "fourier_forward boundary_tol nan": lambda: fourier_forward(
         _gaussian_field("alpha"), grid=PhaseGrid(6.0, 33), boundary_tol=math.nan),
+    # the lower-level builders: node counts, cutoffs, orders and domains
+    "gauss_nodes_1d n True": lambda: gauss_nodes_1d(0.0, 1.0, True),
+    "gauss_nodes_1d n 0": lambda: gauss_nodes_1d(0.0, 1.0, 0),
+    "gauss_nodes_1d n 2.5": lambda: gauss_nodes_1d(0.0, 1.0, 2.5),
+    "gauss_nodes_1d n past the cap": lambda: gauss_nodes_1d(0.0, 1.0, MAX_GAUSS_NODES + 1),
+    "creation_exponential cutoff True": lambda: creation_exponential(0.5, True),
+    "creation_exponential cutoff -1": lambda: creation_exponential(0.5, -1),
+    "creation_exponential cutoff past the cap": lambda: creation_exponential(0.5, MAX_CUTOFF + 1),
+    "resummed_coefficients order True": lambda: resummed_coefficients(np.eye(3), True),
+    "resummed_coefficients order -1": lambda: resummed_coefficients(np.eye(3), -1),
+    "State.moments order True": lambda: _thermal().moments(True),
+    "State.moments order 2.5": lambda: _thermal().moments(2.5),
+    "State.moments order past the cap": lambda: _thermal().moments(MAX_MOMENT_ORDER + 1),
+    "State.fock cutoff True": lambda: _thermal().fock(True),
+    "State.fock cutoff -1": lambda: _spats().fock(-1),
+    "State.fock cutoff past the cap": lambda: _thermal().fock(MAX_CUTOFF + 1),
+    "Cartesian.square nan": lambda: Cartesian.square(math.nan),
+    "Cartesian.square 0": lambda: Cartesian.square(0.0),
+    "Cartesian xmax inf": lambda: Cartesian(-1.0, math.inf, -1.0, 1.0),
+    "Cartesian pmin 'x'": lambda: Cartesian(-1.0, 1.0, "x", 1.0),
 }
 
 
